@@ -172,11 +172,6 @@ class VariableSpace:
         return self._v[pair, t]
 
 
-def index_variables(c: LayeredCircuit, g: HardwareGraph,
-                    crosstalk_mode: bool = False) -> VariableSpace:
-    return VariableSpace(c, g, crosstalk_mode=crosstalk_mode)
-
-
 def _dummy_runs(c: LayeredCircuit) -> list[list[int]]:
     runs: list[list[int]] = []
     cur: list[int] = []
@@ -291,10 +286,10 @@ def build_error_objective(vs: VariableSpace, fid: FidelityModel) -> np.ndarray:
         for gate in c.groups[t]:
             p, q = gate.operands
             for (i, j) in vs.arcs:
-                cost = fid.cost(gate.gid, i, j)
-                obj[vs.y(gate.gid, i, j)] += -cost.log_plain
+                plain = fid.gate_error(gate.gid, i, j)
+                obj[vs.y(gate.gid, i, j)] += plain
                 if t < m - 1:
-                    half = (cost.log_plain - cost.log_merged) / 2.0
+                    half = (fid.gate_error(gate.gid, i, j, merged=True) - plain) / 2.0
                     obj[vs.x(p, i, j, t)] += half
                     obj[vs.x(q, j, i, t)] += half
     for t in range(m - 1):
@@ -303,7 +298,7 @@ def build_error_objective(vs: VariableSpace, fid: FidelityModel) -> np.ndarray:
             if q in busy:
                 continue
             for (i, j) in vs.arcs:
-                obj[vs.x(q, i, j, t)] += -1.5 * math.log(vs.graph.beta_of(i, j))
+                obj[vs.x(q, i, j, t)] += fid.swap_error(i, j) / 2.0
     return obj
 
 
@@ -425,7 +420,7 @@ def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | N
     """Build the full program for one objective; see module docstring."""
     if crosstalk_mode is None:
         crosstalk_mode = objective == "crosstalk"
-    vs = index_variables(c, g, crosstalk_mode=crosstalk_mode)
+    vs = VariableSpace(c, g, crosstalk_mode=crosstalk_mode)
     rows = build_constraints(vs, mode=mode, sym_chain=sym_chain)
     if crosstalk_mode:
         xobj, xrows = build_crosstalk_objective(vs)

@@ -192,6 +192,15 @@ def load_circuit(source: str | dict) -> LayeredCircuit:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CircuitError(f"circuit document is not valid JSON: {exc}") from exc
+    try:
+        return _circuit_from_doc(doc)
+    except CircuitError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise CircuitError(f"malformed circuit document: {exc}") from exc
+
+
+def _circuit_from_doc(doc) -> LayeredCircuit:
     if "qubits" not in doc or "gates" not in doc:
         raise CircuitError("circuit document needs 'qubits' and 'gates'")
     labels = list(doc["qubits"])

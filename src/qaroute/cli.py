@@ -7,7 +7,7 @@ and ``export`` writes the model (and optionally validates an external
 solution against it).
 
 Exit codes: 0 success, 2 infeasible, 3 budget hit with an incumbent,
-4 I/O or argument errors.
+4 I/O, argument or input-document errors.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ EXIT_IO = 4
 
 _PARSE_ERRORS = (TopologyError, CircuitError, FidelityError, ModelError,
                  BenchError, HeuristicError, SolveError, OSError,
-                 json.JSONDecodeError, ValueError)
+                 json.JSONDecodeError)
 
 
 class _CliError(Exception):
@@ -91,7 +91,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--dummy-steps", type=int, default=2)
         sp.add_argument("--time-limit", type=float, default=None)
         sp.add_argument("--node-limit", type=int, default=None)
-        sp.add_argument("--emphasis", default="find", choices=("find", "prove"))
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default=None, help="output directory")
@@ -132,9 +131,12 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         qv = (w, count)
     if ns.dummy_steps < 0:
         raise _CliError("--dummy-steps must be nonnegative")
+    if ns.qv_layers is not None and ns.qv_layers < 1:
+        raise _CliError("--qv-layers must be at least 1")
     objectives = tuple(s.strip() for s in ns.objectives.split(",") if s.strip())
-    limits = SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit,
-                         emphasis=ns.emphasis)
+    if ns.jobs < 1:
+        raise _CliError("--jobs must be at least 1")
+    limits = SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit)
     overrides = None
     if ns.fidelity:
         overrides = load_fidelity_overrides(Path(ns.fidelity).read_text())
@@ -209,12 +211,15 @@ def _sweep_one(args) -> tuple[int, list]:
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
+    import os
+
     if len(cfg.objectives) < 2:
         raise _CliError("--objectives must list at least two for a sweep")
     count = cfg.qv[1] if cfg.qv else 1
     tasks = [(cfg, idx) for idx in range(count)]
-    if cfg.jobs > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]

@@ -12,7 +12,6 @@ unitary equivalence by simulation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
-from .simulate import SWAP, embed_two_qubit, permutation_matrix, phase_distance
+from .simulate import SWAP, apply_two_qubit, permutation_matrix, phase_distance
 
 
 class ExtractError(ValueError):
@@ -234,12 +233,11 @@ def stats(rc: RoutedCircuit, fid: FidelityModel, g: HardwareGraph) -> CircuitSta
         for op in ops:
             if isinstance(op, GateOp):
                 cnots += op.cnots_used
-                cost = fid.cost(op.gid, *op.arc)
-                err += -(cost.log_merged if op.merged_swap else cost.log_plain)
+                err += fid.gate_error(op.gid, *op.arc, merged=op.merged_swap)
                 used.add(_norm(*op.arc))
             else:
                 cnots += 3
-                err += -3.0 * math.log(g.beta_of(*op.edge))
+                err += fid.swap_error(*op.edge)
                 used.add(_norm(*op.edge))
         for e1, e2 in g.crosstalk_pairs:
             if e1 in used and e2 in used:
@@ -345,16 +343,14 @@ def verify_unitary(rc: RoutedCircuit, c: LayeredCircuit) -> float:
         for op in ops:
             if isinstance(op, GateOp):
                 i, j = op.arc
-                phys = embed_two_qubit(unis[op.gid], i, j, n) @ phys
+                phys = apply_two_qubit(phys, unis[op.gid], i, j, n)
                 if op.merged_swap:
-                    phys = embed_two_qubit(SWAP, i, j, n) @ phys
+                    phys = apply_two_qubit(phys, SWAP, i, j, n)
             else:
-                i, j = op.edge
-                phys = embed_two_qubit(SWAP, i, j, n) @ phys
+                phys = apply_two_qubit(phys, SWAP, *op.edge, n)
     logical = np.eye(dim, dtype=complex)
-    for grp in c.groups:
-        for gt in grp:
-            logical = embed_two_qubit(gt.unitary, gt.p, gt.q, n) @ logical
+    for gt in c.gates():
+        logical = apply_two_qubit(logical, gt.unitary, gt.p, gt.q, n)
     p_init = permutation_matrix(rc.initial_map)
     p_final = permutation_matrix(rc.final_map)
     target = p_final @ logical @ p_init.conj().T
@@ -383,8 +379,8 @@ def routed_to_json(rc: RoutedCircuit) -> str:
 
 
 def routed_from_json(source: str | dict) -> RoutedCircuit:
-    doc = json.loads(source) if isinstance(source, str) else source
     try:
+        doc = json.loads(source) if isinstance(source, str) else source
         steps = []
         for row in doc["steps"]:
             ops = []
@@ -408,3 +404,7 @@ def routed_from_json(source: str | dict) -> RoutedCircuit:
                              time_aligned=bool(doc.get("time_aligned", True)))
     except KeyError as exc:
         raise ExtractError(f"routed-circuit document lacks field {exc}") from exc
+    except ExtractError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ExtractError(f"malformed routed-circuit document: {exc}") from exc

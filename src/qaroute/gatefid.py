@@ -80,7 +80,7 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
 
     # Fold into the canonical chamber; order by distance to the pi/2 lattice.
     cstemp = np.mod(cs, _PI2)
-    np.minimum(cstemp, _PI2 - cstemp, cstemp)
+    np.minimum(cstemp, _PI2 - cstemp, out=cstemp)
     order = np.argsort(cstemp)[[1, 2, 0]]
     cs = cs[order]
 
@@ -161,14 +161,6 @@ class GatePlacementCost:
     n_merged: int
     p_merged: float
 
-    @property
-    def log_plain(self) -> float:
-        return math.log(self.p_plain)
-
-    @property
-    def log_merged(self) -> float:
-        return math.log(self.p_merged)
-
 
 def _best_budget(fids: tuple[float, ...], beta: float) -> tuple[int, float]:
     best_k = 0
@@ -234,12 +226,19 @@ class FidelityModel:
         edge = (i, j) if i < j else (j, i)
         return self._costs[gid, edge]
 
-    def free_swap_log(self, i: int, j: int) -> float:
-        """Log success probability of a standalone SWAP (three CNOTs)."""
-        return 3.0 * math.log(self.graph.beta_of(i, j))
+    def gate_error(self, gid: int, i: int, j: int, merged: bool = False) -> float:
+        """Negated log success probability of gate ``gid`` on edge (i, j),
+        merged with a swap of its operands when ``merged``."""
+        cost = self._costs[gid, (i, j) if i < j else (j, i)]
+        return -math.log(cost.p_merged if merged else cost.p_plain)
 
-    def mean_beta(self) -> float:
-        return sum(self.graph.beta.values()) / len(self.graph.beta)
+    def swap_error(self, i: int, j: int) -> float:
+        """Negated log success probability of a standalone SWAP (three CNOTs)."""
+        return -3.0 * math.log(self.graph.beta_of(i, j))
+
+    def mean_swap_error(self) -> float:
+        """``swap_error`` on an edge of mean CNOT success probability."""
+        return -3.0 * math.log(sum(self.graph.beta.values()) / len(self.graph.beta))
 
 
 def load_fidelity_overrides(source: str | dict) -> dict:
@@ -255,13 +254,18 @@ def load_fidelity_overrides(source: str | dict) -> dict:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FidelityError(f"fidelity document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FidelityError("fidelity document must map gate indices to tables")
     out = {}
     for key, entry in doc.items():
-        gid = int(key)
-        if "f" not in entry or "f_swap" not in entry:
-            raise FidelityError(f"override {key} needs 'f' and 'f_swap'")
-        if len(entry["f"]) != 4 or len(entry["f_swap"]) != 4:
+        try:
+            gid = int(key)
+            f = [float(v) for v in entry["f"]]
+            fs = [float(v) for v in entry["f_swap"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FidelityError(
+                f"override {key} needs an integer key and numeric 'f' and 'f_swap'") from exc
+        if len(f) != 4 or len(fs) != 4:
             raise FidelityError(f"override {key} needs four values per table")
-        out[gid] = {"f": [float(v) for v in entry["f"]],
-                    "f_swap": [float(v) for v in entry["f_swap"]]}
+        out[gid] = {"f": f, "f_swap": fs}
     return out

@@ -311,10 +311,3 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     else:
         raise HeuristicError(f"unknown variant {variant!r}")
     return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=closed)
-
-
-def run_variant(variant: str, c: LayeredCircuit, g: HardwareGraph,
-                fid: FidelityModel, lim: SolveLimits | None = None,
-                cfg: HeuristicConfig | None = None) -> tuple[RoutedCircuit, CircuitStats]:
-    run = run_variant_full(variant, c, g, fid, lim, cfg)
-    return run.routed, run.stats

@@ -150,6 +150,15 @@ def load_topology(source: str | dict) -> HardwareGraph:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TopologyError(f"topology document is not valid JSON: {exc}") from exc
+    try:
+        return _graph_from_doc(doc)
+    except TopologyError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"malformed topology document: {exc}") from exc
+
+
+def _graph_from_doc(doc) -> HardwareGraph:
     if "nodes" not in doc or "edges" not in doc:
         raise TopologyError("topology document needs 'nodes' and 'edges'")
     labels = list(doc["nodes"])

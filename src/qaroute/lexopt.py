@@ -9,18 +9,15 @@ improvement from the primary one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bipmodel import BipProblem, Row, assemble_problem, set_objective
+from .bipmodel import BipProblem, Row, VariableSpace, assemble_problem, set_objective
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
-from .solver import SolveLimits, SolveResult, SolveStatus, solve_branch_and_bound
-
-_OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
+from .solver import _OBJ_EPS, SolveLimits, SolveResult, SolveStatus, solve_branch_and_bound
 
 
 class LexError(ValueError):
@@ -65,23 +62,49 @@ def _check_order(order) -> tuple[str, ...]:
     return order
 
 
-def _stage_vectors(vs, p: BipProblem, fid: FidelityModel, order) -> list[np.ndarray]:
-    vecs = []
-    for kind in order:
-        staged = set_objective(p, vs, kind, fid)
-        vecs.append(staged.objective)
-    return vecs
-
-
 def _budget_row(vec: np.ndarray, rhs: float) -> Row:
     nz = [v for v in range(len(vec)) if vec[v] != 0.0]
     return Row(vars=tuple(nz), coefs=tuple(float(vec[v]) for v in nz),
                sense="<=", rhs=rhs, family="OBJ_CUTOFF")
 
 
+def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
+            row_hook=None) -> tuple[VariableSpace, list[BipProblem]]:
+    """One shared model, with the objective of each stage set once."""
+    vs, p = assemble_problem(c, g, fid, objective=order[0],
+                             crosstalk_mode="crosstalk" in order)
+    if row_hook is not None:
+        p = p.with_rows(list(row_hook(vs)))
+    return vs, [p] + [set_objective(p, vs, kind, fid) for kind in order[1:]]
+
+
+def _solve_stages(stages: list[BipProblem], rows: list[Row], lim: SolveLimits,
+                  first: int = 0) -> tuple[list[float], SolveResult, BipProblem]:
+    """Solve ``stages[first:]`` in turn under ``rows`` plus a budget row
+    pinning each solved stage to its optimum (within its ``_OBJ_EPS``
+    slack). Returns the stage optima and the last stage's result and
+    problem."""
+    rows = list(rows)
+    values: list[float] = []
+    for k in range(first, len(stages)):
+        problem = stages[k].with_rows(rows)
+        result = solve_branch_and_bound(problem, lim)
+        if result.status == SolveStatus.INFEASIBLE:
+            if k == 0:
+                raise LexError("stage-1 problem is infeasible")
+            raise LexError(f"stage {k + 1} infeasible under earlier budgets")
+        if result.objective is None:
+            raise LexError(f"stage {k + 1} hit its budget with no incumbent")
+        values.append(result.objective)
+        if k + 1 < len(stages):
+            rhs = result.objective + _OBJ_EPS[problem.objective_kind]
+            rows.append(_budget_row(problem.objective, rhs))
+    return values, result, problem
+
+
 def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                         order, lim: SolveLimits | None = None,
-                        mode: str = "mccormick_str", row_hook=None) -> LexResult:
+                        row_hook=None) -> LexResult:
     """Optimize the objectives in sequence on one shared model.
 
     Stage i re-solves under budget rows pinning every earlier objective
@@ -91,37 +114,16 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     is how the pinned-layout and equal-endpoint variants are built.
     """
     order = _check_order(order)
-    lim = lim or SolveLimits()
-    vs, p = assemble_problem(c, g, fid, objective=order[0], mode=mode,
-                             crosstalk_mode="crosstalk" in order)
-    if row_hook is not None:
-        p = p.with_rows(list(row_hook(vs)))
-    vectors = _stage_vectors(vs, p, fid, order)
-
-    stage_values: list[float] = []
-    result = None
-    current = p
-    for k, kind in enumerate(order):
-        current = set_objective(current, vs, kind, fid)
-        result = solve_branch_and_bound(current, lim)
-        if result.status == SolveStatus.INFEASIBLE:
-            if k == 0:
-                raise LexError("stage-1 problem is infeasible")
-            raise LexError(f"stage {k + 1} infeasible under earlier budgets")
-        if result.objective is None:
-            raise LexError(f"stage {k + 1} hit its budget with no incumbent")
-        stage_values.append(result.objective)
-        if k + 1 < len(order):
-            rhs = result.objective + _OBJ_EPS[kind]
-            current = current.with_rows([_budget_row(vectors[k], rhs)])
-    return LexResult(order=order, stage_values=tuple(stage_values),
-                     result=result, problem=current, vs=vs)
+    vs, stages = _stages(c, g, fid, order, row_hook)
+    values, result, problem = _solve_stages(stages, [], lim or SolveLimits())
+    return LexResult(order=order, stage_values=tuple(values),
+                     result=result, problem=problem, vs=vs)
 
 
 def default_step_size(objective: str, fid: FidelityModel) -> float:
     """Sweep increment: one average-edge SWAP for error, one unit else."""
     if objective == "error":
-        return -3.0 * math.log(fid.mean_beta())
+        return fid.mean_swap_error()
     return 1.0
 
 
@@ -145,31 +147,17 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if delta <= 0.0:
         raise LexError("step size must be positive")
 
-    vs, p = assemble_problem(c, g, fid, objective=order[0], mode="mccormick_str",
-                             crosstalk_mode="crosstalk" in order)
-    vectors = _stage_vectors(vs, p, fid, order)
-    base = solve_branch_and_bound(p, lim)
-    if base.status == SolveStatus.INFEASIBLE:
-        raise LexError("stage-1 problem is infeasible")
-    if base.objective is None:
-        raise LexError("stage-1 budget exhausted with no incumbent")
-    o1 = base.objective
-
+    _, stages = _stages(c, g, fid, order)
+    (o1,), _, _ = _solve_stages(stages[:1], [], lim)
     points: list[ParetoPoint] = []
     for s in range(steps):
         budget = o1 + _OBJ_EPS[order[0]] + s * delta
-        current = p.with_rows([_budget_row(vectors[0], budget)])
-        result = None
-        for k in range(1, len(order)):
-            current = set_objective(current, vs, order[k], fid)
-            result = solve_branch_and_bound(current, lim)
-            if result.status == SolveStatus.INFEASIBLE or result.objective is None:
-                raise LexError(f"sweep point {s}, stage {k + 1} did not close")
-            if k + 1 < len(order):
-                rhs = result.objective + _OBJ_EPS[order[k]]
-                current = current.with_rows([_budget_row(vectors[k], rhs)])
-        assert result is not None
-        achieved = [float(np.dot(vec, result.assignment)) for vec in vectors]
+        try:
+            _, result, _ = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
+                                         lim, first=1)
+        except LexError as exc:
+            raise LexError(f"sweep point {s}: {exc}") from exc
+        achieved = [float(np.dot(st.objective, result.assignment)) for st in stages]
         points.append(ParetoPoint(
             step_index=s,
             primary_value=achieved[0],

@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from .extract import RoutedCircuit, stats
 from .gatefid import FidelityModel
-from .heuristic import HeuristicConfig, run_variant
+from .heuristic import HeuristicConfig, run_variant_full
 from .hwgraph import HardwareGraph
 from .simulate import apply_two_qubit, zero_state
 from .solver import SolveLimits
@@ -97,20 +97,13 @@ def ideal_probs(qv: QvCircuit) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-def ideal_heavy_set(qv: QvCircuit) -> set[str]:
-    """Bitstrings strictly above the median ideal probability."""
-    probs = ideal_probs(qv)
-    med = float(np.median(probs))
-    w = qv.width
-    return {format(i, f"0{w}b") for i in range(len(probs)) if probs[i] > med}
-
-
 def heavy_output_mass(qv: QvCircuit) -> tuple[set[str], float]:
+    """Heavy set (bitstrings strictly above the median ideal probability)
+    and its ideal probability mass."""
     probs = ideal_probs(qv)
-    med = float(np.median(probs))
-    heavy = {format(i, f"0{qv.width}b") for i in range(len(probs)) if probs[i] > med}
-    mass = float(sum(probs[int(b, 2)] for b in heavy))
-    return heavy, mass
+    mask = probs > np.median(probs)
+    heavy = {format(i, f"0{qv.width}b") for i in np.flatnonzero(mask)}
+    return heavy, float(probs[mask].sum())
 
 
 def hop_under_noise(qv: QvCircuit, rc: RoutedCircuit, fid: FidelityModel) -> float:
@@ -120,11 +113,13 @@ def hop_under_noise(qv: QvCircuit, rc: RoutedCircuit, fid: FidelityModel) -> flo
     scores the ideal heavy mass; otherwise the output is uniform and
     scores |heavy| / 2^w.
     """
-    st = stats(rc, fid, fid.graph)
-    s = math.exp(-st.error_objective_value)
-    heavy, h_ideal = heavy_output_mass(qv)
-    uniform = len(heavy) / float(2 ** qv.width)
-    return s * h_ideal + (1.0 - s) * uniform
+    error = stats(rc, fid, fid.graph).error_objective_value
+    return _mixture(error, *heavy_output_mass(qv), qv.width)
+
+
+def _mixture(error: float, heavy: set[str], h_ideal: float, width: int) -> float:
+    s = math.exp(-error)
+    return s * h_ideal + (1.0 - s) * len(heavy) / float(2 ** width)
 
 
 @dataclass(frozen=True)
@@ -198,12 +193,10 @@ def _bench_one(task) -> list[BenchRow]:
     c = insert_dummy_steps(c, dummy_steps)
     fid = FidelityModel.build(c, g, overrides=fid_overrides)
     heavy, h_ideal = heavy_output_mass(qv)
-    uniform = len(heavy) / float(2 ** w)
     out = []
     for v in variants:
-        rc, st = run_variant(v, c, g, fid, lim, cfg)
-        s = math.exp(-st.error_objective_value)
-        hop = s * h_ideal + (1.0 - s) * uniform
+        st = run_variant_full(v, c, g, fid, lim, cfg).stats
+        hop = _mixture(st.error_objective_value, heavy, h_ideal, w)
         out.append(BenchRow(circuit=idx, variant=v, cnot_count=st.cnot_count,
                             depth_proxy=st.depth_proxy,
                             error_objective=st.error_objective_value, hop=hop))
@@ -220,10 +213,14 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
 
     Per-circuit randomness comes from the stream (seed, index), so a
     batch is reproducible regardless of execution order; with jobs > 1
-    circuits are routed in a process pool and reassembled in order.
+    circuits are routed in a process pool of at most one worker per
+    circuit and per CPU, and reassembled in order.
     Heavy sets are computed on the full-width ideal circuit once per
     circuit.
     """
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
     if n_circuits < 1:
         raise BenchError("need at least one circuit")
     variants = tuple(variants)
@@ -231,9 +228,9 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
     cfg = cfg or HeuristicConfig()
     tasks = [(idx, w, seed, n_layers, g, dummy_steps, fid_overrides,
               variants, lim, cfg) for idx in range(n_circuits)]
-    if jobs > 1 and n_circuits > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, n_circuits)) as pool:
+    workers = min(jobs, n_circuits, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_circuit = list(pool.map(_bench_one, tasks))
     else:
         per_circuit = [_bench_one(t) for t in tasks]

@@ -42,13 +42,14 @@ def exchange_qubits(u4: np.ndarray) -> np.ndarray:
 
 
 def apply_two_qubit(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Apply a 4x4 gate to wires (a, b) of an n-wire statevector."""
-    psi = state.reshape([2] * n)
+    """Apply a 4x4 gate to wires (a, b) of an n-wire statevector, or of
+    every column of a matrix with 2^n rows whose columns are states."""
+    psi = state.reshape((2,) * n + state.shape[1:])
     psi = np.moveaxis(psi, (a, b), (0, 1))
     rest = psi.shape[2:]
     psi = (u4 @ psi.reshape(4, -1)).reshape((2, 2) + rest)
     psi = np.moveaxis(psi, (0, 1), (a, b))
-    return psi.reshape(-1)
+    return psi.reshape(state.shape)
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -59,12 +60,7 @@ def zero_state(n: int) -> np.ndarray:
 
 def embed_two_qubit(u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """Expand a 4x4 gate on wires (a, b) to the full 2^n x 2^n matrix."""
-    full = np.empty((2**n, 2**n), dtype=complex)
-    for col in range(2**n):
-        e = np.zeros(2**n, dtype=complex)
-        e[col] = 1.0
-        full[:, col] = apply_two_qubit(e, u4, a, b, n)
-    return full
+    return apply_two_qubit(np.eye(2**n, dtype=complex), u4, a, b, n)
 
 
 def permutation_matrix(dest: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -12,7 +12,8 @@ the tree quickly and keeps the solver dependency-free.
 ``solve_exhaustive`` is the independent reference: dynamic programming
 over complete qubit-to-node mappings with transitions enumerated from
 the matchings of the hardware graph. It shares nothing with the
-branch-and-bound path except the fidelity tables.
+branch-and-bound path except the gate and swap prices of the fidelity
+model.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from enum import Enum
 
 import numpy as np
 
-from .bipmodel import BipProblem, ModelError, Row
+from .bipmodel import BipProblem, Row
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
 
 _FEAS_TOL = 1e-9
-_GAP_TOL = 1e-6
 
 
 class SolveError(ValueError):
@@ -54,26 +54,22 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"  # defensive; binaries cannot actually be unbounded
 
 
 @dataclass
 class SolveLimits:
     """Search budgets. ``cutoff`` discards any solution above the given
-    objective value; ``emphasis`` picks the value-ordering flavour."""
+    objective value."""
 
     time_limit: float | None = None
     node_limit: int | None = None
     cutoff: float | None = None
-    emphasis: str = "find"
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit <= 0:
             raise SolveError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise SolveError("node limit must be positive")
-        if self.emphasis not in ("find", "prove"):
-            raise SolveError(f"unknown emphasis {self.emphasis!r}")
 
 
 @dataclass
@@ -403,7 +399,9 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
 # ---------------------------------------------------------------------------
 # Exhaustive reference solver.
 
-_OBJECTIVES = ("error", "depth", "crosstalk")
+# Slack within which two values of an objective count as tied when a
+# later objective breaks the tie (lexicographic stages and the DP alike).
+_OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
@@ -411,17 +409,19 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     """Reference optimum by dynamic programming over complete layouts.
 
     ``objective`` is one of ``error``/``depth``/``crosstalk`` or a tuple
-    of them, in which case cost vectors are compared lexicographically.
-    Returns ``(value, routed)`` where ``routed`` is one optimal routed
-    circuit (see extract.RoutedCircuit). Instances are capped at eight
-    nodes; the state space is every permutation of the register.
+    of them, in which case cost vectors are compared lexicographically,
+    each component but the last within its ``_OBJ_EPS`` slack, so float
+    rounding in a sum cannot decide a later component. Returns
+    ``(value, routed)`` where ``routed`` is one optimal routed circuit
+    (see extract.RoutedCircuit). Instances are capped at eight nodes;
+    the state space is every permutation of the register.
     """
     from .extract import FreeSwap, GateOp, RoutedCircuit
 
     single = isinstance(objective, str)
     objs = (objective,) if single else tuple(objective)
     for o in objs:
-        if o not in _OBJECTIVES:
+        if o not in _OBJ_EPS:
             raise SolveError(f"unknown objective {o!r}")
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
@@ -456,6 +456,15 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             pm[gt.q] = gt.p
         partner_at.append(pm)
     pairs = g.crosstalk_pairs
+    slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
+
+    def less(a, b) -> bool:
+        for x, y, s in zip(a, b, slack):
+            if x < y - s:
+                return True
+            if x > y + s:
+                return False
+        return False
 
     def valid(t: int, pos: tuple[int, ...]) -> bool:
         for pq, qq, _ in gates_at[t]:
@@ -473,11 +482,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         used = set()
         for pq, qq, gid in gates_at[t]:
             i, j = pos[pq], pos[qq]
-            cost = fid.cost(gid, i, j)
-            if mv[i] == j:
-                err += -cost.log_merged
-            else:
-                err += -cost.log_plain
+            err += fid.gate_error(gid, i, j, merged=mv[i] == j)
             used.add(norm(i, j))
         for (i, j) in M:
             qa, qb = occ[i], occ[j]
@@ -486,7 +491,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 if pm.get(qa) != qb:
                     return None
             else:
-                err += -3.0 * math.log(g.beta_of(i, j))
+                err += fid.swap_error(i, j)
             used.add((i, j))
         out = []
         for o in objs:
@@ -494,24 +499,6 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 out.append(err)
             elif o == "depth":
                 out.append(1.0 if (t in dummyset and M) else 0.0)
-            else:
-                out.append(float(sum(1 for e1, e2 in pairs if e1 in used and e2 in used)))
-        return tuple(out)
-
-    def final_cost(pos) -> tuple[float, ...]:
-        t = m - 1
-        err = 0.0
-        used = set()
-        for pq, qq, gid in gates_at[t]:
-            i, j = pos[pq], pos[qq]
-            err += -fid.cost(gid, i, j).log_plain
-            used.add(norm(i, j))
-        out = []
-        for o in objs:
-            if o == "error":
-                out.append(err)
-            elif o == "depth":
-                out.append(0.0)
             else:
                 out.append(float(sum(1 for e1, e2 in pairs if e1 in used and e2 in used)))
         return tuple(out)
@@ -539,7 +526,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                     continue
                 nc = tuple(a + b for a, b in zip(cost, sc))
                 old = ndp.get(npos)
-                if old is None or nc < old:
+                if old is None or less(nc, old):
                     ndp[npos] = nc
                     npar[npos] = (pos, mi)
         dp = ndp
@@ -548,10 +535,13 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if not dp:
         raise SolveError("instance is infeasible")
 
+    # The last step runs its gates with no swap set.
+    identity = tuple(range(n))
     best_pos, best_total = None, None
     for pos, cost in dp.items():
-        total = tuple(a + b for a, b in zip(cost, final_cost(pos)))
-        if best_total is None or total < best_total:
+        last = stage_cost(m - 1, pos, (), (), identity)
+        total = tuple(a + b for a, b in zip(cost, last))
+        if best_total is None or less(total, best_total):
             best_total, best_pos = total, pos
 
     # Walk parents back to recover layouts and swap sets per step.
@@ -681,10 +671,12 @@ def _export_mps(p: BipProblem) -> str:
 
 def import_model(text: str) -> BipProblem:
     """Parse a model produced by export_model (format auto-detected)."""
-    stripped = text.lstrip()
-    if stripped.startswith("NAME"):
-        return _import_mps(text)
-    return _import_lp(text)
+    try:
+        return _import_mps(text) if text.lstrip().startswith("NAME") else _import_lp(text)
+    except SolveError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SolveError(f"malformed model document: {exc}") from exc
 
 
 def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
@@ -840,7 +832,10 @@ def import_solution(p: BipProblem, text: str) -> SolveResult:
         name, sval = fields
         if name not in index:
             raise SolveError(f"line {lineno}: unknown variable {name!r}")
-        val = float(sval)
+        try:
+            val = float(sval)
+        except ValueError as exc:
+            raise SolveError(f"line {lineno}: value {sval!r} is not a number") from exc
         if abs(val - round(val)) > 1e-6 or round(val) not in (0, 1):
             raise SolveError(f"line {lineno}: value {sval!r} is not binary")
         assignment[index[name]] = int(round(val))

@@ -14,6 +14,26 @@ from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import haar_su4
 
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records the pool
+    sizes asked for. Install it with monkeypatch, and give ``sizes`` a
+    fresh list the same way."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 CX = np.array([[1, 0, 0, 0],
                [0, 1, 0, 0],
                [0, 0, 0, 1],

@@ -3,8 +3,8 @@ import pytest
 
 from helpers import (REFERENCE_ASSIGNMENT_NAMES, line4_five_gate_circuit,
                      prepared, random_layered_circuit)
-from qaroute.bipmodel import (ModelError, Row, assemble_problem,
-                              build_constraints, index_variables)
+from qaroute.bipmodel import (ModelError, Row, VariableSpace, assemble_problem,
+                              build_constraints)
 from qaroute.circuit import insert_dummy_steps
 from qaroute.gatefid import FidelityModel
 
@@ -20,7 +20,7 @@ def dense_assignment(p, names_at_one):
 def test_variable_counts_five_gate_model(line4):
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
-    vs = index_variables(c, line4)
+    vs = VariableSpace(c, line4)
     counts = vs.counts()
     assert counts == {"w": 48, "x": 80, "y": 30, "z": 0}
     assert vs.num_vars == 158
@@ -31,7 +31,7 @@ def test_variable_counts_five_gate_model(line4):
 
 def test_variable_counts_with_dummies(line4):
     c = insert_dummy_steps(line4_five_gate_circuit(), 1)
-    vs = index_variables(c, line4)
+    vs = VariableSpace(c, line4)
     # m = 5 steps: w 4*4*5, x 4*10*4, y unchanged, z on the two dummies.
     assert vs.counts() == {"w": 80, "x": 160, "y": 30, "z": 2}
 
@@ -39,14 +39,14 @@ def test_variable_counts_with_dummies(line4):
 def test_space_rejects_mismatched_width(line4):
     c = random_layered_circuit(3, (1,), seed=0)
     with pytest.raises(ModelError):
-        index_variables(c, line4)
+        VariableSpace(c, line4)
 
 
 def test_space_rejects_unroutable_layer(line4):
     # Three disjoint gates cannot be placed on a 4-node line.
     c = random_layered_circuit(6, (3,), seed=1)
     with pytest.raises(ModelError):
-        index_variables(c, line4)
+        VariableSpace(c, line4)
 
 
 def test_row_activity_and_satisfaction():
@@ -71,7 +71,7 @@ def test_reference_assignment_feasible_both_modes(line4):
 
 def test_mccormick_str_is_tighter(line4):
     c = line4_five_gate_circuit()
-    vs = index_variables(c, line4)
+    vs = VariableSpace(c, line4)
     plain = build_constraints(vs, mode="mccormick")
     tight = build_constraints(vs, mode="mccormick_str")
     fam_plain = {r.family for r in plain}
@@ -87,7 +87,7 @@ def test_mccormick_str_is_tighter(line4):
 
 def test_sym_chain_rows(line4):
     c = insert_dummy_steps(line4_five_gate_circuit(), 2)
-    vs = index_variables(c, line4)
+    vs = VariableSpace(c, line4)
     rows = build_constraints(vs, sym_chain=True)
     chain = [r for r in rows if r.family == "SYM_CHAIN"]
     # Two dummy runs of length 2, one ordering row per adjacent pair.
@@ -134,3 +134,24 @@ def test_without_families(line4):
     trimmed = p.without_families(("SYM_CHAIN",))
     assert len(trimmed.rows) < len(p.rows)
     assert all(r.family != "SYM_CHAIN" for r in trimmed.rows)
+
+
+def test_error_objective_splits_prices_exactly(line4):
+    # Gate placements and free swaps are priced by the fidelity model; the
+    # model splits a merged gate's extra cost and a swap's cost in halves
+    # over the two movement variables that realize them.
+    c, fid = prepared(random_layered_circuit(4, (1, 1), seed=16), line4, 1)
+    vs, p = assemble_problem(c, line4, fid, objective="error")
+    obj = p.objective
+    for t in range(vs.m - 1):
+        busy = c.busy_qubits(t)
+        for gate in c.groups[t]:
+            for i, j in vs.arcs:
+                plain = fid.gate_error(gate.gid, i, j)
+                half = (fid.gate_error(gate.gid, i, j, merged=True) - plain) / 2.0
+                assert obj[vs.y(gate.gid, i, j)] == plain
+                assert obj[vs.x(gate.p, i, j, t)] == half
+                assert obj[vs.x(gate.q, j, i, t)] == half
+        for q in set(range(vs.n)) - busy:
+            for i, j in vs.arcs:
+                assert obj[vs.x(q, i, j, t)] == fid.swap_error(i, j) / 2.0

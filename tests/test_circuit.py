@@ -106,3 +106,11 @@ def test_load_circuit_errors():
                                  "matrix": [[1, 0]] * 3}]})
     with pytest.raises(CircuitError):
         load_circuit("{broken")
+    for bad in ([["one", 0]] * 16, [[1, 0, 0]] * 16, 7):
+        with pytest.raises(CircuitError):
+            load_circuit({"qubits": ["a", "b"],
+                          "gates": [{"p": "a", "q": "b", "kind": "matrix", "matrix": bad}]})
+    with pytest.raises(CircuitError):
+        load_circuit({"qubits": 3, "gates": []})
+    with pytest.raises(CircuitError):
+        load_circuit({"qubits": ["a", "b"], "gates": [5]})

@@ -1,7 +1,10 @@
 import json
+import os
 
 import pytest
 
+from helpers import RecordingPool
+from qaroute import cli
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
@@ -59,6 +62,8 @@ def test_transpile_limit_exit(capsys):
     ["transpile", "--builtin", "line,4", "--circuit", "/nonexistent.json"],
     ["frobnicate"],
     [],
+    ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "0"],
+    ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "-1"],
 ])
 def test_io_errors_map_to_exit_4(argv, capsys):
     assert main(argv) == 4
@@ -155,3 +160,42 @@ def test_custom_topology_and_circuit_files(tmp_path, capsys):
                  "--dummy-steps", "1"])
     assert code == 0
     assert "structural: ok" in capsys.readouterr().out
+
+
+def test_malformed_fidelity_document_exits_4(tmp_path, capsys):
+    doc = tmp_path / "fid.json"
+    doc.write_text('{"0": {"f": ["high", 1, 1, 1], "f_swap": [1, 1, 1, 1]}}')
+    code = main(["transpile", "--builtin", "line,4", *FAST, "--fidelity", str(doc)])
+    assert code == 4
+    assert "override 0" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_exit_4(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "run_variant_full", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["transpile", "--builtin", "line,4", *FAST])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_4(jobs, capsys):
+    code = main(["pareto", "--builtin", "line,4", "--qv", "4,2", "--qv-layers", "2",
+                 "--dummy-steps", "1", "--jobs", jobs])
+    assert code == 4
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, pools", [(4, [2]), (1, [])])
+def test_pareto_pool_capped_at_tasks_and_cpus(cpus, pools, monkeypatch, tmp_path):
+    # Three jobs over two tasks: the pool never outgrows the task count or
+    # the machine, and a single worker runs in process.
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code = main(["pareto", "--builtin", "line,4", "--qv", "4,2", "--qv-layers", "2",
+                 "--dummy-steps", "1", "--steps", "1", "--jobs", "3",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert RecordingPool.sizes == pools

@@ -149,6 +149,10 @@ def test_json_round_trip(solved):
     assert back == rc
     with pytest.raises(ExtractError):
         routed_from_json({"n_nodes": 4})
+    with pytest.raises(ExtractError):
+        routed_from_json({"n_nodes": "four", "initial_map": [], "final_map": [], "steps": []})
+    with pytest.raises(ExtractError):
+        routed_from_json("{not json")
 
 
 def test_non_aligned_rejected_by_encode(solved):

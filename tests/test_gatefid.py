@@ -136,6 +136,12 @@ def test_load_fidelity_overrides_errors():
         load_fidelity_overrides({"0": {"f": [1, 1], "f_swap": [1, 1, 1, 1]}})
     with pytest.raises(FidelityError):
         load_fidelity_overrides("{oops")
+    with pytest.raises(FidelityError):
+        load_fidelity_overrides({"0": {"f": ["high", 1, 1, 1], "f_swap": [1, 1, 1, 1]}})
+    with pytest.raises(FidelityError):
+        load_fidelity_overrides({"first": {"f": [1, 1, 1, 1], "f_swap": [1, 1, 1, 1]}})
+    with pytest.raises(FidelityError):
+        load_fidelity_overrides("[1,\n 2]")
     good = load_fidelity_overrides('{"2": {"f": [0.5, 0.9, 1, 1], "f_swap": [0.4, 0.4, 0.6, 1]}}')
     assert good[2]["f"][1] == 0.9
 
@@ -153,3 +159,16 @@ def test_log_cost_accounting(line4):
     best = max(budget[k] * beta ** k for k in range(4))
     assert pc.p_plain == pytest.approx(best, abs=1e-15)
     assert -math.log(pc.p_plain) >= 0.0
+
+
+def test_gate_and_swap_prices(line4):
+    c, fid = prepared(random_layered_circuit(4, (2, 1), seed=15), line4, 1)
+    for gate in c.gates():
+        for i, j in line4.arcs():
+            pc = fid.cost(gate.gid, i, j)
+            assert fid.gate_error(gate.gid, i, j) == -math.log(pc.p_plain)
+            assert fid.gate_error(gate.gid, i, j, merged=True) == -math.log(pc.p_merged)
+    for i, j in line4.edges:
+        assert fid.swap_error(i, j) == -3.0 * math.log(line4.beta_of(i, j))
+    mean_beta = sum(line4.beta.values()) / len(line4.beta)
+    assert fid.mean_swap_error() == -3.0 * math.log(mean_beta)

@@ -6,9 +6,8 @@ from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import (VARIANTS, HeuristicConfig, HeuristicError,
                                heuristic_layout, heuristic_route,
-                               run_variant, run_variant_full)
+                               run_variant_full)
 from qaroute.qvbench import haar_su4
-from qaroute.solver import SolveLimits
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +119,6 @@ def test_routing_variant_pins_heuristic_layout(inst, line4):
     assert run.routed.initial_map == layout
     free = run_variant_full("bip", c, line4, fid)
     assert run.stats.error_objective_value >= free.stats.error_objective_value - 1e-9
-
-
-def test_run_variant_tuple_form(inst, line4):
-    c, fid = inst
-    rc, st = run_variant("bip", c, line4, fid, SolveLimits())
-    full = run_variant_full("bip", c, line4, fid, SolveLimits())
-    assert (rc, st) == (full.routed, full.stats)
 
 
 def test_variants_on_wider_hardware(grid6):

@@ -64,6 +64,14 @@ def test_load_topology_errors():
         load_topology({"nodes": ["a", "b"], "edges": [["a", "z"]]})
     with pytest.raises(TopologyError):
         load_topology("{not json")
+    with pytest.raises(TopologyError):
+        load_topology({"nodes": ["a", "b"], "edges": [["a", "b"]], "default_beta": "high"})
+    with pytest.raises(TopologyError):
+        load_topology({"nodes": ["a", "b"], "edges": [["a", "b"]], "beta": [["a", "b"]]})
+    with pytest.raises(TopologyError):
+        load_topology({"nodes": 5, "edges": []})
+    with pytest.raises(TopologyError):
+        load_topology({"nodes": [[1], [2]], "edges": []})
 
 
 def test_graph_validation():

@@ -1,15 +1,17 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
 
-from helpers import prepared
+from helpers import RecordingPool, prepared
 from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import (BenchError, HopEstimate, _estimate, _pearson,
                              benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise,
-                             ideal_heavy_set, ideal_probs, lower_circuit)
-from qaroute.heuristic import HeuristicConfig, run_variant
+                             ideal_probs, lower_circuit)
+from qaroute.heuristic import HeuristicConfig, run_variant_full
 from qaroute.simulate import embed_two_qubit, is_unitary
 from qaroute.solver import SolveLimits
 
@@ -73,12 +75,10 @@ def test_heavy_set_is_strict_upper_median():
     qv = gen_qv_circuit(4, 14)
     probs = ideal_probs(qv)
     med = float(np.median(probs))
-    heavy = ideal_heavy_set(qv)
+    heavy, mass = heavy_output_mass(qv)
     for i in range(16):
         bits = format(i, "04b")
         assert (bits in heavy) == (probs[i] > med)
-    hs, mass = heavy_output_mass(qv)
-    assert hs == heavy
     assert mass == pytest.approx(sum(probs[int(b, 2)] for b in heavy))
     assert 0.5 < mass <= 1.0
     assert len(heavy) <= 8
@@ -87,7 +87,8 @@ def test_heavy_set_is_strict_upper_median():
 def test_hop_mixture_formula(line4):
     qv = gen_qv_circuit(4, 15)
     c, fid = prepared(lower_circuit(qv, n_layers=2), line4, 1)
-    rc, st = run_variant("sabre_like", c, line4, fid)
+    run = run_variant_full("sabre_like", c, line4, fid)
+    rc, st = run.routed, run.stats
     heavy, h_ideal = heavy_output_mass(qv)
     s = math.exp(-st.error_objective_value)
     expected = s * h_ideal + (1.0 - s) * len(heavy) / 16.0
@@ -136,6 +137,16 @@ def test_benchmark_batch_invalid():
     from qaroute.hwgraph import builtin_topology
     with pytest.raises(BenchError):
         benchmark_batch(0, 4, ("sabre_like",), builtin_topology("line", 4))
+
+
+@pytest.mark.parametrize("cpus, pools", [(4, [2]), (1, [])])
+def test_benchmark_pool_capped_at_circuits_and_cpus(cpus, pools, line4, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    benchmark_batch(2, 4, ("sabre_like",), line4, seed=3, dummy_steps=1, n_layers=2,
+                    jobs=3)
+    assert RecordingPool.sizes == pools
 
 
 def test_benchmark_parallel_matches_serial(line4):

@@ -35,6 +35,16 @@ def test_apply_matches_embed():
         assert np.allclose(via_apply, via_embed)
 
 
+def test_apply_to_matrix_acts_on_each_column():
+    u = haar_su4(5)
+    rng = np.random.default_rng(6)
+    cols = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    out = apply_two_qubit(cols, u, 2, 0, 3)
+    assert out.shape == (8, 3)
+    for k in range(3):
+        assert np.allclose(out[:, k], apply_two_qubit(cols[:, k], u, 2, 0, 3))
+
+
 def test_exchange_qubits_involution():
     u = haar_su4(2)
     assert np.allclose(exchange_qubits(exchange_qubits(u)), u)

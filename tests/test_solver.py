@@ -6,7 +6,10 @@ import pytest
 from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import Row, assemble_problem
+from qaroute.circuit import insert_dummy_steps, pad_qubits
+from qaroute.extract import stats
 from qaroute.gatefid import FidelityModel
+from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolutionInfeasibleError, SolveError, SolveLimits,
                             SolveStatus, export_model, export_solution,
                             import_model, import_solution,
@@ -25,10 +28,7 @@ def test_limits_validation():
         SolveLimits(time_limit=0.0)
     with pytest.raises(SolveError):
         SolveLimits(node_limit=0)
-    with pytest.raises(SolveError):
-        SolveLimits(emphasis="fast")
-    lim = SolveLimits(time_limit=5.0, node_limit=10, cutoff=1.0)
-    assert lim.emphasis == "find"
+    SolveLimits(time_limit=5.0, node_limit=10, cutoff=1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -100,13 +100,6 @@ def test_node_limit_reports_incumbent_or_gap(line4):
         assert res.status is SolveStatus.OPTIMAL
 
 
-def test_emphasis_modes_agree(line4):
-    c, fid, vs, p = small_instance(line4, (2, 2), 11)
-    find = solve_branch_and_bound(p, SolveLimits(emphasis="find"))
-    prove = solve_branch_and_bound(p, SolveLimits(emphasis="prove"))
-    assert find.objective == pytest.approx(prove.objective, abs=1e-9)
-
-
 def test_lp_round_trip_byte_identical(line4):
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
@@ -163,6 +156,13 @@ def test_import_solution_rejects_gibberish(line4):
         import_solution(p, "w_0_0_0\n")
 
 
+def test_import_model_rejects_malformed_documents():
+    with pytest.raises(SolveError):
+        import_model("Minimize\n obj: + abc x\nSubject To\nBinary\n x\nEnd\n")
+    with pytest.raises(SolveError):
+        import_model("NAME          ROUTING\nROWS\n Q  r0\nENDATA\n")
+
+
 def test_import_solution_flags_violated_family(line4):
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
@@ -192,3 +192,22 @@ def test_exhaustive_guard():
     c, fid = prepared(c, big, 0)
     with pytest.raises(SolveError):
         solve_exhaustive(c, big, fid, objective="error")
+
+
+def test_exhaustive_lexicographic_ties_within_slack(line6):
+    # Two routes reach the same error up to float rounding (...645 vs
+    # ...622); the depth component must decide between them, not the
+    # rounding. Branch and bound and HiGHS both prove depth 2 here.
+    qv = gen_qv_circuit(6, [202, 1])
+    c = insert_dummy_steps(pad_qubits(lower_circuit(qv, n_layers=3), 6), 2)
+    fid = FidelityModel.build(c, line6)
+    (err, depth), rc = solve_exhaustive(c, line6, fid, ("error", "depth"))
+    assert depth == 2.0
+    assert err == pytest.approx(0.22806097054182645, abs=1e-9)
+    assert stats(rc, fid, line6).error_objective_value == pytest.approx(err, abs=1e-12)
+
+
+def test_import_solution_rejects_non_numeric_value(line4):
+    _, _, _, p = small_instance(line4, (2,), 0)
+    with pytest.raises(SolveError, match="not a number"):
+        import_solution(p, f"{p.names[0]} one\n")
