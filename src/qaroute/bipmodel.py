@@ -359,7 +359,6 @@ class BipProblem:
     names: tuple[str, ...]
     rows: tuple[Row, ...]
     objective: np.ndarray
-    objective_offset: float = 0.0
     objective_kind: str = "custom"
     var_meta: tuple[tuple, ...] = ()
     gate_modes: tuple[GateModes, ...] | None = None
@@ -369,7 +368,7 @@ class BipProblem:
         return len(self.names)
 
     def objective_value(self, assignment) -> float:
-        return float(np.dot(self.objective, assignment) + self.objective_offset)
+        return float(np.dot(self.objective, assignment))
 
     def with_rows(self, extra: list[Row]) -> "BipProblem":
         return replace(self, rows=self.rows + tuple(extra))

@@ -24,7 +24,7 @@ from .circuit import CircuitError, LayeredCircuit, insert_dummy_steps, load_circ
 from .extract import (ExtractError, decode, routed_to_json, stats,
                       verify_structural, verify_unitary)
 from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
-from .heuristic import VARIANTS, HeuristicConfig, HeuristicError, run_variant_full
+from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
 from .lexopt import LexError, pareto_sweep, sweep_table
 from .qvbench import BenchError, benchmark_batch, gen_qv_circuit, lower_circuit
@@ -179,9 +179,8 @@ def _emit(cfg: RunConfig, filename: str, text: str) -> None:
 def cmd_transpile(cfg: RunConfig) -> int:
     c = _load_one_circuit(cfg)
     fid = FidelityModel.build(c, cfg.graph, overrides=cfg.fid_overrides)
-    hcfg = HeuristicConfig(seed=cfg.seed)
     try:
-        run = run_variant_full(cfg.variant, c, cfg.graph, fid, cfg.limits, hcfg)
+        run = run_variant_full(cfg.variant, c, cfg.graph, fid, cfg.limits, cfg.seed)
     except LexError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -236,7 +235,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     res = benchmark_batch(count, w, variants, cfg.graph, lim=cfg.limits,
                           seed=cfg.seed, fid_overrides=cfg.fid_overrides,
                           dummy_steps=cfg.dummy_steps, n_layers=cfg.qv_layers,
-                          cfg=HeuristicConfig(seed=cfg.seed), jobs=cfg.jobs)
+                          jobs=cfg.jobs)
     _emit(cfg, "bench.tsv", res.to_table())
     return EXIT_OK
 

@@ -15,35 +15,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bipmodel import Row, assemble_problem
+from .bipmodel import Row
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
 from .lexopt import lexicographic_solve
-from .solver import SolveLimits, SolveStatus, solve_branch_and_bound
+from .solver import SolveLimits
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
 
 
 class HeuristicError(ValueError):
-    """Raised for invalid configuration or unroutable inputs."""
+    """Raised for unknown variants or unroutable inputs."""
 
 
-@dataclass(frozen=True)
-class HeuristicConfig:
-    window: int = 8
-    decay: float = 0.7
-    trials: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window < 0:
-            raise HeuristicError("lookahead window must be nonnegative")
-        if not 0.0 < self.decay <= 1.0:
-            raise HeuristicError("decay must lie in (0, 1]")
-        if self.trials < 1:
-            raise HeuristicError("need at least one trial")
+# Lookahead gates scored beyond the front, the weight decay per
+# lookahead gate, and the random restarts of the layout search.
+WINDOW = 8
+DECAY = 0.7
+TRIALS = 8
 
 
 def _gate_sequence(c: LayeredCircuit) -> list:
@@ -51,7 +42,6 @@ def _gate_sequence(c: LayeredCircuit) -> list:
 
 
 def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
-                    cfg: HeuristicConfig | None = None,
                     fid: FidelityModel | None = None) -> RoutedCircuit:
     """Route ``c`` from a fixed layout by greedy swap insertion.
 
@@ -60,7 +50,6 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
     lowest-numbered front gate is walked home along a shortest path,
     which bounds the schedule length.
     """
-    cfg = cfg or HeuristicConfig()
     if c.n_qubits != g.n:
         raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
     n = g.n
@@ -92,7 +81,7 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
             if gt.gid in done or gt.gid in front_gids:
                 continue
             out.append(gt)
-            if len(out) >= cfg.window:
+            if len(out) >= WINDOW:
                 break
         return out
 
@@ -130,7 +119,7 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
             weight = 0.5
             for gt in lookahead({x.gid for x in fr}):
                 s += weight * dist[layout[gt.p]][layout[gt.q]]
-                weight *= cfg.decay
+                weight *= DECAY
             return s
 
         base_front = sum(dist[pos[gt.p]][pos[gt.q]] for gt in fr)
@@ -221,7 +210,7 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
 
 
 def heuristic_layout(c: LayeredCircuit, g: HardwareGraph,
-                     cfg: HeuristicConfig | None = None) -> tuple[int, ...]:
+                     seed: int = 0) -> tuple[int, ...]:
     """Pick an initial layout by routing restarts.
 
     Each trial routes the circuit from a random layout and adopts the
@@ -230,18 +219,17 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph,
     their routed swap count. The winner is reshaped so the first gate
     layer is simultaneously executable.
     """
-    cfg = cfg or HeuristicConfig()
     if c.n_qubits != g.n:
         raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
     if not any(c.groups):
         return tuple(range(g.n))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     best_map, best_key = None, None
-    for trial in range(cfg.trials):
+    for trial in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
-        refined = heuristic_route(c, g, start, cfg).final_map
+        refined = heuristic_route(c, g, start).final_map
         refined = _repair_first_layer(c, g, refined)
-        swaps = _swap_count(heuristic_route(c, g, refined, cfg))
+        swaps = _swap_count(heuristic_route(c, g, refined))
         key = (swaps, trial)
         if best_key is None or key < best_key:
             best_map, best_key = refined, key
@@ -258,56 +246,40 @@ class VariantRun:
 
 def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
                      fid: FidelityModel, lim: SolveLimits | None = None,
-                     cfg: HeuristicConfig | None = None) -> VariantRun:
+                     seed: int = 0) -> VariantRun:
     """Run one of the five algorithm variants on a prepared circuit.
 
     ``c`` must already be padded to the hardware size, with any dummy
     steps inserted; the heuristic legs simply ignore empty layers.
+    ``seed`` seeds the greedy layout search. The four model variants
+    are one lexicographic solve each, differing only in the objective
+    order and the extra rows.
     """
-    cfg = cfg or HeuristicConfig()
-    lim = lim or SolveLimits()
-    closed = True
-    if variant == "bip":
-        lex = lexicographic_solve(c, g, fid, ("error", "depth"), lim)
-        rc = decode(lex.vs, lex.result.assignment, c, g, fid)
-        closed = lex.closed
-    elif variant == "sabre_like":
-        layout = heuristic_layout(c, g, cfg)
-        rc = heuristic_route(c, g, layout, cfg, fid)
-    elif variant == "bip_layout":
-        vs, p = assemble_problem(c, g, fid, objective="error")
-        res = solve_branch_and_bound(p, lim)
-        if res.assignment is None:
-            raise HeuristicError("layout stage did not produce a solution")
-        closed = res.status is SolveStatus.OPTIMAL
-        layout = decode(vs, res.assignment, c, g, fid).initial_map
-        rc = heuristic_route(c, g, layout, cfg, fid)
-        rc = replace(rc, origin="bip_layout")
+    if variant == "sabre_like":
+        layout = heuristic_layout(c, g, seed)
+        rc = heuristic_route(c, g, layout, fid)
+        return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=True)
+    order, row_hook = ("error", "depth"), None
+    if variant == "bip_layout":
+        order = ("error",)
     elif variant == "bip_routing":
-        layout = heuristic_layout(c, g, cfg)
+        layout = heuristic_layout(c, g, seed)
 
-        def pin_rows(vs):
+        def row_hook(vs):
             return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
                         rhs=1.0, family="PIN_INIT") for q in range(g.n)]
-
-        lex = lexicographic_solve(c, g, fid, ("error", "depth"), lim,
-                                  row_hook=pin_rows)
-        rc = decode(lex.vs, lex.result.assignment, c, g, fid)
-        rc = replace(rc, origin="bip_routing")
-        closed = lex.closed
     elif variant == "bip_constrained":
 
-        def same_rows(vs):
+        def row_hook(vs):
             last = vs.m - 1
             return [Row(vars=(vs.w(q, i, 0), vs.w(q, i, last)), coefs=(1.0, -1.0),
                         sense="=", rhs=0.0, family="SAME_ENDPOINTS")
                     for q in range(g.n) for i in range(g.n)]
-
-        lex = lexicographic_solve(c, g, fid, ("error", "depth"), lim,
-                                  row_hook=same_rows)
-        rc = decode(lex.vs, lex.result.assignment, c, g, fid)
-        rc = replace(rc, origin="bip_constrained")
-        closed = lex.closed
-    else:
+    elif variant != "bip":
         raise HeuristicError(f"unknown variant {variant!r}")
-    return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=closed)
+    lex = lexicographic_solve(c, g, fid, order, lim, row_hook=row_hook)
+    rc = decode(lex.vs, lex.result.assignment, c, g, fid)
+    if variant == "bip_layout":
+        rc = heuristic_route(c, g, rc.initial_map, fid)
+    rc = replace(rc, origin=variant)
+    return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=lex.closed)

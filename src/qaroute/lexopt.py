@@ -166,42 +166,6 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     return points
 
 
-@dataclass(frozen=True)
-class TradeoffReport:
-    primary: str
-    secondary: str
-    constrained_value: float
-    unconstrained_value: float
-
-    @property
-    def gap(self) -> float:
-        return self.constrained_value - self.unconstrained_value
-
-    @property
-    def tradeoff(self) -> bool:
-        eps = max(_OBJ_EPS[self.secondary], 1e-6)
-        return self.gap > eps
-
-
-def tradeoff_report(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                    primary: str, secondary: str,
-                    lim: SolveLimits | None = None) -> TradeoffReport:
-    """Does optimizing ``primary`` first cost anything in ``secondary``?
-
-    Compares the stage-2 optimum of the lexicographic run against the
-    unconstrained optimum of ``secondary`` on the same model.
-    """
-    lex = lexicographic_solve(c, g, fid, (primary, secondary), lim)
-    vs, p = assemble_problem(c, g, fid, objective=secondary,
-                             crosstalk_mode="crosstalk" in (primary, secondary))
-    free = solve_branch_and_bound(p, lim or SolveLimits())
-    if free.status == SolveStatus.INFEASIBLE or free.objective is None:
-        raise LexError("unconstrained comparison solve did not close")
-    return TradeoffReport(primary=primary, secondary=secondary,
-                          constrained_value=lex.stage_values[1],
-                          unconstrained_value=free.objective)
-
-
 def sweep_table(sweeps: dict[str, list[ParetoPoint]], order) -> str:
     """Batch sweeps as delimited text, one row per circuit, step and
     objective, with the increase relative to that circuit's own minimum

@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from .extract import RoutedCircuit, stats
 from .gatefid import FidelityModel
-from .heuristic import HeuristicConfig, run_variant_full
+from .heuristic import run_variant_full
 from .hwgraph import HardwareGraph
 from .simulate import apply_two_qubit, zero_state
 from .solver import SolveLimits
@@ -186,7 +186,7 @@ def _pearson(xs: list[float], ys: list[float]) -> float | None:
 def _bench_one(task) -> list[BenchRow]:
     # Module-level so a process pool can pickle it; everything in the
     # task tuple is a plain dataclass, tuple, or dict.
-    idx, w, seed, n_layers, g, dummy_steps, fid_overrides, variants, lim, cfg = task
+    idx, w, seed, n_layers, g, dummy_steps, fid_overrides, variants, lim = task
     qv = gen_qv_circuit(w, [seed, idx])
     c = lower_circuit(qv, n_layers=n_layers)
     c = pad_qubits(c, g.n)
@@ -195,7 +195,7 @@ def _bench_one(task) -> list[BenchRow]:
     heavy, h_ideal = heavy_output_mass(qv)
     out = []
     for v in variants:
-        st = run_variant_full(v, c, g, fid, lim, cfg).stats
+        st = run_variant_full(v, c, g, fid, lim, seed).stats
         hop = _mixture(st.error_objective_value, heavy, h_ideal, w)
         out.append(BenchRow(circuit=idx, variant=v, cnot_count=st.cnot_count,
                             depth_proxy=st.depth_proxy,
@@ -207,14 +207,14 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
                     lim: SolveLimits | None = None, seed: int = 0,
                     fid_overrides: dict | None = None, dummy_steps: int = 2,
                     n_layers: int | None = None,
-                    cfg: HeuristicConfig | None = None,
                     jobs: int = 1) -> BenchResult:
     """Route a batch of QV circuits with each variant and score HOP.
 
     Per-circuit randomness comes from the stream (seed, index), so a
     batch is reproducible regardless of execution order; with jobs > 1
     circuits are routed in a process pool of at most one worker per
-    circuit and per CPU, and reassembled in order.
+    circuit and per CPU, and reassembled in order. ``seed`` also seeds
+    the greedy layout search of every variant that uses one.
     Heavy sets are computed on the full-width ideal circuit once per
     circuit.
     """
@@ -225,9 +225,8 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
         raise BenchError("need at least one circuit")
     variants = tuple(variants)
     lim = lim or SolveLimits()
-    cfg = cfg or HeuristicConfig()
     tasks = [(idx, w, seed, n_layers, g, dummy_steps, fid_overrides,
-              variants, lim, cfg) for idx in range(n_circuits)]
+              variants, lim) for idx in range(n_circuits)]
     workers = min(jobs, n_circuits, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -102,7 +102,6 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
     t_start = time.perf_counter()
     nvars = p.num_vars
     obj = [float(v) for v in p.objective]
-    offset = float(p.objective_offset)
 
     # Compiled row storage.
     nrows = len(p.rows)
@@ -281,8 +280,8 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
                 if math.isinf(best):
                     return inf
                 total += best
-            return total + offset
-        return state["objfix_all"] + state["negsum_all"] + offset
+            return total
+        return state["objfix_all"] + state["negsum_all"]
 
     # Branching order: placement variables grouped by step, widest
     # objective spread first inside a step.
@@ -360,7 +359,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
                 continue
             v = pick_branch()
             if v < 0:
-                val = state["objfix_all"] + offset
+                val = state["objfix_all"]
                 if val < best_val - 1e-12 and val <= ub_limit:
                     best_val = val
                     best_assign = np.array(vals, dtype=np.int8)

@@ -123,7 +123,7 @@ def test_objective_value_matches_dot(line4):
     fid = FidelityModel.build(c, line4)
     _, p = assemble_problem(c, line4, fid, objective="error")
     vec = dense_assignment(p, REFERENCE_ASSIGNMENT_NAMES)
-    manual = float(np.dot(p.objective, vec) + p.objective_offset)
+    manual = float(np.dot(p.objective, vec))
     assert p.objective_value(vec) == pytest.approx(manual, abs=1e-15)
 
 

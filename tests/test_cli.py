@@ -52,6 +52,13 @@ def test_transpile_limit_exit(capsys):
     assert "structural: ok" in capsys.readouterr().out
 
 
+def test_layout_variant_limit_without_incumbent_exits_2(capsys):
+    code = main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2",
+                 "--variant", "bip_layout", "--node-limit", "1"])
+    assert code == 2
+    assert "infeasible:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["transpile", "--builtin", "line,4"],
     ["transpile", "--qv", "4,1"],

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from helpers import (line4_five_gate_circuit, prepared,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import CX, numeric_fidelity_budget, prepared, random_layered_circuit
-from qaroute.gatefid import (FidelityError, FidelityModel, avg_gate_fidelity,
+from qaroute.gatefid import (FidelityError, avg_gate_fidelity,
                              closest_unitary_distance, cnot_budget_fidelities,
                              exact_cnot_fidelities, load_fidelity_overrides,
                              placement_cost, trace_to_fidelity,

@@ -1,12 +1,12 @@
 import pytest
 
+import qaroute.lexopt
 from helpers import prepared, random_layered_circuit
 from qaroute.circuit import Gate, LayeredCircuit, pad_qubits
-from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
+from qaroute.extract import GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
-from qaroute.heuristic import (VARIANTS, HeuristicConfig, HeuristicError,
-                               heuristic_layout, heuristic_route,
-                               run_variant_full)
+from qaroute.heuristic import (VARIANTS, HeuristicError, heuristic_layout,
+                               heuristic_route, run_variant_full)
 from qaroute.qvbench import haar_su4
 
 
@@ -68,16 +68,6 @@ def test_layout_of_gate_free_circuit_is_identity(line4):
     assert heuristic_layout(c, line4) == (0, 1, 2, 3)
 
 
-def test_config_validation():
-    with pytest.raises(HeuristicError):
-        HeuristicConfig(window=-1)
-    with pytest.raises(HeuristicError):
-        HeuristicConfig(decay=0.0)
-    with pytest.raises(HeuristicError):
-        HeuristicConfig(trials=0)
-    assert HeuristicConfig().window == 8
-
-
 def test_unknown_variant_rejected(inst, line4):
     c, fid = inst
     with pytest.raises(HeuristicError):
@@ -94,6 +84,25 @@ def test_variants_produce_valid_schedules(inst, line4, variant):
     assert run.routed.origin == ("sabre_like" if variant == "sabre_like" else variant)
     if variant != "sabre_like":
         assert run.closed
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
+                                                           monkeypatch):
+    # One solve per objective of the variant's order, all made by the
+    # lexicographic stage loop; the greedy variant makes none.
+    order = {"sabre_like": [], "bip_layout": ["error"]}.get(variant, ["error", "depth"])
+    calls = []
+    solve = qaroute.lexopt.solve_branch_and_bound
+
+    def recording(p, lim):
+        calls.append(p.objective_kind)
+        return solve(p, lim)
+
+    monkeypatch.setattr(qaroute.lexopt, "solve_branch_and_bound", recording)
+    c, fid = inst
+    run_variant_full(variant, c, line4, fid)
+    assert calls == order
 
 
 def test_bip_dominates_heuristic(inst, line4):

@@ -7,8 +7,7 @@ from helpers import prepared, random_layered_circuit
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.extract import decode
 from qaroute.lexopt import (LexError, ParetoPoint, default_step_size,
-                            lexicographic_solve, pareto_sweep, sweep_table,
-                            tradeoff_report)
+                            lexicographic_solve, pareto_sweep, sweep_table)
 from qaroute.solver import SolveLimits, solve_branch_and_bound
 
 
@@ -100,14 +99,6 @@ def test_sweep_table_layout():
     assert row_a.split("\t")[4] == "0.25"
     row_b = next(l for l in lines if l.startswith("b\t1\terror"))
     assert row_b.split("\t")[4] == "0.5"
-
-
-def test_tradeoff_report(inst, line4):
-    c, fid = inst
-    rep = tradeoff_report(c, line4, fid, "error", "depth")
-    assert rep.gap >= -1e-9
-    assert rep.tradeoff == (rep.gap > 1e-6)
-    assert rep.primary == "error" and rep.secondary == "depth"
 
 
 def test_row_hook_pins_initial_layout(inst, line4):

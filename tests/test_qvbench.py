@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import RecordingPool, prepared
-from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import (BenchError, HopEstimate, _estimate, _pearson,
                              benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise,
                              ideal_probs, lower_circuit)
-from qaroute.heuristic import HeuristicConfig, run_variant_full
+from qaroute.heuristic import run_variant_full
 from qaroute.simulate import embed_two_qubit, is_unitary
 from qaroute.solver import SolveLimits
 
@@ -151,8 +150,7 @@ def test_benchmark_pool_capped_at_circuits_and_cpus(cpus, pools, line4, monkeypa
 
 def test_benchmark_parallel_matches_serial(line4):
     kw = dict(w=4, variants=("bip", "sabre_like"), g=line4, seed=17,
-              dummy_steps=1, n_layers=2, lim=SolveLimits(),
-              cfg=HeuristicConfig())
+              dummy_steps=1, n_layers=2, lim=SolveLimits())
     serial = benchmark_batch(2, jobs=1, **kw)
     parallel = benchmark_batch(2, jobs=2, **kw)
     assert serial.rows == parallel.rows
