@@ -10,8 +10,8 @@ Variables (all binary):
 * ``u[e,t]``     edge e is driven at step t            (crosstalk mode)
 * ``v[p,t]``     both edges of crosstalk pair p driven (crosstalk mode)
 
-Constraint families carry string tags so tests and tools can relax rows
-selectively; the solver treats them uniformly.
+Constraint families carry string tags, which name the rows of exported
+models and of violation reports; the solver treats them uniformly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, max_matching_size
+from .hwgraph import HardwareGraph, enumerate_matchings
 
 
 class ModelError(ValueError):
@@ -79,7 +79,7 @@ class VariableSpace:
                 f"circuit has {c.n_qubits} qubits but the graph has {g.n} nodes; "
                 "pad the circuit first")
         width = c.max_layer_width()
-        if width > max_matching_size(g):
+        if width > len(enumerate_matchings(g)[-1]):
             raise ModelError(
                 f"a layer holds {width} gates but the graph has no matching that large")
         self.circuit = c
@@ -309,17 +309,11 @@ def build_depth_objective(vs: VariableSpace) -> np.ndarray:
     return obj
 
 
-def build_crosstalk_objective(vs: VariableSpace) -> tuple[np.ndarray, list[Row]]:
-    """Count of simultaneously driven interfering edge pairs.
-
-    Adds an inequality envelope tying each edge-use indicator u to the
-    gate and movement variables that drive the edge, plus product rows
-    for the pair variables v. Emits a plain count objective over v.
-    """
-    if not vs.crosstalk_mode:
-        raise ModelError("variable space was built without crosstalk variables")
+def build_crosstalk_rows(vs: VariableSpace) -> list[Row]:
+    """Inequality envelope tying each edge-use indicator u to the gate and
+    movement variables that drive the edge, plus product rows for the
+    pair variables v."""
     c, g = vs.circuit, vs.graph
-    obj = np.zeros(vs.num_vars)
     rows: list[Row] = []
     xedges = sorted({e for pair in g.crosstalk_pairs for e in pair})
     for t in range(vs.m):
@@ -348,8 +342,20 @@ def build_crosstalk_objective(vs: VariableSpace) -> tuple[np.ndarray, list[Row]]
             rows.append(Row((v, u1, u2), (1.0, -1.0, -1.0), ">=", -1.0, "XTALK_V"))
             rows.append(Row((v, u1), (1.0, -1.0), "<=", 0.0, "XTALK_V"))
             rows.append(Row((v, u2), (1.0, -1.0), "<=", 0.0, "XTALK_V"))
-            obj[v] = 1.0
-    return obj, rows
+    return rows
+
+
+def build_crosstalk_objective(vs: VariableSpace) -> np.ndarray:
+    """Count of simultaneously driven interfering edge pairs: the sum of
+    the pair variables v, which ``build_crosstalk_rows`` ties to the
+    routing."""
+    if not vs.crosstalk_mode:
+        raise ModelError("crosstalk objective needs crosstalk variables")
+    obj = np.zeros(vs.num_vars)
+    for t in range(vs.m):
+        for e1, e2 in vs.graph.crosstalk_pairs:
+            obj[vs.v(e1, e2, t)] = 1.0
+    return obj
 
 
 @dataclass(frozen=True)
@@ -377,10 +383,6 @@ class BipProblem:
                        gate_modes=None) -> "BipProblem":
         return replace(self, objective=objective, objective_kind=kind,
                        gate_modes=gate_modes)
-
-    def without_families(self, families) -> "BipProblem":
-        drop = set(families)
-        return replace(self, rows=tuple(r for r in self.rows if r.family not in drop))
 
     def check_assignment(self, assignment, tol: float = 1e-9) -> Row | None:
         """First violated row, or None when the assignment is feasible."""
@@ -422,18 +424,15 @@ def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | N
     vs = VariableSpace(c, g, crosstalk_mode=crosstalk_mode)
     rows = build_constraints(vs, mode=mode, sym_chain=sym_chain)
     if crosstalk_mode:
-        xobj, xrows = build_crosstalk_objective(vs)
-        rows.extend(xrows)
+        rows.extend(build_crosstalk_rows(vs))
     p = BipProblem(names=vs.names, rows=tuple(rows),
                    objective=np.zeros(vs.num_vars), objective_kind="custom",
                    var_meta=vs.var_meta)
-    p = set_objective(p, vs, objective, fid, _crosstalk_obj=xobj if crosstalk_mode else None)
-    return vs, p
+    return vs, set_objective(p, vs, objective, fid)
 
 
 def set_objective(p: BipProblem, vs: VariableSpace, kind: str,
-                  fid: FidelityModel | None = None,
-                  _crosstalk_obj: np.ndarray | None = None) -> BipProblem:
+                  fid: FidelityModel | None = None) -> BipProblem:
     if kind == "error":
         if fid is None:
             raise ModelError("error objective needs a fidelity model")
@@ -442,9 +441,5 @@ def set_objective(p: BipProblem, vs: VariableSpace, kind: str,
     if kind == "depth":
         return p.with_objective(build_depth_objective(vs), "depth")
     if kind == "crosstalk":
-        if _crosstalk_obj is None:
-            if not vs.crosstalk_mode:
-                raise ModelError("crosstalk objective needs crosstalk variables")
-            _crosstalk_obj, _ = build_crosstalk_objective(vs)
-        return p.with_objective(_crosstalk_obj, "crosstalk")
+        return p.with_objective(build_crosstalk_objective(vs), "crosstalk")
     raise ModelError(f"unknown objective {kind!r}")

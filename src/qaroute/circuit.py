@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .simulate import CX, SWAP, exchange_qubits, is_unitary
+from .simulate import CX, SWAP, is_unitary
 
 NAMED_GATES = {"cx": CX, "swap": SWAP}
 
@@ -146,23 +146,6 @@ def insert_dummy_steps(c: LayeredCircuit, k: int) -> LayeredCircuit:
                           qubit_labels=c.qubit_labels)
 
 
-def orient_gates(c: LayeredCircuit) -> LayeredCircuit:
-    """Normalize every gate to p < q, exchanging the unitary's factors
-    when the stored order was reversed.
-    """
-    groups = []
-    for grp in c.groups:
-        out = []
-        for g in grp:
-            if g.p < g.q:
-                out.append(g)
-            else:
-                out.append(Gate(p=g.q, q=g.p, unitary=exchange_qubits(g.unitary), gid=g.gid))
-        groups.append(tuple(out))
-    return LayeredCircuit(n_qubits=c.n_qubits, groups=tuple(groups),
-                          qubit_labels=c.qubit_labels)
-
-
 def _matrix_from_doc(entries) -> np.ndarray:
     if len(entries) != 16:
         raise CircuitError("matrix payload needs 16 row-major entries")
@@ -174,7 +157,7 @@ def _matrix_from_doc(entries) -> np.ndarray:
 
 
 def load_circuit(source: str | dict) -> LayeredCircuit:
-    """Build a layered circuit from a JSON document.
+    """Build a layered circuit from a JSON document (text or parsed dict).
 
     The document lists ``qubits`` (labels) and ``gates``; each gate names
     its operands ``p``/``q`` and a ``kind`` of ``cx``, ``swap`` or
@@ -184,12 +167,8 @@ def load_circuit(source: str | dict) -> LayeredCircuit:
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
         try:
-            doc = json.loads(text)
+            doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise CircuitError(f"circuit document is not valid JSON: {exc}") from exc
     try:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bipmodel import ModelError, assemble_problem
@@ -26,9 +24,10 @@ from .extract import (ExtractError, decode, routed_to_json, stats,
 from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
-from .lexopt import LexError, pareto_sweep, sweep_table
-from .qvbench import BenchError, benchmark_batch, gen_qv_circuit, lower_circuit
-from .solver import (SolutionInfeasibleError, SolveError, SolveLimits,
+from .lexopt import LexError, _check_order, pareto_sweep, sweep_table
+from .qvbench import (BenchError, benchmark_batch, gen_qv_circuit, lower_circuit,
+                      map_in_pool)
+from .solver import (_OBJ_EPS, SolutionInfeasibleError, SolveError, SolveLimits,
                      export_model, import_solution)
 
 EXIT_OK = 0
@@ -50,212 +49,217 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph: HardwareGraph
-    limits: SolveLimits
-    variant: str
-    objectives: tuple[str, ...]
-    dummy_steps: int
-    seed: int
-    jobs: int
-    out: Path | None
-    circuit_file: str | None
-    qv: tuple[int, int] | None
-    qv_layers: int | None
-    fmt: str
-    solution: str | None
-    steps: int
-    fid_overrides: dict | None
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
+
+
+def _qv(text: str) -> tuple[int, int]:
+    try:
+        w, count = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}; expected w,n") from None
+    if w < 2 or count < 1:
+        raise argparse.ArgumentTypeError("needs width >= 2 and count >= 1")
+    return w, count
+
+
+def _qv_one(text: str) -> tuple[int, int]:
+    w, count = _qv(text)
+    if count != 1:
+        raise argparse.ArgumentTypeError(f"this command routes one circuit; give {w},1")
+    return w, count
+
+
+def _objective_order(text: str) -> tuple[str, ...]:
+    try:
+        order = _check_order(s.strip() for s in text.split(",") if s.strip())
+    except LexError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(order) < 2:
+        raise argparse.ArgumentTypeError("a sweep needs at least two objectives")
+    return order
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="qaroute", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (("transpile", "route one circuit with a variant"),
-                      ("pareto", "trade-off sweep over a circuit batch"),
-                      ("bench", "quantum-volume benchmark across variants"),
-                      ("export", "write the model as LP/MPS; validate solutions")):
-        sp = sub.add_parser(name, help=doc)
-        sp.add_argument("--topology", help="topology document (JSON)")
-        sp.add_argument("--builtin", help="builtin topology as name,n (e.g. line,4)")
-        sp.add_argument("--circuit", help="circuit document (JSON)")
-        sp.add_argument("--qv", help="quantum-volume source as w,n")
-        sp.add_argument("--qv-layers", type=int, default=None,
+    shared = argparse.ArgumentParser(add_help=False)
+    topology = shared.add_mutually_exclusive_group(required=True)
+    topology.add_argument("--topology", help="topology document (JSON)")
+    topology.add_argument("--builtin", help="builtin topology as name,n (e.g. line,4)")
+    shared.add_argument("--qv-layers", type=_int_at_least(1), default=None,
                         help="truncate QV circuits to this many layers")
-        sp.add_argument("--variant", default="bip", choices=VARIANTS)
-        sp.add_argument("--objectives", default="error,depth",
-                        help="comma-separated objective order")
-        sp.add_argument("--dummy-steps", type=int, default=2)
+    shared.add_argument("--dummy-steps", type=_int_at_least(0), default=2)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", type=Path, default=None, help="output directory")
+    shared.add_argument("--fidelity", default=None,
+                        help="fidelity override document (JSON)")
+
+    def command(name: str, handler, doc: str) -> _Parser:
+        sp = sub.add_parser(name, help=doc, parents=[shared])
+        sp.set_defaults(handler=handler)
+        return sp
+
+    def circuit_source(sp: _Parser, qv, qv_help: str) -> None:
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--circuit", help="circuit document (JSON)")
+        source.add_argument("--qv", type=qv, help=qv_help)
+
+    def limits(sp: _Parser) -> None:
         sp.add_argument("--time-limit", type=float, default=None)
         sp.add_argument("--node-limit", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--fidelity", default=None,
-                        help="fidelity override document (JSON)")
-        if name == "pareto":
-            sp.add_argument("--steps", type=int, default=4,
-                            help="number of relaxation steps")
-        if name == "export":
-            sp.add_argument("--format", dest="fmt", default="lp",
-                            choices=("lp", "mps"))
-            sp.add_argument("--solution", default=None,
-                            help="solution document to validate and decode")
+
+    sp = command("transpile", cmd_transpile, "route one circuit with a variant")
+    circuit_source(sp, _qv_one, "one quantum-volume circuit as w,1")
+    sp.add_argument("--variant", default="bip", choices=VARIANTS)
+    limits(sp)
+
+    sp = command("pareto", cmd_pareto, "trade-off sweep over a circuit batch")
+    circuit_source(sp, _qv, "quantum-volume source as w,n")
+    sp.add_argument("--objectives", type=_objective_order, default=("error", "depth"),
+                    help="comma-separated objective order, at least two")
+    limits(sp)
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1)
+    sp.add_argument("--steps", type=_int_at_least(1), default=4,
+                    help="number of relaxation steps")
+
+    sp = command("bench", cmd_bench, "quantum-volume benchmark across variants")
+    sp.add_argument("--qv", type=_qv, required=True, help="quantum-volume source as w,n")
+    sp.add_argument("--variant", default="bip", choices=VARIANTS)
+    limits(sp)
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1)
+
+    sp = command("export", cmd_export, "write the model as LP/MPS; validate solutions")
+    circuit_source(sp, _qv_one, "one quantum-volume circuit as w,1")
+    sp.add_argument("--objective", default="error", choices=tuple(_OBJ_EPS))
+    sp.add_argument("--format", dest="fmt", default="lp", choices=("lp", "mps"))
+    sp.add_argument("--solution", default=None,
+                    help="solution document to validate and decode")
     return p
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    if bool(ns.topology) == bool(ns.builtin):
-        raise _CliError("give exactly one of --topology and --builtin")
-    if ns.builtin:
-        try:
-            name, n = ns.builtin.split(",")
-            graph = builtin_topology(name.strip(), int(n))
-        except ValueError as exc:
-            raise _CliError(f"bad --builtin value {ns.builtin!r}: {exc}") from exc
-    else:
-        graph = load_topology(Path(ns.topology).read_text())
-    if bool(ns.circuit) == bool(ns.qv):
-        raise _CliError("give exactly one of --circuit and --qv")
-    qv = None
-    if ns.qv:
-        try:
-            w, count = (int(v) for v in ns.qv.split(","))
-        except ValueError as exc:
-            raise _CliError(f"bad --qv value {ns.qv!r}; expected w,n") from exc
-        if w < 2 or count < 1:
-            raise _CliError("--qv needs width >= 2 and count >= 1")
-        qv = (w, count)
-    if ns.dummy_steps < 0:
-        raise _CliError("--dummy-steps must be nonnegative")
-    if ns.qv_layers is not None and ns.qv_layers < 1:
-        raise _CliError("--qv-layers must be at least 1")
-    objectives = tuple(s.strip() for s in ns.objectives.split(",") if s.strip())
-    if ns.jobs < 1:
-        raise _CliError("--jobs must be at least 1")
-    limits = SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit)
-    overrides = None
-    if ns.fidelity:
-        overrides = load_fidelity_overrides(Path(ns.fidelity).read_text())
-    return RunConfig(command=ns.command, graph=graph, limits=limits,
-                     variant=ns.variant, objectives=objectives,
-                     dummy_steps=ns.dummy_steps, seed=ns.seed, jobs=ns.jobs,
-                     out=Path(ns.out) if ns.out else None,
-                     circuit_file=ns.circuit, qv=qv, qv_layers=ns.qv_layers,
-                     fmt=getattr(ns, "fmt", "lp"),
-                     solution=getattr(ns, "solution", None),
-                     steps=getattr(ns, "steps", 4),
-                     fid_overrides=overrides)
+def _graph(ns: argparse.Namespace) -> HardwareGraph:
+    if ns.builtin is None:
+        return load_topology(Path(ns.topology).read_text())
+    try:
+        name, n = ns.builtin.split(",")
+        return builtin_topology(name.strip(), int(n))
+    except ValueError as exc:
+        raise _CliError(f"bad --builtin value {ns.builtin!r}: {exc}") from exc
 
 
-def _load_one_circuit(cfg: RunConfig, index: int = 0) -> LayeredCircuit:
-    if cfg.circuit_file is not None:
-        raw = load_circuit(Path(cfg.circuit_file).read_text())
+def _overrides(ns: argparse.Namespace) -> dict | None:
+    if ns.fidelity is None:
+        return None
+    return load_fidelity_overrides(Path(ns.fidelity).read_text())
+
+
+def _limits(ns: argparse.Namespace) -> SolveLimits:
+    return SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit)
+
+
+def _load_circuit(ns: argparse.Namespace, g: HardwareGraph, index: int = 0) -> LayeredCircuit:
+    if ns.circuit is not None:
+        raw = load_circuit(Path(ns.circuit).read_text())
     else:
-        w, _ = cfg.qv
-        raw = lower_circuit(gen_qv_circuit(w, [cfg.seed, index]),
-                            n_layers=cfg.qv_layers)
-    if raw.n_qubits > cfg.graph.n:
+        raw = lower_circuit(gen_qv_circuit(ns.qv[0], [ns.seed, index]),
+                            n_layers=ns.qv_layers)
+    if raw.n_qubits > g.n:
         raise _CliError(f"circuit wider than hardware "
-                        f"({raw.n_qubits} qubits vs {cfg.graph.n} nodes)")
-    c = pad_qubits(raw, cfg.graph.n)
-    return insert_dummy_steps(c, cfg.dummy_steps)
+                        f"({raw.n_qubits} qubits vs {g.n} nodes)")
+    return insert_dummy_steps(pad_qubits(raw, g.n), ns.dummy_steps)
 
 
-def _emit(cfg: RunConfig, filename: str, text: str) -> None:
-    if cfg.out is None:
+def _emit(ns: argparse.Namespace, filename: str, text: str) -> None:
+    if ns.out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        (cfg.out / filename).write_text(text)
-        print(f"wrote {cfg.out / filename}")
+        ns.out.mkdir(parents=True, exist_ok=True)
+        (ns.out / filename).write_text(text)
+        print(f"wrote {ns.out / filename}")
 
 
-def cmd_transpile(cfg: RunConfig) -> int:
-    c = _load_one_circuit(cfg)
-    fid = FidelityModel.build(c, cfg.graph, overrides=cfg.fid_overrides)
+def cmd_transpile(ns: argparse.Namespace) -> int:
+    g, overrides, lim = _graph(ns), _overrides(ns), _limits(ns)
+    c = _load_circuit(ns, g)
+    fid = FidelityModel.build(c, g, overrides=overrides)
     try:
-        run = run_variant_full(cfg.variant, c, cfg.graph, fid, cfg.limits, cfg.seed)
+        run = run_variant_full(ns.variant, c, g, fid, lim, ns.seed)
     except LexError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    report = verify_structural(run.routed, c, cfg.graph)
-    lines = [f"variant: {cfg.variant}"]
+    report = verify_structural(run.routed, c, g)
+    lines = [f"variant: {ns.variant}"]
     for key, val in run.stats.as_dict().items():
         lines.append(f"{key}: {val}")
     lines.append(f"structural: {'ok' if report is None else report}")
-    if cfg.graph.n <= 6:
+    if g.n <= 6:
         dev = verify_unitary(run.routed, c)
         lines.append(f"unitary_deviation: {dev:.3e}")
         lines.append(f"unitary: {'ok' if dev <= 1e-8 else 'FAILED'}")
-    _emit(cfg, "routed.json", routed_to_json(run.routed))
-    _emit(cfg, "report.txt", "\n".join(lines) + "\n")
+    _emit(ns, "routed.json", routed_to_json(run.routed))
+    _emit(ns, "report.txt", "\n".join(lines) + "\n")
     if report is not None:
         return EXIT_INFEASIBLE
     return EXIT_OK if run.closed else EXIT_LIMIT
 
 
-def _sweep_one(args) -> tuple[int, list]:
-    cfg, idx = args
-    c = _load_one_circuit(cfg, idx)
-    fid = FidelityModel.build(c, cfg.graph, overrides=cfg.fid_overrides)
-    pts = pareto_sweep(c, cfg.graph, fid, cfg.objectives, steps=cfg.steps,
-                       lim=cfg.limits)
-    return idx, pts
+def _sweep_one(task) -> list:
+    ns, g, overrides, lim, idx = task
+    c = _load_circuit(ns, g, idx)
+    fid = FidelityModel.build(c, g, overrides=overrides)
+    return pareto_sweep(c, g, fid, ns.objectives, steps=ns.steps, lim=lim)
 
 
-def cmd_pareto(cfg: RunConfig) -> int:
-    import os
-
-    if len(cfg.objectives) < 2:
-        raise _CliError("--objectives must list at least two for a sweep")
-    count = cfg.qv[1] if cfg.qv else 1
-    tasks = [(cfg, idx) for idx in range(count)]
-    workers = min(cfg.jobs, count, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
-    sweeps = {f"circuit{idx}": pts for idx, pts in results}
-    _emit(cfg, "pareto.tsv", sweep_table(sweeps, cfg.objectives))
+def cmd_pareto(ns: argparse.Namespace) -> int:
+    g, overrides, lim = _graph(ns), _overrides(ns), _limits(ns)
+    count = ns.qv[1] if ns.qv else 1
+    sweeps = map_in_pool(_sweep_one, [(ns, g, overrides, lim, idx) for idx in range(count)],
+                         ns.jobs)
+    table = sweep_table({f"circuit{idx}": pts for idx, pts in enumerate(sweeps)},
+                        ns.objectives)
+    _emit(ns, "pareto.tsv", table)
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.qv is None:
-        raise _CliError("bench needs --qv w,n")
-    w, count = cfg.qv
-    variants = (cfg.variant,) if cfg.variant != "bip" else ("bip", "sabre_like")
-    res = benchmark_batch(count, w, variants, cfg.graph, lim=cfg.limits,
-                          seed=cfg.seed, fid_overrides=cfg.fid_overrides,
-                          dummy_steps=cfg.dummy_steps, n_layers=cfg.qv_layers,
-                          jobs=cfg.jobs)
-    _emit(cfg, "bench.tsv", res.to_table())
+def cmd_bench(ns: argparse.Namespace) -> int:
+    w, count = ns.qv
+    variants = (ns.variant,) if ns.variant != "bip" else ("bip", "sabre_like")
+    res = benchmark_batch(count, w, variants, _graph(ns), lim=_limits(ns),
+                          seed=ns.seed, fid_overrides=_overrides(ns),
+                          dummy_steps=ns.dummy_steps, n_layers=ns.qv_layers,
+                          jobs=ns.jobs)
+    _emit(ns, "bench.tsv", res.to_table())
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    c = _load_one_circuit(cfg)
-    fid = FidelityModel.build(c, cfg.graph, overrides=cfg.fid_overrides)
-    objective = cfg.objectives[0] if cfg.objectives else "error"
-    vs, p = assemble_problem(c, cfg.graph, fid, objective=objective)
-    _emit(cfg, f"model.{cfg.fmt}", export_model(p, cfg.fmt))
-    if cfg.solution:
+def cmd_export(ns: argparse.Namespace) -> int:
+    g, overrides = _graph(ns), _overrides(ns)
+    c = _load_circuit(ns, g)
+    fid = FidelityModel.build(c, g, overrides=overrides)
+    vs, p = assemble_problem(c, g, fid, objective=ns.objective)
+    _emit(ns, f"model.{ns.fmt}", export_model(p, ns.fmt))
+    if ns.solution:
         try:
-            res = import_solution(p, Path(cfg.solution).read_text())
+            res = import_solution(p, Path(ns.solution).read_text())
         except SolutionInfeasibleError as exc:
             print(f"infeasible solution: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        rc = decode(vs, res.assignment, c, cfg.graph, fid)
-        st = stats(rc, fid, cfg.graph)
-        _emit(cfg, "routed.json", routed_to_json(rc))
-        _emit(cfg, "solution_report.txt",
+        rc = decode(vs, res.assignment, c, g, fid)
+        st = stats(rc, fid, g)
+        _emit(ns, "routed.json", routed_to_json(rc))
+        _emit(ns, "solution_report.txt",
               f"objective: {res.objective!r}\n"
               + "".join(f"{k}: {v}\n" for k, v in st.as_dict().items()))
     return EXIT_OK
@@ -265,10 +269,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _config(ns)
-        handler = {"transpile": cmd_transpile, "pareto": cmd_pareto,
-                   "bench": cmd_bench, "export": cmd_export}[cfg.command]
-        return handler(cfg)
+        return ns.handler(ns)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -49,9 +49,8 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     (K2l x K2r) with single-qubit K's; the returned coordinates satisfy
     pi/4 >= a >= b >= |c| and are invariant under local rotations.
 
-    The computation diagonalizes M = V^T V in the magic basis with a real
-    orthogonal transformation, which is found by diagonalizing random real
-    linear combinations of Re(M) and Im(M) until one succeeds.
+    The coordinates depend only on the spectrum of M = V^T V, where V is
+    U in the magic basis (Zhang et al., PRA 67, 042313).
     """
     u = np.asarray(u, dtype=complex)
     det = np.linalg.det(u)
@@ -59,22 +58,7 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
         raise FidelityError("matrix is not unitary")
     u = u / det ** 0.25
     up = _B_MAGIC.conj().T @ u @ _B_MAGIC
-    m2 = up.T @ up
-
-    diag = None
-    for attempt in range(24):
-        state = np.random.RandomState(attempt)
-        coeffs = state.randn(2)
-        mix = coeffs[0] * m2.real + coeffs[1] * m2.imag
-        _, p = np.linalg.eigh(mix)
-        candidate = p.T @ m2 @ p
-        if np.allclose(candidate, np.diag(np.diagonal(candidate)), atol=1e-10):
-            diag = np.diagonal(candidate)
-            break
-    if diag is None:
-        raise FidelityError("failed to diagonalize in the magic basis")
-
-    d = -np.angle(diag) / 2.0
+    d = -np.angle(np.linalg.eigvals(up.T @ up)) / 2.0
     d[3] = -d[0] - d[1] - d[2]
     cs = np.mod((d[:3] + d[3]) / 2.0, 2.0 * math.pi)
 
@@ -242,16 +226,13 @@ class FidelityModel:
 
 
 def load_fidelity_overrides(source: str | dict) -> dict:
-    """Parse a what-if fidelity table: gate index -> {'f': [...], 'f_swap': [...]}."""
+    """Parse a what-if fidelity table from a JSON document (text or parsed
+    dict): gate index -> {'f': [...], 'f_swap': [...]}."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
         try:
-            doc = json.loads(text)
+            doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise FidelityError(f"fidelity document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

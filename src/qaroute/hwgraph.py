@@ -133,7 +133,7 @@ class HardwareGraph:
 
 
 def load_topology(source: str | dict) -> HardwareGraph:
-    """Build a graph from a JSON document (path, JSON text, or parsed dict).
+    """Build a graph from a JSON document (text or parsed dict).
 
     Expected keys: ``nodes`` (list of labels), ``edges`` (label pairs),
     optional ``default_beta``, ``beta`` (list of ``[i, j, value]``) and
@@ -142,12 +142,8 @@ def load_topology(source: str | dict) -> HardwareGraph:
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if "\n" not in text and not text.lstrip().startswith("{"):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
         try:
-            doc = json.loads(text)
+            doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise TopologyError(f"topology document is not valid JSON: {exc}") from exc
     try:
@@ -254,34 +250,23 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
         labels=tuple(range(1, n + 1)))
 
 
-def max_matching_size(g: HardwareGraph) -> int:
-    """Size of a maximum matching; small graphs, plain branch on edges."""
-    edges = g.edges
-
-    def best(k: int, used: int) -> int:
-        if k == len(edges):
-            return 0
-        i, j = edges[k]
-        skip = best(k + 1, used)
-        if not (used >> i) & 1 and not (used >> j) & 1:
-            take = 1 + best(k + 1, used | (1 << i) | (1 << j))
-            return max(take, skip)
-        return skip
-
-    return best(0, 0)
+# Most matchings ``enumerate_matchings`` lists before it gives up.
+MATCHING_LIMIT = 100000
 
 
-def enumerate_matchings(g: HardwareGraph, limit: int = 100000) -> list[tuple[Edge, ...]]:
-    """All matchings (sets of pairwise disjoint edges), including the empty one.
+def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
+    """All matchings (sets of pairwise disjoint edges), including the empty
+    one, sorted by size, so the last is a maximum matching.
 
-    Used by the exhaustive reference solver; guarded so that a huge graph
-    fails loudly instead of hanging.
+    Used by the exhaustive reference solver, the greedy layout and the
+    model's layer-width check; guarded by ``MATCHING_LIMIT`` so that a
+    huge graph fails loudly instead of hanging.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges
 
     def rec(k: int, used: int, cur: list[Edge]) -> None:
-        if len(out) > limit:
+        if len(out) > MATCHING_LIMIT:
             raise TopologyError("too many matchings to enumerate")
         if k == len(edges):
             out.append(tuple(cur))

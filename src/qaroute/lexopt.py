@@ -128,14 +128,13 @@ def default_step_size(objective: str, fid: FidelityModel) -> float:
 
 
 def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                 order, steps: int, step_size: float | None = None,
-                 lim: SolveLimits | None = None) -> list[ParetoPoint]:
+                 order, steps: int, lim: SolveLimits | None = None) -> list[ParetoPoint]:
     """Trace the trade-off curve by relaxing the stage-1 budget.
 
     Point s re-solves the later stages with the stage-1 budget widened
-    to its optimum plus s times the step size. The secondary optimum is
-    nonincreasing in s; values are read off the final incumbent of each
-    point.
+    to its optimum plus s times ``default_step_size``. The secondary
+    optimum is nonincreasing in s; values are read off the final
+    incumbent of each point.
     """
     order = _check_order(order)
     if len(order) < 2:
@@ -143,7 +142,7 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if steps < 1:
         raise LexError("step count must be at least 1")
     lim = lim or SolveLimits()
-    delta = default_step_size(order[0], fid) if step_size is None else float(step_size)
+    delta = default_step_size(order[0], fid)
     if delta <= 0.0:
         raise LexError("step size must be positive")
 

@@ -10,6 +10,8 @@ bitstring, so its heavy probability is the heavy-set size over 2^w.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +185,17 @@ def _pearson(xs: list[float], ys: list[float]) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def map_in_pool(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, in a process pool of at most ``jobs``
+    workers and never more than one per task or per CPU; in process when
+    that leaves a single worker. ``fn`` and the tasks must pickle."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _bench_one(task) -> list[BenchRow]:
     # Module-level so a process pool can pickle it; everything in the
     # task tuple is a plain dataclass, tuple, or dict.
@@ -212,27 +225,18 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
 
     Per-circuit randomness comes from the stream (seed, index), so a
     batch is reproducible regardless of execution order; with jobs > 1
-    circuits are routed in a process pool of at most one worker per
-    circuit and per CPU, and reassembled in order. ``seed`` also seeds
-    the greedy layout search of every variant that uses one.
-    Heavy sets are computed on the full-width ideal circuit once per
-    circuit.
+    circuits are routed through ``map_in_pool`` and reassembled in order.
+    ``seed`` also seeds the greedy layout search of every variant that
+    uses one. Heavy sets are computed on the full-width ideal circuit
+    once per circuit.
     """
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
     if n_circuits < 1:
         raise BenchError("need at least one circuit")
     variants = tuple(variants)
     lim = lim or SolveLimits()
     tasks = [(idx, w, seed, n_layers, g, dummy_steps, fid_overrides,
               variants, lim) for idx in range(n_circuits)]
-    workers = min(jobs, n_circuits, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_circuit = list(pool.map(_bench_one, tasks))
-    else:
-        per_circuit = [_bench_one(t) for t in tasks]
+    per_circuit = map_in_pool(_bench_one, tasks, jobs)
     rows: list[BenchRow] = [r for chunk in per_circuit for r in chunk]
     hops: dict[str, list[float]] = {v: [] for v in variants}
     series: dict[tuple, list[float]] = {}

@@ -58,12 +58,10 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolveLimits:
-    """Search budgets. ``cutoff`` discards any solution above the given
-    objective value."""
+    """Search budgets: wall seconds and explored nodes per solve."""
 
     time_limit: float | None = None
     node_limit: int | None = None
-    cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and self.time_limit <= 0:
@@ -331,7 +329,6 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
 
     best_val = inf
     best_assign: np.ndarray | None = None
-    ub_limit = inf if limits.cutoff is None else limits.cutoff + _FEAS_TOL
 
     nodes = 0
     stack: list[tuple[int, int, int, float]] = []
@@ -353,14 +350,13 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
                 descending = False
                 continue
             b = bound()
-            prune_at = min(best_val - 1e-12, ub_limit)
-            if b >= prune_at:
+            if b >= best_val - 1e-12:
                 descending = False
                 continue
             v = pick_branch()
             if v < 0:
                 val = state["objfix_all"]
-                if val < best_val - 1e-12 and val <= ub_limit:
+                if val < best_val - 1e-12:
                     best_val = val
                     best_assign = np.array(vals, dtype=np.int8)
                 descending = False
@@ -373,8 +369,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
                 break
             v, alt, mark, pbound = stack.pop()
             undo_to(mark)
-            prune_at = min(best_val - 1e-12, ub_limit)
-            if pbound >= prune_at:
+            if pbound >= best_val - 1e-12:
                 continue
             conflict = not (fix(v, alt) and propagate())
             descending = True

@@ -127,15 +127,6 @@ def test_objective_value_matches_dot(line4):
     assert p.objective_value(vec) == pytest.approx(manual, abs=1e-15)
 
 
-def test_without_families(line4):
-    c = insert_dummy_steps(line4_five_gate_circuit(), 2)
-    fid = FidelityModel.build(c, line4)
-    _, p = assemble_problem(c, line4, fid, objective="error")
-    trimmed = p.without_families(("SYM_CHAIN",))
-    assert len(trimmed.rows) < len(p.rows)
-    assert all(r.family != "SYM_CHAIN" for r in trimmed.rows)
-
-
 def test_error_objective_splits_prices_exactly(line4):
     # Gate placements and free swaps are priced by the fidelity model; the
     # model splits a merged gate's extra cost and a swap's cost in halves

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from helpers import RecordingPool
-from qaroute import cli
+from qaroute import cli, qvbench
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
@@ -71,6 +71,18 @@ def test_layout_variant_limit_without_incumbent_exits_2(capsys):
     [],
     ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "0"],
     ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "-1"],
+    # Each subcommand takes only the flags its handler reads, and transpile
+    # and export route one circuit.
+    ["transpile", "--builtin", "line,4", *FAST, "--jobs", "2"],
+    ["transpile", "--builtin", "line,4", *FAST, "--objectives", "crosstalk"],
+    ["transpile", "--builtin", "line,4", "--qv", "4,3", "--qv-layers", "2"],
+    ["pareto", "--builtin", "line,4", *FAST, "--steps", "1", "--variant", "sabre_like"],
+    ["bench", "--builtin", "line,4", *FAST, "--variant", "sabre_like",
+     "--objectives", "error"],
+    ["export", "--builtin", "line,4", *FAST, "--variant", "sabre_like"],
+    ["export", "--builtin", "line,4", *FAST, "--time-limit", "1"],
+    ["export", "--builtin", "line,4", *FAST, "--node-limit", "5"],
+    ["export", "--builtin", "line,4", *FAST, "--jobs", "2"],
 ])
 def test_io_errors_map_to_exit_4(argv, capsys):
     assert main(argv) == 4
@@ -92,6 +104,11 @@ def test_pareto_needs_two_objectives(capsys):
     code = main(["pareto", "--builtin", "line,4", *FAST,
                  "--objectives", "error"])
     assert code == 4
+    # A misspelt objective or a step count below 1 is an argument error
+    # too, caught before any solve.
+    assert main(["pareto", "--builtin", "line,4", *FAST, "--objectives", "error,speed"]) == 4
+    assert main(["pareto", "--builtin", "line,4", *FAST, "--steps", "0"]) == 4
+    assert "--steps" in capsys.readouterr().err
 
 
 def test_bench_table(tmp_path):
@@ -142,6 +159,17 @@ def test_export_model_and_solution(tmp_path):
     assert reported == pytest.approx(res.objective, abs=1e-9)
     rc = routed_from_json((tmp_path / "routed.json").read_text())
     assert rc.n_nodes == 4
+
+
+def test_export_objective_flag(tmp_path, capsys):
+    code = main(["export", "--builtin", "line,4", *FAST, "--objective", "depth",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    objective = (tmp_path / "model.lp").read_text().split("\n")[2].split()
+    # The depth model counts the dummy steps that carry a swap.
+    assert objective[0] == "obj:" and objective[3::3] == ["z_1"]
+    assert main(["export", "--builtin", "line,4", *FAST, "--objective", "speed"]) == 4
+    assert "--objective" in capsys.readouterr().err
 
 
 def test_export_rejects_infeasible_solution(tmp_path, capsys):
@@ -198,7 +226,7 @@ def test_jobs_below_one_exit_4(jobs, capsys):
 def test_pareto_pool_capped_at_tasks_and_cpus(cpus, pools, monkeypatch, tmp_path):
     # Three jobs over two tasks: the pool never outgrows the task count or
     # the machine, and a single worker runs in process.
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(qvbench, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code = main(["pareto", "--builtin", "line,4", "--qv", "4,2", "--qv-layers", "2",

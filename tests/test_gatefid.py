@@ -134,8 +134,9 @@ def test_load_fidelity_overrides_errors():
         load_fidelity_overrides({"0": {"f": [1, 1, 1, 1]}})
     with pytest.raises(FidelityError):
         load_fidelity_overrides({"0": {"f": [1, 1], "f_swap": [1, 1, 1, 1]}})
-    with pytest.raises(FidelityError):
-        load_fidelity_overrides("{oops")
+    for text in ("{oops", "[]", "5"):
+        with pytest.raises(FidelityError):
+            load_fidelity_overrides(text)
     with pytest.raises(FidelityError):
         load_fidelity_overrides({"0": {"f": ["high", 1, 1, 1], "f_swap": [1, 1, 1, 1]}})
     with pytest.raises(FidelityError):

@@ -4,7 +4,7 @@ import pytest
 
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
                              builtin_topology, enumerate_matchings,
-                             load_topology, max_matching_size)
+                             load_topology)
 
 
 def test_line4_shape(line4):
@@ -62,8 +62,9 @@ def test_load_topology_errors():
         load_topology({"nodes": ["a", "a"], "edges": []})
     with pytest.raises(TopologyError):
         load_topology({"nodes": ["a", "b"], "edges": [["a", "z"]]})
-    with pytest.raises(TopologyError):
-        load_topology("{not json")
+    for text in ("{not json", "[]", "5"):
+        with pytest.raises(TopologyError):
+            load_topology(text)
     with pytest.raises(TopologyError):
         load_topology({"nodes": ["a", "b"], "edges": [["a", "b"]], "default_beta": "high"})
     with pytest.raises(TopologyError):
@@ -106,15 +107,16 @@ def test_enumerate_matchings_line4(line4):
         assert len(used) == len(set(used))
 
 
-def test_max_matching_size(line4, y6, grid6):
-    assert max_matching_size(line4) == 2
-    assert max_matching_size(y6) == 3
-    assert max_matching_size(grid6) == 3
+def test_largest_matching_size(line4, y6, grid6):
+    # Matchings come sorted by size, so the last one is a maximum matching.
+    assert len(enumerate_matchings(line4)[-1]) == 2
+    assert len(enumerate_matchings(y6)[-1]) == 3
+    assert len(enumerate_matchings(grid6)[-1]) == 3
 
 
 def test_matchings_consistent_with_max(y6):
     ms = enumerate_matchings(y6)
-    assert max(len(m) for m in ms) == max_matching_size(y6)
+    assert max(len(m) for m in ms) == len(ms[-1])
     # The only perfect matching on y-6 covers the forced edge set.
     perfect = [set(m) for m in ms if len(m) == 3]
     assert perfect == [{(0, 1), (2, 5), (3, 4)}]

@@ -6,6 +6,8 @@ import pytest
 from helpers import prepared, random_layered_circuit
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.extract import decode
+from qaroute.gatefid import FidelityModel
+from qaroute.hwgraph import HardwareGraph
 from qaroute.lexopt import (LexError, ParetoPoint, default_step_size,
                             lexicographic_solve, pareto_sweep, sweep_table)
 from qaroute.solver import SolveLimits, solve_branch_and_bound
@@ -79,8 +81,10 @@ def test_sweep_argument_validation(inst, line4):
         pareto_sweep(c, line4, fid, ("error",), steps=2)
     with pytest.raises(LexError):
         pareto_sweep(c, line4, fid, ("error", "depth"), steps=0)
-    with pytest.raises(LexError):
-        pareto_sweep(c, line4, fid, ("error", "depth"), steps=1, step_size=-1.0)
+    # With every beta at 1 a swap costs nothing, so the error step is 0.
+    perfect = HardwareGraph(n=4, edges=line4.edges, beta={e: 1.0 for e in line4.edges})
+    with pytest.raises(LexError, match="step size"):
+        pareto_sweep(c, perfect, FidelityModel.build(c, perfect), ("error", "depth"), steps=1)
     single = pareto_sweep(c, line4, fid, ("error", "depth"), steps=1)
     assert len(single) == 1
 

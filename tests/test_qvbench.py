@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import os
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import RecordingPool, prepared
+from qaroute import qvbench
 from qaroute.qvbench import (BenchError, HopEstimate, _estimate, _pearson,
                              benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise,
@@ -140,7 +140,7 @@ def test_benchmark_batch_invalid():
 
 @pytest.mark.parametrize("cpus, pools", [(4, [2]), (1, [])])
 def test_benchmark_pool_capped_at_circuits_and_cpus(cpus, pools, line4, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(qvbench, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     benchmark_batch(2, 4, ("sabre_like",), line4, seed=3, dummy_steps=1, n_layers=2,

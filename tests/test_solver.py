@@ -26,7 +26,7 @@ def test_limits_validation():
         SolveLimits(time_limit=0.0)
     with pytest.raises(SolveError):
         SolveLimits(node_limit=0)
-    SolveLimits(time_limit=5.0, node_limit=10, cutoff=1.0)
+    SolveLimits(time_limit=5.0, node_limit=10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,13 +76,6 @@ def test_infeasible_detection(line4):
     res = solve_branch_and_bound(p2, SolveLimits())
     assert res.status is SolveStatus.INFEASIBLE
     assert res.assignment is None
-
-
-def test_cutoff_prunes_everything(line4):
-    c, fid, vs, p = small_instance(line4, (2, 2), 9)
-    base = solve_branch_and_bound(p, SolveLimits())
-    res = solve_branch_and_bound(p, SolveLimits(cutoff=base.objective - 1e-3))
-    assert res.status is SolveStatus.INFEASIBLE
 
 
 def test_node_limit_reports_incumbent_or_gap(line4):
