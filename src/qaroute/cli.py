@@ -6,8 +6,9 @@ circuit batch, ``bench`` scores variants on quantum-volume circuits,
 and ``export`` writes the model (and optionally validates an external
 solution against it).
 
-Exit codes: 0 success, 2 infeasible, 3 budget hit with an incumbent,
-4 I/O, argument or input-document errors.
+Exit codes: 0 every lexicographic stage proved its optimum, 2
+infeasible, 3 budget hit with an incumbent, 4 I/O, argument or
+input-document errors.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def _build_parser() -> _Parser:
         source.add_argument("--qv", type=qv, help=qv_help)
 
     def limits(sp: _Parser) -> None:
-        sp.add_argument("--time-limit", type=float, default=None)
-        sp.add_argument("--node-limit", type=int, default=None)
+        sp.add_argument("--time-limit", type=float, default=None,
+                        help="seconds per lexicographic stage (a two-objective "
+                             "run may take twice this)")
+        sp.add_argument("--node-limit", type=int, default=None,
+                        help="branch-and-bound nodes per lexicographic stage")
 
     sp = command("transpile", cmd_transpile, "route one circuit with a variant")
     circuit_source(sp, _qv_one, "one quantum-volume circuit as w,1")

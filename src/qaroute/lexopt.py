@@ -31,10 +31,7 @@ class LexResult:
     result: SolveResult
     problem: BipProblem
     vs: object
-
-    @property
-    def closed(self) -> bool:
-        return self.result.status == SolveStatus.OPTIMAL
+    closed: bool  # every stage proved its optimum
 
 
 @dataclass(frozen=True)
@@ -79,27 +76,33 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
 
 
 def _solve_stages(stages: list[BipProblem], rows: list[Row], lim: SolveLimits,
-                  first: int = 0) -> tuple[list[float], SolveResult, BipProblem]:
+                  first: int = 0, incumbent: np.ndarray | None = None
+                  ) -> tuple[list[float], SolveResult, BipProblem, bool]:
     """Solve ``stages[first:]`` in turn under ``rows`` plus a budget row
     pinning each solved stage to its optimum (within its ``_OBJ_EPS``
-    slack). Returns the stage optima and the last stage's result and
-    problem."""
+    slack). Each stage starts from the previous stage's assignment,
+    which satisfies the new budget row; the first starts from
+    ``incumbent``, which must satisfy ``rows``. Returns the stage optima,
+    the last stage's result and problem, and whether every stage proved
+    its optimum."""
     rows = list(rows)
     values: list[float] = []
+    closed = True
     for k in range(first, len(stages)):
         problem = stages[k].with_rows(rows)
-        result = solve_branch_and_bound(problem, lim)
+        result = solve_branch_and_bound(problem, lim, incumbent=incumbent)
+        # Only a stage started without an incumbent can end without one.
         if result.status == SolveStatus.INFEASIBLE:
-            if k == 0:
-                raise LexError("stage-1 problem is infeasible")
-            raise LexError(f"stage {k + 1} infeasible under earlier budgets")
+            raise LexError(f"stage {k + 1} problem is infeasible")
         if result.objective is None:
             raise LexError(f"stage {k + 1} hit its budget with no incumbent")
         values.append(result.objective)
+        closed = closed and result.status == SolveStatus.OPTIMAL
+        incumbent = result.assignment
         if k + 1 < len(stages):
             rhs = result.objective + _OBJ_EPS[problem.objective_kind]
             rows.append(_budget_row(problem.objective, rhs))
-    return values, result, problem
+    return values, result, problem, closed
 
 
 def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
@@ -109,15 +112,17 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
 
     Stage i re-solves under budget rows pinning every earlier objective
     to its recorded optimum (1e-6 slack for the error objective, none
-    for the integral ones). Returns the final incumbent plus the
-    per-stage optima. ``row_hook(vs)`` may contribute extra rows, which
-    is how the pinned-layout and equal-endpoint variants are built.
+    for the integral ones), starting from stage i-1's assignment.
+    Returns the final incumbent plus the per-stage optima; ``closed``
+    holds only when every stage proved its optimum. ``row_hook(vs)`` may
+    contribute extra rows, which is how the pinned-layout and
+    equal-endpoint variants are built.
     """
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, row_hook)
-    values, result, problem = _solve_stages(stages, [], lim or SolveLimits())
+    values, result, problem, closed = _solve_stages(stages, [], lim or SolveLimits())
     return LexResult(order=order, stage_values=tuple(values),
-                     result=result, problem=problem, vs=vs)
+                     result=result, problem=problem, vs=vs, closed=closed)
 
 
 def default_step_size(objective: str, fid: FidelityModel) -> float:
@@ -132,7 +137,9 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     """Trace the trade-off curve by relaxing the stage-1 budget.
 
     Point s re-solves the later stages with the stage-1 budget widened
-    to its optimum plus s times ``default_step_size``. The secondary
+    to its optimum plus s times ``default_step_size``, starting from the
+    previous point's assignment (point 0 from the stage-1 optimum); the
+    budget only widens, so that assignment stays feasible. The secondary
     optimum is nonincreasing in s; values are read off the final
     incumbent of each point.
     """
@@ -147,15 +154,12 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise LexError("step size must be positive")
 
     _, stages = _stages(c, g, fid, order)
-    (o1,), _, _ = _solve_stages(stages[:1], [], lim)
+    (o1,), result, _, _ = _solve_stages(stages[:1], [], lim)
     points: list[ParetoPoint] = []
     for s in range(steps):
         budget = o1 + _OBJ_EPS[order[0]] + s * delta
-        try:
-            _, result, _ = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
-                                         lim, first=1)
-        except LexError as exc:
-            raise LexError(f"sweep point {s}: {exc}") from exc
+        _, result, _, _ = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
+                                        lim, first=1, incumbent=result.assignment)
         achieved = [float(np.dot(st.objective, result.assignment)) for st in stages]
         points.append(ParetoPoint(
             step_index=s,

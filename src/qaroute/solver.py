@@ -86,7 +86,8 @@ class SolveResult:
         return self.objective - self.dual_bound
 
 
-def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> SolveResult:
+def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
+                           incumbent=None) -> SolveResult:
     """Minimize the active objective over all feasible 0/1 assignments.
 
     Deterministic: identical inputs explore identical trees. Branching
@@ -94,7 +95,16 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
     variables of the earliest undecided step first (widest objective
     spread wins inside a step) with value 1 tried first, so the equality
     rows immediately pin the movement and gate variables of completed
-    steps.
+    steps. An objective without gate modes (depth, crosstalk) branches
+    on its own costed indicators first, each at 0: the search looks for
+    a routing with no swap layer, or no interfering pair, before it
+    places any qubit.
+
+    ``incumbent`` is a known feasible 0/1 assignment. It is checked
+    against every row (``SolveError`` if it is not binary,
+    ``SolutionInfeasibleError`` if it violates a row) and prunes from the
+    first node; it is returned unless the search finds a strictly better
+    assignment.
     """
     limits = limits or SolveLimits()
     t_start = time.perf_counter()
@@ -307,6 +317,10 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
         for t in sorted(by_t):
             group = sorted(by_t[t], key=lambda v: (-spread[v], v))
             w_groups.append(group)
+    if not mode_gates:
+        # The indicators the objective counts come first, tried at 0, so a
+        # routing that uses none of them is found before any other.
+        w_groups.insert(0, [v for v in range(nvars) if obj[v] > 0.0])
 
     def pick_branch() -> int:
         for group in w_groups:
@@ -329,6 +343,18 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None) -> 
 
     best_val = inf
     best_assign: np.ndarray | None = None
+    if incumbent is not None:
+        if np.shape(incumbent) != (nvars,):
+            raise SolveError(f"incumbent has shape {np.shape(incumbent)}, expected ({nvars},)")
+        bits = np.asarray(incumbent).tolist()
+        if any(a not in (0, 1) for a in bits):
+            raise SolveError("incumbent is not a 0/1 vector")
+        for k in range(nrows):
+            act = sum(cf * bits[v] for v, cf in zip(row_vars[k], row_coefs[k]))
+            if act > row_hi[k] + _FEAS_TOL or act < row_lo[k] - _FEAS_TOL:
+                raise SolutionInfeasibleError(p.rows[k], act, _row_name(k, p.rows[k].family))
+        best_val = sum(c for c, a in zip(obj, bits) if a)
+        best_assign = np.array(bits, dtype=np.int8)
 
     nodes = 0
     stack: list[tuple[int, int, int, float]] = []

@@ -52,6 +52,17 @@ def test_transpile_limit_exit(capsys):
     assert "structural: ok" in capsys.readouterr().out
 
 
+def test_stage_one_limit_exits_3_even_when_stage_two_closes(capsys):
+    # Stage 1 stops at the node limit with an incumbent; stage 2 starts
+    # from that assignment and proves its optimum at the root. Without
+    # the warm start stage 2 had no incumbent (exit 2); exit 0 would
+    # claim an error optimum that stage 1 never proved.
+    code = main(["transpile", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2",
+                 "--seed", "6", "--node-limit", "50"])
+    assert code == 3
+    assert "structural: ok" in capsys.readouterr().out
+
+
 def test_layout_variant_limit_without_incumbent_exits_2(capsys):
     code = main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2",
                  "--variant", "bip_layout", "--node-limit", "1"])

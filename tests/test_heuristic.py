@@ -91,18 +91,26 @@ def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
                                                            monkeypatch):
     # One solve per objective of the variant's order, all made by the
     # lexicographic stage loop; the greedy variant makes none.
+    # Each stage after the first starts from the previous stage's
+    # assignment; the first starts cold.
     order = {"sabre_like": [], "bip_layout": ["error"]}.get(variant, ["error", "depth"])
-    calls = []
+    calls, incumbents, results = [], [], []
     solve = qaroute.lexopt.solve_branch_and_bound
 
-    def recording(p, lim):
+    def recording(p, lim, incumbent=None):
         calls.append(p.objective_kind)
-        return solve(p, lim)
+        incumbents.append(incumbent)
+        results.append(solve(p, lim, incumbent=incumbent))
+        return results[-1]
 
     monkeypatch.setattr(qaroute.lexopt, "solve_branch_and_bound", recording)
     c, fid = inst
     run_variant_full(variant, c, line4, fid)
     assert calls == order
+    if calls:
+        assert incumbents[0] is None
+    for prev, incumbent in zip(results, incumbents[1:]):
+        assert incumbent is prev.assignment
 
 
 def test_bip_dominates_heuristic(inst, line4):

@@ -5,12 +5,14 @@ import pytest
 
 from helpers import prepared, random_layered_circuit
 from qaroute.bipmodel import Row, assemble_problem
+from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.extract import decode
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
 from qaroute.lexopt import (LexError, ParetoPoint, default_step_size,
                             lexicographic_solve, pareto_sweep, sweep_table)
-from qaroute.solver import SolveLimits, solve_branch_and_bound
+from qaroute.qvbench import gen_qv_circuit, lower_circuit
+from qaroute.solver import SolveLimits, SolveStatus, solve_branch_and_bound
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,52 @@ def test_sweep_monotone_and_anchored(inst, line4):
         assert pt.primary_value <= budget + 1e-9
         assert pt.tertiary_value is None
         assert len(pt.values()) == 2
+
+
+def test_sweep_point_never_dominated_by_the_previous(grid6):
+    # A cold start could settle on a point with the same depth and more
+    # error than the point before it; from the previous point's
+    # assignment it keeps that point unless the depth strictly improves.
+    raw = lower_circuit(gen_qv_circuit(4, [202, 0]), n_layers=3)
+    c = insert_dummy_steps(pad_qubits(raw, grid6.n), 2)
+    fid = FidelityModel.build(c, grid6)
+    points = pareto_sweep(c, grid6, fid, ("error", "depth"), steps=3)
+    for a, b in zip(points, points[1:]):
+        no_worse = (a.primary_value <= b.primary_value + 1e-9
+                    and a.secondary_value <= b.secondary_value)
+        better = (a.primary_value < b.primary_value - 1e-9
+                  or a.secondary_value < b.secondary_value)
+        assert not (no_worse and better), (a, b)
+
+
+def test_closed_needs_every_stage_proved(grid6):
+    # Stage 1 stops at the node limit with an incumbent; stage 2 starts
+    # from it and proves depth 0 at the root, but only under the loose
+    # stage-1 budget, so the run is not closed.
+    c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [6, 0]), n_layers=2),
+                                      grid6.n), 2)
+    fid = FidelityModel.build(c, grid6)
+    lim = SolveLimits(node_limit=50)
+    _, p_err = assemble_problem(c, grid6, fid, objective="error")
+    assert solve_branch_and_bound(p_err, lim).status is SolveStatus.FEASIBLE
+    lex = lexicographic_solve(c, grid6, fid, ("error", "depth"), lim)
+    assert lex.stage_values[1] == 0.0
+    assert lex.result.status is SolveStatus.OPTIMAL
+    assert not lex.closed
+
+
+def test_depth_stage_tries_no_swap_layer_first(grid6):
+    # Stage 1 stops early at an incumbent of depth 4. The depth stage
+    # branches on its swap-layer indicators first, each at 0, so it
+    # finds a depth-0 routing under that loose budget within a few dozen
+    # nodes; placing qubits first took over 12,000.
+    c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [202, 0]), n_layers=4),
+                                      grid6.n), 2)
+    fid = FidelityModel.build(c, grid6)
+    lex = lexicographic_solve(c, grid6, fid, ("error", "depth"), SolveLimits(node_limit=2000))
+    assert lex.stage_values[1] == 0.0
+    assert lex.result.status is SolveStatus.OPTIMAL
+    assert lex.result.nodes <= 100
 
 
 def test_sweep_argument_validation(inst, line4):

@@ -91,6 +91,61 @@ def test_node_limit_reports_incumbent_or_gap(line4):
         assert res.status is SolveStatus.OPTIMAL
 
 
+def _depth_optimum(c, g, fid):
+    """A feasible assignment of the error problem's rows, chosen for depth."""
+    _, p_depth = assemble_problem(c, g, fid, objective="depth")
+    return solve_branch_and_bound(p_depth, SolveLimits()).assignment
+
+
+def test_infeasible_incumbent_raises(line4):
+    c, fid, vs, p = small_instance(line4, (2, 2), 0)
+    opt = solve_branch_and_bound(p, SolveLimits())
+    with pytest.raises(SolutionInfeasibleError) as err:
+        solve_branch_and_bound(p, SolveLimits(), incumbent=np.zeros(p.num_vars, np.int8))
+    assert err.value.row.family == "QUBIT"
+    # Only the last row is violated: a budget below the optimum.
+    below = Row(vars=tuple(range(p.num_vars)), coefs=tuple(float(x) for x in p.objective),
+                sense="<=", rhs=opt.objective - 0.01, family="OBJ_CUTOFF")
+    with pytest.raises(SolutionInfeasibleError) as err:
+        solve_branch_and_bound(p.with_rows([below]), SolveLimits(), incumbent=opt.assignment)
+    assert err.value.row.family == "OBJ_CUTOFF"
+    not_binary = opt.assignment.astype(float)
+    not_binary[0] = 0.5
+    for bad in (opt.assignment[:-1], not_binary):
+        with pytest.raises(SolveError):
+            solve_branch_and_bound(p, SolveLimits(), incumbent=bad)
+
+
+def test_optimal_incumbent_returns_optimal(line4):
+    c, fid, vs, p = small_instance(line4, (2, 2), 1)
+    cold = solve_branch_and_bound(p, SolveLimits())
+    warm = solve_branch_and_bound(p, SolveLimits(), incumbent=cold.assignment)
+    assert warm.status is SolveStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert warm.dual_bound == warm.objective
+    assert np.array_equal(warm.assignment, cold.assignment)
+    assert warm.nodes <= cold.nodes
+
+
+def test_node_limit_keeps_the_incumbent(line4):
+    c, fid, vs, p = small_instance(line4, (2, 2), 2)
+    start = _depth_optimum(c, line4, fid)
+    res = solve_branch_and_bound(p, SolveLimits(node_limit=1), incumbent=start)
+    assert res.status is SolveStatus.FEASIBLE
+    assert res.objective == pytest.approx(p.objective_value(start), abs=1e-12)
+    assert np.array_equal(res.assignment, start)
+    assert res.dual_bound <= res.objective
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_and_cold_reach_the_same_optimum(line4, seed):
+    c, fid, vs, p = small_instance(line4, (2, 2), seed)
+    cold = solve_branch_and_bound(p, SolveLimits())
+    warm = solve_branch_and_bound(p, SolveLimits(), incumbent=_depth_optimum(c, line4, fid))
+    assert warm.status is SolveStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
 def test_lp_round_trip_byte_identical(line4):
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
