@@ -26,6 +26,11 @@ from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
 
 
+# Slack within which a row counts as satisfied, in every row test and in
+# the branch and bound's propagation.
+FEAS_TOL = 1e-9
+
+
 class ModelError(ValueError):
     """Raised when a circuit/graph pair cannot be modelled."""
 
@@ -43,13 +48,13 @@ class Row:
     def activity(self, assignment) -> float:
         return float(sum(c * assignment[v] for v, c in zip(self.vars, self.coefs)))
 
-    def satisfied(self, assignment, tol: float = 1e-9) -> bool:
+    def satisfied(self, assignment) -> bool:
         act = self.activity(assignment)
         if self.sense == "=":
-            return abs(act - self.rhs) <= tol
+            return abs(act - self.rhs) <= FEAS_TOL
         if self.sense == "<=":
-            return act <= self.rhs + tol
-        return act >= self.rhs - tol
+            return act <= self.rhs + FEAS_TOL
+        return act >= self.rhs - FEAS_TOL
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,8 @@ class VariableSpace:
             names.append(f"z_{t}")
             meta.append(("z", t))
         if crosstalk_mode:
-            xedges = sorted({e for pair in g.crosstalk_pairs for e in pair})
             for t in range(m):
-                for e in xedges:
+                for e in g.crosstalk_edges:
                     self._u[e, t] = len(names)
                     names.append(f"u_{e[0]}_{e[1]}_{t}")
                     meta.append(("u", e[0], e[1], t))
@@ -172,17 +176,14 @@ class VariableSpace:
         return self._v[pair, t]
 
 
-def _dummy_runs(c: LayeredCircuit) -> list[list[int]]:
+def dummy_runs(c: LayeredCircuit) -> list[list[int]]:
+    """Maximal runs of consecutive dummy steps, in time order."""
     runs: list[list[int]] = []
-    cur: list[int] = []
-    for t in range(c.num_steps):
-        if not c.groups[t]:
-            cur.append(t)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
+    for t in c.dummy_steps:
+        if runs and runs[-1][-1] == t - 1:
+            runs[-1].append(t)
+        else:
+            runs.append([t])
     return runs
 
 
@@ -264,7 +265,7 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
             rows.append(Row(xs + (vs.z(t),), (1.0,) * len(xs) + (-1.0,),
                             "<=", 0.0, "DUMMY_IND"))
     if sym_chain:
-        for run in _dummy_runs(c):
+        for run in dummy_runs(c):
             for t in run[:-1]:
                 rows.append(Row((vs.z(t), vs.z(t + 1)), (1.0, -1.0), ">=", 0.0,
                                 "SYM_CHAIN"))
@@ -315,11 +316,10 @@ def build_crosstalk_rows(vs: VariableSpace) -> list[Row]:
     pair variables v."""
     c, g = vs.circuit, vs.graph
     rows: list[Row] = []
-    xedges = sorted({e for pair in g.crosstalk_pairs for e in pair})
     for t in range(vs.m):
         busy = c.busy_qubits(t)
         free = [q for q in range(vs.n) if q not in busy]
-        for e in xedges:
+        for e in g.crosstalk_edges:
             i, j = e
             u = vs.u(i, j, t)
             inds: list[int] = []
@@ -384,11 +384,14 @@ class BipProblem:
         return replace(self, objective=objective, objective_kind=kind,
                        gate_modes=gate_modes)
 
-    def check_assignment(self, assignment, tol: float = 1e-9) -> Row | None:
-        """First violated row, or None when the assignment is feasible."""
-        for row in self.rows:
-            if not row.satisfied(assignment, tol):
-                return row
+    def check_assignment(self, assignment) -> int | None:
+        """Index of the first violated row, or None when the assignment is
+        feasible. The only row test: imported solutions and incumbents
+        are validated here too."""
+        bits = np.asarray(assignment).tolist()
+        for k, row in enumerate(self.rows):
+            if not row.satisfied(bits):
+                return k
         return None
 
 

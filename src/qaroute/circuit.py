@@ -27,7 +27,7 @@ class Gate:
     """A two-qubit gate on logical qubits (p, q), p listed first.
 
     ``gid`` is the gate's position in the original program order; it stays
-    stable through layering, padding, reorientation and dummy insertion so
+    stable through layering, padding and dummy insertion so
     fidelity tables can key on it.
     """
 

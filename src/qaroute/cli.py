@@ -6,7 +6,8 @@ circuit batch, ``bench`` scores variants on quantum-volume circuits,
 and ``export`` writes the model (and optionally validates an external
 solution against it).
 
-Exit codes: 0 every lexicographic stage proved its optimum, 2
+Exit codes: 0 every lexicographic stage proved its optimum (in
+``pareto`` and ``bench``: every stage of every point or run), 2
 infeasible, 3 budget hit with an incumbent, 4 I/O, argument or
 input-document errors.
 """
@@ -234,7 +235,7 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
     table = sweep_table({f"circuit{idx}": pts for idx, pts in enumerate(sweeps)},
                         ns.objectives)
     _emit(ns, "pareto.tsv", table)
-    return EXIT_OK
+    return EXIT_OK if all(pt.closed for pts in sweeps for pt in pts) else EXIT_LIMIT
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
@@ -245,7 +246,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                           dummy_steps=ns.dummy_steps, n_layers=ns.qv_layers,
                           jobs=ns.jobs)
     _emit(ns, "bench.tsv", res.to_table())
-    return EXIT_OK
+    return EXIT_OK if all(r.closed for r in res.rows) else EXIT_LIMIT
 
 
 def cmd_export(ns: argparse.Namespace) -> int:

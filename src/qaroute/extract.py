@@ -3,10 +3,14 @@
 A RoutedCircuit is the physical schedule: where every logical qubit
 starts, which arc every gate runs on (with or without an absorbed
 operand swap), which standalone swaps move free qubits, and where
-everything ends up. ``decode`` reads it off a feasible assignment,
-``encode`` reproduces the assignment from it, and the two verifiers
-check structure (token tracking, arc existence, gate coverage) and full
-unitary equivalence by simulation.
+everything ends up. ``schedule`` builds it from the layout of every
+step: ``decode`` reads those layouts off a feasible assignment, and the
+exhaustive solver hands over the ones it walks back. That builder is
+all the solver shares with ``decode``; its values are still priced by
+its own step costs, and it shares nothing with the branch and bound.
+``encode`` reproduces the assignment from a schedule, and the two
+verifiers check structure (token tracking, arc existence, gate
+coverage) and full unitary equivalence by simulation.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bipmodel import dummy_runs
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
@@ -78,70 +83,63 @@ def _norm(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def schedule(c: LayeredCircuit, fid: FidelityModel, layouts,
+             origin: str) -> RoutedCircuit:
+    """Step-aligned schedule from the qubit-to-node layout of each step.
+
+    Between two steps every moved qubit trades seats with one neighbour.
+    A gate whose operands trade seats absorbs that swap; every other
+    trade is a FreeSwap, in sorted edge order after the step's gates.
+    """
+    n = c.n_qubits
+    if not layouts:
+        ident = tuple(range(n))
+        return RoutedCircuit(n_nodes=n, initial_map=ident, final_map=ident,
+                             steps=(), origin=origin)
+    steps = []
+    for t, pos in enumerate(layouts):
+        nxt = layouts[t + 1] if t + 1 < len(layouts) else pos
+        trades = {_norm(pos[q], nxt[q]) for q in range(n) if pos[q] != nxt[q]}
+        ops = []
+        for gate in c.groups[t]:
+            i, j = pos[gate.p], pos[gate.q]
+            merged = nxt[gate.p] == j and nxt[gate.q] == i
+            cost = fid.cost(gate.gid, i, j)
+            ops.append(GateOp(gid=gate.gid, p=gate.p, q=gate.q, arc=(i, j),
+                              merged_swap=merged,
+                              cnots_used=cost.n_merged if merged else cost.n_plain))
+            if merged:
+                trades.discard(_norm(i, j))
+        ops.extend(FreeSwap(edge=e) for e in sorted(trades))
+        steps.append(tuple(ops))
+    return RoutedCircuit(n_nodes=n, initial_map=tuple(layouts[0]),
+                         final_map=tuple(layouts[-1]), steps=tuple(steps),
+                         origin=origin)
+
+
 def decode(vs, assignment, c: LayeredCircuit, g: HardwareGraph,
            fid: FidelityModel) -> RoutedCircuit:
     """Read the routed circuit off a feasible assignment.
 
-    Gates go where their y variable is 1; an operand swap is merged into
-    a gate when the operands' movement variables cross the gate's own
-    arc; disjoint crossing movements of two gate-free qubits become one
-    FreeSwap each.
+    The placement variables fix the whole schedule (movement and gate
+    variables follow from them through the flow and linking rows), so
+    only they are read; ``schedule`` does the rest, and the result is
+    verified structurally.
     """
-    a = assignment
-    n, m = vs.n, vs.m
-    if m == 0:
-        ident = tuple(range(n))
-        return RoutedCircuit(n_nodes=n, initial_map=ident, final_map=ident,
-                             steps=(), origin="bip", time_aligned=True)
-
-    def layout(t: int) -> list[int]:
+    n = vs.n
+    layouts = []
+    for t in range(vs.m):
         pos = [-1] * n
         for q in range(n):
             for i in range(n):
-                if a[vs.w(q, i, t)]:
+                if assignment[vs.w(q, i, t)]:
                     if pos[q] >= 0:
                         raise ExtractError(f"qubit {q} placed twice at step {t}")
                     pos[q] = i
         if any(p < 0 for p in pos):
             raise ExtractError(f"incomplete placement at step {t}")
-        return pos
-
-    steps = []
-    initial = layout(0)
-    for t in range(m):
-        pos = layout(t)
-        busy = c.busy_qubits(t)
-        ops = []
-        for gate in c.groups[t]:
-            placed = None
-            for (i, j) in g.arcs():
-                if a[vs.y(gate.gid, i, j)]:
-                    if placed is not None:
-                        raise ExtractError(f"gate {gate.gid} placed twice")
-                    placed = (i, j)
-            if placed is None:
-                raise ExtractError(f"gate {gate.gid} not placed")
-            i, j = placed
-            merged = bool(t < m - 1 and a[vs.x(gate.p, i, j, t)])
-            cost = fid.cost(gate.gid, i, j)
-            ops.append(GateOp(gid=gate.gid, p=gate.p, q=gate.q, arc=placed,
-                              merged_swap=merged,
-                              cnots_used=cost.n_merged if merged else cost.n_plain))
-        if t < m - 1:
-            occ = [-1] * n
-            for q in range(n):
-                occ[pos[q]] = q
-            for (i, j) in g.edges:
-                qa, qb = occ[i], occ[j]
-                if qa in busy or qb in busy:
-                    continue
-                if a[vs.x(qa, i, j, t)] and a[vs.x(qb, j, i, t)]:
-                    ops.append(FreeSwap(edge=(i, j)))
-        steps.append(tuple(ops))
-    final = layout(m - 1)
-    rc = RoutedCircuit(n_nodes=n, initial_map=tuple(initial),
-                       final_map=tuple(final), steps=tuple(steps),
-                       origin="bip", time_aligned=True)
+        layouts.append(pos)
+    rc = schedule(c, fid, layouts, "bip")
     report = verify_structural(rc, c, g)
     if report is not None:
         raise ExtractError(f"decoded circuit is inconsistent: {report}")
@@ -196,22 +194,16 @@ def encode(rc: RoutedCircuit, vs) -> np.ndarray:
     if tuple(pos) != rc.final_map:
         raise ExtractError("declared final map does not match the swaps")
 
-    dummies = sorted(vs.circuit.dummy_steps)
-    run: list[int] = []
-    for t in dummies + [-2]:
-        if run and t != run[-1] + 1:
-            flag = False
-            for s in reversed(run):
-                flag = flag or moved_at[s]
-                if flag:
-                    out[vs.z(s)] = 1
-            run = []
-        run.append(t)
+    for run in dummy_runs(vs.circuit):
+        flag = False
+        for t in reversed(run):
+            flag = flag or moved_at[t]
+            if flag:
+                out[vs.z(t)] = 1
 
     if vs.crosstalk_mode:
-        xedges = sorted({e for pair in vs.graph.crosstalk_pairs for e in pair})
         for t in range(m):
-            for e in xedges:
+            for e in vs.graph.crosstalk_edges:
                 if e in used_edges[t]:
                     out[vs.u(e[0], e[1], t)] = 1
             for e1, e2 in vs.graph.crosstalk_pairs:

@@ -75,6 +75,8 @@ class HardwareGraph:
                 raise TopologyError(f"crosstalk pair repeats edge {e1}")
             pairs.append((e1, e2) if e1 < e2 else (e2, e1))
         self.crosstalk_pairs = tuple(sorted(set(pairs)))
+        # Every edge some crosstalk pair names, sorted.
+        self.crosstalk_edges = tuple(sorted({e for pair in self.crosstalk_pairs for e in pair}))
         if not self.labels:
             self.labels = tuple(range(self.n))
         elif len(self.labels) != self.n:

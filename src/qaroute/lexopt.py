@@ -29,7 +29,6 @@ class LexResult:
     order: tuple[str, ...]
     stage_values: tuple[float, ...]
     result: SolveResult
-    problem: BipProblem
     vs: object
     closed: bool  # every stage proved its optimum
 
@@ -39,6 +38,7 @@ class ParetoPoint:
     step_index: int
     primary_value: float
     secondary_value: float
+    closed: bool  # stage 1 and every stage of this point proved optimal
     tertiary_value: float | None = None
 
     def values(self) -> tuple:
@@ -77,14 +77,14 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
 
 def _solve_stages(stages: list[BipProblem], rows: list[Row], lim: SolveLimits,
                   first: int = 0, incumbent: np.ndarray | None = None
-                  ) -> tuple[list[float], SolveResult, BipProblem, bool]:
+                  ) -> tuple[list[float], SolveResult, bool]:
     """Solve ``stages[first:]`` in turn under ``rows`` plus a budget row
     pinning each solved stage to its optimum (within its ``_OBJ_EPS``
     slack). Each stage starts from the previous stage's assignment,
     which satisfies the new budget row; the first starts from
     ``incumbent``, which must satisfy ``rows``. Returns the stage optima,
-    the last stage's result and problem, and whether every stage proved
-    its optimum."""
+    the last stage's result, and whether every stage proved its
+    optimum."""
     rows = list(rows)
     values: list[float] = []
     closed = True
@@ -102,7 +102,7 @@ def _solve_stages(stages: list[BipProblem], rows: list[Row], lim: SolveLimits,
         if k + 1 < len(stages):
             rhs = result.objective + _OBJ_EPS[problem.objective_kind]
             rows.append(_budget_row(problem.objective, rhs))
-    return values, result, problem, closed
+    return values, result, closed
 
 
 def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
@@ -120,9 +120,9 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     """
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, row_hook)
-    values, result, problem, closed = _solve_stages(stages, [], lim or SolveLimits())
+    values, result, closed = _solve_stages(stages, [], lim or SolveLimits())
     return LexResult(order=order, stage_values=tuple(values),
-                     result=result, problem=problem, vs=vs, closed=closed)
+                     result=result, vs=vs, closed=closed)
 
 
 def default_step_size(objective: str, fid: FidelityModel) -> float:
@@ -141,7 +141,8 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     previous point's assignment (point 0 from the stage-1 optimum); the
     budget only widens, so that assignment stays feasible. The secondary
     optimum is nonincreasing in s; values are read off the final
-    incumbent of each point.
+    incumbent of each point, which is ``closed`` when stage 1 and every
+    stage of the point proved its optimum.
     """
     order = _check_order(order)
     if len(order) < 2:
@@ -154,17 +155,18 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise LexError("step size must be positive")
 
     _, stages = _stages(c, g, fid, order)
-    (o1,), result, _, _ = _solve_stages(stages[:1], [], lim)
+    (o1,), result, first_closed = _solve_stages(stages[:1], [], lim)
     points: list[ParetoPoint] = []
     for s in range(steps):
         budget = o1 + _OBJ_EPS[order[0]] + s * delta
-        _, result, _, _ = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
-                                        lim, first=1, incumbent=result.assignment)
+        _, result, closed = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
+                                          lim, first=1, incumbent=result.assignment)
         achieved = [float(np.dot(st.objective, result.assignment)) for st in stages]
         points.append(ParetoPoint(
             step_index=s,
             primary_value=achieved[0],
             secondary_value=achieved[1],
+            closed=first_closed and closed,
             tertiary_value=achieved[2] if len(order) > 2 else None))
     return points
 

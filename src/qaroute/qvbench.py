@@ -150,6 +150,7 @@ class BenchRow:
     depth_proxy: int
     error_objective: float
     hop: float
+    closed: bool  # every solver stage of the run proved its optimum
 
 
 @dataclass(frozen=True)
@@ -208,11 +209,13 @@ def _bench_one(task) -> list[BenchRow]:
     heavy, h_ideal = heavy_output_mass(qv)
     out = []
     for v in variants:
-        st = run_variant_full(v, c, g, fid, lim, seed).stats
+        run = run_variant_full(v, c, g, fid, lim, seed)
+        st = run.stats
         hop = _mixture(st.error_objective_value, heavy, h_ideal, w)
         out.append(BenchRow(circuit=idx, variant=v, cnot_count=st.cnot_count,
                             depth_proxy=st.depth_proxy,
-                            error_objective=st.error_objective_value, hop=hop))
+                            error_objective=st.error_objective_value, hop=hop,
+                            closed=run.closed))
     return out
 
 

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
-
 CX = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],

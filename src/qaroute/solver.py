@@ -13,7 +13,10 @@ the tree quickly and keeps the solver dependency-free.
 over complete qubit-to-node mappings with transitions enumerated from
 the matchings of the hardware graph. It shares nothing with the
 branch-and-bound path except the gate and swap prices of the fidelity
-model.
+model. Its values come from its own ``stage_cost``, so its optimum
+stays an independent check on the branch and bound (acceptance
+criterion 1); only the layouts it walks back are turned into a routed
+circuit, by ``extract.schedule``, the builder ``decode`` uses too.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from enum import Enum
 
 import numpy as np
 
-from .bipmodel import BipProblem, Row
+from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
+from .extract import schedule
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
-
-_FEAS_TOL = 1e-9
 
 
 class SolveError(ValueError):
@@ -48,6 +50,16 @@ class SolutionInfeasibleError(SolveError):
         super().__init__(
             f"assignment violates row {row_name} (family {row.family}): "
             f"activity {activity!r} vs {row.sense} {row.rhs!r}")
+
+
+def _require_feasible(p: BipProblem, assignment) -> None:
+    """Raise ``SolutionInfeasibleError`` at the first row ``assignment``
+    violates."""
+    k = p.check_assignment(assignment)
+    if k is not None:
+        row = p.rows[k]
+        raise SolutionInfeasibleError(row, row.activity(assignment),
+                                      _row_name(k, row.family))
 
 
 class SolveStatus(Enum):
@@ -227,11 +239,11 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
             in_queue[k] = 0
             ma, xa = minact[k], maxact[k]
             lo, hi = row_lo[k], row_hi[k]
-            if ma > hi + _FEAS_TOL or xa < lo - _FEAS_TOL:
+            if ma > hi + FEAS_TOL or xa < lo - FEAS_TOL:
                 queue.clear()
                 in_queue[:] = bytes(nrows)
                 return False
-            if not (ma + row_max[k] > hi + _FEAS_TOL or xa - row_max[k] < lo - _FEAS_TOL):
+            if not (ma + row_max[k] > hi + FEAS_TOL or xa - row_max[k] < lo - FEAS_TOL):
                 continue
             rv, rc = row_vars[k], row_coefs[k]
             for idx in range(len(rv)):
@@ -241,11 +253,11 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
                 cf = rc[idx]
                 ma, xa = minact[k], maxact[k]
                 if cf > 0.0:
-                    can1 = ma + cf <= hi + _FEAS_TOL
-                    can0 = xa - cf >= lo - _FEAS_TOL
+                    can1 = ma + cf <= hi + FEAS_TOL
+                    can0 = xa - cf >= lo - FEAS_TOL
                 else:
-                    can1 = xa + cf >= lo - _FEAS_TOL
-                    can0 = ma - cf <= hi + _FEAS_TOL
+                    can1 = xa + cf >= lo - FEAS_TOL
+                    can0 = ma - cf <= hi + FEAS_TOL
                 if can1 and can0:
                     continue
                 if not can1 and not can0:
@@ -349,10 +361,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
         bits = np.asarray(incumbent).tolist()
         if any(a not in (0, 1) for a in bits):
             raise SolveError("incumbent is not a 0/1 vector")
-        for k in range(nrows):
-            act = sum(cf * bits[v] for v, cf in zip(row_vars[k], row_coefs[k]))
-            if act > row_hi[k] + _FEAS_TOL or act < row_lo[k] - _FEAS_TOL:
-                raise SolutionInfeasibleError(p.rows[k], act, _row_name(k, p.rows[k].family))
+        _require_feasible(p, bits)
         best_val = sum(c for c, a in zip(obj, bits) if a)
         best_assign = np.array(bits, dtype=np.int8)
 
@@ -436,8 +445,6 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     (see extract.RoutedCircuit). Instances are capped at eight nodes;
     the state space is every permutation of the register.
     """
-    from .extract import FreeSwap, GateOp, RoutedCircuit
-
     single = isinstance(objective, str)
     objs = (objective,) if single else tuple(objective)
     for o in objs:
@@ -452,10 +459,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if math.factorial(n) * max(1, len(matchings)) * max(1, m) > 5e7:
         raise SolveError("instance too large for exhaustive enumeration")
     if m == 0:
-        zero = 0.0 if single else (0.0,) * len(objs)
-        rc = RoutedCircuit(n_nodes=n, initial_map=(), final_map=(), steps=(),
-                           origin="exhaustive", time_aligned=True)
-        return zero, rc
+        return (0.0 if single else (0.0,) * len(objs)), schedule(c, fid, [], "exhaustive")
 
     adj = [[False] * n for _ in range(n)]
     for i, j in g.edges:
@@ -536,11 +540,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             occ = [0] * n
             for qq, node in enumerate(pos):
                 occ[node] = qq
-            for mi, M in enumerate(matchings):
-                sc = stage_cost(t, pos, occ, M, move_maps[mi])
+            for M, mv in zip(matchings, move_maps):
+                sc = stage_cost(t, pos, occ, M, mv)
                 if sc is None:
                     continue
-                mv = move_maps[mi]
                 npos = tuple(mv[node] for node in pos)
                 if not valid(t + 1, npos):
                     continue
@@ -548,7 +551,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 old = ndp.get(npos)
                 if old is None or less(nc, old):
                     ndp[npos] = nc
-                    npar[npos] = (pos, mi)
+                    npar[npos] = pos
         dp = ndp
         if not dp:
             raise SolveError("instance is infeasible")
@@ -564,36 +567,12 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         if best_total is None or less(total, best_total):
             best_total, best_pos = total, pos
 
-    # Walk parents back to recover layouts and swap sets per step.
-    layouts = [None] * m
-    msets: list[tuple] = [()] * m
-    layouts[m - 1] = best_pos
-    cur = best_pos
+    # Walk parents back to recover the layout of every step.
+    layouts = [best_pos]
     for t in range(m - 1, 0, -1):
-        prev, mi = parents[t][cur]
-        layouts[t - 1] = prev
-        msets[t - 1] = matchings[mi]
-        cur = prev
-    steps = []
-    for t in range(m):
-        ops = []
-        pos = layouts[t]
-        swap_edges = set(msets[t])
-        for pq, qq, gid in gates_at[t]:
-            i, j = pos[pq], pos[qq]
-            merged = norm(i, j) in swap_edges
-            cost = fid.cost(gid, i, j)
-            ops.append(GateOp(gid=gid, p=pq, q=qq, arc=(i, j), merged_swap=merged,
-                              cnots_used=cost.n_merged if merged else cost.n_plain))
-            swap_edges.discard(norm(i, j))
-        for (i, j) in sorted(swap_edges):
-            ops.append(FreeSwap(edge=(i, j)))
-        steps.append(tuple(ops))
-    rc = RoutedCircuit(n_nodes=n, initial_map=tuple(layouts[0]),
-                       final_map=tuple(layouts[m - 1]), steps=tuple(steps),
-                       origin="exhaustive", time_aligned=True)
+        layouts.append(parents[t][layouts[-1]])
     value = best_total[0] if single else best_total
-    return value, rc
+    return value, schedule(c, fid, layouts[::-1], "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +838,7 @@ def import_solution(p: BipProblem, text: str) -> SolveResult:
         if abs(val - round(val)) > 1e-6 or round(val) not in (0, 1):
             raise SolveError(f"line {lineno}: value {sval!r} is not binary")
         assignment[index[name]] = int(round(val))
-    for k, row in enumerate(p.rows):
-        if not row.satisfied(assignment, _FEAS_TOL):
-            raise SolutionInfeasibleError(row, row.activity(assignment),
-                                          _row_name(k, row.family))
+    _require_feasible(p, assignment)
     objective = p.objective_value(assignment)
     return SolveResult(status=SolveStatus.FEASIBLE, objective=objective,
                        assignment=assignment, dual_bound=-math.inf, nodes=0,

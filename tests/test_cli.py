@@ -63,6 +63,19 @@ def test_stage_one_limit_exits_3_even_when_stage_two_closes(capsys):
     assert "structural: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["pareto", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
+     "--node-limit", "50", "--steps", "2"],
+    ["bench", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
+     "--node-limit", "50"],
+])
+def test_sweep_and_bench_exit_3_when_a_stage_is_unproven(argv, tmp_path):
+    # The instance of the test above: stage 1 stops unproven at 50 nodes.
+    # Both commands still write their full table.
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    assert len(list(tmp_path.glob("*.tsv"))) == 1
+
+
 def test_layout_variant_limit_without_incumbent_exits_2(capsys):
     code = main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2",
                  "--variant", "bip_layout", "--node-limit", "1"])

@@ -5,12 +5,13 @@ import pytest
 
 from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
-from qaroute.bipmodel import assemble_problem
+from qaroute.bipmodel import assemble_problem, set_objective
 from qaroute.extract import (ExtractError, FreeSwap, GateOp, RoutedCircuit,
                              decode, encode, routed_from_json, routed_to_json,
                              stats, verify_structural, verify_unitary)
 from qaroute.gatefid import FidelityModel
-from qaroute.solver import SolveLimits, import_solution, solve_branch_and_bound
+from qaroute.solver import (SolveLimits, import_solution, solve_branch_and_bound,
+                            solve_exhaustive)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,30 @@ def test_encode_decode_identity(solved, line4):
     # The rebuilt vector is feasible for every constraint family.
     assert p.check_assignment(vec) is None
     assert p.objective_value(vec) == pytest.approx(res.objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("graph, layers, seed, order", [
+    ("line4", (2, 2, 2), 0, ("error",)),
+    ("y6", (2, 2), 2, ("error", "crosstalk")),
+])
+def test_dp_route_round_trips_through_the_model(graph, layers, seed, order, request):
+    # The DP's schedule, with merged and free swaps (and on y-6 driven
+    # crosstalk pairs), encodes to a feasible assignment that prices at
+    # the DP's own value and decodes back to the same schedule.
+    g = request.getfixturevalue(graph)
+    c, fid = prepared(random_layered_circuit(g.n, layers, seed), g, 1)
+    value, rc = solve_exhaustive(c, g, fid, order)
+    ops = [op for step in rc.steps for op in step]
+    assert any(isinstance(op, FreeSwap) for op in ops)
+    assert any(isinstance(op, GateOp) and op.merged_swap for op in ops)
+    vs, p = assemble_problem(c, g, fid, objective="error",
+                             crosstalk_mode="crosstalk" in order)
+    vec = encode(rc, vs)
+    assert p.check_assignment(vec) is None
+    assert decode(vs, vec, c, g, fid) == dataclasses.replace(rc, origin="bip")
+    for kind, want in zip(order, value):
+        got = set_objective(p, vs, kind, fid).objective_value(vec)
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_stats_match_model_objective(solved, line4):

@@ -139,8 +139,8 @@ def test_sweep_argument_validation(inst, line4):
 
 def test_sweep_table_layout():
     sweeps = {
-        "a": [ParetoPoint(0, 2.0, 3.0), ParetoPoint(1, 2.5, 1.0)],
-        "b": [ParetoPoint(0, 0.0, 4.0), ParetoPoint(1, 0.5, 4.0)],
+        "a": [ParetoPoint(0, 2.0, 3.0, True), ParetoPoint(1, 2.5, 1.0, True)],
+        "b": [ParetoPoint(0, 0.0, 4.0, True), ParetoPoint(1, 0.5, 4.0, True)],
     }
     text = sweep_table(sweeps, ("error", "depth"))
     lines = text.strip().split("\n")
