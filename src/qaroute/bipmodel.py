@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings
+from .hwgraph import HardwareGraph, enumerate_matchings, norm_edge
 
 
 # Slack within which a row counts as satisfied, in every row test and in
@@ -166,12 +166,10 @@ class VariableSpace:
         return self._z[t]
 
     def u(self, i: int, j: int, t: int) -> int:
-        e = (i, j) if i < j else (j, i)
-        return self._u[e, t]
+        return self._u[norm_edge(i, j), t]
 
     def v(self, e1, e2, t: int) -> int:
-        e1 = tuple(sorted(e1))
-        e2 = tuple(sorted(e2))
+        e1, e2 = norm_edge(*e1), norm_edge(*e2)
         pair = (e1, e2) if e1 < e2 else (e2, e1)
         return self._v[pair, t]
 
@@ -198,7 +196,7 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
     """
     if mode not in ("mccormick", "mccormick_str"):
         raise ModelError(f"unknown linking mode {mode!r}")
-    c, g = vs.circuit, vs.graph
+    c = vs.circuit
     n, m = vs.n, vs.m
     rows: list[Row] = []
 

@@ -23,7 +23,7 @@ import numpy as np
 from .bipmodel import dummy_runs
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph
+from .hwgraph import HardwareGraph, norm_edge
 from .simulate import SWAP, apply_two_qubit, permutation_matrix, phase_distance
 
 
@@ -79,10 +79,6 @@ class CircuitStats:
                 "crosstalk_count": self.crosstalk_count}
 
 
-def _norm(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 def schedule(c: LayeredCircuit, fid: FidelityModel, layouts,
              origin: str) -> RoutedCircuit:
     """Step-aligned schedule from the qubit-to-node layout of each step.
@@ -99,7 +95,7 @@ def schedule(c: LayeredCircuit, fid: FidelityModel, layouts,
     steps = []
     for t, pos in enumerate(layouts):
         nxt = layouts[t + 1] if t + 1 < len(layouts) else pos
-        trades = {_norm(pos[q], nxt[q]) for q in range(n) if pos[q] != nxt[q]}
+        trades = {norm_edge(pos[q], nxt[q]) for q in range(n) if pos[q] != nxt[q]}
         ops = []
         for gate in c.groups[t]:
             i, j = pos[gate.p], pos[gate.q]
@@ -109,7 +105,7 @@ def schedule(c: LayeredCircuit, fid: FidelityModel, layouts,
                               merged_swap=merged,
                               cnots_used=cost.n_merged if merged else cost.n_plain))
             if merged:
-                trades.discard(_norm(i, j))
+                trades.discard(norm_edge(i, j))
         ops.extend(FreeSwap(edge=e) for e in sorted(trades))
         steps.append(tuple(ops))
     return RoutedCircuit(n_nodes=n, initial_map=tuple(layouts[0]),
@@ -171,12 +167,12 @@ def encode(rc: RoutedCircuit, vs) -> np.ndarray:
         for op in rc.steps[t]:
             if isinstance(op, GateOp):
                 out[vs.y(op.gid, op.arc[0], op.arc[1])] = 1
-                used.add(_norm(*op.arc))
+                used.add(norm_edge(*op.arc))
                 if op.merged_swap:
                     moves.append(op.arc)
             else:
                 moves.append(op.edge)
-                used.add(_norm(*op.edge))
+                used.add(norm_edge(*op.edge))
         used_edges.append(used)
         if t == m - 1:
             if moves:
@@ -226,11 +222,11 @@ def stats(rc: RoutedCircuit, fid: FidelityModel, g: HardwareGraph) -> CircuitSta
             if isinstance(op, GateOp):
                 cnots += op.cnots_used
                 err += fid.gate_error(op.gid, *op.arc, merged=op.merged_swap)
-                used.add(_norm(*op.arc))
+                used.add(norm_edge(*op.arc))
             else:
                 cnots += 3
                 err += fid.swap_error(*op.edge)
-                used.add(_norm(*op.edge))
+                used.add(norm_edge(*op.edge))
         for e1, e2 in g.crosstalk_pairs:
             if e1 in used and e2 in used:
                 xtalk += 1

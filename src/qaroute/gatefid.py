@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import LayeredCircuit
-from .hwgraph import HardwareGraph
+from .hwgraph import HardwareGraph, norm_edge
 from .simulate import SWAP
 
 _B_MAGIC = np.array(
@@ -207,13 +207,12 @@ class FidelityModel:
         return cls(g, f_table, f_swap_table)
 
     def cost(self, gid: int, i: int, j: int) -> GatePlacementCost:
-        edge = (i, j) if i < j else (j, i)
-        return self._costs[gid, edge]
+        return self._costs[gid, norm_edge(i, j)]
 
     def gate_error(self, gid: int, i: int, j: int, merged: bool = False) -> float:
         """Negated log success probability of gate ``gid`` on edge (i, j),
         merged with a swap of its operands when ``merged``."""
-        cost = self._costs[gid, (i, j) if i < j else (j, i)]
+        cost = self._costs[gid, norm_edge(i, j)]
         return -math.log(cost.p_merged if merged else cost.p_plain)
 
     def swap_error(self, i: int, j: int) -> float:

@@ -10,7 +10,6 @@ transpiler.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,7 @@ from .bipmodel import Row
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings
+from .hwgraph import HardwareGraph, norm_edge
 from .lexopt import lexicographic_solve
 from .solver import SolveLimits
 
@@ -35,6 +34,8 @@ class HeuristicError(ValueError):
 WINDOW = 8
 DECAY = 0.7
 TRIALS = 8
+# Arcs the first-layer repair search places before it settles.
+REPAIR_NODES = 100000
 
 
 def _gate_sequence(c: LayeredCircuit) -> list:
@@ -57,42 +58,18 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
     if sorted(initial_map) != list(range(n)):
         raise HeuristicError("initial_map is not a qubit-to-node bijection")
     dist = g.distances()
-    order = _gate_sequence(c)
-    pending: list[list] = [[] for _ in range(n)]
-    for gt in order:
-        pending[gt.p].append(gt.gid)
-        pending[gt.q].append(gt.gid)
-    by_gid = {gt.gid: gt for gt in order}
-    cursor = [0] * n
-
-    def front() -> list:
-        out = []
-        for gt in order:
-            if gt.gid in done:
-                continue
-            if (pending[gt.p][cursor[gt.p]] == gt.gid
-                    and pending[gt.q][cursor[gt.q]] == gt.gid):
-                out.append(gt)
-        return out
-
-    def lookahead(front_gids: set) -> list:
-        out = []
-        for gt in order:
-            if gt.gid in done or gt.gid in front_gids:
-                continue
-            out.append(gt)
-            if len(out) >= WINDOW:
-                break
-        return out
-
+    remaining = _gate_sequence(c)
     pos = list(initial_map)
-    done: set[int] = set()
     steps: list[tuple] = []
     stall = 0
     stall_limit = 2 * n
-    total = len(order)
-    while len(done) < total:
-        fr = front()
+    while remaining:
+        # A gate is in the front when no earlier remaining gate shares a
+        # qubit with it; the rest keep program order for the lookahead.
+        fr, rest, busy = [], [], set()
+        for gt in remaining:
+            (rest if gt.p in busy or gt.q in busy else fr).append(gt)
+            busy.update((gt.p, gt.q))
         ready = [gt for gt in fr if g.has_edge(pos[gt.p], pos[gt.q])]
         if ready:
             ops = []
@@ -101,23 +78,23 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
                 cnots = fid.cost(gt.gid, i, j).n_plain if fid is not None else 3
                 ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j),
                                   merged_swap=False, cnots_used=cnots))
-                done.add(gt.gid)
-                cursor[gt.p] += 1
-                cursor[gt.q] += 1
             steps.append(tuple(ops))
+            executed = {gt.gid for gt in ready}
+            remaining = [gt for gt in remaining if gt.gid not in executed]
             stall = 0
             continue
 
         occ = [-1] * n
         for q in range(n):
             occ[pos[q]] = q
+        look = rest[:WINDOW]
 
         def score(layout) -> float:
             s = 0.0
             for gt in fr:
                 s += dist[layout[gt.p]][layout[gt.q]]
             weight = 0.5
-            for gt in lookahead({x.gid for x in fr}):
+            for gt in look:
                 s += weight * dist[layout[gt.p]][layout[gt.q]]
                 weight *= DECAY
             return s
@@ -128,14 +105,10 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
             gt = min(fr, key=lambda x: x.gid)
             i, j = pos[gt.p], pos[gt.q]
             nxt = min((k for k in g.neighbors(i) if dist[k][j] < dist[i][j]))
-            edge = (i, nxt) if i < nxt else (nxt, i)
-            best_edge = edge
+            best_edge = norm_edge(i, nxt)
         else:
-            cand = set()
-            for gt in fr:
-                for node in (pos[gt.p], pos[gt.q]):
-                    for nb in g.neighbors(node):
-                        cand.add((node, nb) if node < nb else (nb, node))
+            cand = {norm_edge(node, nb) for gt in fr for node in (pos[gt.p], pos[gt.q])
+                    for nb in g.neighbors(node)}
             best_edge, best_score = None, None
             for (i, j) in sorted(cand):
                 layout = pos.copy()
@@ -163,36 +136,52 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
 
     Needed when the layout seeds a model whose first step is fixed: the
     time-aligned formulation runs all first-layer gates simultaneously
-    with no room to move beforehand. Picks the matching embedding that
-    displaces qubits the least, then refills the remaining qubits near
-    their old nodes.
+    with no room to move beforehand. A depth-first search gives the
+    gates, in layer order, node-disjoint arcs, cheapest arc first. It
+    keeps the placement that displaces qubits the least (ties go to the
+    smallest ``(gid, i, j)`` sequence) and prunes a prefix that cannot
+    beat it even if every later gate got its cheapest arc. After
+    ``REPAIR_NODES`` placed arcs it keeps the best placement so far.
+    The remaining qubits are then refilled near their old nodes.
     """
     first = c.groups[0] if c.groups else ()
     pos = list(layout)
     if all(g.has_edge(pos[gt.p], pos[gt.q]) for gt in first):
         return tuple(pos)
     dist = g.distances()
-    k = len(first)
-    best = None
-    for m in enumerate_matchings(g):
-        if len(m) != k:
-            continue
-        for perm in itertools.permutations(m):
-            for flips in itertools.product((False, True), repeat=k):
-                cost = 0
-                assign = []
-                for gt, edge, flip in zip(first, perm, flips):
-                    i, j = (edge[1], edge[0]) if flip else edge
-                    cost += dist[pos[gt.p]][i] + dist[pos[gt.q]][j]
-                    assign.append((gt, i, j))
-                key = (cost, tuple((gt.gid, i, j) for gt, i, j in assign))
-                if best is None or key < best[0]:
-                    best = (key, assign)
+    arcs = [*g.edges, *((j, i) for i, j in g.edges)]
+    options = [sorted((dist[pos[gt.p]][i] + dist[pos[gt.q]][j], i, j) for i, j in arcs)
+               for gt in first]
+    floor = [0] * (len(first) + 1)
+    for k in reversed(range(len(first))):
+        floor[k] = floor[k + 1] + options[k][0][0]
+    best, visits = None, 0
+
+    def search(k: int, cost: int, prefix: tuple, used: int) -> None:
+        nonlocal best, visits
+        if k == len(first):
+            best = (cost, prefix)
+            return
+        for arc_cost, i, j in options[k]:
+            if (used >> i | used >> j) & 1:
+                continue
+            key = (cost + arc_cost + floor[k + 1], prefix + ((first[k].gid, i, j),))
+            if best is not None and key > best:
+                break  # keys rise along the sorted arcs
+            visits += 1
+            if visits > REPAIR_NODES:
+                return
+            search(k + 1, cost + arc_cost, key[1], used | 1 << i | 1 << j)
+
+    search(0, 0, (), 0)
     if best is None:
+        if visits > REPAIR_NODES:
+            raise HeuristicError(f"first-layer repair gave up after {REPAIR_NODES} "
+                                 "search nodes without a placement")
         raise HeuristicError("first layer does not fit on the hardware")
     newpos = [-1] * g.n
     taken = set()
-    for gt, i, j in best[1]:
+    for gt, (_, i, j) in zip(first, best[1]):
         newpos[gt.p], newpos[gt.q] = i, j
         taken.update((i, j))
     rest = [q for q in range(g.n) if newpos[q] < 0]

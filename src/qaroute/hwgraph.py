@@ -23,7 +23,8 @@ class TopologyError(ValueError):
     """Raised for malformed or unsupported hardware graphs."""
 
 
-def _norm_edge(i: int, j: int) -> Edge:
+def norm_edge(i: int, j: int) -> Edge:
+    """The key of the undirected edge between nodes ``i`` and ``j``."""
     return (i, j) if i < j else (j, i)
 
 
@@ -50,7 +51,7 @@ class HardwareGraph:
                 raise TopologyError(f"self-loop on node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise TopologyError(f"edge ({i},{j}) outside node range")
-            e = _norm_edge(i, j)
+            e = norm_edge(i, j)
             if e in seen:
                 raise TopologyError(f"duplicate edge {e}")
             seen.add(e)
@@ -68,7 +69,7 @@ class HardwareGraph:
         self.beta = full_beta
         pairs = []
         for e1, e2 in self.crosstalk_pairs:
-            e1, e2 = _norm_edge(*e1), _norm_edge(*e2)
+            e1, e2 = norm_edge(*e1), norm_edge(*e2)
             if e1 not in seen or e2 not in seen:
                 raise TopologyError(f"crosstalk pair ({e1},{e2}) references unknown edge")
             if e1 == e2:
@@ -112,7 +113,7 @@ class HardwareGraph:
         return sorted(out)
 
     def beta_of(self, i: int, j: int) -> float:
-        return self.beta[_norm_edge(i, j)]
+        return self.beta[norm_edge(i, j)]
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and j in self._adj[i]
@@ -168,7 +169,7 @@ def _graph_from_doc(doc) -> HardwareGraph:
         a, b = pair
         if a not in index or b not in index:
             raise TopologyError(f"edge ({a},{b}) references unknown node label")
-        return _norm_edge(index[a], index[b])
+        return norm_edge(index[a], index[b])
 
     edges = [to_edge(e) for e in doc["edges"]]
     default = float(doc.get("default_beta", DEFAULT_BETA))
@@ -260,9 +261,10 @@ def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
     """All matchings (sets of pairwise disjoint edges), including the empty
     one, sorted by size, so the last is a maximum matching.
 
-    Used by the exhaustive reference solver, the greedy layout and the
-    model's layer-width check; guarded by ``MATCHING_LIMIT`` so that a
-    huge graph fails loudly instead of hanging.
+    Used by the exhaustive reference solver and the model's layer-width
+    check; guarded by ``MATCHING_LIMIT`` so that a huge graph fails
+    loudly instead of hanging. The greedy layout does not enumerate
+    matchings: its first-layer repair searches arcs directly.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges

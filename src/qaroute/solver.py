@@ -33,7 +33,7 @@ from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings
+from .hwgraph import HardwareGraph, enumerate_matchings, norm_edge
 
 
 class SolveError(ValueError):
@@ -304,7 +304,18 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
         return state["objfix_all"] + state["negsum_all"]
 
     # Branching order: placement variables grouped by step, widest
-    # objective spread first inside a step.
+    # objective spread first inside a step. A node's spread comes from
+    # the cheapest costs of the gate arcs leaving it, so it differs
+    # between nodes only when edges differ in beta (CNOT success
+    # probability). With one beta, as on every builtin graph and every
+    # benchmark rung, all spreads tie and the order is index order: the
+    # nine exact_closed rungs explore the same trees without it. With
+    # beta drawn uniformly from [0.97, 0.999] it moves node counts both
+    # ways (grid-6/w4/3L/s1, six draws: fewer stage-1 nodes on four,
+    # e.g. 5,423 against 67,768, and 235k against 305k in all), and
+    # under a 30 s limit it gave grid-8/w4/3L/s1 the better incumbent on
+    # two of three draws (0.141 against 0.275). The ladder cannot show
+    # what it is for, so a ladder result is no reason to delete it.
     w_groups: list[list[int]] = []
     meta = p.var_meta
     if meta:
@@ -319,7 +330,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
                 for a, arc in enumerate(gm.arcs):
                     lo_cost = min(cps[a], cms[a])
                     yentry = meta[arc.y]
-                    _, _, i, j, t = yentry
+                    _, _, i, _, t = yentry
                     node_cost.setdefault((i, t), []).append(lo_cost)
             for v, entry in enumerate(meta):
                 if entry and entry[0] == "w":
@@ -496,9 +507,6 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 return False
         return True
 
-    def norm(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
-
     def stage_cost(t: int, pos, occ, M, mv) -> tuple[float, ...] | None:
         """Cost incurred leaving step t with swap set M; None if invalid."""
         pm = partner_at[t]
@@ -507,7 +515,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         for pq, qq, gid in gates_at[t]:
             i, j = pos[pq], pos[qq]
             err += fid.gate_error(gid, i, j, merged=mv[i] == j)
-            used.add(norm(i, j))
+            used.add(norm_edge(i, j))
         for (i, j) in M:
             qa, qb = occ[i], occ[j]
             in_a, in_b = qa in pm, qb in pm

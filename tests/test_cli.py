@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -111,6 +112,24 @@ def test_layout_variant_limit_without_incumbent_exits_2(capsys):
 def test_io_errors_map_to_exit_4(argv, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err
+
+
+def test_sabre_like_routes_a_line_with_too_many_matchings_to_enumerate(capsys):
+    # line-25 has more than MATCHING_LIMIT matchings; the greedy layout
+    # never enumerates them.
+    code = main(["transpile", "--variant", "sabre_like", "--builtin", "line,25", *FAST])
+    assert code == 0
+    assert "structural: ok" in capsys.readouterr().out
+
+
+def test_first_layer_repair_ends_in_bounded_time(capsys):
+    # Eight gates must share line-16's one perfect matching; the repair
+    # search either places them or stops at its cap.
+    start = time.perf_counter()
+    code = main(["transpile", "--variant", "sabre_like", "--builtin", "line,16",
+                 "--qv", "16,1"])
+    assert time.perf_counter() - start < 30
+    assert code == 0 or (code == 4 and "gave up" in capsys.readouterr().err)
 
 
 def test_pareto_single_step(tmp_path):

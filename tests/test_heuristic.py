@@ -1,12 +1,17 @@
+import itertools
+
+import numpy as np
 import pytest
 
+import qaroute.heuristic
 import qaroute.lexopt
 from helpers import prepared, random_layered_circuit
 from qaroute.circuit import Gate, LayeredCircuit, pad_qubits
 from qaroute.extract import GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
-from qaroute.heuristic import (VARIANTS, HeuristicError, heuristic_layout,
-                               heuristic_route, run_variant_full)
+from qaroute.heuristic import (VARIANTS, HeuristicError, _repair_first_layer,
+                               heuristic_layout, heuristic_route, run_variant_full)
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
 from qaroute.qvbench import haar_su4
 
 
@@ -33,7 +38,6 @@ def test_route_deterministic(inst, line4):
 
 
 def test_route_executes_adjacent_gates_without_swaps(line4):
-    import numpy as np
     rng = np.random.default_rng(42)
     c = LayeredCircuit(4, ((Gate(0, 1, haar_su4(rng), 0),
                             Gate(2, 3, haar_su4(rng), 1)),
@@ -145,3 +149,104 @@ def test_variants_on_wider_hardware(grid6):
     run = run_variant_full("sabre_like", c, grid6, fid)
     assert verify_structural(run.routed, c, grid6) is None
     assert verify_unitary(run.routed, c) <= 1e-8
+
+
+def repair_oracle(c, g, layout):
+    """The first-layer repair by brute force: every matching of the
+    layer's size, in every order and orientation, keeping the least
+    ``(cost, ((gid, i, j), ...))``; the rest as in the library."""
+    first = c.groups[0]
+    pos = list(layout)
+    if all(g.has_edge(pos[gt.p], pos[gt.q]) for gt in first):
+        return tuple(pos)
+    dist = g.distances()
+    best = None
+    for m in enumerate_matchings(g):
+        if len(m) != len(first):
+            continue
+        for perm in itertools.permutations(m):
+            for flips in itertools.product((False, True), repeat=len(first)):
+                arcs = [(j, i) if flip else (i, j) for (i, j), flip in zip(perm, flips)]
+                cost = sum(dist[pos[gt.p]][i] + dist[pos[gt.q]][j]
+                           for gt, (i, j) in zip(first, arcs))
+                key = (cost, tuple((gt.gid, i, j) for gt, (i, j) in zip(first, arcs)))
+                best = key if best is None or key < best else best
+    if best is None:
+        raise HeuristicError("first layer does not fit on the hardware")
+    newpos = [-1] * g.n
+    for gt, (_, i, j) in zip(first, best[1]):
+        newpos[gt.p], newpos[gt.q] = i, j
+    rest = [q for q in range(g.n) if newpos[q] < 0]
+    for q in rest:
+        if pos[q] not in newpos:
+            newpos[q] = pos[q]
+    for q in rest:
+        if newpos[q] < 0:
+            node = min((v for v in range(g.n) if v not in newpos),
+                       key=lambda v: (dist[pos[q]][v], v))
+            newpos[q] = node
+    return tuple(newpos)
+
+
+def random_first_layer(n: int, rng) -> tuple[LayeredCircuit, tuple[int, ...]]:
+    k = int(rng.integers(1, n // 2 + 1))
+    qubits = [int(q) for q in rng.permutation(n)[:2 * k]]
+    gids = [int(x) for x in rng.permutation(k)]
+    layer = tuple(Gate(qubits[2 * a], qubits[2 * a + 1], np.eye(4), gids[a])
+                  for a in range(k))
+    return LayeredCircuit(n, (layer,)), tuple(int(v) for v in rng.permutation(n))
+
+
+def repair_outcome(repair, c, g, layout):
+    try:
+        return repair(c, g, layout)
+    except HeuristicError as err:
+        return str(err)
+
+
+def test_repair_matches_brute_force_on_random_layers():
+    rng = np.random.default_rng(2024)
+    searched = 0
+    for name, n in (("line", 4), ("line", 6), ("line", 8), ("y", 6), ("y", 8),
+                    ("grid", 6), ("grid", 8)):
+        g = builtin_topology(name, n)
+        for _ in range(50):
+            c, layout = random_first_layer(n, rng)
+            want = repair_oracle(c, g, layout)
+            assert _repair_first_layer(c, g, layout) == want
+            searched += want != layout
+    assert searched > 200  # most layers do not fit their random layout
+
+
+def test_repair_of_a_layer_wider_than_any_matching():
+    # Every edge of a star meets the centre, so two gates never fit.
+    star = HardwareGraph(n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c, layout = random_first_layer(5, rng)
+        want = repair_outcome(repair_oracle, c, star, layout)
+        assert repair_outcome(_repair_first_layer, c, star, layout) == want
+    c = LayeredCircuit(5, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
+    with pytest.raises(HeuristicError, match="does not fit"):
+        _repair_first_layer(c, star, (0, 1, 2, 3, 4))
+
+
+def test_repair_cap_keeps_the_best_placement_found(monkeypatch):
+    # Gate 0 sits on nodes 2 and 4, gate 1 on nodes 3 and 1. The cheapest
+    # arc of gate 0, (2, 3), leaves gate 1 a 3-hop arc; (3, 4) and (2, 1)
+    # cost 2 in all.
+    line8 = builtin_topology("line", 8)
+    c = LayeredCircuit(8, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
+    layout = (2, 4, 3, 1, 0, 5, 6, 7)
+    full = _repair_first_layer(c, line8, layout)
+    assert full == repair_oracle(c, line8, layout)
+    assert full[:4] == (3, 4, 2, 1)
+    # Two placed arcs: only the first, cheapest-arc dive completes.
+    monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 2)
+    capped = _repair_first_layer(c, line8, layout)
+    assert capped[:2] == (2, 3)
+    assert sorted(capped) == list(range(8))
+    assert all(line8.has_edge(capped[gt.p], capped[gt.q]) for gt in c.groups[0])
+    monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 1)
+    with pytest.raises(HeuristicError, match="gave up"):
+        _repair_first_layer(c, line8, layout)
