@@ -16,14 +16,13 @@ models and of violation reports; the solver treats them uniformly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings, norm_edge
+from .hwgraph import HardwareGraph, matching_size, norm_edge
 
 
 # Slack within which a row counts as satisfied, in every row test and in
@@ -57,24 +56,6 @@ class Row:
         return act >= self.rhs - FEAS_TOL
 
 
-@dataclass(frozen=True)
-class GateArcChoice:
-    """Variable ids and objective costs for one gate on one arc."""
-
-    y: int
-    xp: int  # -1 when the gate sits at the last step
-    xq: int
-    cost_plain: float
-    cost_merged: float
-
-
-@dataclass(frozen=True)
-class GateModes:
-    gid: int
-    t: int
-    arcs: tuple[GateArcChoice, ...]
-
-
 class VariableSpace:
     """Dense index map for one circuit on one graph."""
 
@@ -84,7 +65,7 @@ class VariableSpace:
                 f"circuit has {c.n_qubits} qubits but the graph has {g.n} nodes; "
                 "pad the circuit first")
         width = c.max_layer_width()
-        if width > len(enumerate_matchings(g)[-1]):
+        if width > matching_size(g)((1 << g.n) - 1):
             raise ModelError(
                 f"a layer holds {width} gates but the graph has no matching that large")
         self.circuit = c
@@ -358,29 +339,35 @@ def build_crosstalk_objective(vs: VariableSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BipProblem:
-    """A complete 0/1 program: rows, one active objective, name table."""
+    """A complete 0/1 program: rows, one active objective, name table.
+
+    ``gate_arcs`` holds, for each gate of a model built here, one
+    ``(y, xp, xq)`` triple per arc: the gate variable and the two
+    movement variables that merge a swap of its operands into it (-1 at
+    the last step, where nothing moves). Imported models have none.
+    """
 
     names: tuple[str, ...]
     rows: tuple[Row, ...]
     objective: np.ndarray
     objective_kind: str = "custom"
     var_meta: tuple[tuple, ...] = ()
-    gate_modes: tuple[GateModes, ...] | None = None
+    gate_arcs: tuple[tuple[tuple[int, int, int], ...], ...] = ()
 
     @property
     def num_vars(self) -> int:
         return len(self.names)
 
     def objective_value(self, assignment) -> float:
+        """The active objective of a 0/1 assignment: the one pricing of
+        leaves, incumbents and imported solutions."""
         return float(np.dot(self.objective, assignment))
 
     def with_rows(self, extra: list[Row]) -> "BipProblem":
         return replace(self, rows=self.rows + tuple(extra))
 
-    def with_objective(self, objective: np.ndarray, kind: str,
-                       gate_modes=None) -> "BipProblem":
-        return replace(self, objective=objective, objective_kind=kind,
-                       gate_modes=gate_modes)
+    def with_objective(self, objective: np.ndarray, kind: str) -> "BipProblem":
+        return replace(self, objective=objective, objective_kind=kind)
 
     def check_assignment(self, assignment) -> int | None:
         """Index of the first violated row, or None when the assignment is
@@ -393,26 +380,17 @@ class BipProblem:
         return None
 
 
-def _gate_modes(vs: VariableSpace, obj: np.ndarray) -> tuple[GateModes, ...]:
-    c = vs.circuit
-    modes = []
+def _gate_arcs(vs: VariableSpace) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``BipProblem.gate_arcs`` of the model over ``vs``."""
+    out = []
     for t in range(vs.m):
-        for gate in c.groups[t]:
+        for gate in vs.circuit.groups[t]:
             p, q = gate.operands
-            arcs = []
-            for (i, j) in vs.arcs:
-                y = vs.y(gate.gid, i, j)
-                if t < vs.m - 1:
-                    xp = vs.x(p, i, j, t)
-                    xq = vs.x(q, j, i, t)
-                    merged = float(obj[y] + obj[xp] + obj[xq])
-                else:
-                    xp = xq = -1
-                    merged = math.inf
-                arcs.append(GateArcChoice(y=y, xp=xp, xq=xq,
-                                          cost_plain=float(obj[y]), cost_merged=merged))
-            modes.append(GateModes(gid=gate.gid, t=t, arcs=tuple(arcs)))
-    return tuple(modes)
+            out.append(tuple(
+                (vs.y(gate.gid, i, j), vs.x(p, i, j, t), vs.x(q, j, i, t))
+                if t < vs.m - 1 else (vs.y(gate.gid, i, j), -1, -1)
+                for (i, j) in vs.arcs))
+    return tuple(out)
 
 
 def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | None,
@@ -428,7 +406,7 @@ def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | N
         rows.extend(build_crosstalk_rows(vs))
     p = BipProblem(names=vs.names, rows=tuple(rows),
                    objective=np.zeros(vs.num_vars), objective_kind="custom",
-                   var_meta=vs.var_meta)
+                   var_meta=vs.var_meta, gate_arcs=_gate_arcs(vs))
     return vs, set_objective(p, vs, objective, fid)
 
 
@@ -437,8 +415,7 @@ def set_objective(p: BipProblem, vs: VariableSpace, kind: str,
     if kind == "error":
         if fid is None:
             raise ModelError("error objective needs a fidelity model")
-        obj = build_error_objective(vs, fid)
-        return p.with_objective(obj, "error", gate_modes=_gate_modes(vs, obj))
+        return p.with_objective(build_error_objective(vs, fid), "error")
     if kind == "depth":
         return p.with_objective(build_depth_objective(vs), "depth")
     if kind == "crosstalk":

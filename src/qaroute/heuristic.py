@@ -18,7 +18,7 @@ from .bipmodel import Row
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, norm_edge
+from .hwgraph import HardwareGraph, matching_size, norm_edge
 from .lexopt import lexicographic_solve
 from .solver import SolveLimits
 
@@ -140,7 +140,8 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     gates, in layer order, node-disjoint arcs, cheapest arc first. It
     keeps the placement that displaces qubits the least (ties go to the
     smallest ``(gid, i, j)`` sequence) and prunes a prefix that cannot
-    beat it even if every later gate got its cheapest arc. After
+    beat it even if every later gate got its cheapest arc, or whose free
+    nodes hold no matching as large as the gates still to place. After
     ``REPAIR_NODES`` placed arcs it keeps the best placement so far.
     The remaining qubits are then refilled near their old nodes.
     """
@@ -155,6 +156,8 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     floor = [0] * (len(first) + 1)
     for k in reversed(range(len(first))):
         floor[k] = floor[k + 1] + options[k][0][0]
+    fits = matching_size(g)
+    every = (1 << g.n) - 1
     best, visits = None, 0
 
     def search(k: int, cost: int, prefix: tuple, used: int) -> None:
@@ -168,10 +171,13 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
             key = (cost + arc_cost + floor[k + 1], prefix + ((first[k].gid, i, j),))
             if best is not None and key > best:
                 break  # keys rise along the sorted arcs
+            taken = used | 1 << i | 1 << j
+            if fits(every ^ taken) < len(first) - k - 1:
+                continue
             visits += 1
             if visits > REPAIR_NODES:
                 return
-            search(k + 1, cost + arc_cost, key[1], used | 1 << i | 1 << j)
+            search(k + 1, cost + arc_cost, key[1], taken)
 
     search(0, 0, (), 0)
     if best is None:

@@ -253,7 +253,8 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
         labels=tuple(range(1, n + 1)))
 
 
-# Most matchings ``enumerate_matchings`` lists before it gives up.
+# Most matchings ``enumerate_matchings`` lists, and most node subsets
+# ``matching_size`` remembers, before either gives up.
 MATCHING_LIMIT = 100000
 
 
@@ -261,10 +262,10 @@ def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
     """All matchings (sets of pairwise disjoint edges), including the empty
     one, sorted by size, so the last is a maximum matching.
 
-    Used by the exhaustive reference solver and the model's layer-width
-    check; guarded by ``MATCHING_LIMIT`` so that a huge graph fails
-    loudly instead of hanging. The greedy layout does not enumerate
-    matchings: its first-layer repair searches arcs directly.
+    Used by the exhaustive reference solver; guarded by
+    ``MATCHING_LIMIT`` so that a huge graph fails loudly instead of
+    hanging. Where only the size of a maximum matching is needed,
+    ``matching_size`` finds it without listing them.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges
@@ -284,3 +285,40 @@ def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
 
     rec(0, 0, [])
     return sorted(out, key=lambda m: (len(m), m))
+
+
+def matching_size(g: HardwareGraph):
+    """A function giving the size of a maximum matching of the subgraph
+    that a bit mask of nodes induces.
+
+    The lowest node is matched to each neighbour in the mask in turn,
+    and left unmatched only when it has none: beside a free neighbour,
+    a maximum matching can always trade an edge for one that matches
+    it. Sizes are remembered per node subset across calls; past
+    ``MATCHING_LIMIT`` subsets it raises ``TopologyError``.
+    """
+    memo = {0: 0}
+
+    def size(mask: int) -> int:
+        stack = [mask]  # an explicit stack: no recursion limit on long graphs
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            i = (top & -top).bit_length() - 1
+            rest = top ^ 1 << i
+            kids = [rest ^ 1 << k for k in g.neighbors(i) if rest >> k & 1]
+            gain = 1 if kids else 0
+            kids = kids or [rest]
+            todo = [k for k in kids if k not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            if len(memo) >= MATCHING_LIMIT:
+                raise TopologyError("too many node subsets to size their matchings")
+            memo[top] = max(memo[k] for k in kids) + gain
+            stack.pop()
+        return memo[mask]
+
+    return size

@@ -161,7 +161,7 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         budget = o1 + _OBJ_EPS[order[0]] + s * delta
         _, result, closed = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
                                           lim, first=1, incumbent=result.assignment)
-        achieved = [float(np.dot(st.objective, result.assignment)) for st in stages]
+        achieved = [st.objective_value(result.assignment) for st in stages]
         points.append(ParetoPoint(
             step_index=s,
             primary_value=achieved[0],

@@ -89,7 +89,6 @@ class SolveResult:
     assignment: np.ndarray | None
     dual_bound: float
     nodes: int
-    wall_time: float
 
     @property
     def gap(self) -> float | None:
@@ -152,51 +151,44 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
             else:
                 maxact[k] += cf
 
-    # Gate placement structures for the error-objective bound.
+    # Gate placement structures for the error-objective bound, read off
+    # the objective: a gate on an arc costs its gate variable alone
+    # (plain), or that plus the two movement variables that merge a swap
+    # of its operands into it (merged; impossible at the last step).
+    inf = math.inf
     mode_gates = []
     is_mode_var = bytearray(nvars)
-    if p.objective_kind == "error" and p.gate_modes:
-        for gm in p.gate_modes:
-            ys, xps, xqs, cps, cms = [], [], [], [], []
-            for a in gm.arcs:
-                ys.append(a.y)
-                xps.append(a.xp)
-                xqs.append(a.xq)
-                cps.append(a.cost_plain)
-                cms.append(a.cost_merged)
-                is_mode_var[a.y] = 1
-                if a.xp >= 0:
-                    is_mode_var[a.xp] = 1
-                    is_mode_var[a.xq] = 1
-            mode_gates.append((ys, xps, xqs, cps, cms))
+    if p.objective_kind == "error":
+        for arcs in p.gate_arcs:
+            ys, xps, xqs = (list(ids) for ids in zip(*arcs))
+            mode_gates.append((ys, xps, xqs, [obj[y] for y in ys],
+                               [obj[y] + obj[xp] + obj[xq] if xp >= 0 else inf
+                                for y, xp, xq in arcs]))
+            for v in ys + xps + xqs:
+                if v >= 0:
+                    is_mode_var[v] = 1
 
     vals = [-1] * nvars
     trail: list[int] = []
-    state = {
-        "objfix_all": 0.0,
-        "objfix_other": 0.0,
-        "negsum_all": sum(c for c in obj if c < 0.0),
-        "negsum_other": sum(c for v, c in enumerate(obj) if c < 0.0 and not is_mode_var[v]),
-    }
+    # The one cost ledger, over the variables outside the gate modes:
+    # the cost of those fixed at 1, plus every negative cost still free.
+    objfix = 0.0
+    negsum = sum(c for v, c in enumerate(obj) if c < 0.0 and not is_mode_var[v])
 
     queue: list[int] = []
     in_queue = bytearray(nrows)
 
-    def fix(v: int, a: int) -> bool:
-        cur = vals[v]
-        if cur >= 0:
-            return cur == a
+    def fix(v: int, a: int) -> None:
+        """Set the free variable ``v`` to ``a`` and queue its rows."""
+        nonlocal objfix, negsum
         vals[v] = a
         trail.append(v)
-        c = obj[v]
-        if a:
-            state["objfix_all"] += c
-            if not is_mode_var[v]:
-                state["objfix_other"] += c
-        if c < 0.0:
-            state["negsum_all"] -= c
-            if not is_mode_var[v]:
-                state["negsum_other"] -= c
+        if not is_mode_var[v]:
+            c = obj[v]
+            if a:
+                objfix += c
+            if c < 0.0:
+                negsum -= c
         for k, cf in var_rows[v]:
             if cf < 0.0:
                 minact[k] += cf * a - cf
@@ -207,22 +199,19 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
             if not in_queue[k]:
                 in_queue[k] = 1
                 queue.append(k)
-        return True
 
     def undo_to(mark: int) -> None:
+        nonlocal objfix, negsum
         while len(trail) > mark:
             v = trail.pop()
             a = vals[v]
             vals[v] = -1
-            c = obj[v]
-            if a:
-                state["objfix_all"] -= c
-                if not is_mode_var[v]:
-                    state["objfix_other"] -= c
-            if c < 0.0:
-                state["negsum_all"] += c
-                if not is_mode_var[v]:
-                    state["negsum_other"] += c
+            if not is_mode_var[v]:
+                c = obj[v]
+                if a:
+                    objfix -= c
+                if c < 0.0:
+                    negsum += c
             for k, cf in var_rows[v]:
                 if cf < 0.0:
                     minact[k] -= cf * a - cf
@@ -233,16 +222,16 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
 
     def propagate() -> bool:
         qi = 0
-        while qi < len(queue):
+        ok = True
+        while ok and qi < len(queue):
             k = queue[qi]
             qi += 1
             in_queue[k] = 0
             ma, xa = minact[k], maxact[k]
             lo, hi = row_lo[k], row_hi[k]
             if ma > hi + FEAS_TOL or xa < lo - FEAS_TOL:
-                queue.clear()
-                in_queue[:] = bytes(nrows)
-                return False
+                ok = False
+                break
             if not (ma + row_max[k] > hi + FEAS_TOL or xa - row_max[k] < lo - FEAS_TOL):
                 continue
             rv, rc = row_vars[k], row_coefs[k]
@@ -261,47 +250,42 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
                 if can1 and can0:
                     continue
                 if not can1 and not can0:
-                    queue.clear()
-                    in_queue[:] = bytes(nrows)
-                    return False
-                if not fix(v, 1 if can1 else 0):
-                    queue.clear()
-                    in_queue[:] = bytes(nrows)
-                    return False
+                    ok = False
+                    break
+                fix(v, 1 if can1 else 0)
         queue.clear()
-        return True
-
-    inf = math.inf
+        if not ok:
+            # A row can no longer be satisfied: drop the rest of the queue.
+            in_queue[:] = bytes(nrows)
+        return ok
 
     def bound() -> float:
-        if mode_gates:
-            total = state["objfix_other"] + state["negsum_other"]
-            for ys, xps, xqs, cps, cms in mode_gates:
-                forced = -1
-                for a in range(len(ys)):
-                    if vals[ys[a]] == 1:
-                        forced = a
-                        break
-                best = inf
-                rng = (forced,) if forced >= 0 else range(len(ys))
-                for a in rng:
-                    if forced < 0 and vals[ys[a]] == 0:
-                        continue
-                    xp = xps[a]
-                    if xp < 0:
-                        if cps[a] < best:
-                            best = cps[a]
-                        continue
-                    vp, vq = vals[xp], vals[xqs[a]]
-                    if vp != 1 and vq != 1 and cps[a] < best:
+        total = objfix + negsum
+        for ys, xps, xqs, cps, cms in mode_gates:
+            forced = -1
+            for a in range(len(ys)):
+                if vals[ys[a]] == 1:
+                    forced = a
+                    break
+            best = inf
+            rng = (forced,) if forced >= 0 else range(len(ys))
+            for a in rng:
+                if forced < 0 and vals[ys[a]] == 0:
+                    continue
+                xp = xps[a]
+                if xp < 0:
+                    if cps[a] < best:
                         best = cps[a]
-                    if vp != 0 and vq != 0 and cms[a] < best:
-                        best = cms[a]
-                if math.isinf(best):
-                    return inf
-                total += best
-            return total
-        return state["objfix_all"] + state["negsum_all"]
+                    continue
+                vp, vq = vals[xp], vals[xqs[a]]
+                if vp != 1 and vq != 1 and cps[a] < best:
+                    best = cps[a]
+                if vp != 0 and vq != 0 and cms[a] < best:
+                    best = cms[a]
+            if math.isinf(best):
+                return inf
+            total += best
+        return total
 
     # Branching order: placement variables grouped by step, widest
     # objective spread first inside a step. A node's spread comes from
@@ -321,19 +305,17 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
     if meta:
         by_t: dict[int, list[int]] = {}
         for v, entry in enumerate(meta):
-            if entry and entry[0] == "w":
+            if entry[0] == "w":
                 by_t.setdefault(entry[3], []).append(v)
         spread = [0.0] * nvars
         if mode_gates:
             node_cost: dict[tuple[int, int], list[float]] = {}
-            for gm, (ys, xps, xqs, cps, cms) in zip(p.gate_modes, mode_gates):
-                for a, arc in enumerate(gm.arcs):
-                    lo_cost = min(cps[a], cms[a])
-                    yentry = meta[arc.y]
-                    _, _, i, _, t = yentry
-                    node_cost.setdefault((i, t), []).append(lo_cost)
+            for ys, _, _, cps, cms in mode_gates:
+                for y, plain, merged in zip(ys, cps, cms):
+                    _, _, i, _, t = meta[y]
+                    node_cost.setdefault((i, t), []).append(min(plain, merged))
             for v, entry in enumerate(meta):
-                if entry and entry[0] == "w":
+                if entry[0] == "w":
                     costs = node_cost.get((entry[2], entry[3]))
                     if costs:
                         spread[v] = max(costs) - min(costs)
@@ -356,13 +338,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
         return -1
 
     def preferred(v: int) -> int:
-        entry = meta[v] if meta else None
-        if entry and entry[0] == "w":
-            return 1
-        c = obj[v]
-        if c < 0.0:
-            return 1
-        return 0
+        return 1 if (meta and meta[v][0] == "w") or obj[v] < 0.0 else 0
 
     best_val = inf
     best_assign: np.ndarray | None = None
@@ -373,7 +349,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
         if any(a not in (0, 1) for a in bits):
             raise SolveError("incumbent is not a 0/1 vector")
         _require_feasible(p, bits)
-        best_val = sum(c for c, a in zip(obj, bits) if a)
+        best_val = p.objective_value(bits)
         best_assign = np.array(bits, dtype=np.int8)
 
     nodes = 0
@@ -401,7 +377,7 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
                 continue
             v = pick_branch()
             if v < 0:
-                val = state["objfix_all"]
+                val = p.objective_value(vals)
                 if val < best_val - 1e-12:
                     best_val = val
                     best_assign = np.array(vals, dtype=np.int8)
@@ -409,7 +385,8 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
                 continue
             a = preferred(v)
             stack.append((v, 1 - a, len(trail), b))
-            conflict = not (fix(v, a) and propagate())
+            fix(v, a)
+            conflict = not propagate()
         else:
             if not stack:
                 break
@@ -417,23 +394,22 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
             undo_to(mark)
             if pbound >= best_val - 1e-12:
                 continue
-            conflict = not (fix(v, alt) and propagate())
+            fix(v, alt)
+            conflict = not propagate()
             descending = True
 
-    wall = time.perf_counter() - t_start
     if limit_hit:
         open_bounds = [e[3] for e in stack]
         dual = min(open_bounds) if open_bounds else (best_val if best_assign is not None else -inf)
         status = SolveStatus.FEASIBLE
         objective = best_val if best_assign is not None else None
         return SolveResult(status=status, objective=objective, assignment=best_assign,
-                           dual_bound=dual, nodes=nodes, wall_time=wall)
+                           dual_bound=dual, nodes=nodes)
     if best_assign is None:
         return SolveResult(status=SolveStatus.INFEASIBLE, objective=None, assignment=None,
-                           dual_bound=inf, nodes=nodes, wall_time=wall)
+                           dual_bound=inf, nodes=nodes)
     return SolveResult(status=SolveStatus.OPTIMAL, objective=best_val,
-                       assignment=best_assign, dual_bound=best_val, nodes=nodes,
-                       wall_time=wall)
+                       assignment=best_assign, dual_bound=best_val, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +731,7 @@ def _import_lp(text: str) -> BipProblem:
         rows.append(Row(vars=vs, coefs=tuple(c for _, c in terms), sense=sense,
                         rhs=rhs, family=family))
     return BipProblem(names=names, rows=tuple(rows), objective=obj,
-                      objective_kind="imported",
-                      var_meta=tuple(("var",) for _ in names))
+                      objective_kind="imported")
 
 
 def _import_mps(text: str) -> BipProblem:
@@ -817,8 +792,7 @@ def _import_mps(text: str) -> BipProblem:
                         coefs=tuple(c for _, c in terms),
                         sense=row_sense[rname], rhs=rhs.get(rname, 0.0), family=family))
     return BipProblem(names=names, rows=tuple(rows), objective=obj,
-                      objective_kind="imported",
-                      var_meta=tuple(("var",) for _ in names))
+                      objective_kind="imported")
 
 
 def import_solution(p: BipProblem, text: str) -> SolveResult:
@@ -849,8 +823,7 @@ def import_solution(p: BipProblem, text: str) -> SolveResult:
     _require_feasible(p, assignment)
     objective = p.objective_value(assignment)
     return SolveResult(status=SolveStatus.FEASIBLE, objective=objective,
-                       assignment=assignment, dual_bound=-math.inf, nodes=0,
-                       wall_time=0.0)
+                       assignment=assignment, dual_bound=-math.inf, nodes=0)
 
 
 def export_solution(p: BipProblem, assignment) -> str:

@@ -102,7 +102,11 @@ def test_objective_kinds(line4, y6):
     fid = FidelityModel.build(c, line4)
     _, perr = assemble_problem(c, line4, fid, objective="error")
     assert perr.objective_kind == "error"
-    assert perr.gate_modes is not None
+    # One (y, xp, xq) triple per gate and arc; nothing moves after the
+    # last step, which holds the last two of the five gates.
+    assert len(perr.gate_arcs) == len(c.gates())
+    assert all(len(arcs) == len(line4.arcs()) for arcs in perr.gate_arcs)
+    assert [xp for arcs in perr.gate_arcs for _, xp, _ in arcs].count(-1) == 12
     # No dummy steps: the depth objective is identically zero.
     _, pdep = assemble_problem(c, line4, fid, objective="depth")
     assert pdep.objective_kind == "depth"

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+import qaroute.hwgraph
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
                              builtin_topology, enumerate_matchings,
-                             load_topology)
+                             load_topology, matching_size)
 
 
 def test_line4_shape(line4):
@@ -120,3 +122,40 @@ def test_matchings_consistent_with_max(y6):
     # The only perfect matching on y-6 covers the forced edge set.
     perfect = [set(m) for m in ms if len(m) == 3]
     assert perfect == [{(0, 1), (2, 5), (3, 4)}]
+
+
+def random_connected_graph(n: int, rng) -> HardwareGraph:
+    """A random spanning tree on n nodes plus up to n random extra edges."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(int(rng.integers(n + 1))):
+        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        edges.add((i, j))
+    return HardwareGraph(n=n, edges=tuple(sorted(edges)))
+
+
+def test_matching_size_agrees_with_enumeration():
+    rng = np.random.default_rng(77)
+    for _ in range(150):
+        g = random_connected_graph(int(rng.integers(2, 12)), rng)
+        matchings = enumerate_matchings(g)
+        size = matching_size(g)
+        assert size((1 << g.n) - 1) == len(matchings[-1])
+        # Any node subset: the largest matching inside it.
+        for mask in rng.integers(1 << g.n, size=4):
+            mask = int(mask)
+            inside = [m for m in matchings
+                      if all(mask >> i & 1 and mask >> j & 1 for i, j in m)]
+            assert size(mask) == max(len(m) for m in inside)
+
+
+def test_matching_size_of_long_lines():
+    # Too many matchings to list: line-25 has Fibonacci(26) of them.
+    for n, want in ((25, 12), (60, 30)):
+        assert matching_size(builtin_topology("line", n))((1 << n) - 1) == want
+
+
+def test_matching_size_memo_is_capped(monkeypatch):
+    monkeypatch.setattr(qaroute.hwgraph, "MATCHING_LIMIT", 5)
+    size = matching_size(builtin_topology("line", 25))
+    with pytest.raises(TopologyError, match="too many"):
+        size((1 << 25) - 1)

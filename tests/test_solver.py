@@ -6,7 +6,8 @@ from helpers import (line4_five_gate_circuit, prepared,
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.extract import stats
-from qaroute.gatefid import FidelityModel
+from qaroute.gatefid import FidelityModel, load_fidelity_overrides
+from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolutionInfeasibleError, SolveError, SolveLimits,
                             SolveStatus, export_model, export_solution,
@@ -144,6 +145,36 @@ def test_warm_and_cold_reach_the_same_optimum(line4, seed):
     warm = solve_branch_and_bound(p, SolveLimits(), incumbent=_depth_optimum(c, line4, fid))
     assert warm.status is SolveStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+# Every gate needs three CNOTs alone but none merged with a swap of its
+# operands, so merging is cheaper than running plain and the movement
+# variables that merge a swap carry negative costs.
+MERGE_FOR_FREE = {"f": [0.1, 0.1, 0.1, 1.0], "f_swap": [1.0, 1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merged_gates_cheaper_than_plain_match_exhaustive(line4, seed):
+    c = random_layered_circuit(4, (2, 2), seed)
+    overrides = load_fidelity_overrides({str(gt.gid): MERGE_FOR_FREE for gt in c.gates()})
+    c, fid = prepared(c, line4, 2, overrides=overrides)
+    _, p = assemble_problem(c, line4, fid, objective="error")
+    assert (p.objective < 0.0).any()
+    want = solve_exhaustive(c, line4, fid, objective="error")[0]
+    res = solve_branch_and_bound(p, SolveLimits())
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(want, abs=1e-9)
+    (err, depth), _ = solve_exhaustive(c, line4, fid, ("error", "depth"))
+    lex = lexicographic_solve(c, line4, fid, ("error", "depth"))
+    assert lex.closed
+    assert lex.stage_values[0] == pytest.approx(err, abs=1e-9)
+    assert lex.stage_values[1] == depth
+    # An imported model has no gate arcs: its negative costs are bounded
+    # as free variables.
+    for fmt in ("lp", "mps"):
+        back = solve_branch_and_bound(import_model(export_model(p, fmt)), SolveLimits())
+        assert back.status is SolveStatus.OPTIMAL
+        assert back.objective == pytest.approx(want, abs=1e-9)
 
 
 def test_lp_round_trip_byte_identical(line4):
