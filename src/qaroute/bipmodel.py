@@ -16,6 +16,7 @@ models and of violation reports; the solver treats them uniformly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,8 +57,33 @@ class Row:
         return act >= self.rhs - FEAS_TOL
 
 
+# One format per variable kind: a name is the kind, then the indices of
+# the variable's key joined by "_".
+_NAME_FORMATS = {"w": "w_%d_%d_%d", "x": "x_%d_%d_%d_%d", "y": "y_%d_%d_%d_%d",
+                 "z": "z_%d", "u": "u_%d_%d_%d", "v": "v_%d_%d_%d_%d_%d"}
+
+
+def _name(key: tuple) -> str:
+    kind = key[0]
+    if kind == "v":  # the key holds the pair's two edges
+        _, (a, b), (c, d), t = key
+        return _NAME_FORMATS[kind] % (a, b, c, d, t)
+    return _NAME_FORMATS[kind] % key[1:]
+
+
 class VariableSpace:
-    """Dense index map for one circuit on one graph."""
+    """Dense index map for one circuit on one graph.
+
+    Each variable is declared once, by its key: ``("w", q, i, t)``,
+    ``("x", q, i, j, t)``, ``("y", gid, i, j, t)``, ``("z", t)``,
+    ``("u", i, j, t)`` or ``("v", e1, e2, t)``. The key list is
+    ``var_meta``; a variable's index is its key's position and its name
+    is the key spelled out. ``free[t]`` lists the qubits no gate of step
+    t uses, and ``gate_arcs`` holds one ``(y, xp, xq)`` triple per arc
+    for each gate of ``c.gates()``: the gate variable and the two
+    movement variables that merge a swap of its operands into it (-1 at
+    the last step, where nothing moves).
+    """
 
     def __init__(self, c: LayeredCircuit, g: HardwareGraph, crosstalk_mode: bool = False):
         if c.n_qubits != g.n:
@@ -75,84 +101,55 @@ class VariableSpace:
         self.n, self.m = n, m
         self.arcs = g.arcs()
         self.nbr_self = [sorted((*g.neighbors(i), i)) for i in range(n)]
+        self.step_of = {gate.gid: t for t in range(m) for gate in c.groups[t]}
+        self.free = [[q for q in range(n) if q not in busy]
+                     for busy in map(c.busy_qubits, range(m))]
 
-        names: list[str] = []
-        meta: list[tuple] = []
-        self._w: dict[tuple[int, int, int], int] = {}
-        self._x: dict[tuple[int, int, int, int], int] = {}
-        self._y: dict[tuple[int, int, int], int] = {}
-        self._z: dict[int, int] = {}
-        self._u: dict[tuple[tuple[int, int], int], int] = {}
-        self._v: dict[tuple[tuple, int], int] = {}
-
-        for t in range(m):
-            for q in range(n):
-                for i in range(n):
-                    self._w[q, i, t] = len(names)
-                    names.append(f"w_{q}_{i}_{t}")
-                    meta.append(("w", q, i, t))
-        for t in range(m - 1):
-            for q in range(n):
-                for i in range(n):
-                    for j in self.nbr_self[i]:
-                        self._x[q, i, j, t] = len(names)
-                        names.append(f"x_{q}_{i}_{j}_{t}")
-                        meta.append(("x", q, i, j, t))
-        for t in range(m):
-            for gate in c.groups[t]:
-                for (i, j) in self.arcs:
-                    self._y[gate.gid, i, j] = len(names)
-                    names.append(f"y_{gate.gid}_{i}_{j}_{t}")
-                    meta.append(("y", gate.gid, i, j, t))
-        for t in c.dummy_steps:
-            self._z[t] = len(names)
-            names.append(f"z_{t}")
-            meta.append(("z", t))
+        keys = [("w", q, i, t) for t in range(m) for q in range(n) for i in range(n)]
+        keys += [("x", q, i, j, t) for t in range(m - 1) for q in range(n)
+                 for i in range(n) for j in self.nbr_self[i]]
+        keys += [("y", gate.gid, i, j, t) for t in range(m) for gate in c.groups[t]
+                 for (i, j) in self.arcs]
+        keys += [("z", t) for t in c.dummy_steps]
         if crosstalk_mode:
-            for t in range(m):
-                for e in g.crosstalk_edges:
-                    self._u[e, t] = len(names)
-                    names.append(f"u_{e[0]}_{e[1]}_{t}")
-                    meta.append(("u", e[0], e[1], t))
-            for t in range(m):
-                for e1, e2 in g.crosstalk_pairs:
-                    self._v[(e1, e2), t] = len(names)
-                    names.append(f"v_{e1[0]}_{e1[1]}_{e2[0]}_{e2[1]}_{t}")
-                    meta.append(("v", e1, e2, t))
-        self.names = tuple(names)
-        self.var_meta = tuple(meta)
+            keys += [("u", i, j, t) for t in range(m) for (i, j) in g.crosstalk_edges]
+            keys += [("v", e1, e2, t) for t in range(m) for e1, e2 in g.crosstalk_pairs]
+        self.var_meta = tuple(keys)
+        self.index = dict(zip(keys, range(len(keys))))
+        self.names = tuple(map(_name, keys))
+        self.gate_arcs = tuple(
+            tuple((self.y(gate.gid, i, j), self.x(gate.p, i, j, t), self.x(gate.q, j, i, t))
+                  if t < m - 1 else (self.y(gate.gid, i, j), -1, -1)
+                  for (i, j) in self.arcs)
+            for t in range(m) for gate in c.groups[t])
 
     @property
     def num_vars(self) -> int:
         return len(self.names)
 
     def counts(self) -> dict[str, int]:
-        out = {"w": len(self._w), "x": len(self._x), "y": len(self._y),
-               "z": len(self._z)}
-        if self.crosstalk_mode:
-            out["u"] = len(self._u)
-            out["v"] = len(self._v)
-        return out
+        tally = Counter(key[0] for key in self.var_meta)
+        return {kind: tally[kind] for kind in ("wxyzuv" if self.crosstalk_mode else "wxyz")}
 
     def w(self, q: int, i: int, t: int) -> int:
-        return self._w[q, i, t]
+        return self.index["w", q, i, t]
 
     def x(self, q: int, i: int, j: int, t: int) -> int:
-        return self._x[q, i, j, t]
+        return self.index["x", q, i, j, t]
 
     def y(self, gid: int, i: int, j: int) -> int:
-        return self._y[gid, i, j]
+        return self.index["y", gid, i, j, self.step_of[gid]]
 
     def z(self, t: int) -> int:
-        return self._z[t]
+        return self.index["z", t]
 
     def u(self, i: int, j: int, t: int) -> int:
-        return self._u[norm_edge(i, j), t]
+        return self.index[("u", *norm_edge(i, j), t)]
 
     def v(self, e1, e2, t: int) -> int:
         e1, e2 = norm_edge(*e1), norm_edge(*e2)
         pair = (e1, e2) if e1 < e2 else (e2, e1)
-        return self._v[pair, t]
+        return self.index[("v", *pair, t)]
 
 
 def dummy_runs(c: LayeredCircuit) -> list[list[int]]:
@@ -189,25 +186,20 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
         for i in range(n):
             rows.append(Row(tuple(vs.w(q, i, t) for q in range(n)),
                             (1.0,) * n, "=", 1.0, "NODE"))
-    for t in range(m):
-        for gate in c.groups[t]:
-            rows.append(Row(tuple(vs.y(gate.gid, i, j) for (i, j) in vs.arcs),
-                            (1.0,) * len(vs.arcs), "=", 1.0, "GATE"))
-    for t in range(m):
-        for gate in c.groups[t]:
-            p, q = gate.operands
-            for (i, j) in vs.arcs:
-                y = vs.y(gate.gid, i, j)
-                if mode == "mccormick_str" and t < m - 1:
-                    rows.append(Row((y, vs.x(p, i, i, t), vs.x(p, i, j, t)),
-                                    (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
-                    rows.append(Row((y, vs.x(q, j, j, t), vs.x(q, j, i, t)),
-                                    (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
-                else:
-                    rows.append(Row((y, vs.w(p, i, t)), (1.0, -1.0), "<=", 0.0, "LINK"))
-                    rows.append(Row((y, vs.w(q, j, t)), (1.0, -1.0), "<=", 0.0, "LINK"))
-                rows.append(Row((y, vs.w(p, i, t), vs.w(q, j, t)),
-                                (1.0, -1.0, -1.0), ">=", -1.0, "LINK"))
+    for arcs in vs.gate_arcs:
+        rows.append(Row(tuple(y for y, _, _ in arcs), (1.0,) * len(arcs), "=", 1.0, "GATE"))
+    for gate, arcs in zip(c.gates(), vs.gate_arcs):
+        p, q = gate.operands
+        t = vs.step_of[gate.gid]
+        for (i, j), (y, xp, xq) in zip(vs.arcs, arcs):
+            if mode == "mccormick_str" and xp >= 0:
+                rows.append(Row((y, vs.x(p, i, i, t), xp), (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
+                rows.append(Row((y, vs.x(q, j, j, t), xq), (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
+            else:
+                rows.append(Row((y, vs.w(p, i, t)), (1.0, -1.0), "<=", 0.0, "LINK"))
+                rows.append(Row((y, vs.w(q, j, t)), (1.0, -1.0), "<=", 0.0, "LINK"))
+            rows.append(Row((y, vs.w(p, i, t), vs.w(q, j, t)),
+                            (1.0, -1.0, -1.0), ">=", -1.0, "LINK"))
     for t in range(m - 1):
         for q in range(n):
             for i in range(n):
@@ -220,15 +212,12 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
                 xs = tuple(vs.x(q, k, i, t - 1) for k in vs.nbr_self[i])
                 rows.append(Row((vs.w(q, i, t), *xs),
                                 (1.0,) + (-1.0,) * len(xs), "=", 0.0, "FLOW_IN"))
+    for arcs in vs.gate_arcs:
+        for _, xp, xq in arcs:
+            if xp >= 0:
+                rows.append(Row((xp, xq), (1.0, -1.0), "=", 0.0, "GATE_SWAP_PAIR"))
     for t in range(m - 1):
-        for gate in c.groups[t]:
-            p, q = gate.operands
-            for (i, j) in vs.arcs:
-                rows.append(Row((vs.x(p, i, j, t), vs.x(q, j, i, t)),
-                                (1.0, -1.0), "=", 0.0, "GATE_SWAP_PAIR"))
-    for t in range(m - 1):
-        busy = c.busy_qubits(t)
-        free = [q for q in range(n) if q not in busy]
+        free = vs.free[t]
         if not free:
             continue
         for (i, j) in vs.arcs:
@@ -259,24 +248,17 @@ def build_error_objective(vs: VariableSpace, fid: FidelityModel) -> np.ndarray:
     free qubit pays half a standalone SWAP per direction, three CNOTs in
     total per exchanged pair.
     """
-    c = vs.circuit
     obj = np.zeros(vs.num_vars)
-    m = vs.m
-    for t in range(m):
-        for gate in c.groups[t]:
-            p, q = gate.operands
-            for (i, j) in vs.arcs:
-                plain = fid.gate_error(gate.gid, i, j)
-                obj[vs.y(gate.gid, i, j)] += plain
-                if t < m - 1:
-                    half = (fid.gate_error(gate.gid, i, j, merged=True) - plain) / 2.0
-                    obj[vs.x(p, i, j, t)] += half
-                    obj[vs.x(q, j, i, t)] += half
-    for t in range(m - 1):
-        busy = c.busy_qubits(t)
-        for q in range(vs.n):
-            if q in busy:
-                continue
+    for gate, arcs in zip(vs.circuit.gates(), vs.gate_arcs):
+        for (i, j), (y, xp, xq) in zip(vs.arcs, arcs):
+            plain = fid.gate_error(gate.gid, i, j)
+            obj[y] += plain
+            if xp >= 0:
+                half = (fid.gate_error(gate.gid, i, j, merged=True) - plain) / 2.0
+                obj[xp] += half
+                obj[xq] += half
+    for t in range(vs.m - 1):
+        for q in vs.free[t]:
             for (i, j) in vs.arcs:
                 obj[vs.x(q, i, j, t)] += fid.swap_error(i, j) / 2.0
     return obj
@@ -296,8 +278,6 @@ def build_crosstalk_rows(vs: VariableSpace) -> list[Row]:
     c, g = vs.circuit, vs.graph
     rows: list[Row] = []
     for t in range(vs.m):
-        busy = c.busy_qubits(t)
-        free = [q for q in range(vs.n) if q not in busy]
         for e in g.crosstalk_edges:
             i, j = e
             u = vs.u(i, j, t)
@@ -306,7 +286,7 @@ def build_crosstalk_rows(vs: VariableSpace) -> list[Row]:
                 inds.append(vs.y(gate.gid, i, j))
                 inds.append(vs.y(gate.gid, j, i))
             if t < vs.m - 1:
-                for q in free:
+                for q in vs.free[t]:
                     inds.append(vs.x(q, i, j, t))
                     inds.append(vs.x(q, j, i, t))
             for ind in inds:
@@ -380,19 +360,6 @@ class BipProblem:
         return None
 
 
-def _gate_arcs(vs: VariableSpace) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """``BipProblem.gate_arcs`` of the model over ``vs``."""
-    out = []
-    for t in range(vs.m):
-        for gate in vs.circuit.groups[t]:
-            p, q = gate.operands
-            out.append(tuple(
-                (vs.y(gate.gid, i, j), vs.x(p, i, j, t), vs.x(q, j, i, t))
-                if t < vs.m - 1 else (vs.y(gate.gid, i, j), -1, -1)
-                for (i, j) in vs.arcs))
-    return tuple(out)
-
-
 def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | None,
                      objective: str = "error", mode: str = "mccormick_str",
                      crosstalk_mode: bool | None = None,
@@ -406,7 +373,7 @@ def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | N
         rows.extend(build_crosstalk_rows(vs))
     p = BipProblem(names=vs.names, rows=tuple(rows),
                    objective=np.zeros(vs.num_vars), objective_kind="custom",
-                   var_meta=vs.var_meta, gate_arcs=_gate_arcs(vs))
+                   var_meta=vs.var_meta, gate_arcs=vs.gate_arcs)
     return vs, set_objective(p, vs, objective, fid)
 
 

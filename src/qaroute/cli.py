@@ -172,15 +172,20 @@ def _limits(ns: argparse.Namespace) -> SolveLimits:
     return SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit)
 
 
+def _check_width(width: int, g: HardwareGraph) -> None:
+    if width > g.n:
+        raise _CliError(f"circuit wider than hardware ({width} qubits vs {g.n} nodes)")
+
+
 def _load_circuit(ns: argparse.Namespace, g: HardwareGraph, index: int = 0) -> LayeredCircuit:
     if ns.circuit is not None:
         raw = load_circuit(Path(ns.circuit).read_text())
+        _check_width(raw.n_qubits, g)
     else:
+        # Checked before generating, which takes time quadratic in the width.
+        _check_width(ns.qv[0], g)
         raw = lower_circuit(gen_qv_circuit(ns.qv[0], [ns.seed, index]),
                             n_layers=ns.qv_layers)
-    if raw.n_qubits > g.n:
-        raise _CliError(f"circuit wider than hardware "
-                        f"({raw.n_qubits} qubits vs {g.n} nodes)")
     return insert_dummy_steps(pad_qubits(raw, g.n), ns.dummy_steps)
 
 

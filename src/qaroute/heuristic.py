@@ -43,7 +43,7 @@ def _gate_sequence(c: LayeredCircuit) -> list:
 
 
 def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
-                    fid: FidelityModel | None = None) -> RoutedCircuit:
+                    fid: FidelityModel) -> RoutedCircuit:
     """Route ``c`` from a fixed layout by greedy swap insertion.
 
     Adjacent front gates execute together in one step; otherwise one
@@ -75,9 +75,8 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
             ops = []
             for gt in ready:
                 i, j = pos[gt.p], pos[gt.q]
-                cnots = fid.cost(gt.gid, i, j).n_plain if fid is not None else 3
-                ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j),
-                                  merged_swap=False, cnots_used=cnots))
+                ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j), merged_swap=False,
+                                  cnots_used=fid.cost(gt.gid, i, j).n_plain))
             steps.append(tuple(ops))
             executed = {gt.gid for gt in ready}
             remaining = [gt for gt in remaining if gt.gid not in executed]
@@ -131,7 +130,8 @@ def _swap_count(rc: RoutedCircuit) -> int:
     return sum(1 for ops in rc.steps for op in ops if isinstance(op, FreeSwap))
 
 
-def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[int, ...]:
+def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
+                        fits) -> tuple[int, ...]:
     """Reshape a layout so the first gate layer sits on disjoint edges.
 
     Needed when the layout seeds a model whose first step is fixed: the
@@ -141,7 +141,8 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     keeps the placement that displaces qubits the least (ties go to the
     smallest ``(gid, i, j)`` sequence) and prunes a prefix that cannot
     beat it even if every later gate got its cheapest arc, or whose free
-    nodes hold no matching as large as the gates still to place. After
+    nodes hold no matching as large as the gates still to place (``fits``
+    is ``matching_size(g)``, shared by the calls on one graph). After
     ``REPAIR_NODES`` placed arcs it keeps the best placement so far.
     The remaining qubits are then refilled near their old nodes.
     """
@@ -156,7 +157,6 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     floor = [0] * (len(first) + 1)
     for k in reversed(range(len(first))):
         floor[k] = floor[k + 1] + options[k][0][0]
-    fits = matching_size(g)
     every = (1 << g.n) - 1
     best, visits = None, 0
 
@@ -204,7 +204,7 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     return tuple(newpos)
 
 
-def heuristic_layout(c: LayeredCircuit, g: HardwareGraph,
+def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                      seed: int = 0) -> tuple[int, ...]:
     """Pick an initial layout by routing restarts.
 
@@ -219,12 +219,13 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph,
     if not any(c.groups):
         return tuple(range(g.n))
     rng = np.random.default_rng(seed)
+    fits = matching_size(g)
     best_map, best_key = None, None
     for trial in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
-        refined = heuristic_route(c, g, start).final_map
-        refined = _repair_first_layer(c, g, refined)
-        swaps = _swap_count(heuristic_route(c, g, refined))
+        refined = heuristic_route(c, g, start, fid).final_map
+        refined = _repair_first_layer(c, g, refined, fits)
+        swaps = _swap_count(heuristic_route(c, g, refined, fid))
         key = (swaps, trial)
         if best_key is None or key < best_key:
             best_map, best_key = refined, key
@@ -251,14 +252,14 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     order and the extra rows.
     """
     if variant == "sabre_like":
-        layout = heuristic_layout(c, g, seed)
+        layout = heuristic_layout(c, g, fid, seed)
         rc = heuristic_route(c, g, layout, fid)
         return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=True)
     order, row_hook = ("error", "depth"), None
     if variant == "bip_layout":
         order = ("error",)
     elif variant == "bip_routing":
-        layout = heuristic_layout(c, g, seed)
+        layout = heuristic_layout(c, g, fid, seed)
 
         def row_hook(vs):
             return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",

@@ -235,6 +235,8 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
     """
     if n_circuits < 1:
         raise BenchError("need at least one circuit")
+    if w > g.n:
+        raise BenchError(f"width {w} exceeds the graph's {g.n} nodes")
     variants = tuple(variants)
     lim = lim or SolveLimits()
     tasks = [(idx, w, seed, n_layers, g, dummy_steps, fid_overrides,

@@ -150,3 +150,36 @@ def test_error_objective_splits_prices_exactly(line4):
         for q in set(range(vs.n)) - busy:
             for i, j in vs.arcs:
                 assert obj[vs.x(q, i, j, t)] == fid.swap_error(i, j) / 2.0
+
+
+def test_every_variable_kind_keys_its_index_and_name(y6):
+    # Every accessor's index holds the accessor's key in var_meta, and
+    # the name spells out the key's indices joined by "_".
+    c, _ = prepared(random_layered_circuit(6, (2, 2), seed=3), y6, 1)
+    vs = VariableSpace(c, y6, crosstalk_mode=True)
+    m, arcs = vs.m, vs.arcs
+    expected = []
+    for t in range(m):
+        expected += [(vs.w(q, i, t), ("w", q, i, t)) for q in range(6) for i in range(6)]
+        expected += [(vs.y(gate.gid, i, j), ("y", gate.gid, i, j, t))
+                     for gate in c.groups[t] for i, j in arcs]
+        # Accessors take either orientation of an edge and either order
+        # of a pair.
+        expected += [(vs.u(j, i, t), ("u", i, j, t)) for i, j in y6.crosstalk_edges]
+        expected += [(vs.v(e2[::-1], e1, t), ("v", e1, e2, t))
+                     for e1, e2 in y6.crosstalk_pairs]
+    for t in range(m - 1):
+        expected += [(vs.x(q, i, j, t), ("x", q, i, j, t)) for q in range(6)
+                     for i in range(6) for j in (i, *y6.neighbors(i))]
+    expected += [(vs.z(t), ("z", t)) for t in c.dummy_steps]
+    assert sorted(idx for idx, _ in expected) == list(range(vs.num_vars))
+    for idx, key in expected:
+        assert vs.var_meta[idx] == key
+        flat = [v for part in key[1:] for v in (part if isinstance(part, tuple) else (part,))]
+        assert vs.names[idx] == "_".join([key[0], *map(str, flat)])
+    assert {key[0] for _, key in expected} == set("wxyzuv")
+    assert vs.counts() == {kind: sum(key[0] == kind for _, key in expected)
+                           for kind in "wxyzuv"}
+    for t in range(m):
+        assert vs.names[vs.v((0, 1), (2, 3), t)] == f"v_0_1_2_3_{t}"
+    assert len(set(vs.names)) == vs.num_vars

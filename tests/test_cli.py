@@ -132,6 +132,16 @@ def test_first_layer_repair_ends_in_bounded_time():
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["transpile", "pareto", "bench", "export"])
+def test_oversized_qv_width_is_rejected_before_generation(command, capsys):
+    # A 100000-qubit QV circuit would take hours to generate; the width is
+    # held against the graph first.
+    start = time.perf_counter()
+    assert main([command, "--builtin", "line,4", "--qv", "100000,1"]) == 4
+    assert time.perf_counter() - start < 5
+    assert "4 nodes" in capsys.readouterr().err
+
+
 def test_export_checks_layer_width_without_listing_matchings(tmp_path):
     # line-25 has more than MATCHING_LIMIT matchings; the model's
     # layer-width check only needs the size of a maximum one.

@@ -11,7 +11,7 @@ from qaroute.extract import GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import (VARIANTS, HeuristicError, _repair_first_layer,
                                heuristic_layout, heuristic_route, run_variant_full)
-from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
 from qaroute.qvbench import haar_su4
 
 
@@ -42,7 +42,7 @@ def test_route_executes_adjacent_gates_without_swaps(line4):
     c = LayeredCircuit(4, ((Gate(0, 1, haar_su4(rng), 0),
                             Gate(2, 3, haar_su4(rng), 1)),
                            (Gate(1, 2, haar_su4(rng), 2),)))
-    rc = heuristic_route(c, line4, (0, 1, 2, 3))
+    rc = heuristic_route(c, line4, (0, 1, 2, 3), FidelityModel.build(c, line4))
     assert all(isinstance(op, GateOp) for ops in rc.steps for op in ops)
     assert rc.final_map == rc.initial_map
     assert len(rc.steps) == 2
@@ -51,15 +51,15 @@ def test_route_executes_adjacent_gates_without_swaps(line4):
 def test_route_input_validation(inst, line4, grid6):
     c, fid = inst
     with pytest.raises(HeuristicError):
-        heuristic_route(c, line4, (0, 1, 2, 2))
+        heuristic_route(c, line4, (0, 1, 2, 2), fid)
     with pytest.raises(HeuristicError):
-        heuristic_route(c, grid6, (0, 1, 2, 3, 4, 5))
+        heuristic_route(c, grid6, (0, 1, 2, 3, 4, 5), fid)
 
 
 def test_layout_is_permutation_and_deterministic(inst, line4):
     c, fid = inst
-    a = heuristic_layout(c, line4)
-    b = heuristic_layout(c, line4)
+    a = heuristic_layout(c, line4, fid)
+    b = heuristic_layout(c, line4, fid)
     assert a == b
     assert sorted(a) == [0, 1, 2, 3]
     # The chosen layout lets the whole first layer run at once.
@@ -69,7 +69,7 @@ def test_layout_is_permutation_and_deterministic(inst, line4):
 
 def test_layout_of_gate_free_circuit_is_identity(line4):
     c = LayeredCircuit(4, ((), ()))
-    assert heuristic_layout(c, line4) == (0, 1, 2, 3)
+    assert heuristic_layout(c, line4, FidelityModel.build(c, line4)) == (0, 1, 2, 3)
 
 
 def test_unknown_variant_rejected(inst, line4):
@@ -135,7 +135,7 @@ def test_constrained_variant_restores_layout(inst, line4):
 
 def test_routing_variant_pins_heuristic_layout(inst, line4):
     c, fid = inst
-    layout = heuristic_layout(c, line4)
+    layout = heuristic_layout(c, line4, fid)
     run = run_variant_full("bip_routing", c, line4, fid)
     assert run.routed.initial_map == layout
     free = run_variant_full("bip", c, line4, fid)
@@ -197,6 +197,10 @@ def random_first_layer(n: int, rng) -> tuple[LayeredCircuit, tuple[int, ...]]:
     return LayeredCircuit(n, (layer,)), tuple(int(v) for v in rng.permutation(n))
 
 
+def repair(c, g, layout):
+    return _repair_first_layer(c, g, layout, matching_size(g))
+
+
 def repair_outcome(repair, c, g, layout):
     try:
         return repair(c, g, layout)
@@ -213,7 +217,7 @@ def test_repair_matches_brute_force_on_random_layers():
         for _ in range(50):
             c, layout = random_first_layer(n, rng)
             want = repair_oracle(c, g, layout)
-            assert _repair_first_layer(c, g, layout) == want
+            assert repair(c, g, layout) == want
             searched += want != layout
     assert searched > 200  # most layers do not fit their random layout
 
@@ -225,10 +229,10 @@ def test_repair_of_a_layer_wider_than_any_matching():
     for _ in range(20):
         c, layout = random_first_layer(5, rng)
         want = repair_outcome(repair_oracle, c, star, layout)
-        assert repair_outcome(_repair_first_layer, c, star, layout) == want
+        assert repair_outcome(repair, c, star, layout) == want
     c = LayeredCircuit(5, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
     with pytest.raises(HeuristicError, match="does not fit"):
-        _repair_first_layer(c, star, (0, 1, 2, 3, 4))
+        repair(c, star, (0, 1, 2, 3, 4))
 
 
 def test_repair_cap_keeps_the_best_placement_found(monkeypatch):
@@ -238,15 +242,15 @@ def test_repair_cap_keeps_the_best_placement_found(monkeypatch):
     line8 = builtin_topology("line", 8)
     c = LayeredCircuit(8, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
     layout = (2, 4, 3, 1, 0, 5, 6, 7)
-    full = _repair_first_layer(c, line8, layout)
+    full = repair(c, line8, layout)
     assert full == repair_oracle(c, line8, layout)
     assert full[:4] == (3, 4, 2, 1)
     # Two placed arcs: only the first, cheapest-arc dive completes.
     monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 2)
-    capped = _repair_first_layer(c, line8, layout)
+    capped = repair(c, line8, layout)
     assert capped[:2] == (2, 3)
     assert sorted(capped) == list(range(8))
     assert all(line8.has_edge(capped[gt.p], capped[gt.q]) for gt in c.groups[0])
     monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 1)
     with pytest.raises(HeuristicError, match="gave up"):
-        _repair_first_layer(c, line8, layout)
+        repair(c, line8, layout)

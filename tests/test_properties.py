@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qaroute.circuit import Gate, layerize
 from qaroute.extract import verify_structural, verify_unitary
-from qaroute.gatefid import cnot_budget_fidelities, exact_cnot_fidelities
+from qaroute.gatefid import FidelityModel, cnot_budget_fidelities, exact_cnot_fidelities
 from qaroute.heuristic import heuristic_route
 from qaroute.hwgraph import builtin_topology, enumerate_matchings
 from qaroute.qvbench import haar_su4
@@ -68,7 +68,7 @@ def test_greedy_router_preserves_the_circuit(seed, init):
         gates.append(Gate(p, q, haar_su4(rng), gid=k))
     c = layerize(gates, n_qubits=4)
     g = builtin_topology("line", 4)
-    rc = heuristic_route(c, g, tuple(init))
+    rc = heuristic_route(c, g, tuple(init), FidelityModel.build(c, g))
     assert verify_structural(rc, c, g) is None
     assert verify_unitary(rc, c) <= 1e-8
 
