@@ -19,8 +19,8 @@ from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, matching_size, norm_edge
-from .lexopt import lexicographic_solve
-from .solver import SolveLimits
+from .lexopt import LexError, lexicographic_solve
+from .solver import SolveError, SolveLimits, exhaustive_fits, solve_exhaustive
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
 
@@ -248,14 +248,18 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     ``c`` must already be padded to the hardware size, with any dummy
     steps inserted; the heuristic legs simply ignore empty layers.
     ``seed`` seeds the greedy layout search. The four model variants
-    are one lexicographic solve each, differing only in the objective
-    order and the extra rows.
+    differ only in the objective order and the extra rows. ``bip``,
+    ``bip_layout`` and ``bip_routing`` (its greedy layout is the DP's
+    one start state) go to the layout DP whenever ``exhaustive_fits``
+    admits the instance, and its route is a proof. ``bip_constrained``
+    and every instance past the guard are one lexicographic solve each,
+    under ``lim``.
     """
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, fid, seed)
         rc = heuristic_route(c, g, layout, fid)
         return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=True)
-    order, row_hook = ("error", "depth"), None
+    order, layout, row_hook = ("error", "depth"), None, None
     if variant == "bip_layout":
         order = ("error",)
     elif variant == "bip_routing":
@@ -273,9 +277,19 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
                     for q in range(g.n) for i in range(g.n)]
     elif variant != "bip":
         raise HeuristicError(f"unknown variant {variant!r}")
-    lex = lexicographic_solve(c, g, fid, order, lim, row_hook=row_hook)
-    rc = decode(lex.vs, lex.result.assignment, c, g, fid)
+    if variant != "bip_constrained" and exhaustive_fits(c, g):
+        # The layout DP proves its optimum within its guard; the limits
+        # bound only the branch and bound.
+        try:
+            _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+        except SolveError as exc:  # within the guard: no routing exists
+            raise LexError(str(exc)) from exc
+        closed = True
+    else:
+        lex = lexicographic_solve(c, g, fid, order, lim, row_hook=row_hook)
+        rc = decode(lex.vs, lex.result.assignment, c, g, fid)
+        closed = lex.closed
     if variant == "bip_layout":
         rc = heuristic_route(c, g, rc.initial_map, fid)
     rc = replace(rc, origin=variant)
-    return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=lex.closed)
+    return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=closed)

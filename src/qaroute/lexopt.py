@@ -9,6 +9,8 @@ improvement from the primary one.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +77,49 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
     return vs, [p] + [set_objective(p, vs, kind, fid) for kind in order[1:]]
 
 
-def _solve_stages(stages: list[BipProblem], rows: list[Row], lim: SolveLimits,
+class _RunLimits:
+    """One deadline and one node budget shared by every stage of a run."""
+
+    def __init__(self, lim: SolveLimits):
+        self.deadline = None if lim.time_limit is None else time.perf_counter() + lim.time_limit
+        self.nodes = lim.node_limit
+
+    def left(self) -> SolveLimits | None:
+        """The limits of the next stage, or None once either is spent."""
+        seconds = None if self.deadline is None else self.deadline - time.perf_counter()
+        if (seconds is not None and seconds <= 0) or (self.nodes is not None and self.nodes <= 0):
+            return None
+        return SolveLimits(time_limit=seconds, node_limit=self.nodes)
+
+    def spend(self, nodes: int) -> None:
+        if self.nodes is not None:
+            self.nodes -= nodes
+
+
+def _solve_stages(stages: list[BipProblem], rows: list[Row], run_lim: _RunLimits,
                   first: int = 0, incumbent: np.ndarray | None = None
                   ) -> tuple[list[float], SolveResult, bool]:
     """Solve ``stages[first:]`` in turn under ``rows`` plus a budget row
     pinning each solved stage to its optimum (within its ``_OBJ_EPS``
     slack). Each stage starts from the previous stage's assignment,
     which satisfies the new budget row; the first starts from
-    ``incumbent``, which must satisfy ``rows``. Returns the stage optima,
-    the last stage's result, and whether every stage proved its
-    optimum."""
+    ``incumbent``, which must satisfy ``rows``. Every stage draws on
+    ``run_lim``; a stage that finds it spent keeps its incumbent,
+    unproven. Returns the stage optima, the last stage's result, and
+    whether every stage proved its optimum."""
     rows = list(rows)
     values: list[float] = []
     closed = True
     for k in range(first, len(stages)):
         problem = stages[k].with_rows(rows)
-        result = solve_branch_and_bound(problem, lim, incumbent=incumbent)
+        lim = run_lim.left()
+        if lim is None:
+            result = SolveResult(status=SolveStatus.FEASIBLE,
+                                 objective=problem.objective_value(incumbent),
+                                 assignment=incumbent, dual_bound=-math.inf, nodes=0)
+        else:
+            result = solve_branch_and_bound(problem, lim, incumbent=incumbent)
+            run_lim.spend(result.nodes)
         # Only a stage started without an incumbent can end without one.
         if result.status == SolveStatus.INFEASIBLE:
             raise LexError(f"stage {k + 1} problem is infeasible")
@@ -114,13 +143,14 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     to its recorded optimum (1e-6 slack for the error objective, none
     for the integral ones), starting from stage i-1's assignment.
     Returns the final incumbent plus the per-stage optima; ``closed``
-    holds only when every stage proved its optimum. ``row_hook(vs)`` may
-    contribute extra rows, which is how the pinned-layout and
-    equal-endpoint variants are built.
+    holds only when every stage proved its optimum. ``lim`` bounds the
+    whole run, not each stage: the stages share one deadline and one
+    node budget. ``row_hook(vs)`` may contribute extra rows, which is how
+    the pinned-layout and equal-endpoint variants are built.
     """
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, row_hook)
-    values, result, closed = _solve_stages(stages, [], lim or SolveLimits())
+    values, result, closed = _solve_stages(stages, [], _RunLimits(lim or SolveLimits()))
     return LexResult(order=order, stage_values=tuple(values),
                      result=result, vs=vs, closed=closed)
 
@@ -142,25 +172,27 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     budget only widens, so that assignment stays feasible. The secondary
     optimum is nonincreasing in s; values are read off the final
     incumbent of each point, which is ``closed`` when stage 1 and every
-    stage of the point proved its optimum.
+    stage of the point proved its optimum. ``lim`` is one deadline and
+    one node budget for stage 1 and every point together; once it is
+    spent, each later point keeps the previous point's assignment.
     """
     order = _check_order(order)
     if len(order) < 2:
         raise LexError("a sweep needs at least two objectives")
     if steps < 1:
         raise LexError("step count must be at least 1")
-    lim = lim or SolveLimits()
     delta = default_step_size(order[0], fid)
     if delta <= 0.0:
         raise LexError("step size must be positive")
 
     _, stages = _stages(c, g, fid, order)
-    (o1,), result, first_closed = _solve_stages(stages[:1], [], lim)
+    run_lim = _RunLimits(lim or SolveLimits())
+    (o1,), result, first_closed = _solve_stages(stages[:1], [], run_lim)
     points: list[ParetoPoint] = []
     for s in range(steps):
-        budget = o1 + _OBJ_EPS[order[0]] + s * delta
-        _, result, closed = _solve_stages(stages, [_budget_row(stages[0].objective, budget)],
-                                          lim, first=1, incumbent=result.assignment)
+        ceiling = o1 + _OBJ_EPS[order[0]] + s * delta
+        _, result, closed = _solve_stages(stages, [_budget_row(stages[0].objective, ceiling)],
+                                          run_lim, first=1, incumbent=result.assignment)
         achieved = [st.objective_value(result.assignment) for st in stages]
         points.append(ParetoPoint(
             step_index=s,

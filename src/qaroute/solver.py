@@ -9,14 +9,20 @@ objective, the cheapest remaining placement of every unplaced gate. No
 LP relaxation is involved; at desk scale the combinatorial bound closes
 the tree quickly and keeps the solver dependency-free.
 
-``solve_exhaustive`` is the independent reference: dynamic programming
-over complete qubit-to-node mappings with transitions enumerated from
-the matchings of the hardware graph. It shares nothing with the
-branch-and-bound path except the gate and swap prices of the fidelity
-model. Its values come from its own ``stage_cost``, so its optimum
-stays an independent check on the branch and bound (acceptance
-criterion 1); only the layouts it walks back are turned into a routed
-circuit, by ``extract.schedule``, the builder ``decode`` uses too.
+``solve_exhaustive`` is the exact engine of the ``bip``, ``bip_layout``
+and ``bip_routing`` variants on every instance its guard
+(``exhaustive_fits``) admits: dynamic programming, in numpy, over the
+placements of the qubits some gate touches, with transitions enumerated
+from the matchings of the hardware graph. Its result is a proof, so it
+ignores the solve limits; the guard bounds its work instead. It shares
+nothing with the branch-and-bound path except the gate and swap prices
+of the fidelity model, and its values come from its own step costs.
+The branch and bound, through ``lexopt``, routes ``bip_constrained``,
+``pareto`` and the instances past the guard, and it is the tests'
+independent MILP oracle for the DP (acceptance criterion 1 and the
+idle-qubit cases in ``tests/test_solver.py``): the DP is never checked
+against itself. Only the layouts the DP walks back are turned into a
+routed circuit, by ``extract.schedule``, the builder ``decode`` uses too.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings, norm_edge
+from .hwgraph import HardwareGraph, enumerate_matchings
 
 
 class SolveError(ValueError):
@@ -413,24 +419,75 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive reference solver.
+# The layout DP.
 
 # Slack within which two values of an objective count as tied when a
 # later objective breaks the tie (lexicographic stages and the DP alike).
 _OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
+# The DP's guard, which bounds its time in place of the solve limits
+# (it ignores them): at most DP_MAX_NODES nodes, and at most DP_WORK_CAP
+# transitions, counted as (active-qubit placements + DP_STEP_OVERHEAD)
+# times matchings times steps. Each matching of each step costs about
+# 0.1 ms of fixed numpy calls, as much as about 4,000 transitions; without
+# that term a circuit with two active qubits could pass the cap with
+# 12,000 steps and run for about 80 s. On a shared 2-CPU x86 machine: the
+# largest benchmark rung (grid-8, six active qubits, 3 layers, 1.2e7)
+# solves in about 0.3 s, and a grid-8 instance with eight active qubits
+# and 16 steps, which counts 5.0e7, just past the cap, took 1.1 s.
+DP_MAX_NODES = 8
+DP_WORK_CAP = 5e7
+DP_STEP_OVERHEAD = 4000
+
+
+def _active_qubits(c: LayeredCircuit) -> list[int]:
+    return sorted({q for gate in c.gates() for q in gate.operands})
+
+
+def exhaustive_fits(c: LayeredCircuit, g: HardwareGraph) -> bool:
+    """Whether the layout DP takes ``c`` on ``g``: equal sizes, at most
+    ``DP_MAX_NODES`` nodes, and at most ``DP_WORK_CAP`` transitions."""
+    if c.n_qubits != g.n or g.n > DP_MAX_NODES:
+        return False
+    states = math.perm(g.n, len(_active_qubits(c)))
+    work = (states + DP_STEP_OVERHEAD) * len(enumerate_matchings(g)) * max(1, c.num_steps)
+    return work <= DP_WORK_CAP
+
+
+def _less(a, b, slack) -> np.ndarray:
+    """Element-wise lexicographic ``a < b`` over lists of objective rows,
+    each row but the last compared within its slack."""
+    out = np.zeros(len(a[0]), dtype=bool)
+    open_ = np.ones(len(a[0]), dtype=bool)
+    for x, y, s in zip(a, b, slack):
+        lt, gt = x < y - s, x > y + s
+        out |= open_ & lt
+        open_ &= ~(lt | gt)
+    return out
+
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                     objective="error"):
-    """Reference optimum by dynamic programming over complete layouts.
+                     objective="error", initial_map=None):
+    """Optimum by dynamic programming over the layouts of the active qubits.
+
+    A state is the node tuple of the qubits some gate touches (a rows of
+    an int array, one per placement, keyed by sorted int64 keys), so
+    there are n!/(n-a)! states; idle qubits are interchangeable and
+    ride along. Each step loops over the matchings of the hardware
+    graph, never over states: under one matching every state has one
+    successor, found by ``np.searchsorted`` on the keys, and a target
+    keeps a candidate that beats its value lexicographically, each
+    component but the last within its ``_OBJ_EPS`` slack, so float
+    rounding in a sum cannot decide a later component. The walk back
+    puts the idle qubits on the free nodes at step 0, in order, and
+    carries them through the recorded matchings.
 
     ``objective`` is one of ``error``/``depth``/``crosstalk`` or a tuple
-    of them, in which case cost vectors are compared lexicographically,
-    each component but the last within its ``_OBJ_EPS`` slack, so float
-    rounding in a sum cannot decide a later component. Returns
-    ``(value, routed)`` where ``routed`` is one optimal routed circuit
-    (see extract.RoutedCircuit). Instances are capped at eight nodes;
-    the state space is every permutation of the register.
+    of them. ``initial_map`` pins the step-0 layout of every qubit, idle
+    ones included. Returns ``(value, routed)``, the value a tuple when
+    ``objective`` is, and one optimal routed circuit (see
+    extract.RoutedCircuit). Raises ``SolveError`` past the guard
+    (``exhaustive_fits``) and when no routing exists.
     """
     single = isinstance(objective, str)
     objs = (objective,) if single else tuple(objective)
@@ -439,124 +496,167 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             raise SolveError(f"unknown objective {o!r}")
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
+    if not exhaustive_fits(c, g):
+        raise SolveError("instance too large for exhaustive enumeration")
     n, m = g.n, c.num_steps
-    if n > 8:
-        raise SolveError("instance too large for exhaustive enumeration")
-    matchings = enumerate_matchings(g)
-    if math.factorial(n) * max(1, len(matchings)) * max(1, m) > 5e7:
-        raise SolveError("instance too large for exhaustive enumeration")
+    if initial_map is not None and sorted(initial_map) != list(range(n)):
+        raise SolveError("initial_map is not a qubit-to-node bijection")
     if m == 0:
         return (0.0 if single else (0.0,) * len(objs)), schedule(c, fid, [], "exhaustive")
 
-    adj = [[False] * n for _ in range(n)]
-    for i, j in g.edges:
-        adj[i][j] = adj[j][i] = True
-    move_maps = []
+    active = _active_qubits(c)
+    a = len(active)
+    col = {q: k for k, q in enumerate(active)}
+    places = math.perm(n, a)
+    states = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), a)),
+                         dtype=np.int64, count=places * a).reshape(places, a)
+    weights = n ** np.arange(a - 1, -1, -1, dtype=np.int64)
+    keys = states @ weights  # ascending: permutations come in lexicographic order
+
+    adj = np.zeros((n, n), dtype=bool)
+    edge_id = np.zeros((n, n), dtype=np.int64)
+    for k, (i, j) in enumerate(g.edges):
+        adj[i, j] = adj[j, i] = True
+        edge_id[i, j] = edge_id[j, i] = k
+    plain, merged = {}, {}
+    for gate in c.gates():
+        plain[gate.gid] = np.full((n, n), math.inf)
+        merged[gate.gid] = np.full((n, n), math.inf)
+        for i, j in g.edges:
+            plain[gate.gid][i, j] = plain[gate.gid][j, i] = fid.gate_error(gate.gid, i, j)
+            merged[gate.gid][i, j] = merged[gate.gid][j, i] = fid.gate_error(
+                gate.gid, i, j, merged=True)
+    gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
+    matchings = enumerate_matchings(g)
+    moves = []
     for M in matchings:
-        mv = list(range(n))
+        mv = np.arange(n)
         for i, j in M:
             mv[i], mv[j] = j, i
-        move_maps.append(tuple(mv))
-    dummyset = set(c.dummy_steps)
-    gates_at = [[(gt.p, gt.q, gt.gid) for gt in grp] for grp in c.groups]
-    partner_at = []
-    for grp in c.groups:
-        pm: dict[int, int] = {}
-        for gt in grp:
-            pm[gt.p] = gt.q
-            pm[gt.q] = gt.p
-        partner_at.append(pm)
-    pairs = g.crosstalk_pairs
+        moves.append(mv)
+    dummy = set(c.dummy_steps)
+    pairs = [(edge_id[e1], edge_id[e2]) for e1, e2 in g.crosstalk_pairs]
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
 
-    def less(a, b) -> bool:
-        for x, y, s in zip(a, b, slack):
-            if x < y - s:
-                return True
-            if x > y + s:
-                return False
-        return False
+    def valid(t: int, rows: np.ndarray) -> np.ndarray:
+        ok = np.ones(len(rows), dtype=bool)
+        for cp, cq, _ in gates_at[t]:
+            ok &= adj[rows[:, cp], rows[:, cq]]
+        return ok
 
-    def valid(t: int, pos: tuple[int, ...]) -> bool:
-        for pq, qq, _ in gates_at[t]:
-            if not adj[pos[pq]][pos[qq]]:
-                return False
-        return True
+    def leaving(t: int, alive: np.ndarray):
+        """Transitions out of step t from the states ``alive``, as a
+        function of one swap set and its node map. It gives a mask of the
+        states that may take the set (every gate runs in place or absorbs
+        a swap of its own operands, every other swapped pair holds no gate
+        qubit, and some active qubit moves on every swapped edge, since a
+        swap of two idle qubits changes no state and only adds cost), the
+        key of each state's successor, and one cost row per objective."""
+        rows, here = states[alive], keys[alive]
+        everyone = np.arange(len(rows))
+        seat = np.zeros((len(rows), n), dtype=np.int64)  # a node's key weight, 0 if idle
+        for k in range(a):
+            seat[everyone, rows[:, k]] = weights[k]
+        held = np.zeros((len(rows), n), dtype=bool)  # a node holds a gate qubit
+        used = np.zeros(len(rows), dtype=np.int64)  # bit e: edge e carries a gate
+        placed = []
+        for cp, cq, gid in gates_at[t]:
+            i, j = rows[:, cp], rows[:, cq]
+            placed.append((i, j, plain[gid][i, j], merged[gid][i, j]))
+            held[everyone, i] = held[everyone, j] = True
+            used |= 1 << edge_id[i, j]
 
-    def stage_cost(t: int, pos, occ, M, mv) -> tuple[float, ...] | None:
-        """Cost incurred leaving step t with swap set M; None if invalid."""
-        pm = partner_at[t]
-        err = 0.0
-        used = set()
-        for pq, qq, gid in gates_at[t]:
-            i, j = pos[pq], pos[qq]
-            err += fid.gate_error(gid, i, j, merged=mv[i] == j)
-            used.add(norm_edge(i, j))
-        for (i, j) in M:
-            qa, qb = occ[i], occ[j]
-            in_a, in_b = qa in pm, qb in pm
-            if in_a or in_b:
-                if pm.get(qa) != qb:
-                    return None
-            else:
-                err += fid.swap_error(i, j)
-            used.add((i, j))
-        out = []
-        for o in objs:
-            if o == "error":
-                out.append(err)
-            elif o == "depth":
-                out.append(1.0 if (t in dummyset and M) else 0.0)
-            else:
-                out.append(float(sum(1 for e1, e2 in pairs if e1 in used and e2 in used)))
-        return tuple(out)
+        def take(M, mv):
+            ok = np.ones(len(rows), dtype=bool)
+            err = np.zeros(len(rows))
+            for i, j, e_plain, e_merged in placed:
+                swapped = mv[i] == j
+                ok &= swapped | ((mv[i] == i) & (mv[j] == j))
+                err += np.where(swapped, e_merged, e_plain)
+            succ = here
+            both = used
+            for i, j in M:
+                ok &= (seat[:, i] | seat[:, j]) != 0
+                err += np.where(held[:, i], 0.0, fid.swap_error(i, j))
+                succ = succ + (j - i) * (seat[:, i] - seat[:, j])
+                both = both | 1 << edge_id[i, j]
+            cost = []
+            for o in objs:
+                if o == "error":
+                    cost.append(err)
+                elif o == "depth":
+                    cost.append(np.full(len(rows), 1.0 if (t in dummy and M) else 0.0))
+                else:
+                    cost.append(sum(((both >> e1) & (both >> e2) & 1 for e1, e2 in pairs),
+                                    np.zeros(len(rows))))
+            return ok, succ, cost
 
-    zero = (0.0,) * len(objs)
-    dp: dict[tuple[int, ...], tuple] = {}
-    for pos in itertools.permutations(range(n)):
-        if valid(0, pos):
-            dp[pos] = zero
-    parents: list[dict] = [dict() for _ in range(m)]
+        return take
+
+    value = [np.full(places, math.inf) for _ in objs]
+    if initial_map is None:
+        start = np.flatnonzero(valid(0, states))
+    else:
+        key = np.array([initial_map[q] for q in active], dtype=np.int64) @ weights
+        start = np.searchsorted(keys, [key])
+        start = start[valid(0, states[start])]
+    for v in value:
+        v[start] = 0.0
+    parents = []
     for t in range(m - 1):
-        ndp: dict[tuple[int, ...], tuple] = {}
-        npar = parents[t + 1]
-        for pos, cost in dp.items():
-            occ = [0] * n
-            for qq, node in enumerate(pos):
-                occ[node] = qq
-            for M, mv in zip(matchings, move_maps):
-                sc = stage_cost(t, pos, occ, M, mv)
-                if sc is None:
-                    continue
-                npos = tuple(mv[node] for node in pos)
-                if not valid(t + 1, npos):
-                    continue
-                nc = tuple(a + b for a, b in zip(cost, sc))
-                old = ndp.get(npos)
-                if old is None or less(nc, old):
-                    ndp[npos] = nc
-                    npar[npos] = pos
-        dp = ndp
-        if not dp:
-            raise SolveError("instance is infeasible")
-    if not dp:
+        alive = np.flatnonzero(np.isfinite(value[0]))
+        base = [v[alive] for v in value]
+        ahead = valid(t + 1, states)
+        value = [np.full(places, math.inf) for _ in objs]
+        parent = np.full(places, -1, dtype=np.int32)
+        via = np.zeros(places, dtype=np.int16)
+        take = leaving(t, alive)
+        for k, (M, mv) in enumerate(zip(matchings, moves)):
+            ok, succ, cost = take(M, mv)
+            src = np.flatnonzero(ok)
+            tgt = np.searchsorted(keys, succ[src])
+            keep = ahead[tgt]
+            src, tgt = src[keep], tgt[keep]
+            cand = [b[src] + x[src] for b, x in zip(base, cost)]
+            win = _less(cand, [v[tgt] for v in value], slack)
+            tgt = tgt[win]
+            for v, x in zip(value, cand):
+                v[tgt] = x[win]
+            parent[tgt] = alive[src[win]]
+            via[tgt] = k
+        parents.append((parent, via))
+    alive = np.flatnonzero(np.isfinite(value[0]))
+    if len(alive) == 0:
         raise SolveError("instance is infeasible")
 
-    # The last step runs its gates with no swap set.
-    identity = tuple(range(n))
-    best_pos, best_total = None, None
-    for pos, cost in dp.items():
-        last = stage_cost(m - 1, pos, (), (), identity)
-        total = tuple(a + b for a, b in zip(cost, last))
-        if best_total is None or less(total, best_total):
-            best_total, best_pos = total, pos
+    # The last step runs its gates with no swap set; the best final state
+    # has the least error, then within its slack the least depth, and so on.
+    _, _, last = leaving(m - 1, alive)((), np.arange(n))
+    total = [v[alive] + x for v, x in zip(value, last)]
+    pick = np.arange(len(alive))
+    for row, s in zip(total, slack):
+        pick = pick[row[pick] <= row[pick].min() + s]
+    best = int(pick[0])
 
-    # Walk parents back to recover the layout of every step.
-    layouts = [best_pos]
-    for t in range(m - 1, 0, -1):
-        layouts.append(parents[t][layouts[-1]])
-    value = best_total[0] if single else best_total
-    return value, schedule(c, fid, layouts[::-1], "exhaustive")
+    # Walk the parents back, then lay the idle qubits on the free nodes
+    # of step 0 (or their pinned nodes) and carry them forward.
+    state, taken = int(alive[best]), []
+    for parent, via in reversed(parents):
+        taken.append(int(via[state]))
+        state = int(parent[state])
+    pos = np.full(n, -1)
+    pos[active] = states[state]
+    idle = [q for q in range(n) if q not in col]
+    if initial_map is None:
+        pos[idle] = sorted(set(range(n)) - set(pos[active].tolist()))
+    else:
+        pos[idle] = [initial_map[q] for q in idle]
+    layouts = [tuple(pos.tolist())]
+    for k in reversed(taken):
+        pos = moves[k][pos]
+        layouts.append(tuple(pos.tolist()))
+    result = tuple(float(row[best]) for row in total)
+    return (result[0] if single else result), schedule(c, fid, layouts, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

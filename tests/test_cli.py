@@ -9,7 +9,7 @@ from qaroute import cli, qvbench
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
-from qaroute.extract import routed_from_json
+from qaroute.extract import FreeSwap, routed_from_json
 from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolveLimits, export_solution,
@@ -46,39 +46,60 @@ def test_transpile_infeasible_exit(capsys):
 
 
 def test_transpile_limit_exit(capsys):
+    # bip_constrained always solves through the stage loop.
     code = main(["transpile", "--builtin", "grid,6", "--qv", "6,1",
-                 "--qv-layers", "3", "--node-limit", "40"])
+                 "--qv-layers", "3", "--variant", "bip_constrained", "--node-limit", "40"])
     assert code == 3
     # An incumbent is still reported in full.
     assert "structural: ok" in capsys.readouterr().out
 
 
 def test_stage_one_limit_exits_3_even_when_stage_two_closes(capsys):
-    # Stage 1 stops at the node limit with an incumbent; stage 2 starts
-    # from that assignment and proves its optimum at the root. Without
-    # the warm start stage 2 had no incumbent (exit 2); exit 0 would
-    # claim an error optimum that stage 1 never proved.
-    code = main(["transpile", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2",
+    # Ten nodes put bip past the DP's guard. Stage 1 stops at the node
+    # limit with an incumbent; the limit covers the whole run, so stage 2
+    # keeps that incumbent unsearched. Exit 0 would claim an error
+    # optimum that stage 1 never proved, and exit 2 a limit as
+    # infeasible.
+    code = main(["transpile", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2",
                  "--seed", "6", "--node-limit", "50"])
     assert code == 3
     assert "structural: ok" in capsys.readouterr().out
 
 
+def test_cliff_rung_is_proved_by_the_layout_dp(tmp_path):
+    # The y-8/w6/4L/s0 rung of the exact_deadline benchmark: the branch
+    # and bound found no incumbent here within 3 s; the layout DP proves
+    # the reference optimum, and ignores the limit.
+    code = main(["transpile", "--builtin", "y,8", "--qv", "6,1", "--qv-layers", "4",
+                 "--seed", "202", "--time-limit", "3", "--out", str(tmp_path)])
+    assert code == 0
+    report = dict(line.split(": ") for line in
+                  (tmp_path / "report.txt").read_text().splitlines())
+    assert float(report["error_objective_value"]) == pytest.approx(0.2705157477246709,
+                                                                   abs=1e-9)
+    rc = routed_from_json((tmp_path / "routed.json").read_text())
+    swap_layers = sum(1 for ops in rc.steps
+                      if ops and all(isinstance(op, FreeSwap) for op in ops))
+    assert swap_layers == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["pareto", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
      "--node-limit", "50", "--steps", "2"],
-    ["bench", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
+    ["bench", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
      "--node-limit", "50"],
 ])
 def test_sweep_and_bench_exit_3_when_a_stage_is_unproven(argv, tmp_path):
-    # The instance of the test above: stage 1 stops unproven at 50 nodes.
-    # Both commands still write their full table.
+    # pareto always solves through the stage loop; bench's bip runs past
+    # the DP's guard on ten nodes. Stage 1 stops unproven at 50 nodes, and
+    # both commands still write their full table.
     assert main([*argv, "--out", str(tmp_path)]) == 3
     assert len(list(tmp_path.glob("*.tsv"))) == 1
 
 
 def test_layout_variant_limit_without_incumbent_exits_2(capsys):
-    code = main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2",
+    # Ten nodes put bip_layout past the DP's guard.
+    code = main(["transpile", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2",
                  "--variant", "bip_layout", "--node-limit", "1"])
     assert code == 2
     assert "infeasible:" in capsys.readouterr().err

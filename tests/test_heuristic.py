@@ -13,6 +13,7 @@ from qaroute.heuristic import (VARIANTS, HeuristicError, _repair_first_layer,
                                heuristic_layout, heuristic_route, run_variant_full)
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
 from qaroute.qvbench import haar_su4
+from qaroute.solver import SolveLimits, exhaustive_fits
 
 
 @pytest.fixture(scope="module")
@@ -90,31 +91,80 @@ def test_variants_produce_valid_schedules(inst, line4, variant):
         assert run.closed
 
 
+def record_solves(monkeypatch):
+    """Record every layout-DP call that ``run_variant_full`` makes (its
+    objective order and pinned layout) and every branch-and-bound solve
+    of the stage loop (objective, incumbent, result)."""
+    dp_calls, bb_calls = [], []
+    dp = qaroute.heuristic.solve_exhaustive
+    solve = qaroute.lexopt.solve_branch_and_bound
+
+    def recording_dp(c, g, fid, objective, initial_map=None):
+        dp_calls.append((objective, initial_map))
+        return dp(c, g, fid, objective, initial_map=initial_map)
+
+    def recording_bb(p, lim, incumbent=None):
+        bb_calls.append((p.objective_kind, incumbent, solve(p, lim, incumbent=incumbent)))
+        return bb_calls[-1][2]
+
+    monkeypatch.setattr(qaroute.heuristic, "solve_exhaustive", recording_dp)
+    monkeypatch.setattr(qaroute.lexopt, "solve_branch_and_bound", recording_bb)
+    return dp_calls, bb_calls
+
+
+def assert_stage_loop(bb_calls, order):
+    # One solve per objective; each stage after the first starts from the
+    # previous stage's assignment, and the first starts cold.
+    assert [kind for kind, _, _ in bb_calls] == list(order)
+    assert bb_calls[0][1] is None
+    for prev, (_, incumbent, _) in zip(bb_calls, bb_calls[1:]):
+        assert incumbent is prev[2].assignment
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
                                                            monkeypatch):
-    # One solve per objective of the variant's order, all made by the
-    # lexicographic stage loop; the greedy variant makes none.
-    # Each stage after the first starts from the previous stage's
-    # assignment; the first starts cold.
-    order = {"sabre_like": [], "bip_layout": ["error"]}.get(variant, ["error", "depth"])
-    calls, incumbents, results = [], [], []
-    solve = qaroute.lexopt.solve_branch_and_bound
-
-    def recording(p, lim, incumbent=None):
-        calls.append(p.objective_kind)
-        incumbents.append(incumbent)
-        results.append(solve(p, lim, incumbent=incumbent))
-        return results[-1]
-
-    monkeypatch.setattr(qaroute.lexopt, "solve_branch_and_bound", recording)
+    # Within the DP's guard, bip, bip_layout and bip_routing make one DP
+    # call with their objective order (bip_routing pinned to its greedy
+    # layout) and no branch-and-bound solve; bip_constrained solves
+    # through the lexicographic stage loop; the greedy variant makes
+    # neither.
+    dp_calls, bb_calls = record_solves(monkeypatch)
     c, fid = inst
-    run_variant_full(variant, c, line4, fid)
-    assert calls == order
-    if calls:
-        assert incumbents[0] is None
-    for prev, incumbent in zip(results, incumbents[1:]):
-        assert incumbent is prev.assignment
+    run = run_variant_full(variant, c, line4, fid)
+    if variant == "bip_constrained":
+        assert dp_calls == []
+        assert_stage_loop(bb_calls, ("error", "depth"))
+    elif variant == "sabre_like":
+        assert dp_calls == [] and bb_calls == []
+    else:
+        order = ("error",) if variant == "bip_layout" else ("error", "depth")
+        pinned = heuristic_layout(c, line4, fid) if variant == "bip_routing" else None
+        assert dp_calls == [(order, pinned)]
+        assert bb_calls == []
+        assert run.closed
+
+
+@pytest.mark.parametrize("variant", ["bip", "bip_routing"])
+def test_instance_past_the_guard_solves_through_the_stage_loop(variant, monkeypatch):
+    # Ten nodes exceed the DP's guard: the model variants fall back to the
+    # stage loop. bip's error stage spends the run's 200 nodes, so its
+    # depth stage keeps that incumbent unsearched; the pinned layout of
+    # bip_routing leaves little to search, and both stages close.
+    line10 = builtin_topology("line", 10)
+    c, fid = prepared(random_layered_circuit(4, (1, 1), 3), line10, 1)
+    assert not exhaustive_fits(c, line10)
+    dp_calls, bb_calls = record_solves(monkeypatch)
+    run = run_variant_full(variant, c, line10, fid, SolveLimits(node_limit=200))
+    assert dp_calls == []
+    assert verify_structural(run.routed, c, line10) is None
+    if variant == "bip":
+        assert_stage_loop(bb_calls, ("error",))
+        assert not run.closed
+    else:
+        assert_stage_loop(bb_calls, ("error", "depth"))
+        assert run.closed
+        assert run.routed.initial_map == heuristic_layout(c, line10, fid)
 
 
 def test_bip_dominates_heuristic(inst, line4):

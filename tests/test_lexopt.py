@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import prepared, random_layered_circuit
-from qaroute.bipmodel import Row, assemble_problem
+import qaroute.lexopt
+from qaroute.bipmodel import Row, assemble_problem, set_objective
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.extract import decode
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
-from qaroute.lexopt import (LexError, ParetoPoint, default_step_size,
+from qaroute.lexopt import (LexError, ParetoPoint, _budget_row, default_step_size,
                             lexicographic_solve, pareto_sweep, sweep_table)
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import SolveLimits, SolveStatus, solve_branch_and_bound
+from qaroute.solver import _OBJ_EPS, SolveLimits, SolveStatus, solve_branch_and_bound
 
 
 @pytest.fixture(scope="module")
@@ -94,33 +95,99 @@ def test_sweep_point_never_dominated_by_the_previous(grid6):
 
 
 def test_closed_needs_every_stage_proved(grid6):
-    # Stage 1 stops at the node limit with an incumbent; stage 2 starts
-    # from it and proves depth 0 at the root, but only under the loose
-    # stage-1 budget, so the run is not closed.
+    # Stage 1 stops at the node limit with an incumbent. The limit covers
+    # the whole run, so stage 2 keeps that incumbent without a search: its
+    # value is the incumbent's depth, unproven, and the run is not closed.
     c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [6, 0]), n_layers=2),
                                       grid6.n), 2)
     fid = FidelityModel.build(c, grid6)
     lim = SolveLimits(node_limit=50)
-    _, p_err = assemble_problem(c, grid6, fid, objective="error")
-    assert solve_branch_and_bound(p_err, lim).status is SolveStatus.FEASIBLE
+    vs, p_err = assemble_problem(c, grid6, fid, objective="error")
+    first = solve_branch_and_bound(p_err, lim)
+    assert first.status is SolveStatus.FEASIBLE
     lex = lexicographic_solve(c, grid6, fid, ("error", "depth"), lim)
-    assert lex.stage_values[1] == 0.0
-    assert lex.result.status is SolveStatus.OPTIMAL
+    assert lex.stage_values[0] == first.objective
+    assert lex.result.status is SolveStatus.FEASIBLE
+    assert lex.result.nodes == 0
+    assert np.array_equal(lex.result.assignment, first.assignment)
+    depth = set_objective(p_err, vs, "depth", fid).objective_value(first.assignment)
+    assert lex.stage_values[1] == depth
     assert not lex.closed
 
 
+def record_limits(monkeypatch) -> list:
+    """Record the limits and the result of every stage solve."""
+    calls = []
+    solve = qaroute.lexopt.solve_branch_and_bound
+
+    def recording(p, lim, incumbent=None):
+        calls.append((lim, solve(p, lim, incumbent=incumbent)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qaroute.lexopt, "solve_branch_and_bound", recording)
+    return calls
+
+
+def test_stages_share_one_limit(inst, line4, monkeypatch):
+    # One node budget and one deadline cover both stages: stage 2 gets
+    # what stage 1 left. A budget one node short of both proofs would
+    # close each stage alone, but not the run.
+    c, fid = inst
+    calls = record_limits(monkeypatch)
+    assert lexicographic_solve(c, line4, fid, ("error", "depth")).closed
+    n1, n2 = (res.nodes for _, res in calls)
+    assert n2 >= 2
+    calls.clear()
+    lex = lexicographic_solve(c, line4, fid, ("error", "depth"),
+                              SolveLimits(time_limit=60.0, node_limit=n1 + n2 - 1))
+    (lim1, res1), (lim2, res2) = calls
+    assert lim1.node_limit == n1 + n2 - 1 and res1.nodes == n1
+    assert res1.status is SolveStatus.OPTIMAL
+    assert lim2.node_limit == n2 - 1
+    assert lim2.time_limit < lim1.time_limit <= 60.0
+    assert res2.status is SolveStatus.FEASIBLE
+    assert not lex.closed
+
+
+def test_sweep_points_share_the_run_limit(inst, line4, monkeypatch):
+    # Stage 1 of the sweep proves its optimum with the last node of the
+    # run's budget, so no sweep point searches: each keeps stage 1's
+    # assignment, unproven.
+    c, fid = inst
+    calls = record_limits(monkeypatch)
+    lexicographic_solve(c, line4, fid, ("error",))
+    n1 = calls[0][1].nodes
+    calls.clear()
+    points = pareto_sweep(c, line4, fid, ("error", "depth"), steps=3,
+                          lim=SolveLimits(node_limit=n1))
+    assert len(calls) == 1
+    first = calls[0][1]
+    assert first.status is SolveStatus.OPTIMAL
+    for pt in points:
+        assert not pt.closed
+        assert pt.primary_value == pytest.approx(first.objective, abs=1e-12)
+
+
 def test_depth_stage_tries_no_swap_layer_first(grid6):
-    # Stage 1 stops early at an incumbent of depth 4. The depth stage
-    # branches on its swap-layer indicators first, each at 0, so it
-    # finds a depth-0 routing under that loose budget within a few dozen
-    # nodes; placing qubits first took over 12,000.
+    # Stage 1 stops early at an incumbent of depth 4. The depth stage,
+    # started from that incumbent under its loose error budget, branches
+    # on its swap-layer indicators first, each at 0, so it finds a depth-0
+    # routing within a few dozen nodes; placing qubits first took over
+    # 12,000.
     c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [202, 0]), n_layers=4),
                                       grid6.n), 2)
     fid = FidelityModel.build(c, grid6)
-    lex = lexicographic_solve(c, grid6, fid, ("error", "depth"), SolveLimits(node_limit=2000))
-    assert lex.stage_values[1] == 0.0
-    assert lex.result.status is SolveStatus.OPTIMAL
-    assert lex.result.nodes <= 100
+    vs, p_err = assemble_problem(c, grid6, fid, objective="error")
+    first = solve_branch_and_bound(p_err, SolveLimits(node_limit=2000))
+    assert first.status is SolveStatus.FEASIBLE
+    p_depth = set_objective(p_err, vs, "depth", fid)
+    assert p_depth.objective_value(first.assignment) == 4.0
+    budget = _budget_row(p_err.objective, first.objective + _OBJ_EPS["error"])
+    second = solve_branch_and_bound(p_depth.with_rows([budget]), SolveLimits(node_limit=2000),
+                                    incumbent=first.assignment)
+    assert second.objective == 0.0
+    assert second.status is SolveStatus.OPTIMAL
+    assert second.nodes <= 100
 
 
 def test_sweep_argument_validation(inst, line4):

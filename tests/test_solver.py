@@ -5,13 +5,14 @@ from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
-from qaroute.extract import stats
+from qaroute.extract import stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
+from qaroute.heuristic import heuristic_layout
 from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolutionInfeasibleError, SolveError, SolveLimits,
                             SolveStatus, export_model, export_solution,
-                            import_model, import_solution,
+                            exhaustive_fits, import_model, import_solution,
                             solve_branch_and_bound, solve_exhaustive)
 
 
@@ -270,6 +271,27 @@ def test_exhaustive_guard():
         solve_exhaustive(c, big, fid, objective="error")
 
 
+def test_guard_counts_placements_of_active_qubits():
+    # grid-8 has 71 matchings. Over 19 steps, 8! layouts exceed the cap of
+    # 5e7 transitions; the 56 placements of two active qubits do not. Each
+    # matching of each step also counts DP_STEP_OVERHEAD transitions, so
+    # the two active qubits are refused over 178 steps.
+    from qaroute.hwgraph import builtin_topology
+    g = builtin_topology("grid", 8)
+    full, fid_full = prepared(random_layered_circuit(8, (4,) * 7, seed=16), g, 2)
+    pair, fid_pair = prepared(random_layered_circuit(2, (1,) * 7, seed=16), g, 2)
+    assert full.num_steps == pair.num_steps == 19
+    assert not exhaustive_fits(full, g)
+    with pytest.raises(SolveError, match="too large"):
+        solve_exhaustive(full, g, fid_full, "error")
+    assert exhaustive_fits(pair, g)
+    value, rc = solve_exhaustive(pair, g, fid_pair, "error")
+    assert stats(rc, fid_pair, g).error_objective_value == pytest.approx(value, abs=1e-12)
+    long_pair, _ = prepared(random_layered_circuit(2, (1,) * 60, seed=16), g, 2)
+    assert long_pair.num_steps == 178
+    assert not exhaustive_fits(long_pair, g)
+
+
 def test_exhaustive_lexicographic_ties_within_slack(line6):
     # Two routes reach the same error up to float rounding (...645 vs
     # ...622); the depth component must decide between them, not the
@@ -281,6 +303,45 @@ def test_exhaustive_lexicographic_ties_within_slack(line6):
     assert depth == 2.0
     assert err == pytest.approx(0.22806097054182645, abs=1e-9)
     assert stats(rc, fid, line6).error_objective_value == pytest.approx(err, abs=1e-12)
+
+
+# Padded instances whose idle qubits the DP leaves out of its state:
+# the width is below the node count.
+IDLE_CASES = [("line4", 2, (1, 1, 1)), ("line4", 3, (1, 1)), ("y6", 4, (2, 2)),
+              ("grid6", 4, (2, 1, 2))]
+
+
+@pytest.mark.parametrize("graph, width, layers", IDLE_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_with_idle_qubits_matches_branch_and_bound(graph, width, layers, seed, request):
+    g = request.getfixturevalue(graph)
+    c, fid = prepared(random_layered_circuit(width, layers, [17, seed]), g, 1)
+    (err, depth), rc = solve_exhaustive(c, g, fid, ("error", "depth"))
+    lex = lexicographic_solve(c, g, fid, ("error", "depth"))
+    assert lex.closed
+    assert err == pytest.approx(lex.stage_values[0], abs=1e-9)
+    assert depth == lex.stage_values[1]
+    assert verify_structural(rc, c, g) is None
+    assert stats(rc, fid, g).error_objective_value == pytest.approx(err, abs=1e-12)
+
+
+@pytest.mark.parametrize("graph, width, layers", IDLE_CASES)
+def test_pinned_dp_matches_branch_and_bound_with_pinned_rows(graph, width, layers, request):
+    g = request.getfixturevalue(graph)
+    c, fid = prepared(random_layered_circuit(width, layers, [18, 0]), g, 1)
+    layout = heuristic_layout(c, g, fid, seed=3)
+
+    def pin_rows(vs):
+        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
+                    rhs=1.0, family="PIN_INIT") for q in range(g.n)]
+
+    (err, depth), rc = solve_exhaustive(c, g, fid, ("error", "depth"), initial_map=layout)
+    lex = lexicographic_solve(c, g, fid, ("error", "depth"), row_hook=pin_rows)
+    assert lex.closed
+    assert rc.initial_map == layout
+    assert err == pytest.approx(lex.stage_values[0], abs=1e-9)
+    assert depth == lex.stage_values[1]
+    assert verify_structural(rc, c, g) is None
 
 
 def test_import_solution_rejects_non_numeric_value(line4):
