@@ -117,15 +117,13 @@ def _build_parser() -> _Parser:
         source.add_argument("--qv", type=qv, help=qv_help)
 
     def limits(sp: _Parser) -> None:
-        dp = ("; the layout DP, which proves bip, bip_layout and bip_routing on up to "
-              "8 nodes, ignores it: its guard bounds its work (about 0.3 s on the "
-              "largest benchmark rung, 1.1 s measured on one instance at the cap)")
         sp.add_argument("--time-limit", type=float, default=None,
-                        help="branch-and-bound seconds per run, shared by its "
-                             "lexicographic stages" + dp)
+                        help="seconds per run, shared by the layout DP and the "
+                             "branch and bound's lexicographic stages; a DP past it "
+                             "returns the greedy route, unproven (exit 3)")
         sp.add_argument("--node-limit", type=int, default=None,
                         help="branch-and-bound nodes per run, shared by its "
-                             "lexicographic stages" + dp)
+                             "lexicographic stages; the layout DP counts no nodes")
 
     sp = command("transpile", cmd_transpile, "route one circuit with a variant")
     circuit_source(sp, _qv_one, "one quantum-volume circuit as w,1")

@@ -20,7 +20,7 @@ from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stat
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, matching_size, norm_edge
 from .lexopt import LexError, lexicographic_solve
-from .solver import SolveError, SolveLimits, exhaustive_fits, solve_exhaustive
+from .solver import DPTimeLimit, DPTooLarge, SolveError, SolveLimits, solve_exhaustive
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
 
@@ -250,10 +250,10 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     ``seed`` seeds the greedy layout search. The four model variants
     differ only in the objective order and the extra rows. ``bip``,
     ``bip_layout`` and ``bip_routing`` (its greedy layout is the DP's
-    one start state) go to the layout DP whenever ``exhaustive_fits``
-    admits the instance, and its route is a proof. ``bip_constrained``
-    and every instance past the guard are one lexicographic solve each,
-    under ``lim``.
+    one start state) go to the layout DP, and its route is a proof; past
+    ``lim``'s time limit they return the greedy route, unproven.
+    ``bip_constrained`` and the instances the DP refuses as too large are
+    one lexicographic solve each, under ``lim``.
     """
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, fid, seed)
@@ -277,15 +277,18 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
                     for q in range(g.n) for i in range(g.n)]
     elif variant != "bip":
         raise HeuristicError(f"unknown variant {variant!r}")
-    if variant != "bip_constrained" and exhaustive_fits(c, g):
-        # The layout DP proves its optimum within its guard; the limits
-        # bound only the branch and bound.
+    rc, closed = None, True
+    if variant != "bip_constrained":
         try:
-            _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
-        except SolveError as exc:  # within the guard: no routing exists
+            _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, limits=lim)
+        except DPTimeLimit:
+            start = layout or heuristic_layout(c, g, fid, seed)
+            rc, closed = heuristic_route(c, g, start, fid), False
+        except DPTooLarge:
+            pass
+        except SolveError as exc:  # no routing exists
             raise LexError(str(exc)) from exc
-        closed = True
-    else:
+    if rc is None:
         lex = lexicographic_solve(c, g, fid, order, lim, row_hook=row_hook)
         rc = decode(lex.vs, lex.result.assignment, c, g, fid)
         closed = lex.closed

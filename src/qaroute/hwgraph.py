@@ -262,9 +262,9 @@ def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
     """All matchings (sets of pairwise disjoint edges), including the empty
     one, sorted by size, so the last is a maximum matching.
 
-    Used by the exhaustive reference solver; guarded by
-    ``MATCHING_LIMIT`` so that a huge graph fails loudly instead of
-    hanging. Where only the size of a maximum matching is needed,
+    Used by the layout DP, which counts a graph past ``MATCHING_LIMIT``
+    as too large for it; the limit makes a huge graph fail loudly instead
+    of hanging. Where only the size of a maximum matching is needed,
     ``matching_size`` finds it without listing them.
     """
     out: list[tuple[Edge, ...]] = []

@@ -9,20 +9,15 @@ objective, the cheapest remaining placement of every unplaced gate. No
 LP relaxation is involved; at desk scale the combinatorial bound closes
 the tree quickly and keeps the solver dependency-free.
 
-``solve_exhaustive`` is the exact engine of the ``bip``, ``bip_layout``
-and ``bip_routing`` variants on every instance its guard
-(``exhaustive_fits``) admits: dynamic programming, in numpy, over the
-placements of the qubits some gate touches, with transitions enumerated
-from the matchings of the hardware graph. Its result is a proof, so it
-ignores the solve limits; the guard bounds its work instead. It shares
-nothing with the branch-and-bound path except the gate and swap prices
-of the fidelity model, and its values come from its own step costs.
-The branch and bound, through ``lexopt``, routes ``bip_constrained``,
-``pareto`` and the instances past the guard, and it is the tests'
-independent MILP oracle for the DP (acceptance criterion 1 and the
-idle-qubit cases in ``tests/test_solver.py``): the DP is never checked
-against itself. Only the layouts the DP walks back are turned into a
-routed circuit, by ``extract.schedule``, the builder ``decode`` uses too.
+``solve_exhaustive``, dynamic programming in numpy over the placements
+of the qubits some gate touches and the matchings of the hardware graph,
+is the exact engine of ``bip``, ``bip_layout`` and ``bip_routing`` on
+every instance whose arrays fit ``DP_MEMORY``, until the run's time
+limit. It shares only the gate and swap prices with the branch and
+bound, which, through ``lexopt``, routes ``bip_constrained``, ``pareto``
+and the instances the DP refuses, and is the tests' independent MILP
+oracle for the DP: the DP is never checked against itself. The layouts
+the DP walks back become a routed circuit through ``extract.schedule``.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, enumerate_matchings
+from .hwgraph import MATCHING_LIMIT, HardwareGraph, TopologyError, enumerate_matchings
 
 
 class SolveError(ValueError):
@@ -425,33 +420,27 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
 # later objective breaks the tie (lexicographic stages and the DP alike).
 _OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
-# The DP's guard, which bounds its time in place of the solve limits
-# (it ignores them): at most DP_MAX_NODES nodes, and at most DP_WORK_CAP
-# transitions, counted as (active-qubit placements + DP_STEP_OVERHEAD)
-# times matchings times steps. Each matching of each step costs about
-# 0.1 ms of fixed numpy calls, as much as about 4,000 transitions; without
-# that term a circuit with two active qubits could pass the cap with
-# 12,000 steps and run for about 80 s. On a shared 2-CPU x86 machine: the
-# largest benchmark rung (grid-8, six active qubits, 3 layers, 1.2e7)
-# solves in about 0.3 s, and a grid-8 instance with eight active qubits
-# and 16 steps, which counts 5.0e7, just past the cap, took 1.1 s.
-DP_MAX_NODES = 8
-DP_WORK_CAP = 5e7
-DP_STEP_OVERHEAD = 4000
+# The layout DP holds all its arrays at once; it takes an instance only when
+# ``exhaustive_bytes`` fits DP_MEMORY, 1 GiB, which leaves a desk machine room
+# for a few ``bench`` workers running one each. The deadline bounds its time.
+DP_MEMORY = 1 << 30
 
 
-def _active_qubits(c: LayeredCircuit) -> list[int]:
-    return sorted({q for gate in c.gates() for q in gate.operands})
+class DPTooLarge(SolveError):
+    """The layout DP's arrays would not fit ``DP_MEMORY``, or its matchings cannot be listed."""
 
 
-def exhaustive_fits(c: LayeredCircuit, g: HardwareGraph) -> bool:
-    """Whether the layout DP takes ``c`` on ``g``: equal sizes, at most
-    ``DP_MAX_NODES`` nodes, and at most ``DP_WORK_CAP`` transitions."""
-    if c.n_qubits != g.n or g.n > DP_MAX_NODES:
-        return False
-    states = math.perm(g.n, len(_active_qubits(c)))
-    work = (states + DP_STEP_OVERHEAD) * len(enumerate_matchings(g)) * max(1, c.num_steps)
-    return work <= DP_WORK_CAP
+class DPTimeLimit(SolveError):
+    """The run's time limit passed before the layout DP finished."""
+
+
+def exhaustive_bytes(n: int, active: int, steps: int, objectives: int, matchings: int) -> int:
+    """Bytes of the layout DP's arrays. Per placement of the ``active``
+    qubits: node rows, key, ``seat``/``held`` rows, 32 B of values per
+    objective, 64 B of indices and temporaries, and 8 B of parents per
+    step. Per matching: its node map and its tuple of edges."""
+    per_place = 16 * active + 9 * n + 32 * objectives + 64 + 8 * steps
+    return math.perm(n, active) * per_place + matchings * (12 * n + 64)
 
 
 def _less(a, b, slack) -> np.ndarray:
@@ -467,7 +456,7 @@ def _less(a, b, slack) -> np.ndarray:
 
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                     objective="error", initial_map=None):
+                     objective="error", initial_map=None, limits: SolveLimits | None = None):
     """Optimum by dynamic programming over the layouts of the active qubits.
 
     A state is the node tuple of the qubits some gate touches (a rows of
@@ -486,8 +475,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     of them. ``initial_map`` pins the step-0 layout of every qubit, idle
     ones included. Returns ``(value, routed)``, the value a tuple when
     ``objective`` is, and one optimal routed circuit (see
-    extract.RoutedCircuit). Raises ``SolveError`` past the guard
-    (``exhaustive_fits``) and when no routing exists.
+    extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
+    would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
+    has passed (the DP counts no nodes), and ``SolveError`` when no
+    routing exists.
     """
     single = isinstance(objective, str)
     objs = (objective,) if single else tuple(objective)
@@ -496,16 +487,24 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             raise SolveError(f"unknown objective {o!r}")
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
-    if not exhaustive_fits(c, g):
-        raise SolveError("instance too large for exhaustive enumeration")
     n, m = g.n, c.num_steps
     if initial_map is not None and sorted(initial_map) != list(range(n)):
         raise SolveError("initial_map is not a qubit-to-node bijection")
     if m == 0:
         return (0.0 if single else (0.0,) * len(objs)), schedule(c, fid, [], "exhaustive")
 
-    active = _active_qubits(c)
+    active = sorted({q for gate in c.gates() for q in gate.operands})
     a = len(active)
+    xt = g.crosstalk_edges if "crosstalk" in objs else ()  # one int64 mask bit each
+    if len(xt) > 63:
+        raise SolveError("the layout DP counts crosstalk on at most 63 edges")
+    if exhaustive_bytes(n, a, m, len(objs), MATCHING_LIMIT) > DP_MEMORY:
+        raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
+    try:
+        matchings = enumerate_matchings(g)
+    except TopologyError as exc:
+        raise DPTooLarge(str(exc)) from exc
+    deadline = time.perf_counter() + ((limits and limits.time_limit) or math.inf)
     col = {q: k for k, q in enumerate(active)}
     places = math.perm(n, a)
     states = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), a)),
@@ -514,10 +513,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     keys = states @ weights  # ascending: permutations come in lexicographic order
 
     adj = np.zeros((n, n), dtype=bool)
-    edge_id = np.zeros((n, n), dtype=np.int64)
-    for k, (i, j) in enumerate(g.edges):
+    for i, j in g.edges:
         adj[i, j] = adj[j, i] = True
-        edge_id[i, j] = edge_id[j, i] = k
+    bit = np.zeros((n, n), dtype=np.int64)
+    for k, (i, j) in enumerate(xt):
+        bit[i, j] = bit[j, i] = 1 << k
     plain, merged = {}, {}
     for gate in c.gates():
         plain[gate.gid] = np.full((n, n), math.inf)
@@ -527,15 +527,12 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             merged[gate.gid][i, j] = merged[gate.gid][j, i] = fid.gate_error(
                 gate.gid, i, j, merged=True)
     gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
-    matchings = enumerate_matchings(g)
-    moves = []
-    for M in matchings:
-        mv = np.arange(n)
+    moves = np.tile(np.arange(n), (len(matchings), 1))
+    for mv, M in zip(moves, matchings):
         for i, j in M:
             mv[i], mv[j] = j, i
-        moves.append(mv)
     dummy = set(c.dummy_steps)
-    pairs = [(edge_id[e1], edge_id[e2]) for e1, e2 in g.crosstalk_pairs]
+    pairs = [(bit[e1], bit[e2]) for e1, e2 in g.crosstalk_pairs]
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
 
     def valid(t: int, rows: np.ndarray) -> np.ndarray:
@@ -558,13 +555,13 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         for k in range(a):
             seat[everyone, rows[:, k]] = weights[k]
         held = np.zeros((len(rows), n), dtype=bool)  # a node holds a gate qubit
-        used = np.zeros(len(rows), dtype=np.int64)  # bit e: edge e carries a gate
+        used = np.zeros(len(rows), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
         placed = []
         for cp, cq, gid in gates_at[t]:
             i, j = rows[:, cp], rows[:, cq]
             placed.append((i, j, plain[gid][i, j], merged[gid][i, j]))
             held[everyone, i] = held[everyone, j] = True
-            used |= 1 << edge_id[i, j]
+            used |= bit[i, j]
 
         def take(M, mv):
             ok = np.ones(len(rows), dtype=bool)
@@ -579,7 +576,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 ok &= (seat[:, i] | seat[:, j]) != 0
                 err += np.where(held[:, i], 0.0, fid.swap_error(i, j))
                 succ = succ + (j - i) * (seat[:, i] - seat[:, j])
-                both = both | 1 << edge_id[i, j]
+                both = both | bit[i, j]
             cost = []
             for o in objs:
                 if o == "error":
@@ -587,8 +584,8 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 elif o == "depth":
                     cost.append(np.full(len(rows), 1.0 if (t in dummy and M) else 0.0))
                 else:
-                    cost.append(sum(((both >> e1) & (both >> e2) & 1 for e1, e2 in pairs),
-                                    np.zeros(len(rows))))
+                    cost.append(sum((((both & b1) != 0) & ((both & b2) != 0)
+                                     for b1, b2 in pairs), np.zeros(len(rows))))
             return ok, succ, cost
 
         return take
@@ -609,9 +606,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         ahead = valid(t + 1, states)
         value = [np.full(places, math.inf) for _ in objs]
         parent = np.full(places, -1, dtype=np.int32)
-        via = np.zeros(places, dtype=np.int16)
+        via = np.zeros(places, dtype=np.int32)
         take = leaving(t, alive)
         for k, (M, mv) in enumerate(zip(matchings, moves)):
+            if time.perf_counter() > deadline:
+                raise DPTimeLimit("the time limit passed before the layout DP finished")
             ok, succ, cost = take(M, mv)
             src = np.flatnonzero(ok)
             tgt = np.searchsorted(keys, succ[src])

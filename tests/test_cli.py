@@ -55,13 +55,13 @@ def test_transpile_limit_exit(capsys):
 
 
 def test_stage_one_limit_exits_3_even_when_stage_two_closes(capsys):
-    # Ten nodes put bip past the DP's guard. Stage 1 stops at the node
-    # limit with an incumbent; the limit covers the whole run, so stage 2
-    # keeps that incumbent unsearched. Exit 0 would claim an error
-    # optimum that stage 1 never proved, and exit 2 a limit as
+    # bip_constrained always solves through the stage loop. Stage 1 stops
+    # at the node limit with an incumbent; the limit covers the whole
+    # run, so stage 2 keeps that incumbent unsearched. Exit 0 would claim
+    # an error optimum that stage 1 never proved, and exit 2 a limit as
     # infeasible.
     code = main(["transpile", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2",
-                 "--seed", "6", "--node-limit", "50"])
+                 "--seed", "6", "--node-limit", "50", "--variant", "bip_constrained"])
     assert code == 3
     assert "structural: ok" in capsys.readouterr().out
 
@@ -69,7 +69,7 @@ def test_stage_one_limit_exits_3_even_when_stage_two_closes(capsys):
 def test_cliff_rung_is_proved_by_the_layout_dp(tmp_path):
     # The y-8/w6/4L/s0 rung of the exact_deadline benchmark: the branch
     # and bound found no incumbent here within 3 s; the layout DP proves
-    # the reference optimum, and ignores the limit.
+    # the reference optimum well inside the limit.
     code = main(["transpile", "--builtin", "y,8", "--qv", "6,1", "--qv-layers", "4",
                  "--seed", "202", "--time-limit", "3", "--out", str(tmp_path)])
     assert code == 0
@@ -77,30 +77,82 @@ def test_cliff_rung_is_proved_by_the_layout_dp(tmp_path):
                   (tmp_path / "report.txt").read_text().splitlines())
     assert float(report["error_objective_value"]) == pytest.approx(0.2705157477246709,
                                                                    abs=1e-9)
-    rc = routed_from_json((tmp_path / "routed.json").read_text())
-    swap_layers = sum(1 for ops in rc.steps
-                      if ops and all(isinstance(op, FreeSwap) for op in ops))
-    assert swap_layers == 4
+    assert swap_layers(tmp_path) == 4
+
+
+def swap_layers(out) -> int:
+    rc = routed_from_json((out / "routed.json").read_text())
+    return sum(1 for ops in rc.steps if ops and all(isinstance(op, FreeSwap) for op in ops))
+
+
+GRID9 = {"nodes": list(range(9)),
+         "edges": [[k, k + 1] for k in range(9) if k % 3 < 2]
+                  + [[k, k + 3] for k in range(6)]}
+
+
+@pytest.mark.parametrize("graph, width, layers, error, depth", [
+    (["--builtin", "line,10"], 4, 3, 0.136644, 2),
+    ("grid9", 4, 3, 0.098121, 0),
+    ("grid9", 5, 3, 0.119867, 1),
+    (["--builtin", "grid,8"], 7, None, 0.404008, None),
+    (["--builtin", "grid,8"], 8, None, 0.576599, None),
+], ids=["line-10/w4", "grid-9/w4", "grid-9/w5", "grid-8/w7", "grid-8/w8"])
+def test_layout_dp_proves_instances_past_eight_nodes(graph, width, layers, error, depth,
+                                                     tmp_path):
+    # line-10, a 3x3 grid, and grid-8 at full QV depth: the branch and
+    # bound stops unproven on each of these, on grid-8 with routes worse
+    # than the greedy ones.
+    if graph == "grid9":
+        (tmp_path / "grid9.json").write_text(json.dumps(GRID9))
+        graph = ["--topology", str(tmp_path / "grid9.json")]
+    depth_args = [] if layers is None else ["--qv-layers", str(layers)]
+    code = main(["transpile", *graph, "--qv", f"{width},1", *depth_args, "--seed", "202",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    report = dict(line.split(": ") for line in
+                  (tmp_path / "report.txt").read_text().splitlines())
+    assert float(report["error_objective_value"]) == pytest.approx(error, abs=1e-6)
+    if depth is not None:
+        assert swap_layers(tmp_path) == depth
+
+
+def test_layout_dp_past_the_time_limit_exits_3_with_the_greedy_route(capsys):
+    # line-12 with six active qubits: 665,280 placements over 233
+    # matchings take the DP far longer than 0.2 s.
+    code = main(["transpile", "--builtin", "line,12", "--qv", "6,1", "--qv-layers", "3",
+                 "--time-limit", "0.2"])
+    assert code == 3
+    assert "structural: ok" in capsys.readouterr().out
+
+
+def test_graph_with_too_many_matchings_for_the_dp_goes_to_branch_and_bound(capsys):
+    # line-25 has more than MATCHING_LIMIT matchings; the DP refuses it,
+    # and the branch and bound stops at the limit with an incumbent.
+    code = main(["transpile", "--builtin", "line,25", "--qv", "4,1", "--qv-layers", "2",
+                 "--time-limit", "2"])
+    assert code == 3
+    assert "structural: ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
     ["pareto", "--builtin", "grid,6", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
      "--node-limit", "50", "--steps", "2"],
     ["bench", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2", "--seed", "6",
-     "--node-limit", "50"],
+     "--node-limit", "50", "--variant", "bip_constrained"],
 ])
 def test_sweep_and_bench_exit_3_when_a_stage_is_unproven(argv, tmp_path):
-    # pareto always solves through the stage loop; bench's bip runs past
-    # the DP's guard on ten nodes. Stage 1 stops unproven at 50 nodes, and
-    # both commands still write their full table.
+    # pareto and bip_constrained always solve through the stage loop.
+    # Stage 1 stops unproven at 50 nodes, and both commands still write
+    # their full table.
     assert main([*argv, "--out", str(tmp_path)]) == 3
     assert len(list(tmp_path.glob("*.tsv"))) == 1
 
 
-def test_layout_variant_limit_without_incumbent_exits_2(capsys):
-    # Ten nodes put bip_layout past the DP's guard.
+def test_limit_without_incumbent_exits_2(capsys):
+    # bip_constrained solves through the stage loop, whose first stage
+    # finds no incumbent in one node.
     code = main(["transpile", "--builtin", "line,10", "--qv", "4,1", "--qv-layers", "2",
-                 "--variant", "bip_layout", "--node-limit", "1"])
+                 "--variant", "bip_constrained", "--node-limit", "1"])
     assert code == 2
     assert "infeasible:" in capsys.readouterr().err
 

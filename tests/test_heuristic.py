@@ -5,6 +5,7 @@ import pytest
 
 import qaroute.heuristic
 import qaroute.lexopt
+import qaroute.solver
 from helpers import prepared, random_layered_circuit
 from qaroute.circuit import Gate, LayeredCircuit, pad_qubits
 from qaroute.extract import GateOp, verify_structural, verify_unitary
@@ -13,7 +14,7 @@ from qaroute.heuristic import (VARIANTS, HeuristicError, _repair_first_layer,
                                heuristic_layout, heuristic_route, run_variant_full)
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
 from qaroute.qvbench import haar_su4
-from qaroute.solver import SolveLimits, exhaustive_fits
+from qaroute.solver import SolveLimits
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +100,9 @@ def record_solves(monkeypatch):
     dp = qaroute.heuristic.solve_exhaustive
     solve = qaroute.lexopt.solve_branch_and_bound
 
-    def recording_dp(c, g, fid, objective, initial_map=None):
+    def recording_dp(c, g, fid, objective, initial_map=None, limits=None):
         dp_calls.append((objective, initial_map))
-        return dp(c, g, fid, objective, initial_map=initial_map)
+        return dp(c, g, fid, objective, initial_map=initial_map, limits=limits)
 
     def recording_bb(p, lim, incumbent=None):
         bb_calls.append((p.objective_kind, incumbent, solve(p, lim, incumbent=incumbent)))
@@ -124,7 +125,7 @@ def assert_stage_loop(bb_calls, order):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
                                                            monkeypatch):
-    # Within the DP's guard, bip, bip_layout and bip_routing make one DP
+    # Within the DP's memory bound, bip, bip_layout and bip_routing make one DP
     # call with their objective order (bip_routing pinned to its greedy
     # layout) and no branch-and-bound solve; bip_constrained solves
     # through the lexicographic stage loop; the greedy variant makes
@@ -147,16 +148,17 @@ def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
 
 @pytest.mark.parametrize("variant", ["bip", "bip_routing"])
 def test_instance_past_the_guard_solves_through_the_stage_loop(variant, monkeypatch):
-    # Ten nodes exceed the DP's guard: the model variants fall back to the
-    # stage loop. bip's error stage spends the run's 200 nodes, so its
-    # depth stage keeps that incumbent unsearched; the pinned layout of
-    # bip_routing leaves little to search, and both stages close.
+    # With no memory to spare, the DP refuses the instance and the model
+    # variants fall back to the stage loop. bip's error stage spends the
+    # run's 200 nodes, so its depth stage keeps that incumbent unsearched;
+    # the pinned layout of bip_routing leaves little to search, and both
+    # stages close.
     line10 = builtin_topology("line", 10)
     c, fid = prepared(random_layered_circuit(4, (1, 1), 3), line10, 1)
-    assert not exhaustive_fits(c, line10)
+    monkeypatch.setattr(qaroute.solver, "DP_MEMORY", 0)
     dp_calls, bb_calls = record_solves(monkeypatch)
     run = run_variant_full(variant, c, line10, fid, SolveLimits(node_limit=200))
-    assert dp_calls == []
+    assert len(dp_calls) == 1
     assert verify_structural(run.routed, c, line10) is None
     if variant == "bip":
         assert_stage_loop(bb_calls, ("error",))
@@ -165,6 +167,19 @@ def test_instance_past_the_guard_solves_through_the_stage_loop(variant, monkeypa
         assert_stage_loop(bb_calls, ("error", "depth"))
         assert run.closed
         assert run.routed.initial_map == heuristic_layout(c, line10, fid)
+
+
+@pytest.mark.parametrize("variant", ["bip", "bip_layout", "bip_routing"])
+def test_dp_past_the_time_limit_returns_the_greedy_route_unproven(inst, line4, variant):
+    # The DP checks the deadline at its first matching and gives up; the
+    # run hands back the greedy route from the greedy layout (bip_routing's
+    # pinned layout is that same layout), and does not claim a proof.
+    c, fid = inst
+    run = run_variant_full(variant, c, line4, fid, SolveLimits(time_limit=1e-9))
+    assert not run.closed
+    greedy = heuristic_route(c, line4, heuristic_layout(c, line4, fid), fid)
+    assert run.routed.steps == greedy.steps
+    assert run.routed.origin == variant
 
 
 def test_bip_dominates_heuristic(inst, line4):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from qaroute.bipmodel import Row, assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.extract import stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
-from qaroute.heuristic import heuristic_layout
+from qaroute.heuristic import heuristic_layout, run_variant_full
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
 from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import (SolutionInfeasibleError, SolveError, SolveLimits,
-                            SolveStatus, export_model, export_solution,
-                            exhaustive_fits, import_model, import_solution,
+from qaroute.solver import (DPTimeLimit, DPTooLarge, SolutionInfeasibleError, SolveError,
+                            SolveLimits, SolveStatus, exhaustive_bytes, export_model,
+                            export_solution, import_model, import_solution,
                             solve_branch_and_bound, solve_exhaustive)
 
 
@@ -262,34 +265,121 @@ def test_import_solution_accepts_reference(line4):
     assert res.objective > best.objective - 1e-12
 
 
-def test_exhaustive_guard():
-    from qaroute.hwgraph import builtin_topology
-    big = builtin_topology("line", 10)
-    c = random_layered_circuit(10, (2,), seed=15)
-    c, fid = prepared(c, big, 0)
-    with pytest.raises(SolveError):
-        solve_exhaustive(c, big, fid, objective="error")
+def qv_instance(g, width, layers, index=0, dummy_steps=2):
+    qv = gen_qv_circuit(width, [202, index])
+    c = insert_dummy_steps(pad_qubits(lower_circuit(qv, n_layers=layers), g.n), dummy_steps)
+    return c, FidelityModel.build(c, g)
 
 
-def test_guard_counts_placements_of_active_qubits():
-    # grid-8 has 71 matchings. Over 19 steps, 8! layouts exceed the cap of
-    # 5e7 transitions; the 56 placements of two active qubits do not. Each
-    # matching of each step also counts DP_STEP_OVERHEAD transitions, so
-    # the two active qubits are refused over 178 steps.
-    from qaroute.hwgraph import builtin_topology
+@pytest.mark.parametrize("width, layers", [(6, 3), (8, None)])
+def test_byte_estimate_bounds_the_dp_peak(width, layers):
+    # grid-8/w6/3L/s0 and grid-8/w8 at full depth (22 steps): the count
+    # the DP is admitted by covers what it allocates, and not by much.
     g = builtin_topology("grid", 8)
-    full, fid_full = prepared(random_layered_circuit(8, (4,) * 7, seed=16), g, 2)
-    pair, fid_pair = prepared(random_layered_circuit(2, (1,) * 7, seed=16), g, 2)
-    assert full.num_steps == pair.num_steps == 19
-    assert not exhaustive_fits(full, g)
-    with pytest.raises(SolveError, match="too large"):
-        solve_exhaustive(full, g, fid_full, "error")
-    assert exhaustive_fits(pair, g)
-    value, rc = solve_exhaustive(pair, g, fid_pair, "error")
-    assert stats(rc, fid_pair, g).error_objective_value == pytest.approx(value, abs=1e-12)
-    long_pair, _ = prepared(random_layered_circuit(2, (1,) * 60, seed=16), g, 2)
-    assert long_pair.num_steps == 178
-    assert not exhaustive_fits(long_pair, g)
+    c, fid = qv_instance(g, width, layers)
+    active = len({q for gate in c.gates() for q in gate.operands})
+    estimate = exhaustive_bytes(g.n, active, c.num_steps, 2, len(enumerate_matchings(g)))
+    tracemalloc.start()
+    try:
+        solve_exhaustive(c, g, fid, ("error", "depth"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate <= 3 * peak
+
+
+def test_instance_past_the_memory_bound_is_refused_at_once():
+    # Eight active qubits on line-16 have 5.2e8 placements: refused before
+    # the matchings are listed or any state array is built.
+    g = builtin_topology("line", 16)
+    c, fid = prepared(random_layered_circuit(8, (4, 4), seed=15), g, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DPTooLarge):
+            solve_exhaustive(c, g, fid, ("error", "depth"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_time_limit_stops_the_dp(line4):
+    c, fid, _, _ = small_instance(line4, (2, 2), 0)
+    with pytest.raises(DPTimeLimit):
+        solve_exhaustive(c, line4, fid, ("error", "depth"), limits=SolveLimits(time_limit=1e-9))
+
+
+def test_parents_index_more_matchings_than_int16_holds():
+    # line-23 has 46,368 matchings, past int16. Two qubits on a line with
+    # equal betas never need a swap, so the optimum equals line-4's,
+    # which the branch and bound proves.
+    qv = lower_circuit(gen_qv_circuit(2, [202, 0]), n_layers=2)
+    line23 = builtin_topology("line", 23)
+    c, fid = prepared(qv, line23, 1)
+    run = run_variant_full("bip", c, line23, fid)
+    assert run.closed
+    assert verify_structural(run.routed, c, line23) is None
+    line4 = builtin_topology("line", 4)
+    c4, fid4 = prepared(qv, line4, 1)
+    lex = lexicographic_solve(c4, line4, fid4, ("error", "depth"))
+    assert lex.closed
+    assert run.stats.error_objective_value == pytest.approx(lex.stage_values[0], abs=1e-9)
+
+
+def hub_graph(pairs_between):
+    """Three hubs each joined to 22 leaves: 66 edges, so edge ids reach 65,
+    but only 10,693 matchings. Hubs 0 and 2 couple better than hub 1;
+    ``pairs_between`` lists the hub pairs whose node-disjoint edges
+    interfere."""
+    edges = [(h, 3 + x) for h in range(3) for x in range(22)]
+    beta = {e: 0.95 if e[0] == 1 else 0.999 for e in edges}
+    pairs = [((h1, 3 + x), (h2, 3 + y)) for h1, h2 in pairs_between
+             for x in range(22) for y in range(22) if x != y]
+    return HardwareGraph(n=25, edges=tuple(edges), beta=beta, crosstalk_pairs=tuple(pairs))
+
+
+def test_crosstalk_counts_edges_with_high_ids():
+    # The least error puts one gate on a hub-0 edge and the other on a
+    # hub-2 edge, and every such pair interferes; edges (2, 23) and
+    # (2, 24) have ids 64 and 65.
+    g = hub_graph([(0, 2)])
+    assert len(g.crosstalk_edges) == 44
+    c, fid = prepared(random_layered_circuit(4, (2,), seed=0), g, 0)
+    (err, xt), rc = solve_exhaustive(c, g, fid, ("error", "crosstalk"))
+    assert xt == 1.0
+    assert stats(rc, fid, g).crosstalk_count == 1
+
+
+def test_crosstalk_on_more_than_63_edges_is_refused():
+    g = hub_graph([(0, 1), (0, 2), (1, 2)])
+    assert len(g.crosstalk_edges) == 66
+    c, fid = prepared(random_layered_circuit(4, (2,), seed=0), g, 0)
+    with pytest.raises(SolveError, match="63 edges"):
+        solve_exhaustive(c, g, fid, "crosstalk")
+    (err, depth), _ = solve_exhaustive(c, g, fid, ("error", "depth"))
+    assert depth == 0.0
+
+
+def test_pinned_dp_matches_branch_and_bound_past_eight_nodes():
+    # bip_routing runs the DP on line-10 from the greedy layout; B&B with
+    # PIN_INIT rows proves the same instance independently.
+    line10 = builtin_topology("line", 10)
+    c, fid = prepared(random_layered_circuit(4, (1, 1), 3), line10, 1)
+    layout = heuristic_layout(c, line10, fid)
+    (err, depth), _ = solve_exhaustive(c, line10, fid, ("error", "depth"), initial_map=layout)
+    run = run_variant_full("bip_routing", c, line10, fid)
+    assert run.closed
+    assert run.routed.initial_map == layout
+    assert run.stats.error_objective_value == pytest.approx(err, abs=1e-12)
+
+    def pin_rows(vs):
+        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
+                    rhs=1.0, family="PIN_INIT") for q in range(line10.n)]
+
+    lex = lexicographic_solve(c, line10, fid, ("error", "depth"), row_hook=pin_rows)
+    assert lex.closed
+    assert err == pytest.approx(lex.stage_values[0], abs=1e-9)
+    assert depth == lex.stage_values[1]
 
 
 def test_exhaustive_lexicographic_ties_within_slack(line6):
