@@ -22,7 +22,6 @@ the DP walks back become a routed circuit through ``extract.schedule``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -434,13 +433,57 @@ class DPTimeLimit(SolveError):
     """The run's time limit passed before the layout DP finished."""
 
 
-def exhaustive_bytes(n: int, active: int, steps: int, objectives: int, matchings: int) -> int:
+def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: int,
+                     matchings: int) -> int:
     """Bytes of the layout DP's arrays. Per placement of the ``active``
-    qubits: node rows, key, ``seat``/``held`` rows, 32 B of values per
-    objective, 64 B of indices and temporaries, and 8 B of parents per
-    step. Per matching: its node map and its tuple of edges."""
-    per_place = 16 * active + 9 * n + 32 * objectives + 64 + 8 * steps
-    return math.perm(n, active) * per_place + matchings * (12 * n + 64)
+    qubits: 2 B of nodes per qubit; per edge a 4 B swap table entry and
+    9 B of swap rows (kept for the live states only, at most every
+    placement); 2 B of node masks per node; 32 B of values per objective;
+    48 B of indices, the row map and temporaries; and 8 B of parents per
+    step. Per matching: its tuple of edges, their ids and mask."""
+    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 48 + 8 * steps
+    return math.perm(n, active) * per_place + matchings * (8 * n + 128)
+
+
+def _placements(n: int, a: int) -> np.ndarray:
+    """Every tuple of ``a`` distinct nodes, in lexicographic order, as an
+    ``(a, n!/(n-a)!)`` int16 array: row k holds qubit k's node in each
+    placement. ``DP_MEMORY`` admits no n near 2**15, whose n(n-1)
+    placements alone would exceed it."""
+    cols = np.zeros((0, 1), dtype=np.int16)
+    for _ in range(a):
+        free = np.ones((cols.shape[1], n), dtype=bool)
+        everyone = np.arange(cols.shape[1])
+        for x in cols:
+            free[everyone, x] = False
+        prefix, node = np.nonzero(free)  # row-major: each prefix, then its free nodes in order
+        cols = np.vstack([cols[:, prefix], node.astype(np.int16)[None]])
+    return cols
+
+
+def _rank(cols: np.ndarray, n: int) -> np.ndarray:
+    """Index of each placement (a column of ``cols``, one row of nodes per
+    qubit) in the order of ``_placements``: qubit k's node counts the
+    nodes below it that no earlier qubit holds, in units of the
+    placements of the qubits after it. int32 holds every index that
+    ``DP_MEMORY`` admits."""
+    a = len(cols)
+    out = np.zeros(cols.shape[1], dtype=np.int32)
+    for k, x in enumerate(cols):
+        below = x.copy()
+        for y in cols[:k]:
+            below -= y < x
+        out += below.astype(np.int32) * math.perm(n - k - 1, a - k - 1)
+    return out
+
+
+def _swap_table(states: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """For each placement of ``states`` (see ``_placements``), the index of
+    the placement with nodes i and j traded: an involution."""
+    swapped = states.copy()
+    swapped[states == i] = j
+    swapped[states == j] = i
+    return _rank(swapped, n)
 
 
 def _less(a, b, slack) -> np.ndarray:
@@ -459,16 +502,24 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                      objective="error", initial_map=None, limits: SolveLimits | None = None):
     """Optimum by dynamic programming over the layouts of the active qubits.
 
-    A state is the node tuple of the qubits some gate touches (a rows of
-    an int array, one per placement, keyed by sorted int64 keys), so
-    there are n!/(n-a)! states; idle qubits are interchangeable and
-    ride along. Each step loops over the matchings of the hardware
-    graph, never over states: under one matching every state has one
-    successor, found by ``np.searchsorted`` on the keys, and a target
-    keeps a candidate that beats its value lexicographically, each
-    component but the last within its ``_OBJ_EPS`` slack, so float
-    rounding in a sum cannot decide a later component. The walk back
-    puts the idle qubits on the free nodes at step 0, in order, and
+    A state is the node tuple of the qubits some gate touches (a column
+    of one int16 array, placements in lexicographic order), so there are
+    n!/(n-a)! states; idle qubits are interchangeable and ride along.
+    Each hardware edge has an int32 table, built once, of the placement
+    with its two nodes swapped; a matching's successor is its edges'
+    tables composed, and since a matching is its own inverse the same
+    tables give its predecessor. Each step prices the live states once:
+    their plain gate error, and per edge a row that says whether a swap
+    there is allowed (on a gate's own edge, at merged minus plain error;
+    elsewhere only if neither node holds a gate qubit and one holds an
+    active qubit, at the swap's error) and what it adds. It then loops
+    over the matchings, never over states, from the smaller side: it
+    pushes from the live states, or pulls into the valid states of the
+    next step when those are fewer. A target keeps a candidate that
+    beats its value lexicographically, each component but the last
+    within its ``_OBJ_EPS`` slack, so float rounding in a sum cannot
+    decide a later component; the first matching wins a tie. The walk
+    back puts the idle qubits on the free nodes at step 0, in order, and
     carries them through the recorded matchings.
 
     ``objective`` is one of ``error``/``depth``/``crosstalk`` or a tuple
@@ -477,7 +528,8 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     ``objective`` is, and one optimal routed circuit (see
     extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
     would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
-    has passed (the DP counts no nodes), and ``SolveError`` when no
+    has passed (checked after the placements, after each edge's table and
+    once per matching; the DP counts no nodes), and ``SolveError`` when no
     routing exists.
     """
     single = isinstance(objective, str)
@@ -498,26 +550,36 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     xt = g.crosstalk_edges if "crosstalk" in objs else ()  # one int64 mask bit each
     if len(xt) > 63:
         raise SolveError("the layout DP counts crosstalk on at most 63 edges")
-    if exhaustive_bytes(n, a, m, len(objs), MATCHING_LIMIT) > DP_MEMORY:
+    if exhaustive_bytes(n, len(g.edges), a, m, len(objs), MATCHING_LIMIT) > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
     try:
         matchings = enumerate_matchings(g)
     except TopologyError as exc:
         raise DPTooLarge(str(exc)) from exc
     deadline = time.perf_counter() + ((limits and limits.time_limit) or math.inf)
+
+    def check_time() -> None:
+        if time.perf_counter() > deadline:
+            raise DPTimeLimit("the time limit passed before the layout DP finished")
+
     col = {q: k for k, q in enumerate(active)}
-    places = math.perm(n, a)
-    states = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), a)),
-                         dtype=np.int64, count=places * a).reshape(places, a)
-    weights = n ** np.arange(a - 1, -1, -1, dtype=np.int64)
-    keys = states @ weights  # ascending: permutations come in lexicographic order
+    states = _placements(n, a)
+    places = states.shape[1]
+    check_time()
+    tables = []
+    for i, j in g.edges:
+        tables.append(_swap_table(states, n, i, j))
+        check_time()
 
     adj = np.zeros((n, n), dtype=bool)
-    for i, j in g.edges:
+    eid = np.zeros((n, n), dtype=np.int64)
+    for k, (i, j) in enumerate(g.edges):
         adj[i, j] = adj[j, i] = True
+        eid[i, j] = eid[j, i] = k
     bit = np.zeros((n, n), dtype=np.int64)
     for k, (i, j) in enumerate(xt):
         bit[i, j] = bit[j, i] = 1 << k
+    swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
     plain, merged = {}, {}
     for gate in c.gates():
         plain[gate.gid] = np.full((n, n), math.inf)
@@ -527,96 +589,113 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             merged[gate.gid][i, j] = merged[gate.gid][j, i] = fid.gate_error(
                 gate.gid, i, j, merged=True)
     gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
-    moves = np.tile(np.arange(n), (len(matchings), 1))
-    for mv, M in zip(moves, matchings):
-        for i, j in M:
-            mv[i], mv[j] = j, i
+    swaps = [tuple(int(eid[e]) for e in M) for M in matchings]  # edge ids
+    masks = [int(sum(bit[e] for e in M)) for M in matchings]  # disjoint edges: sum is or
     dummy = set(c.dummy_steps)
     pairs = [(bit[e1], bit[e2]) for e1, e2 in g.crosstalk_pairs]
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
 
-    def valid(t: int, rows: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(rows), dtype=bool)
+    def valid(t: int, at=slice(None)) -> np.ndarray:
+        nodes = states[:, at]
+        ok = np.ones(nodes.shape[1], dtype=bool)
         for cp, cq, _ in gates_at[t]:
-            ok &= adj[rows[:, cp], rows[:, cq]]
+            ok &= adj[nodes[cp], nodes[cq]]
         return ok
 
-    def leaving(t: int, alive: np.ndarray):
-        """Transitions out of step t from the states ``alive``, as a
-        function of one swap set and its node map. It gives a mask of the
-        states that may take the set (every gate runs in place or absorbs
-        a swap of its own operands, every other swapped pair holds no gate
-        qubit, and some active qubit moves on every swapped edge, since a
-        swap of two idle qubits changes no state and only adds cost), the
-        key of each state's successor, and one cost row per objective."""
-        rows, here = states[alive], keys[alive]
-        everyone = np.arange(len(rows))
-        seat = np.zeros((len(rows), n), dtype=np.int64)  # a node's key weight, 0 if idle
-        for k in range(a):
-            seat[everyone, rows[:, k]] = weights[k]
-        held = np.zeros((len(rows), n), dtype=bool)  # a node holds a gate qubit
-        used = np.zeros(len(rows), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
-        placed = []
+    def priced(t: int, alive: np.ndarray):
+        """The states ``alive`` at step t: each one's plain gate error and
+        crosstalk mask of its gate edges, and per edge a row of whether a
+        swap there may be taken and the error it adds. A swap set is
+        allowed when each of its edges is (so every gate runs in place or
+        absorbs a swap of its own operands, and some active qubit moves on
+        every swapped edge, since a swap of two idle qubits changes no
+        state and only adds cost)."""
+        rows = states[:, alive]
+        everyone = np.arange(len(alive))
+        full = np.zeros((n, len(alive)), dtype=bool)  # a node holds an active qubit
+        full[rows, everyone] = True
+        held = np.zeros((n, len(alive)), dtype=bool)  # a node holds a gate qubit
+        err = np.zeros(len(alive))
+        used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
+        arcs = []
         for cp, cq, gid in gates_at[t]:
-            i, j = rows[:, cp], rows[:, cq]
-            placed.append((i, j, plain[gid][i, j], merged[gid][i, j]))
-            held[everyone, i] = held[everyone, j] = True
+            i, j = rows[cp], rows[cq]
+            held[i, everyone] = held[j, everyone] = True
+            err += plain[gid][i, j]
             used |= bit[i, j]
+            arcs.append((eid[i, j], merged[gid][i, j] - plain[gid][i, j]))
+        ok = np.empty((len(g.edges), len(alive)), dtype=bool)
+        for k, (i, j) in enumerate(g.edges):
+            ok[k] = (full[i] | full[j]) & ~(held[i] | held[j])
+        add = np.repeat(swap_err[:, None], len(alive), axis=1)
+        for e, extra in arcs:
+            ok[e, everyone] = True
+            add[e, everyone] = extra
+        return err, used, ok, add
 
-        def take(M, mv):
-            ok = np.ones(len(rows), dtype=bool)
-            err = np.zeros(len(rows))
-            for i, j, e_plain, e_merged in placed:
-                swapped = mv[i] == j
-                ok &= swapped | ((mv[i] == i) & (mv[j] == j))
-                err += np.where(swapped, e_merged, e_plain)
-            succ = here
-            both = used
-            for i, j in M:
-                ok &= (seat[:, i] | seat[:, j]) != 0
-                err += np.where(held[:, i], 0.0, fid.swap_error(i, j))
-                succ = succ + (j - i) * (seat[:, i] - seat[:, j])
-                both = both | bit[i, j]
-            cost = []
-            for o in objs:
-                if o == "error":
-                    cost.append(err)
-                elif o == "depth":
-                    cost.append(np.full(len(rows), 1.0 if (t in dummy and M) else 0.0))
-                else:
-                    cost.append(sum((((both & b1) != 0) & ((both & b2) != 0)
-                                     for b1, b2 in pairs), np.zeros(len(rows))))
-            return ok, succ, cost
-
-        return take
+    def costs(t: int, k: int, src: np.ndarray, err, used, add) -> list:
+        """One cost row per objective for the states ``src`` taking matching k at step t."""
+        out = []
+        for o in objs:
+            if o == "error":
+                x = err[src]
+                for e in swaps[k]:
+                    x = x + add[e, src]
+            elif o == "depth":
+                x = np.full(len(src), 1.0 if (t in dummy and swaps[k]) else 0.0)
+            else:
+                both = used[src] | masks[k]
+                x = sum((((both & b1) != 0) & ((both & b2) != 0) for b1, b2 in pairs),
+                        np.zeros(len(src)))
+            out.append(x)
+        return out
 
     value = [np.full(places, math.inf) for _ in objs]
     if initial_map is None:
-        start = np.flatnonzero(valid(0, states))
+        start = np.flatnonzero(valid(0))
     else:
-        key = np.array([initial_map[q] for q in active], dtype=np.int64) @ weights
-        start = np.searchsorted(keys, [key])
-        start = start[valid(0, states[start])]
+        start = _rank(np.array([initial_map[q] for q in active], dtype=np.int16).reshape(a, 1), n)
+        start = start[valid(0, start)]
     for v in value:
         v[start] = 0.0
     parents = []
     for t in range(m - 1):
         alive = np.flatnonzero(np.isfinite(value[0]))
         base = [v[alive] for v in value]
-        ahead = valid(t + 1, states)
+        ahead = valid(t + 1)
+        targets = np.flatnonzero(ahead)
+        pull = len(targets) < len(alive)
+        if pull:
+            row_of = np.full(places, -1, dtype=np.int32)  # placement -> live row
+            row_of[alive] = np.arange(len(alive))
         value = [np.full(places, math.inf) for _ in objs]
         parent = np.full(places, -1, dtype=np.int32)
         via = np.zeros(places, dtype=np.int32)
-        take = leaving(t, alive)
-        for k, (M, mv) in enumerate(zip(matchings, moves)):
-            if time.perf_counter() > deadline:
-                raise DPTimeLimit("the time limit passed before the layout DP finished")
-            ok, succ, cost = take(M, mv)
-            src = np.flatnonzero(ok)
-            tgt = np.searchsorted(keys, succ[src])
-            keep = ahead[tgt]
-            src, tgt = src[keep], tgt[keep]
-            cand = [b[src] + x[src] for b, x in zip(base, cost)]
+        err, used, ok, add = priced(t, alive)
+        for k, es in enumerate(swaps):
+            check_time()
+            if pull:
+                src = targets
+                for e in es:
+                    src = tables[e][src]
+                src = row_of[src]
+                keep = src >= 0
+                for e in es:
+                    keep[keep] = ok[e, src[keep]]
+                src, tgt = src[keep], targets[keep]
+            else:
+                take = np.ones(len(alive), dtype=bool)
+                for e in es:
+                    take &= ok[e]
+                src = np.flatnonzero(take)
+                tgt = alive[src]
+                for e in es:
+                    tgt = tables[e][tgt]
+                keep = ahead[tgt]
+                src, tgt = src[keep], tgt[keep]
+            if len(src) == 0:
+                continue
+            cand = [b[src] + x for b, x in zip(base, costs(t, k, src, err, used, add))]
             win = _less(cand, [v[tgt] for v in value], slack)
             tgt = tgt[win]
             for v, x in zip(value, cand):
@@ -628,9 +707,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if len(alive) == 0:
         raise SolveError("instance is infeasible")
 
-    # The last step runs its gates with no swap set; the best final state
-    # has the least error, then within its slack the least depth, and so on.
-    _, _, last = leaving(m - 1, alive)((), np.arange(n))
+    # The last step runs its gates with no swap set (matching 0 is the
+    # empty one); the best final state has the least error, then within
+    # its slack the least depth, and so on.
+    err, used, _, add = priced(m - 1, alive)
+    last = costs(m - 1, 0, np.arange(len(alive)), err, used, add)
     total = [v[alive] + x for v, x in zip(value, last)]
     pick = np.arange(len(alive))
     for row, s in zip(total, slack):
@@ -644,7 +725,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         taken.append(int(via[state]))
         state = int(parent[state])
     pos = np.full(n, -1)
-    pos[active] = states[state]
+    pos[active] = states[:, state]
     idle = [q for q in range(n) if q not in col]
     if initial_map is None:
         pos[idle] = sorted(set(range(n)) - set(pos[active].tolist()))
@@ -652,7 +733,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         pos[idle] = [initial_map[q] for q in idle]
     layouts = [tuple(pos.tolist())]
     for k in reversed(taken):
-        pos = moves[k][pos]
+        move = np.arange(n)
+        for i, j in matchings[k]:
+            move[i], move[j] = j, i
+        pos = move[pos]
         layouts.append(tuple(pos.tolist()))
     result = tuple(float(row[best]) for row in total)
     return (result[0] if single else result), schedule(c, fid, layouts, "exhaustive")

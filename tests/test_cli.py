@@ -118,7 +118,8 @@ def test_layout_dp_proves_instances_past_eight_nodes(graph, width, layers, error
 
 def test_layout_dp_past_the_time_limit_exits_3_with_the_greedy_route(capsys):
     # line-12 with six active qubits: 665,280 placements over 233
-    # matchings take the DP far longer than 0.2 s.
+    # matchings take the DP about 0.6 s on a shared 2-CPU x86 machine,
+    # three times the limit.
     code = main(["transpile", "--builtin", "line,12", "--qv", "6,1", "--qv-layers", "3",
                  "--time-limit", "0.2"])
     assert code == 3

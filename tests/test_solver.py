@@ -1,3 +1,5 @@
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,9 +16,9 @@ from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
 from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, SolutionInfeasibleError, SolveError,
-                            SolveLimits, SolveStatus, exhaustive_bytes, export_model,
-                            export_solution, import_model, import_solution,
-                            solve_branch_and_bound, solve_exhaustive)
+                            SolveLimits, SolveStatus, _placements, _swap_table,
+                            exhaustive_bytes, export_model, export_solution, import_model,
+                            import_solution, solve_branch_and_bound, solve_exhaustive)
 
 
 def small_instance(g, layer_sizes, seed, k=1, objective="error"):
@@ -271,14 +273,19 @@ def qv_instance(g, width, layers, index=0, dummy_steps=2):
     return c, FidelityModel.build(c, g)
 
 
-@pytest.mark.parametrize("width, layers", [(6, 3), (8, None)])
-def test_byte_estimate_bounds_the_dp_peak(width, layers):
-    # grid-8/w6/3L/s0 and grid-8/w8 at full depth (22 steps): the count
-    # the DP is admitted by covers what it allocates, and not by much.
-    g = builtin_topology("grid", 8)
+@pytest.mark.parametrize("topology, n, width, layers", [
+    ("grid", 8, 6, 3), ("grid", 8, 8, None), ("y", 8, 6, 4), ("line", 10, 6, 3)],
+    ids=["6-3", "8-None", "y-8/w6/4L", "line-10/w6/3L"])
+def test_byte_estimate_bounds_the_dp_peak(topology, n, width, layers):
+    # grid-8/w6/3L/s0, grid-8/w8 at full depth (22 steps), y-8/w6/4L/s0
+    # (most of its steps pull into the next step's states) and
+    # line-10/w6/3L: the count the DP is admitted by covers what it
+    # allocates, and not by much.
+    g = builtin_topology(topology, n)
     c, fid = qv_instance(g, width, layers)
     active = len({q for gate in c.gates() for q in gate.operands})
-    estimate = exhaustive_bytes(g.n, active, c.num_steps, 2, len(enumerate_matchings(g)))
+    estimate = exhaustive_bytes(g.n, len(g.edges), active, c.num_steps, 2,
+                                len(enumerate_matchings(g)))
     tracemalloc.start()
     try:
         solve_exhaustive(c, g, fid, ("error", "depth"))
@@ -307,6 +314,68 @@ def test_time_limit_stops_the_dp(line4):
     c, fid, _, _ = small_instance(line4, (2, 2), 0)
     with pytest.raises(DPTimeLimit):
         solve_exhaustive(c, line4, fid, ("error", "depth"), limits=SolveLimits(time_limit=1e-9))
+
+
+def test_time_limit_stops_the_dp_while_it_builds_its_tables():
+    # line-14 with six active qubits has 2,162,160 placements and 13
+    # edge tables to build before the first step; the limit is checked
+    # after the placements and after each table.
+    line14 = builtin_topology("line", 14)
+    c, fid = qv_instance(line14, 6, 3)
+    start = time.perf_counter()
+    with pytest.raises(DPTimeLimit):
+        solve_exhaustive(c, line14, fid, ("error", "depth"), limits=SolveLimits(time_limit=0.01))
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("graph", ["line4", "y6", "grid6"])
+def test_swap_tables_are_involutions_that_trade_the_edge_nodes(graph, request):
+    g = request.getfixturevalue(graph)
+    for a in range(2, g.n + 1):
+        states = _placements(g.n, a)
+        assert states.T.tolist() == [list(p) for p in itertools.permutations(range(g.n), a)]
+        everyone = np.arange(states.shape[1])
+        for i, j in g.edges:
+            table = _swap_table(states, g.n, i, j)
+            assert (table[table] == everyone).all()
+            traded = np.where(states == i, j, np.where(states == j, i, states))
+            assert (states[:, table] == traded).all()
+
+
+# Seeded instances whose steps run both ways. A step pulls into the next
+# step's valid states when they are fewer than its live states: from a
+# free layout, out of a one-gate step into a two-gate step, or out of a
+# dummy step (where every state is valid) into a gate step. The other
+# steps push, as do most steps from a pinned layout, which starts from
+# one state.
+SWEEP = [("line4", 4, (1, 2, 1), ("error", "depth")),
+         ("y6", 4, (1, 2, 1), ("error", "depth")),
+         ("grid6", 6, (3, 2), ("error", "depth")),
+         ("y6", 4, (1, 2), ("crosstalk", "error"))]
+
+
+@pytest.mark.parametrize("graph, width, layers, order", SWEEP)
+@pytest.mark.parametrize("dummies", [0, 1, 2])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_dp_steps_match_branch_and_bound(graph, width, layers, order, dummies, pinned,
+                                         request):
+    g = request.getfixturevalue(graph)
+    c, fid = prepared(random_layered_circuit(width, layers, [19, dummies]), g, dummies)
+    layout = heuristic_layout(c, g, fid, seed=dummies) if pinned else None
+
+    def pin_rows(vs):
+        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
+                    rhs=1.0, family="PIN_INIT") for q in range(g.n)]
+
+    lex = lexicographic_solve(c, g, fid, order, row_hook=pin_rows if pinned else None)
+    value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    assert lex.closed
+    for o, got, want in zip(order, value, lex.stage_values):
+        if o == "error":
+            assert got == pytest.approx(want, abs=1e-9)
+        else:
+            assert got == want
+    assert verify_structural(rc, c, g) is None
 
 
 def test_parents_index_more_matchings_than_int16_holds():
