@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     shared.add_argument("--qv-layers", type=_int_at_least(1), default=None,
                         help="truncate QV circuits to this many layers")
     shared.add_argument("--dummy-steps", type=_int_at_least(0), default=2)
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--seed", type=_int_at_least(0), default=0)
     shared.add_argument("--out", type=Path, default=None, help="output directory")
     shared.add_argument("--fidelity", default=None,
                         help="fidelity override document (JSON)")

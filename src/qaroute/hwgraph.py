@@ -253,35 +253,32 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
         labels=tuple(range(1, n + 1)))
 
 
-# Most matchings ``enumerate_matchings`` lists, and most node subsets
-# ``matching_size`` remembers, before either gives up.
+# Most node subsets ``matching_size`` remembers before it gives up.
 MATCHING_LIMIT = 100000
 
 
-def enumerate_matchings(g: HardwareGraph) -> list[tuple[Edge, ...]]:
-    """All matchings (sets of pairwise disjoint edges), including the empty
-    one, sorted by size, so the last is a maximum matching.
+def enumerate_matchings(g: HardwareGraph, most: int) -> list[tuple[Edge, ...]]:
+    """The matchings (sets of pairwise disjoint edges) with at most
+    ``most`` edges, including the empty one, sorted by size and then
+    lexicographically, so each list is a prefix of a longer one's.
 
-    Used by the layout DP, which counts a graph past ``MATCHING_LIMIT``
-    as too large for it; the limit makes a huge graph fail loudly instead
-    of hanging. Where only the size of a maximum matching is needed,
+    Used by the layout DP, whose swap layers have at most one edge per
+    active qubit. Where only the size of a maximum matching is needed,
     ``matching_size`` finds it without listing them.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges
 
-    def rec(k: int, used: int, cur: list[Edge]) -> None:
-        if len(out) > MATCHING_LIMIT:
-            raise TopologyError("too many matchings to enumerate")
-        if k == len(edges):
-            out.append(tuple(cur))
+    def rec(start: int, used: int, cur: list[Edge]) -> None:
+        out.append(tuple(cur))  # recursion depth: at most ``most``
+        if len(cur) == most:
             return
-        rec(k + 1, used, cur)
-        i, j = edges[k]
-        if not (used >> i) & 1 and not (used >> j) & 1:
-            cur.append(edges[k])
-            rec(k + 1, used | (1 << i) | (1 << j), cur)
-            cur.pop()
+        for k in range(start, len(edges)):
+            i, j = edges[k]
+            if not (used >> i | used >> j) & 1:
+                cur.append(edges[k])
+                rec(k + 1, used | 1 << i | 1 << j, cur)
+                cur.pop()
 
     rec(0, 0, [])
     return sorted(out, key=lambda m: (len(m), m))

@@ -10,14 +10,15 @@ LP relaxation is involved; at desk scale the combinatorial bound closes
 the tree quickly and keeps the solver dependency-free.
 
 ``solve_exhaustive``, dynamic programming in numpy over the placements
-of the qubits some gate touches and the matchings of the hardware graph,
-is the exact engine of ``bip``, ``bip_layout`` and ``bip_routing`` on
-every instance whose arrays fit ``DP_MEMORY``, until the run's time
-limit. It shares only the gate and swap prices with the branch and
-bound, which, through ``lexopt``, routes ``bip_constrained``, ``pareto``
-and the instances the DP refuses, and is the tests' independent MILP
-oracle for the DP: the DP is never checked against itself. The layouts
-the DP walks back become a routed circuit through ``extract.schedule``.
+of the qubits some gate touches and the matchings of the hardware graph
+with at most one edge per such qubit, is the exact engine of ``bip``,
+``bip_layout`` and ``bip_routing`` on every instance whose arrays fit
+``DP_MEMORY``, until the run's time limit. It shares only the gate and
+swap prices with the branch and bound, which, through ``lexopt``,
+routes ``bip_constrained``, ``pareto`` and the instances the DP refuses,
+and is the tests' independent MILP oracle for the DP: the DP is never
+checked against itself. The layouts the DP walks back become a routed
+circuit through ``extract.schedule``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
-from .hwgraph import MATCHING_LIMIT, HardwareGraph, TopologyError, enumerate_matchings
+from .hwgraph import HardwareGraph, enumerate_matchings
 
 
 class SolveError(ValueError):
@@ -76,7 +77,7 @@ class SolveLimits:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN too
             raise SolveError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise SolveError("node limit must be positive")
@@ -426,7 +427,7 @@ DP_MEMORY = 1 << 30
 
 
 class DPTooLarge(SolveError):
-    """The layout DP's arrays would not fit ``DP_MEMORY``, or its matchings cannot be listed."""
+    """The layout DP's arrays would not fit ``DP_MEMORY``."""
 
 
 class DPTimeLimit(SolveError):
@@ -513,12 +514,13 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     there is allowed (on a gate's own edge, at merged minus plain error;
     elsewhere only if neither node holds a gate qubit and one holds an
     active qubit, at the swap's error) and what it adds. It then loops
-    over the matchings, never over states, from the smaller side: it
-    pushes from the live states, or pulls into the valid states of the
-    next step when those are fewer. A target keeps a candidate that
-    beats its value lexicographically, each component but the last
-    within its ``_OBJ_EPS`` slack, so float rounding in a sum cannot
-    decide a later component; the first matching wins a tie. The walk
+    over the matchings of at most ``a`` edges (a swapped edge moves an
+    active qubit), never over states, from the smaller side: it pushes
+    from the live states, or pulls into the valid states of the next
+    step when those are fewer. A target keeps a candidate that beats
+    its value lexicographically, each component but the last within its
+    ``_OBJ_EPS`` slack, so float rounding in a sum cannot decide a later
+    component; the first matching wins a tie. The walk
     back puts the idle qubits on the free nodes at step 0, in order, and
     carries them through the recorded matchings.
 
@@ -528,9 +530,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     ``objective`` is, and one optimal routed circuit (see
     extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
     would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
-    has passed (checked after the placements, after each edge's table and
-    once per matching; the DP counts no nodes), and ``SolveError`` when no
-    routing exists.
+    has passed (checked after the matchings, after the placements, after
+    each edge's table and once per matching; the DP counts no nodes), and
+    ``SolveError`` when no routing exists.
     """
     single = isinstance(objective, str)
     objs = (objective,) if single else tuple(objective)
@@ -550,18 +552,17 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     xt = g.crosstalk_edges if "crosstalk" in objs else ()  # one int64 mask bit each
     if len(xt) > 63:
         raise SolveError("the layout DP counts crosstalk on at most 63 edges")
-    if exhaustive_bytes(n, len(g.edges), a, m, len(objs), MATCHING_LIMIT) > DP_MEMORY:
+    takeable = sum(math.comb(len(g.edges), k) for k in range(a + 1))  # bounds the matchings
+    if exhaustive_bytes(n, len(g.edges), a, m, len(objs), takeable) > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
-    try:
-        matchings = enumerate_matchings(g)
-    except TopologyError as exc:
-        raise DPTooLarge(str(exc)) from exc
     deadline = time.perf_counter() + ((limits and limits.time_limit) or math.inf)
 
     def check_time() -> None:
         if time.perf_counter() > deadline:
             raise DPTimeLimit("the time limit passed before the layout DP finished")
 
+    matchings = enumerate_matchings(g, a)  # each swapped edge moves an active qubit
+    check_time()
     col = {q: k for k, q in enumerate(active)}
     states = _placements(n, a)
     places = states.shape[1]

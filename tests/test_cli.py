@@ -126,11 +126,28 @@ def test_layout_dp_past_the_time_limit_exits_3_with_the_greedy_route(capsys):
     assert "structural: ok" in capsys.readouterr().out
 
 
-def test_graph_with_too_many_matchings_for_the_dp_goes_to_branch_and_bound(capsys):
-    # line-25 has more than MATCHING_LIMIT matchings; the DP refuses it,
-    # and the branch and bound stops at the limit with an incumbent.
+@pytest.mark.parametrize("variant, want", [("bip", 0.0799769397991),
+                                           ("bip_layout", 0.0910038658461)],
+                         ids=["bip", "bip_layout"])
+def test_dp_proves_a_long_line_on_the_matchings_it_can_take(variant, want, capsys):
+    # line-25 has 121,393 matchings, but four active qubits can take only
+    # the 7,803 with at most four edges, and the DP lists only those.
+    # bip_layout routes greedily from the DP's layout, so it pays more.
     code = main(["transpile", "--builtin", "line,25", "--qv", "4,1", "--qv-layers", "2",
-                 "--time-limit", "2"])
+                 "--time-limit", "2", "--variant", variant])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "structural: ok" in out
+    error = float(out.split("error_objective_value: ")[1].split()[0])
+    assert error == pytest.approx(want, abs=1e-9)
+
+
+def test_instance_past_the_dp_memory_goes_to_branch_and_bound(capsys):
+    # Eight active qubits on line-12 would need about 6.1 GiB of DP
+    # arrays; the DP refuses them, and the branch and bound stops at its
+    # node limit with an incumbent (the DP ignores the node limit).
+    code = main(["transpile", "--builtin", "line,12", "--qv", "8,1", "--qv-layers", "2",
+                 "--node-limit", "4000"])
     assert code == 3
     assert "structural: ok" in capsys.readouterr().out
 
@@ -182,15 +199,25 @@ def test_limit_without_incumbent_exits_2(capsys):
     ["export", "--builtin", "line,4", *FAST, "--time-limit", "1"],
     ["export", "--builtin", "line,4", *FAST, "--node-limit", "5"],
     ["export", "--builtin", "line,4", *FAST, "--jobs", "2"],
+    # A seed is a non-negative integer, and a time limit a positive number.
+    ["transpile", "--builtin", "line,4", *FAST, "--seed", "-1"],
+    ["pareto", "--builtin", "line,4", *FAST, "--seed", "-1"],
+    ["bench", "--builtin", "line,4", *FAST, "--seed", "-1"],
+    ["transpile", "--builtin", "line,4", *FAST, "--time-limit", "nan"],
 ])
 def test_io_errors_map_to_exit_4(argv, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err
 
 
+def test_infinite_time_limit_means_no_limit(capsys):
+    assert main(["transpile", "--builtin", "line,4", *FAST, "--time-limit", "inf"]) == 0
+    assert "structural: ok" in capsys.readouterr().out
+
+
 def test_sabre_like_routes_a_line_with_too_many_matchings_to_enumerate(capsys):
-    # line-25 has more than MATCHING_LIMIT matchings; the greedy layout
-    # never enumerates them.
+    # line-25 has 121,393 matchings; the greedy layout never enumerates
+    # them.
     code = main(["transpile", "--variant", "sabre_like", "--builtin", "line,25", *FAST])
     assert code == 0
     assert "structural: ok" in capsys.readouterr().out
@@ -217,8 +244,8 @@ def test_oversized_qv_width_is_rejected_before_generation(command, capsys):
 
 
 def test_export_checks_layer_width_without_listing_matchings(tmp_path):
-    # line-25 has more than MATCHING_LIMIT matchings; the model's
-    # layer-width check only needs the size of a maximum one.
+    # line-25 has 121,393 matchings; the model's layer-width check only
+    # needs the size of a maximum one.
     code = main(["export", "--builtin", "line,25", *FAST, "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "model.lp").is_file()

@@ -226,7 +226,7 @@ def repair_oracle(c, g, layout):
         return tuple(pos)
     dist = g.distances()
     best = None
-    for m in enumerate_matchings(g):
+    for m in enumerate_matchings(g, len(first)):
         if len(m) != len(first):
             continue
         for perm in itertools.permutations(m):

@@ -98,7 +98,7 @@ def test_builtin_unknown():
 
 
 def test_enumerate_matchings_line4(line4):
-    ms = enumerate_matchings(line4)
+    ms = enumerate_matchings(line4, 2)
     as_sets = {frozenset(m) for m in ms}
     assert frozenset() in as_sets
     assert frozenset({(0, 1), (2, 3)}) in as_sets
@@ -111,13 +111,13 @@ def test_enumerate_matchings_line4(line4):
 
 def test_largest_matching_size(line4, y6, grid6):
     # Matchings come sorted by size, so the last one is a maximum matching.
-    assert len(enumerate_matchings(line4)[-1]) == 2
-    assert len(enumerate_matchings(y6)[-1]) == 3
-    assert len(enumerate_matchings(grid6)[-1]) == 3
+    assert len(enumerate_matchings(line4, 2)[-1]) == 2
+    assert len(enumerate_matchings(y6, 3)[-1]) == 3
+    assert len(enumerate_matchings(grid6, 3)[-1]) == 3
 
 
 def test_matchings_consistent_with_max(y6):
-    ms = enumerate_matchings(y6)
+    ms = enumerate_matchings(y6, 3)
     assert max(len(m) for m in ms) == len(ms[-1])
     # The only perfect matching on y-6 covers the forced edge set.
     perfect = [set(m) for m in ms if len(m) == 3]
@@ -137,7 +137,7 @@ def test_matching_size_agrees_with_enumeration():
     rng = np.random.default_rng(77)
     for _ in range(150):
         g = random_connected_graph(int(rng.integers(2, 12)), rng)
-        matchings = enumerate_matchings(g)
+        matchings = enumerate_matchings(g, g.n // 2)
         size = matching_size(g)
         assert size((1 << g.n) - 1) == len(matchings[-1])
         # Any node subset: the largest matching inside it.
@@ -146,6 +146,26 @@ def test_matching_size_agrees_with_enumeration():
             inside = [m for m in matchings
                       if all(mask >> i & 1 and mask >> j & 1 for i, j in m)]
             assert size(mask) == max(len(m) for m in inside)
+
+
+def test_matchings_up_to_a_size_are_a_prefix_of_all():
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        g = random_connected_graph(int(rng.integers(2, 10)), rng)
+        every = enumerate_matchings(g, g.n // 2)
+        for most in range(g.n // 2 + 1):
+            ms = enumerate_matchings(g, most)
+            assert ms == every[:len(ms)]
+            assert ms == [m for m in every if len(m) <= most]
+
+
+def test_matchings_of_long_graphs_are_listed_without_deep_recursion():
+    # line-62 has 1 + 61 + C(60, 2) + C(59, 3) matchings of at most three
+    # edges; a star's 2,000 edges would pass the recursion limit if the
+    # search recursed once per edge.
+    assert len(enumerate_matchings(builtin_topology("line", 62), 3)) == 34341
+    star = HardwareGraph(n=2001, edges=tuple((0, k) for k in range(1, 2001)))
+    assert len(enumerate_matchings(star, 1)) == 2001
 
 
 def test_matching_size_of_long_lines():

@@ -1,20 +1,22 @@
 import itertools
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qaroute.solver
 from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import Row, assemble_problem
-from qaroute.circuit import insert_dummy_steps, pad_qubits
-from qaroute.extract import stats, verify_structural
+from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
+from qaroute.extract import routed_to_json, stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
 from qaroute.lexopt import lexicographic_solve
-from qaroute.qvbench import gen_qv_circuit, lower_circuit
+from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, SolutionInfeasibleError, SolveError,
                             SolveLimits, SolveStatus, _placements, _swap_table,
                             exhaustive_bytes, export_model, export_solution, import_model,
@@ -32,8 +34,11 @@ def test_limits_validation():
     with pytest.raises(SolveError):
         SolveLimits(time_limit=0.0)
     with pytest.raises(SolveError):
+        SolveLimits(time_limit=float("nan"))
+    with pytest.raises(SolveError):
         SolveLimits(node_limit=0)
     SolveLimits(time_limit=5.0, node_limit=10)
+    SolveLimits(time_limit=float("inf"))  # no limit
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -284,8 +289,8 @@ def test_byte_estimate_bounds_the_dp_peak(topology, n, width, layers):
     g = builtin_topology(topology, n)
     c, fid = qv_instance(g, width, layers)
     active = len({q for gate in c.gates() for q in gate.operands})
-    estimate = exhaustive_bytes(g.n, len(g.edges), active, c.num_steps, 2,
-                                len(enumerate_matchings(g)))
+    takeable = sum(math.comb(len(g.edges), k) for k in range(active + 1))
+    estimate = exhaustive_bytes(g.n, len(g.edges), active, c.num_steps, 2, takeable)
     tracemalloc.start()
     try:
         solve_exhaustive(c, g, fid, ("error", "depth"))
@@ -325,6 +330,20 @@ def test_time_limit_stops_the_dp_while_it_builds_its_tables():
     start = time.perf_counter()
     with pytest.raises(DPTimeLimit):
         solve_exhaustive(c, line14, fid, ("error", "depth"), limits=SolveLimits(time_limit=0.01))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
+    # Three active qubits on line-62 can take 34,341 matchings, listed in
+    # a few hundredths of a second; the limit is checked once they are
+    # listed, before any placement.
+    monkeypatch.setattr(qaroute.solver, "_placements",
+                        lambda n, a: pytest.fail("placements built past the limit"))
+    line62 = builtin_topology("line", 62)
+    c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), line62, 1)
+    start = time.perf_counter()
+    with pytest.raises(DPTimeLimit):
+        solve_exhaustive(c, line62, fid, ("error", "depth"), limits=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
 
 
@@ -378,16 +397,67 @@ def test_dp_steps_match_branch_and_bound(graph, width, layers, order, dummies, p
     assert verify_structural(rc, c, g) is None
 
 
+def line8_crosstalk():
+    """line-8 whose couplers two apart interfere, like line-6's."""
+    edges = tuple((i, i + 1) for i in range(7))
+    return HardwareGraph(n=8, edges=edges, crosstalk_pairs=tuple(zip(edges, edges[2:])))
+
+
+# Graphs whose largest matchings have more edges than the circuit has
+# active qubits, so the DP lists fewer matchings than the graph has.
+UNTAKEABLE = [(line8_crosstalk, 3, (1, 1, 1), ("crosstalk", "error")),
+              (line8_crosstalk, 3, (1, 1, 1), ("error", "crosstalk", "depth")),
+              (lambda: builtin_topology("y", 8), 3, (1, 1, 1), ("error", "depth")),
+              (lambda: builtin_topology("grid", 6), 2, (1, 1), ("error", "crosstalk")),
+              (lambda: builtin_topology("line", 10), 4, (2, 1, 2), ("depth", "error"))]
+
+
+@pytest.mark.parametrize("graph, width, layers, order", UNTAKEABLE,
+                         ids=["line-8/w3/xt,err", "line-8/w3/err,xt,depth", "y-8/w3",
+                              "grid-6/w2", "line-10/w4"])
+@pytest.mark.parametrize("dummies", [0, 1, 2])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_matchings_the_dp_cannot_take_change_nothing(graph, width, layers, order,
+                                                      dummies, pinned, monkeypatch):
+    # A swapped edge must move an active qubit, so a matching with more
+    # edges than there are active qubits is never taken: handing the DP
+    # every matching of the graph gives the same values and routes.
+    g = graph()
+    c, fid = prepared(random_layered_circuit(width, layers, [23, dummies]), g, dummies)
+    active = len({q for gate in c.gates() for q in gate.operands})
+    every = enumerate_matchings(g, g.n // 2)
+    assert len(enumerate_matchings(g, active)) < len(every)
+    layout = heuristic_layout(c, g, fid, seed=dummies) if pinned else None
+    value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    monkeypatch.setattr(qaroute.solver, "enumerate_matchings", lambda _g, _most: every)
+    value_all, rc_all = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    assert value_all == value
+    assert routed_to_json(rc_all) == routed_to_json(rc)
+
+
+def test_a_swap_layer_may_move_every_active_qubit(line4):
+    # Pinned to the ends of line-4, both qubits must swap with their idle
+    # neighbours before the gate: one layer with an edge per active qubit.
+    c = LayeredCircuit(4, ((), (Gate(0, 1, haar_su4(0), gid=0),)))
+    fid = FidelityModel.build(c, line4)
+    value, rc = solve_exhaustive(c, line4, fid, "error", initial_map=(0, 3, 1, 2))
+    assert value == pytest.approx(2 * fid.swap_error(0, 1) + fid.gate_error(0, 1, 2),
+                                  abs=1e-12)
+    assert verify_structural(rc, c, line4) is None
+
+
 def test_parents_index_more_matchings_than_int16_holds():
-    # line-23 has 46,368 matchings, past int16. Two qubits on a line with
-    # equal betas never need a swap, so the optimum equals line-4's,
-    # which the branch and bound proves.
-    qv = lower_circuit(gen_qv_circuit(2, [202, 0]), n_layers=2)
-    line23 = builtin_topology("line", 23)
-    c, fid = prepared(qv, line23, 1)
-    run = run_variant_full("bip", c, line23, fid)
+    # line-62 has 34,341 matchings that three active qubits can take,
+    # past int16. Three qubits on a line with equal betas need no more
+    # room than line-4 gives them, so the optimum equals line-4's, which
+    # the branch and bound proves.
+    qv = lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2)
+    line62 = builtin_topology("line", 62)
+    c, fid = prepared(qv, line62, 1)
+    assert len({q for gate in c.gates() for q in gate.operands}) == 3
+    run = run_variant_full("bip", c, line62, fid)
     assert run.closed
-    assert verify_structural(run.routed, c, line23) is None
+    assert verify_structural(run.routed, c, line62) is None
     line4 = builtin_topology("line", 4)
     c4, fid4 = prepared(qv, line4, 1)
     lex = lexicographic_solve(c4, line4, fid4, ("error", "depth"))
