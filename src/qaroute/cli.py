@@ -8,8 +8,10 @@ solution against it).
 
 Exit codes: 0 the layout DP or every lexicographic stage proved its
 optimum (in ``pareto`` and ``bench``: every stage of every point or
-run), 2 infeasible, 3 budget hit with an incumbent, 4 I/O, argument or
-input-document errors.
+run), 2 no route (``solver.NoRouteError``: the instance is infeasible,
+or a stage spent its budget with no incumbent), 3 budget hit with an
+incumbent, 4 I/O, argument or input-document errors (a sweep argument
+the solver rejects among them).
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .extract import (ExtractError, decode, routed_to_json, stats,
 from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
-from .lexopt import LexError, _check_order, pareto_sweep, sweep_table
+from .lexopt import pareto_sweep, sweep_table
 from .qvbench import (BenchError, benchmark_batch, gen_qv_circuit, lower_circuit,
                       map_in_pool)
-from .solver import (_OBJ_EPS, SolutionInfeasibleError, SolveError, SolveLimits,
-                     export_model, import_solution)
+from .solver import (_OBJ_EPS, NoRouteError, SolutionInfeasibleError, SolveError,
+                     SolveLimits, _check_order, export_model, import_solution)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -83,7 +85,7 @@ def _qv_one(text: str) -> tuple[int, int]:
 def _objective_order(text: str) -> tuple[str, ...]:
     try:
         order = _check_order(s.strip() for s in text.split(",") if s.strip())
-    except LexError as exc:
+    except SolveError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if len(order) < 2:
         raise argparse.ArgumentTypeError("a sweep needs at least two objectives")
@@ -206,11 +208,7 @@ def cmd_transpile(ns: argparse.Namespace) -> int:
     g, overrides, lim = _graph(ns), _overrides(ns), _limits(ns)
     c = _load_circuit(ns, g)
     fid = FidelityModel.build(c, g, overrides=overrides)
-    try:
-        run = run_variant_full(ns.variant, c, g, fid, lim, ns.seed)
-    except LexError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    run = run_variant_full(ns.variant, c, g, fid, lim, ns.seed)
     report = verify_structural(run.routed, c, g)
     lines = [f"variant: {ns.variant}"]
     for key, val in run.stats.as_dict().items():
@@ -285,7 +283,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except LexError as exc:
+    except NoRouteError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ExtractError as exc:

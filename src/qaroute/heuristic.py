@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bipmodel import Row
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, matching_size, norm_edge
-from .lexopt import LexError, lexicographic_solve
-from .solver import DPTimeLimit, DPTooLarge, SolveError, SolveLimits, solve_exhaustive
+from .lexopt import lexicographic_solve
+from .solver import DPTimeLimit, DPTooLarge, SolveLimits, solve_exhaustive
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
 
@@ -36,10 +35,6 @@ DECAY = 0.7
 TRIALS = 8
 # Arcs the first-layer repair search places before it settles.
 REPAIR_NODES = 100000
-
-
-def _gate_sequence(c: LayeredCircuit) -> list:
-    return [gt for grp in c.groups for gt in grp]
 
 
 def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
@@ -58,7 +53,7 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
     if sorted(initial_map) != list(range(n)):
         raise HeuristicError("initial_map is not a qubit-to-node bijection")
     dist = g.distances()
-    remaining = _gate_sequence(c)
+    remaining = c.gates()
     pos = list(initial_map)
     steps: list[tuple] = []
     stall = 0
@@ -248,37 +243,27 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     ``c`` must already be padded to the hardware size, with any dummy
     steps inserted; the heuristic legs simply ignore empty layers.
     ``seed`` seeds the greedy layout search. The four model variants
-    differ only in the objective order and the extra rows. ``bip``,
-    ``bip_layout`` and ``bip_routing`` (its greedy layout is the DP's
-    one start state) go to the layout DP, and its route is a proof; past
-    ``lim``'s time limit they return the greedy route, unproven.
-    ``bip_constrained`` and the instances the DP refuses as too large are
-    one lexicographic solve each, under ``lim``.
+    differ only in the objective order (``bip_layout`` optimizes error
+    alone), the initial layout (``bip_routing`` pins its greedy one) and
+    whether the final layout must equal the initial one
+    (``bip_constrained``); whichever engine runs gets the same
+    ``initial_map``. ``bip``, ``bip_layout`` and ``bip_routing`` go to
+    the layout DP, and its route is a proof; past ``lim``'s time limit
+    they return the greedy route, unproven. ``bip_constrained`` and the
+    instances the DP refuses as too large are one lexicographic solve
+    each, under ``lim``. Raises ``NoRouteError`` when no route is found.
     """
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, fid, seed)
         rc = heuristic_route(c, g, layout, fid)
         return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=True)
-    order, layout, row_hook = ("error", "depth"), None, None
-    if variant == "bip_layout":
-        order = ("error",)
-    elif variant == "bip_routing":
-        layout = heuristic_layout(c, g, fid, seed)
-
-        def row_hook(vs):
-            return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
-                        rhs=1.0, family="PIN_INIT") for q in range(g.n)]
-    elif variant == "bip_constrained":
-
-        def row_hook(vs):
-            last = vs.m - 1
-            return [Row(vars=(vs.w(q, i, 0), vs.w(q, i, last)), coefs=(1.0, -1.0),
-                        sense="=", rhs=0.0, family="SAME_ENDPOINTS")
-                    for q in range(g.n) for i in range(g.n)]
-    elif variant != "bip":
+    if variant not in VARIANTS:
         raise HeuristicError(f"unknown variant {variant!r}")
+    order = ("error",) if variant == "bip_layout" else ("error", "depth")
+    layout = heuristic_layout(c, g, fid, seed) if variant == "bip_routing" else None
+    same = variant == "bip_constrained"
     rc, closed = None, True
-    if variant != "bip_constrained":
+    if not same:
         try:
             _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, limits=lim)
         except DPTimeLimit:
@@ -286,10 +271,8 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
             rc, closed = heuristic_route(c, g, start, fid), False
         except DPTooLarge:
             pass
-        except SolveError as exc:  # no routing exists
-            raise LexError(str(exc)) from exc
     if rc is None:
-        lex = lexicographic_solve(c, g, fid, order, lim, row_hook=row_hook)
+        lex = lexicographic_solve(c, g, fid, order, lim, initial_map=layout, same_endpoints=same)
         rc = decode(lex.vs, lex.result.assignment, c, g, fid)
         closed = lex.closed
     if variant == "bip_layout":

@@ -19,11 +19,8 @@ from .bipmodel import BipProblem, Row, VariableSpace, assemble_problem, set_obje
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
-from .solver import _OBJ_EPS, SolveLimits, SolveResult, SolveStatus, solve_branch_and_bound
-
-
-class LexError(ValueError):
-    """Raised for bad objective orders or infeasible stage problems."""
+from .solver import (_OBJ_EPS, NoRouteError, SolveError, SolveLimits, SolveResult, SolveStatus,
+                     _check_order, solve_branch_and_bound)
 
 
 @dataclass(frozen=True)
@@ -49,18 +46,6 @@ class ParetoPoint:
         return (self.primary_value, self.secondary_value, self.tertiary_value)
 
 
-def _check_order(order) -> tuple[str, ...]:
-    order = tuple(order)
-    if not order:
-        raise LexError("objective order is empty")
-    for o in order:
-        if o not in _OBJ_EPS:
-            raise LexError(f"unknown objective {o!r}")
-    if len(set(order)) != len(order):
-        raise LexError("objective order repeats an objective")
-    return order
-
-
 def _budget_row(vec: np.ndarray, rhs: float) -> Row:
     nz = [v for v in range(len(vec)) if vec[v] != 0.0]
     return Row(vars=tuple(nz), coefs=tuple(float(vec[v]) for v in nz),
@@ -68,12 +53,23 @@ def _budget_row(vec: np.ndarray, rhs: float) -> Row:
 
 
 def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
-            row_hook=None) -> tuple[VariableSpace, list[BipProblem]]:
-    """One shared model, with the objective of each stage set once."""
+            initial_map=None, same_endpoints: bool = False
+            ) -> tuple[VariableSpace, list[BipProblem]]:
+    """One shared model, with the objective of each stage set once.
+    ``initial_map`` pins every qubit's step-0 node (``PIN_INIT`` rows);
+    ``same_endpoints`` makes the last step's layout equal the first's
+    (``SAME_ENDPOINTS`` rows)."""
+    if initial_map is not None and sorted(initial_map) != list(range(g.n)):
+        raise SolveError("initial_map is not a qubit-to-node bijection")
     vs, p = assemble_problem(c, g, fid, objective=order[0],
                              crosstalk_mode="crosstalk" in order)
-    if row_hook is not None:
-        p = p.with_rows(list(row_hook(vs)))
+    pins = [] if initial_map is None else [
+        Row(vars=(vs.w(q, initial_map[q], 0),), coefs=(1.0,), sense="=", rhs=1.0,
+            family="PIN_INIT") for q in range(g.n)]
+    ends = [Row(vars=(vs.w(q, i, 0), vs.w(q, i, vs.m - 1)), coefs=(1.0, -1.0), sense="=",
+                rhs=0.0, family="SAME_ENDPOINTS")
+            for q in range(g.n) for i in range(g.n)] if same_endpoints else []
+    p = p.with_rows(pins + ends)
     return vs, [p] + [set_objective(p, vs, kind, fid) for kind in order[1:]]
 
 
@@ -122,9 +118,9 @@ def _solve_stages(stages: list[BipProblem], rows: list[Row], run_lim: _RunLimits
             run_lim.spend(result.nodes)
         # Only a stage started without an incumbent can end without one.
         if result.status == SolveStatus.INFEASIBLE:
-            raise LexError(f"stage {k + 1} problem is infeasible")
+            raise NoRouteError(f"stage {k + 1} problem is infeasible")
         if result.objective is None:
-            raise LexError(f"stage {k + 1} hit its budget with no incumbent")
+            raise NoRouteError(f"stage {k + 1} hit its budget with no incumbent")
         values.append(result.objective)
         closed = closed and result.status == SolveStatus.OPTIMAL
         incumbent = result.assignment
@@ -135,8 +131,8 @@ def _solve_stages(stages: list[BipProblem], rows: list[Row], run_lim: _RunLimits
 
 
 def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                        order, lim: SolveLimits | None = None,
-                        row_hook=None) -> LexResult:
+                        order, lim: SolveLimits | None = None, initial_map=None,
+                        same_endpoints: bool = False) -> LexResult:
     """Optimize the objectives in sequence on one shared model.
 
     Stage i re-solves under budget rows pinning every earlier objective
@@ -145,11 +141,15 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     Returns the final incumbent plus the per-stage optima; ``closed``
     holds only when every stage proved its optimum. ``lim`` bounds the
     whole run, not each stage: the stages share one deadline and one
-    node budget. ``row_hook(vs)`` may contribute extra rows, which is how
-    the pinned-layout and equal-endpoint variants are built.
+    node budget. ``initial_map`` pins the step-0 node of every qubit,
+    idle ones included, as in ``solver.solve_exhaustive``
+    (``bip_routing``); ``same_endpoints`` makes the final layout equal
+    the initial one (``bip_constrained``). Raises ``SolveError`` for a
+    bad order or a non-bijective ``initial_map``, and ``NoRouteError``
+    when a stage is infeasible or spends the budget with no incumbent.
     """
     order = _check_order(order)
-    vs, stages = _stages(c, g, fid, order, row_hook)
+    vs, stages = _stages(c, g, fid, order, initial_map, same_endpoints)
     values, result, closed = _solve_stages(stages, [], _RunLimits(lim or SolveLimits()))
     return LexResult(order=order, stage_values=tuple(values),
                      result=result, vs=vs, closed=closed)
@@ -178,12 +178,12 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     """
     order = _check_order(order)
     if len(order) < 2:
-        raise LexError("a sweep needs at least two objectives")
+        raise SolveError("a sweep needs at least two objectives")
     if steps < 1:
-        raise LexError("step count must be at least 1")
+        raise SolveError("step count must be at least 1")
     delta = default_step_size(order[0], fid)
     if delta <= 0.0:
-        raise LexError("step size must be positive")
+        raise SolveError("step size must be positive")
 
     _, stages = _stages(c, g, fid, order)
     run_lim = _RunLimits(lim or SolveLimits())

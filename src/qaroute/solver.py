@@ -41,6 +41,11 @@ class SolveError(ValueError):
     """Raised for malformed solver inputs or solution documents."""
 
 
+class NoRouteError(SolveError):
+    """No routed circuit to return: the instance has none, or a
+    branch-and-bound stage spent its budget before finding one."""
+
+
 class SolutionInfeasibleError(SolveError):
     """An imported assignment violates a constraint row."""
 
@@ -420,6 +425,20 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
 # later objective breaks the tie (lexicographic stages and the DP alike).
 _OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
+
+def _check_order(order) -> tuple[str, ...]:
+    """``order`` as a tuple of distinct known objectives, at least one."""
+    order = tuple(order)
+    if not order:
+        raise SolveError("objective order is empty")
+    for o in order:
+        if o not in _OBJ_EPS:
+            raise SolveError(f"unknown objective {o!r}")
+    if len(set(order)) != len(order):
+        raise SolveError("objective order repeats an objective")
+    return order
+
+
 # The layout DP holds all its arrays at once; it takes an instance only when
 # ``exhaustive_bytes`` fits DP_MEMORY, 1 GiB, which leaves a desk machine room
 # for a few ``bench`` workers running one each. The deadline bounds its time.
@@ -524,21 +543,19 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     back puts the idle qubits on the free nodes at step 0, in order, and
     carries them through the recorded matchings.
 
-    ``objective`` is one of ``error``/``depth``/``crosstalk`` or a tuple
-    of them. ``initial_map`` pins the step-0 layout of every qubit, idle
-    ones included. Returns ``(value, routed)``, the value a tuple when
+    ``objective`` is one of ``error``/``depth``/``crosstalk`` or an order
+    of them that ``_check_order`` accepts, as in ``lexopt``.
+    ``initial_map`` pins the step-0 node of every qubit, idle ones
+    included. Returns ``(value, routed)``, the value a tuple when
     ``objective`` is, and one optimal routed circuit (see
     extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
     would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
     has passed (checked after the matchings, after the placements, after
     each edge's table and once per matching; the DP counts no nodes), and
-    ``SolveError`` when no routing exists.
+    ``NoRouteError`` when no routing exists.
     """
     single = isinstance(objective, str)
-    objs = (objective,) if single else tuple(objective)
-    for o in objs:
-        if o not in _OBJ_EPS:
-            raise SolveError(f"unknown objective {o!r}")
+    objs = _check_order((objective,) if single else objective)
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
@@ -706,7 +723,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         parents.append((parent, via))
     alive = np.flatnonzero(np.isfinite(value[0]))
     if len(alive) == 0:
-        raise SolveError("instance is infeasible")
+        raise NoRouteError("instance is infeasible")
 
     # The last step runs its gates with no swap set (matching 0 is the
     # empty one); the best final state has the least error, then within

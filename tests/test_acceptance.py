@@ -19,11 +19,11 @@ from qaroute.gatefid import (avg_gate_fidelity, cnot_budget_fidelities,
                              FidelityModel)
 from qaroute.heuristic import run_variant_full
 from qaroute.hwgraph import builtin_topology
-from qaroute.lexopt import LexError, lexicographic_solve
+from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import (benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise, lower_circuit)
 from qaroute.circuit import LayeredCircuit
-from qaroute.solver import (SolveLimits, SolveStatus, export_model,
+from qaroute.solver import (NoRouteError, SolveLimits, SolveStatus, export_model,
                             export_solution, import_model, import_solution,
                             solve_branch_and_bound, solve_exhaustive)
 
@@ -88,7 +88,7 @@ def desk_batch(line4):
         for variant in ("sabre_like", "bip_routing", "bip_constrained"):
             try:
                 runs[variant] = run_variant_full(variant, c, g, fid)
-            except LexError:
+            except NoRouteError:
                 runs[variant] = None
         rows.append(dict(idx=i, g=g, c=c, fid=fid, qv=qv, lex=lex, bip=bip,
                          depth_free=depth_free.objective, runs=runs))

@@ -175,6 +175,17 @@ def test_limit_without_incumbent_exits_2(capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_sweep_with_a_zero_error_step_is_an_argument_error(tmp_path, capsys):
+    # With every beta at 1 a swap costs nothing, so the sweep has no error
+    # step to take: a bad input (exit 4), not a missing route (exit 2).
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps({"nodes": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3]],
+                                "default_beta": 1.0}))
+    code = main(["pareto", "--topology", str(topo), "--qv", "4,1", "--qv-layers", "2"])
+    assert code == 4
+    assert "step size" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["transpile", "--builtin", "line,4"],
     ["transpile", "--qv", "4,1"],

@@ -5,15 +5,16 @@ import pytest
 
 from helpers import prepared, random_layered_circuit
 import qaroute.lexopt
-from qaroute.bipmodel import Row, assemble_problem, set_objective
+from qaroute.bipmodel import assemble_problem, set_objective
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.extract import decode
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
-from qaroute.lexopt import (LexError, ParetoPoint, _budget_row, default_step_size,
+from qaroute.lexopt import (ParetoPoint, _budget_row, default_step_size,
                             lexicographic_solve, pareto_sweep, sweep_table)
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import _OBJ_EPS, SolveLimits, SolveStatus, solve_branch_and_bound
+from qaroute.solver import (_OBJ_EPS, SolveError, SolveLimits, SolveStatus,
+                            solve_branch_and_bound, solve_exhaustive)
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +40,13 @@ def test_two_stage_respects_stage_one_budget(inst, line4):
 
 
 def test_order_validation(inst, line4):
+    # Both exact engines check the order the same way.
     c, fid = inst
     for bad in ((), ("error", "error"), ("error", "speed")):
-        with pytest.raises(LexError):
+        with pytest.raises(SolveError):
             lexicographic_solve(c, line4, fid, bad)
+        with pytest.raises(SolveError):
+            solve_exhaustive(c, line4, fid, bad)
 
 
 def test_three_stage_with_crosstalk(y6):
@@ -192,13 +196,13 @@ def test_depth_stage_tries_no_swap_layer_first(grid6):
 
 def test_sweep_argument_validation(inst, line4):
     c, fid = inst
-    with pytest.raises(LexError):
+    with pytest.raises(SolveError):
         pareto_sweep(c, line4, fid, ("error",), steps=2)
-    with pytest.raises(LexError):
+    with pytest.raises(SolveError):
         pareto_sweep(c, line4, fid, ("error", "depth"), steps=0)
     # With every beta at 1 a swap costs nothing, so the error step is 0.
     perfect = HardwareGraph(n=4, edges=line4.edges, beta={e: 1.0 for e in line4.edges})
-    with pytest.raises(LexError, match="step size"):
+    with pytest.raises(SolveError, match="step size"):
         pareto_sweep(c, perfect, FidelityModel.build(c, perfect), ("error", "depth"), steps=1)
     single = pareto_sweep(c, line4, fid, ("error", "depth"), steps=1)
     assert len(single) == 1
@@ -220,18 +224,21 @@ def test_sweep_table_layout():
     assert row_b.split("\t")[4] == "0.5"
 
 
-def test_row_hook_pins_initial_layout(inst, line4):
+def test_initial_map_pins_initial_layout(inst, line4):
     c, fid = inst
     free = lexicographic_solve(c, line4, fid, ("error", "depth"))
     layout = decode(free.vs, free.result.assignment, c, line4, fid).initial_map
-
-    def pin_rows(vs):
-        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
-                    rhs=1.0, family="PIN_INIT")
-                for q in range(4)]
-
-    lex = lexicographic_solve(c, line4, fid, ("error", "depth"), row_hook=pin_rows)
+    lex = lexicographic_solve(c, line4, fid, ("error", "depth"), initial_map=layout)
     rc = decode(lex.vs, lex.result.assignment, c, line4, fid)
     assert rc.initial_map == layout
     # Pinning to the free optimum's own layout cannot change the optimum.
     assert lex.stage_values[0] == pytest.approx(free.stage_values[0], abs=1e-9)
+
+
+def test_initial_map_must_be_a_bijection(inst, line4):
+    c, fid = inst
+    for bad in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4)):
+        with pytest.raises(SolveError, match="bijection"):
+            lexicographic_solve(c, line4, fid, ("error", "depth"), initial_map=bad)
+        with pytest.raises(SolveError, match="bijection"):
+            solve_exhaustive(c, line4, fid, ("error", "depth"), initial_map=bad)

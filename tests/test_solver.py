@@ -381,12 +381,7 @@ def test_dp_steps_match_branch_and_bound(graph, width, layers, order, dummies, p
     g = request.getfixturevalue(graph)
     c, fid = prepared(random_layered_circuit(width, layers, [19, dummies]), g, dummies)
     layout = heuristic_layout(c, g, fid, seed=dummies) if pinned else None
-
-    def pin_rows(vs):
-        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
-                    rhs=1.0, family="PIN_INIT") for q in range(g.n)]
-
-    lex = lexicographic_solve(c, g, fid, order, row_hook=pin_rows if pinned else None)
+    lex = lexicographic_solve(c, g, fid, order, initial_map=layout)
     value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
     assert lex.closed
     for o, got, want in zip(order, value, lex.stage_values):
@@ -500,8 +495,8 @@ def test_crosstalk_on_more_than_63_edges_is_refused():
 
 
 def test_pinned_dp_matches_branch_and_bound_past_eight_nodes():
-    # bip_routing runs the DP on line-10 from the greedy layout; B&B with
-    # PIN_INIT rows proves the same instance independently.
+    # bip_routing runs the DP on line-10 from the greedy layout; B&B from
+    # the same initial_map proves the same instance independently.
     line10 = builtin_topology("line", 10)
     c, fid = prepared(random_layered_circuit(4, (1, 1), 3), line10, 1)
     layout = heuristic_layout(c, line10, fid)
@@ -510,12 +505,7 @@ def test_pinned_dp_matches_branch_and_bound_past_eight_nodes():
     assert run.closed
     assert run.routed.initial_map == layout
     assert run.stats.error_objective_value == pytest.approx(err, abs=1e-12)
-
-    def pin_rows(vs):
-        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
-                    rhs=1.0, family="PIN_INIT") for q in range(line10.n)]
-
-    lex = lexicographic_solve(c, line10, fid, ("error", "depth"), row_hook=pin_rows)
+    lex = lexicographic_solve(c, line10, fid, ("error", "depth"), initial_map=layout)
     assert lex.closed
     assert err == pytest.approx(lex.stage_values[0], abs=1e-9)
     assert depth == lex.stage_values[1]
@@ -559,13 +549,8 @@ def test_pinned_dp_matches_branch_and_bound_with_pinned_rows(graph, width, layer
     g = request.getfixturevalue(graph)
     c, fid = prepared(random_layered_circuit(width, layers, [18, 0]), g, 1)
     layout = heuristic_layout(c, g, fid, seed=3)
-
-    def pin_rows(vs):
-        return [Row(vars=(vs.w(q, layout[q], 0),), coefs=(1.0,), sense="=",
-                    rhs=1.0, family="PIN_INIT") for q in range(g.n)]
-
     (err, depth), rc = solve_exhaustive(c, g, fid, ("error", "depth"), initial_map=layout)
-    lex = lexicographic_solve(c, g, fid, ("error", "depth"), row_hook=pin_rows)
+    lex = lexicographic_solve(c, g, fid, ("error", "depth"), initial_map=layout)
     assert lex.closed
     assert rc.initial_map == layout
     assert err == pytest.approx(lex.stage_values[0], abs=1e-9)
