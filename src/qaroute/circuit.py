@@ -99,7 +99,9 @@ def layerize(gates: list[Gate] | list[tuple], n_qubits: int | None = None) -> La
     normed: list[Gate] = []
     for k, g in enumerate(gates):
         if isinstance(g, Gate):
-            normed.append(replace(g, gid=k if g.gid < 0 else g.gid))
+            # A gate with its id is kept as it is: replace() would check its
+            # payload a second time.
+            normed.append(g if g.gid >= 0 else replace(g, gid=k))
         else:
             p, q, u = g
             normed.append(Gate(p=p, q=q, unitary=u, gid=k))

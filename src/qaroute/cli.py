@@ -9,7 +9,8 @@ solution against it).
 Exit codes: 0 the layout DP or every lexicographic stage proved its
 optimum (in ``pareto`` and ``bench``: every stage of every point or
 run), 2 no route (``solver.NoRouteError``: the instance is infeasible,
-or a stage spent its budget with no incumbent), 3 budget hit with an
+or a stage spent its budget with no incumbent; ``bench`` first writes its
+table, a ``no_route`` row per such run), 3 budget hit with an
 incumbent, 4 I/O, argument or input-document errors (a sweep argument
 the solver rejects among them).
 """
@@ -17,6 +18,7 @@ the solver rejects among them).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,8 +31,8 @@ from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
 from .lexopt import pareto_sweep, sweep_table
-from .qvbench import (BenchError, benchmark_batch, gen_qv_circuit, lower_circuit,
-                      map_in_pool)
+from .qvbench import (LIMIT, NO_ROUTE, BenchError, benchmark_batch, gen_qv_circuit,
+                      lower_circuit, map_in_pool)
 from .solver import (_OBJ_EPS, NoRouteError, SolutionInfeasibleError, SolveError,
                      SolveLimits, _check_order, export_model, import_solution)
 
@@ -92,7 +94,11 @@ def _objective_order(text: str) -> tuple[str, ...]:
     return order
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and reused by
+    every later one in the process: each parse fills a new namespace, and
+    no default is mutable."""
     p = _Parser(prog="qaroute", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -251,7 +257,12 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                           dummy_steps=ns.dummy_steps, n_layers=ns.qv_layers,
                           jobs=ns.jobs)
     _emit(ns, "bench.tsv", res.to_table())
-    return EXIT_OK if all(r.closed for r in res.rows) else EXIT_LIMIT
+    statuses = [r.status for r in res.rows]
+    if NO_ROUTE in statuses:
+        print(f"infeasible: {statuses.count(NO_ROUTE)} of {len(statuses)} runs found "
+              "no route", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    return EXIT_LIMIT if LIMIT in statuses else EXIT_OK
 
 
 def cmd_export(ns: argparse.Namespace) -> int:
@@ -276,9 +287,8 @@ def cmd_export(ns: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         return ns.handler(ns)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,7 +58,25 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
         raise FidelityError("matrix is not unitary")
     u = u / det ** 0.25
     up = _B_MAGIC.conj().T @ u @ _B_MAGIC
-    d = -np.angle(np.linalg.eigvals(up.T @ up)) / 2.0
+    return _fold_spectrum(np.linalg.eigvals(up.T @ up))
+
+
+def _weyl_batch(us: np.ndarray, gids: list[int]) -> list[tuple[float, float, float]]:
+    """``weyl_coordinates`` of each matrix of a (k, 4, 4) stack, that of
+    gate ``gids[m]`` for matrix m, by one stacked determinant, product and
+    eigenvalue call. LAPACK and BLAS treat each matrix of a stack as they
+    treat it alone, so every result equals the one-matrix result bit for bit."""
+    dets = np.linalg.det(us)
+    bad = np.flatnonzero(np.abs(np.abs(dets) - 1.0) > 1e-8)
+    if bad.size:
+        raise FidelityError(f"gate {gids[bad[0]]} is not unitary")
+    ups = _B_MAGIC.conj().T @ (us / (dets ** 0.25)[:, None, None]) @ _B_MAGIC
+    return [_fold_spectrum(e) for e in np.linalg.eigvals(ups.transpose(0, 2, 1) @ ups)]
+
+
+def _fold_spectrum(eigs: np.ndarray) -> tuple[float, float, float]:
+    """Weyl coordinates from the spectrum of V^T V."""
+    d = -np.angle(eigs) / 2.0
     d[3] = -d[0] - d[1] - d[2]
     cs = np.mod((d[:3] + d[3]) / 2.0, 2.0 * math.pi)
 
@@ -66,7 +84,7 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     cstemp = np.mod(cs, _PI2)
     np.minimum(cstemp, _PI2 - cstemp, out=cstemp)
     order = np.argsort(cstemp)[[1, 2, 0]]
-    cs = cs[order]
+    cs = cs[order].tolist()
 
     if cs[0] > _PI2 + 1e-13:
         cs[0] -= 3.0 * _PI2
@@ -85,8 +103,7 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
         cs[2] = _PI2 - cs[2]
     if cs[2] > _PI4 + 1e-13:
         cs[2] -= _PI2
-    a, b, c = float(cs[1]), float(cs[0]), float(cs[2])
-    return a, b, c
+    return cs[1], cs[0], cs[2]
 
 
 def trace_to_fidelity(trace: complex) -> float:
@@ -113,8 +130,7 @@ def _max_traces(a: float, b: float, c: float) -> tuple[complex, complex, complex
 
 def exact_cnot_fidelities(u: np.ndarray) -> tuple[float, float, float, float]:
     """Best average fidelity using exactly k CNOTs, k = 0..3."""
-    a, b, c = weyl_coordinates(u)
-    return tuple(trace_to_fidelity(t) for t in _max_traces(a, b, c))
+    return _exact_fidelities(*weyl_coordinates(u))
 
 
 def cnot_budget_fidelities(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -123,10 +139,18 @@ def cnot_budget_fidelities(u: np.ndarray) -> tuple[float, float, float, float]:
     Monotone by construction; the entry for k = 3 is exactly 1 because
     three CNOTs suffice for any two-qubit unitary.
     """
-    exact = exact_cnot_fidelities(u)
+    return _budget(weyl_coordinates(u))
+
+
+def _exact_fidelities(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    return tuple(trace_to_fidelity(t) for t in _max_traces(a, b, c))
+
+
+def _budget(coords: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    """``cnot_budget_fidelities`` of a gate with Weyl coordinates ``coords``."""
     out = []
     best = 0.0
-    for f in exact:
+    for f in _exact_fidelities(*coords):
         best = max(best, f)
         out.append(best)
     return tuple(out)
@@ -186,9 +210,14 @@ class FidelityModel:
     @classmethod
     def build(cls, c: LayeredCircuit, g: HardwareGraph,
               overrides: dict | None = None) -> "FidelityModel":
+        """Price every gate of ``c`` on ``g``: a gate listed in
+        ``overrides`` takes its tables from there, and all others are
+        priced together, their unitaries and their swap-merged forms in
+        one stack."""
         f_table = {}
         f_swap_table = {}
         overrides = overrides or {}
+        priced = []
         for gate in c.gates():
             if gate.gid in overrides:
                 entry = overrides[gate.gid]
@@ -197,13 +226,20 @@ class FidelityModel:
                 for v in f + fs:
                     if not 0.0 < v <= 1.0:
                         raise FidelityError(f"override for gate {gate.gid} out of (0, 1]")
+                f_table[gate.gid] = f
+                f_swap_table[gate.gid] = fs
             else:
-                f = cnot_budget_fidelities(gate.unitary)
-                fs = cnot_budget_fidelities(SWAP @ gate.unitary)
+                priced.append(gate)
+        if priced:
+            gids = [gate.gid for gate in priced]
+            us = np.stack([gate.unitary for gate in priced])
+            coords = _weyl_batch(np.concatenate((us, SWAP @ us)), gids + gids)
+            for k, gid in enumerate(gids):
+                f, fs = _budget(coords[k]), _budget(coords[len(gids) + k])
                 if abs(f[3] - 1.0) > 1e-9 or abs(fs[3] - 1.0) > 1e-9:
-                    raise FidelityError(f"three-CNOT fidelity of gate {gate.gid} is not 1")
-            f_table[gate.gid] = f
-            f_swap_table[gate.gid] = fs
+                    raise FidelityError(f"three-CNOT fidelity of gate {gid} is not 1")
+                f_table[gid] = f
+                f_swap_table[gid] = fs
         return cls(g, f_table, f_swap_table)
 
     def cost(self, gid: int, i: int, j: int) -> GatePlacementCost:

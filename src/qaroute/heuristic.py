@@ -37,92 +37,98 @@ TRIALS = 8
 REPAIR_NODES = 100000
 
 
-def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
-                    fid: FidelityModel) -> RoutedCircuit:
-    """Route ``c`` from a fixed layout by greedy swap insertion.
+def _route(gates, g: HardwareGraph, initial_map) -> tuple[list, tuple[int, ...]]:
+    """Route ``(gid, p, q)`` gates, in program order, from a fixed layout
+    by greedy swap insertion.
 
     Adjacent front gates execute together in one step; otherwise one
     swap per step. When the greedy score stalls for too long, the
     lowest-numbered front gate is walked home along a shortest path,
-    which bounds the schedule length.
+    which bounds the schedule length. Returns the plan, one
+    ``(edge, ())`` entry per swap and one ``(None, ((gid, p, q, i, j),
+    ...))`` entry per step of gates on arcs ``(i, j)``, and the final map.
     """
-    if c.n_qubits != g.n:
-        raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
     n = g.n
-    initial_map = tuple(initial_map)
-    if sorted(initial_map) != list(range(n)):
-        raise HeuristicError("initial_map is not a qubit-to-node bijection")
     dist = g.distances()
-    remaining = c.gates()
+    nbrs = [g.neighbors(v) for v in range(n)]
+    adj = [sum(1 << k for k in nb) for nb in nbrs]
+    incident = [tuple(norm_edge(v, k) for k in nb) for v, nb in enumerate(nbrs)]
+    weights, weight = [], 0.5
+    for _ in range(WINDOW):
+        weights.append(weight)
+        weight *= DECAY
+    remaining = [(gid, p, q, 1 << p | 1 << q) for gid, p, q in gates]
     pos = list(initial_map)
-    steps: list[tuple] = []
+    plan: list[tuple] = []
     stall = 0
-    stall_limit = 2 * n
     while remaining:
         # A gate is in the front when no earlier remaining gate shares a
         # qubit with it; the rest keep program order for the lookahead.
-        fr, rest, busy = [], [], set()
+        fr, look, busy = [], [], 0
         for gt in remaining:
-            (rest if gt.p in busy or gt.q in busy else fr).append(gt)
-            busy.update((gt.p, gt.q))
-        ready = [gt for gt in fr if g.has_edge(pos[gt.p], pos[gt.q])]
+            if not busy & gt[3]:
+                fr.append(gt)
+            elif len(look) < WINDOW:
+                look.append(gt)
+            busy |= gt[3]
+        ready = [(gid, p, q, pos[p], pos[q]) for gid, p, q, _ in fr if adj[pos[p]] >> pos[q] & 1]
         if ready:
-            ops = []
-            for gt in ready:
-                i, j = pos[gt.p], pos[gt.q]
-                ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j), merged_swap=False,
-                                  cnots_used=fid.cost(gt.gid, i, j).n_plain))
-            steps.append(tuple(ops))
-            executed = {gt.gid for gt in ready}
-            remaining = [gt for gt in remaining if gt.gid not in executed]
+            plan.append((None, tuple(ready)))
+            executed = {gt[0] for gt in ready}
+            remaining = [gt for gt in remaining if gt[0] not in executed]
             stall = 0
             continue
 
-        occ = [-1] * n
-        for q in range(n):
-            occ[pos[q]] = q
-        look = rest[:WINDOW]
-
-        def score(layout) -> float:
-            s = 0.0
-            for gt in fr:
-                s += dist[layout[gt.p]][layout[gt.q]]
-            weight = 0.5
-            for gt in look:
-                s += weight * dist[layout[gt.p]][layout[gt.q]]
-                weight *= DECAY
-            return s
-
-        base_front = sum(dist[pos[gt.p]][pos[gt.q]] for gt in fr)
-        if stall >= stall_limit:
+        base_front = sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr)
+        if stall >= 2 * n:
             # Forced progress: walk the oldest front gate together.
-            gt = min(fr, key=lambda x: x.gid)
-            i, j = pos[gt.p], pos[gt.q]
-            nxt = min((k for k in g.neighbors(i) if dist[k][j] < dist[i][j]))
+            _, p, q, _ = min(fr, key=lambda gt: gt[0])
+            i, j = pos[p], pos[q]
+            nxt = min(k for k in nbrs[i] if dist[k][j] < dist[i][j])
             best_edge = norm_edge(i, nxt)
         else:
-            cand = {norm_edge(node, nb) for gt in fr for node in (pos[gt.p], pos[gt.q])
-                    for nb in g.neighbors(node)}
+            occ = [-1] * n
+            for qubit, node in enumerate(pos):
+                occ[node] = qubit
+            cand = {e for _, p, q, _ in fr for e in incident[pos[p]] + incident[pos[q]]}
             best_edge, best_score = None, None
             for (i, j) in sorted(cand):
-                layout = pos.copy()
+                # Score the layout with this swap applied: front distances
+                # plus the decay-weighted lookahead, in program order.
                 qa, qb = occ[i], occ[j]
-                layout[qa], layout[qb] = j, i
-                sc = score(layout)
+                pos[qa], pos[qb] = j, i
+                sc = float(sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr))
+                for w, (_, p, q, _) in zip(weights, look):
+                    sc += w * dist[pos[p]][pos[q]]
+                pos[qa], pos[qb] = i, j
                 if best_score is None or sc < best_score - 1e-12:
                     best_edge, best_score = (i, j), sc
         i, j = best_edge
-        qa, qb = occ[i], occ[j]
+        qa, qb = pos.index(i), pos.index(j)
         pos[qa], pos[qb] = j, i
-        steps.append((FreeSwap(edge=(i, j)),))
-        new_front = sum(dist[pos[gt.p]][pos[gt.q]] for gt in fr)
+        plan.append((best_edge, ()))
+        new_front = sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr)
         stall = 0 if new_front < base_front else stall + 1
-    return RoutedCircuit(n_nodes=n, initial_map=initial_map, final_map=tuple(pos),
-                         steps=tuple(steps), origin="sabre_like", time_aligned=False)
+    return plan, tuple(pos)
 
 
-def _swap_count(rc: RoutedCircuit) -> int:
-    return sum(1 for ops in rc.steps for op in ops if isinstance(op, FreeSwap))
+def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
+                    fid: FidelityModel) -> RoutedCircuit:
+    """Route ``c`` from a fixed layout by greedy swap insertion (see
+    ``_route``), each gate compiled with its cheapest plain CNOT count."""
+    if c.n_qubits != g.n:
+        raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
+    initial_map = tuple(initial_map)
+    if sorted(initial_map) != list(range(g.n)):
+        raise HeuristicError("initial_map is not a qubit-to-node bijection")
+    plan, final_map = _route([(gt.gid, gt.p, gt.q) for gt in c.gates()], g, initial_map)
+    steps = tuple(
+        (FreeSwap(edge=edge),) if edge is not None else
+        tuple(GateOp(gid=gid, p=p, q=q, arc=(i, j), merged_swap=False,
+                     cnots_used=fid.cost(gid, i, j).n_plain) for gid, p, q, i, j in ops)
+        for edge, ops in plan)
+    return RoutedCircuit(n_nodes=g.n, initial_map=initial_map, final_map=final_map,
+                         steps=steps, origin="sabre_like", time_aligned=False)
 
 
 def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
@@ -199,15 +205,14 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
     return tuple(newpos)
 
 
-def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                     seed: int = 0) -> tuple[int, ...]:
+def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tuple[int, ...]:
     """Pick an initial layout by routing restarts.
 
     Each trial routes the circuit from a random layout and adopts the
     final map as the refined candidate (the classic reverse-traversal
     trick collapsed to one forward reuse); candidates are scored by
-    their routed swap count. The winner is reshaped so the first gate
-    layer is simultaneously executable.
+    their routed swap count, so no trial prices a gate. The winner is
+    reshaped so the first gate layer is simultaneously executable.
     """
     if c.n_qubits != g.n:
         raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
@@ -215,12 +220,12 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         return tuple(range(g.n))
     rng = np.random.default_rng(seed)
     fits = matching_size(g)
+    gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
     best_map, best_key = None, None
     for trial in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
-        refined = heuristic_route(c, g, start, fid).final_map
-        refined = _repair_first_layer(c, g, refined, fits)
-        swaps = _swap_count(heuristic_route(c, g, refined, fid))
+        refined = _repair_first_layer(c, g, _route(gates, g, start)[1], fits)
+        swaps = sum(1 for edge, _ in _route(gates, g, refined)[0] if edge is not None)
         key = (swaps, trial)
         if best_key is None or key < best_key:
             best_map, best_key = refined, key
@@ -254,20 +259,20 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     each, under ``lim``. Raises ``NoRouteError`` when no route is found.
     """
     if variant == "sabre_like":
-        layout = heuristic_layout(c, g, fid, seed)
+        layout = heuristic_layout(c, g, seed)
         rc = heuristic_route(c, g, layout, fid)
         return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=True)
     if variant not in VARIANTS:
         raise HeuristicError(f"unknown variant {variant!r}")
     order = ("error",) if variant == "bip_layout" else ("error", "depth")
-    layout = heuristic_layout(c, g, fid, seed) if variant == "bip_routing" else None
+    layout = heuristic_layout(c, g, seed) if variant == "bip_routing" else None
     same = variant == "bip_constrained"
     rc, closed = None, True
     if not same:
         try:
             _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, limits=lim)
         except DPTimeLimit:
-            start = layout or heuristic_layout(c, g, fid, seed)
+            start = layout or heuristic_layout(c, g, seed)
             rc, closed = heuristic_route(c, g, start, fid), False
         except DPTooLarge:
             pass

@@ -88,6 +88,7 @@ class HardwareGraph:
             adj[i].append(j)
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._dist = None
         if self.n > 1 and not self._connected():
             raise TopologyError("graph is not connected")
 
@@ -118,21 +119,24 @@ class HardwareGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and j in self._adj[i]
 
-    def distances(self) -> list[list[int]]:
-        """All-pairs hop distances by BFS."""
-        dist = [[-1] * self.n for _ in range(self.n)]
-        for s in range(self.n):
-            dist[s][s] = 0
-            queue = [s]
-            while queue:
-                nxt = []
-                for i in queue:
-                    for k in self._adj[i]:
-                        if dist[s][k] < 0:
-                            dist[s][k] = dist[s][i] + 1
-                            nxt.append(k)
-                queue = nxt
-        return dist
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop distances by BFS, computed on the first call and
+        shared, read-only, by every later one."""
+        if self._dist is None:
+            dist = [[-1] * self.n for _ in range(self.n)]
+            for s in range(self.n):
+                dist[s][s] = 0
+                queue = [s]
+                while queue:
+                    nxt = []
+                    for i in queue:
+                        for k in self._adj[i]:
+                            if dist[s][k] < 0:
+                                dist[s][k] = dist[s][i] + 1
+                                nxt.append(k)
+                    queue = nxt
+            self._dist = tuple(tuple(row) for row in dist)
+        return self._dist
 
 
 def load_topology(source: str | dict) -> HardwareGraph:

@@ -22,7 +22,7 @@ from .gatefid import FidelityModel
 from .heuristic import run_variant_full
 from .hwgraph import HardwareGraph
 from .simulate import apply_two_qubit, zero_state
-from .solver import SolveLimits
+from .solver import NoRouteError, SolveLimits
 
 
 class BenchError(ValueError):
@@ -127,30 +127,38 @@ def _mixture(error: float, heavy: set[str], h_ideal: float, width: int) -> float
 @dataclass(frozen=True)
 class HopEstimate:
     values: tuple[float, ...]
-    mean: float
+    mean: float | None  # None when no run of the variant found a route
     stderr: float | None
 
     @property
     def passes(self) -> bool:
-        return self.mean > 2.0 / 3.0
+        return self.mean is not None and self.mean > 2.0 / 3.0
 
 
 def _estimate(values: list[float]) -> HopEstimate:
+    if not values:
+        return HopEstimate(values=(), mean=None, stderr=None)
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else None
     return HopEstimate(values=tuple(values), mean=mean, stderr=stderr)
 
 
+# Row statuses, named as the exit codes they lead to: every solver stage
+# of the run proved its optimum, a limit left an unproven incumbent, or
+# the run found no route (``NoRouteError``).
+OK, LIMIT, NO_ROUTE = "ok", "limit", "no_route"
+
+
 @dataclass(frozen=True)
 class BenchRow:
     circuit: int
     variant: str
-    cnot_count: int
-    depth_proxy: int
-    error_objective: float
-    hop: float
-    closed: bool  # every solver stage of the run proved its optimum
+    status: str  # OK, LIMIT or NO_ROUTE; a NO_ROUTE row has no figures
+    cnot_count: int | None = None
+    depth_proxy: int | None = None
+    error_objective: float | None = None
+    hop: float | None = None
 
 
 @dataclass(frozen=True)
@@ -161,15 +169,19 @@ class BenchResult:
     correlations: dict
 
     def to_table(self) -> str:
-        lines = ["circuit\tvariant\tcnot_count\tdepth_proxy\terror_objective\thop"]
+        lines = ["circuit\tvariant\tcnot_count\tdepth_proxy\terror_objective\thop\tstatus"]
         for r in self.rows:
-            lines.append(f"{r.circuit}\t{r.variant}\t{r.cnot_count}\t{r.depth_proxy}"
-                         f"\t{r.error_objective:.12g}\t{r.hop:.12g}")
+            if r.status == NO_ROUTE:
+                lines.append(f"{r.circuit}\t{r.variant}\t\t\t\t\t{r.status}")
+            else:
+                lines.append(f"{r.circuit}\t{r.variant}\t{r.cnot_count}\t{r.depth_proxy}"
+                             f"\t{r.error_objective:.12g}\t{r.hop:.12g}\t{r.status}")
         lines.append("")
         lines.append("variant\tmean_hop\tstderr\tpasses_2_3")
         for v, est in self.estimates.items():
+            mean = "" if est.mean is None else f"{est.mean:.12g}"
             se = "" if est.stderr is None else f"{est.stderr:.12g}"
-            lines.append(f"{v}\t{est.mean:.12g}\t{se}\t{est.passes}")
+            lines.append(f"{v}\t{mean}\t{se}\t{est.passes}")
         lines.append("")
         lines.append("variant\tmetric\tpearson_r_vs_hop")
         for (v, metric), r in self.correlations.items():
@@ -209,13 +221,16 @@ def _bench_one(task) -> list[BenchRow]:
     heavy, h_ideal = heavy_output_mass(qv)
     out = []
     for v in variants:
-        run = run_variant_full(v, c, g, fid, lim, seed)
+        try:
+            run = run_variant_full(v, c, g, fid, lim, seed)
+        except NoRouteError:
+            out.append(BenchRow(circuit=idx, variant=v, status=NO_ROUTE))
+            continue
         st = run.stats
         hop = _mixture(st.error_objective_value, heavy, h_ideal, w)
-        out.append(BenchRow(circuit=idx, variant=v, cnot_count=st.cnot_count,
-                            depth_proxy=st.depth_proxy,
-                            error_objective=st.error_objective_value, hop=hop,
-                            closed=run.closed))
+        out.append(BenchRow(circuit=idx, variant=v, status=OK if run.closed else LIMIT,
+                            cnot_count=st.cnot_count, depth_proxy=st.depth_proxy,
+                            error_objective=st.error_objective_value, hop=hop))
     return out
 
 
@@ -231,7 +246,8 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
     circuits are routed through ``map_in_pool`` and reassembled in order.
     ``seed`` also seeds the greedy layout search of every variant that
     uses one. Heavy sets are computed on the full-width ideal circuit
-    once per circuit.
+    once per circuit. A run with no route is a ``NO_ROUTE`` row, left
+    out of the HOP estimates and the correlations.
     """
     if n_circuits < 1:
         raise BenchError("need at least one circuit")
@@ -243,18 +259,16 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
               variants, lim) for idx in range(n_circuits)]
     per_circuit = map_in_pool(_bench_one, tasks, jobs)
     rows: list[BenchRow] = [r for chunk in per_circuit for r in chunk]
+    metrics = ("cnot_count", "depth_proxy", "error_objective")
     hops: dict[str, list[float]] = {v: [] for v in variants}
-    series: dict[tuple, list[float]] = {}
+    series = {(v, metric): [] for v in variants for metric in metrics}
     for r in rows:
+        if r.status == NO_ROUTE:
+            continue
         hops[r.variant].append(r.hop)
-        for metric, val in (("cnot_count", r.cnot_count),
-                            ("depth_proxy", r.depth_proxy),
-                            ("error_objective", r.error_objective)):
-            series.setdefault((r.variant, metric), []).append(float(val))
+        for metric in metrics:
+            series[r.variant, metric].append(float(getattr(r, metric)))
     estimates = {v: _estimate(hops[v]) for v in variants}
-    correlations = {}
-    for v in variants:
-        for metric in ("cnot_count", "depth_proxy", "error_objective"):
-            correlations[(v, metric)] = _pearson(series[(v, metric)], hops[v])
+    correlations = {key: _pearson(xs, hops[key[0]]) for key, xs in series.items()}
     return BenchResult(width=w, rows=tuple(rows), estimates=estimates,
                        correlations=correlations)

@@ -11,6 +11,8 @@ first factor, i.e. basis order |a b> = |00>, |01>, |10>, |11>.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 CX = np.array(
@@ -27,10 +29,12 @@ SWAP = np.array(
 
 
 def is_unitary(m: np.ndarray, atol: float = 1e-8) -> bool:
+    """True when ``m`` is square and every entry of ``m m^dagger - I``
+    lies within ``atol`` of zero."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=atol)
+    return float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max(initial=0.0)) <= atol
 
 
 def exchange_qubits(u4: np.ndarray) -> np.ndarray:
@@ -38,15 +42,26 @@ def exchange_qubits(u4: np.ndarray) -> np.ndarray:
     return SWAP @ u4 @ SWAP
 
 
+@functools.cache
+def _wire_axes(a: int, b: int, ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that brings wires ``a`` and ``b`` of an array with
+    ``ndim`` axes to the front, and the order that undoes it."""
+    order = (a, b, *(k for k in range(ndim) if k != a and k != b))
+    undo = [0] * ndim
+    for k, axis in enumerate(order):
+        undo[axis] = k
+    return order, tuple(undo)
+
+
 def apply_two_qubit(state: np.ndarray, u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """Apply a 4x4 gate to wires (a, b) of an n-wire statevector, or of
     every column of a matrix with 2^n rows whose columns are states."""
     psi = state.reshape((2,) * n + state.shape[1:])
-    psi = np.moveaxis(psi, (a, b), (0, 1))
+    order, undo = _wire_axes(a, b, psi.ndim)
+    psi = psi.transpose(order)
     rest = psi.shape[2:]
     psi = (u4 @ psi.reshape(4, -1)).reshape((2, 2) + rest)
-    psi = np.moveaxis(psi, (0, 1), (a, b))
-    return psi.reshape(state.shape)
+    return psi.transpose(undo).reshape(state.shape)
 
 
 def zero_state(n: int) -> np.ndarray:

@@ -11,7 +11,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
+from qaroute.extract import FreeSwap, GateOp, RoutedCircuit
 from qaroute.gatefid import FidelityModel
+from qaroute.heuristic import DECAY, WINDOW
+from qaroute.hwgraph import norm_edge
 from qaroute.qvbench import haar_su4
 
 class RecordingPool:
@@ -135,3 +138,80 @@ REFERENCE_ASSIGNMENT_NAMES = (
 
 def reference_solution_text() -> str:
     return "".join(f"{name} 1\n" for name in REFERENCE_ASSIGNMENT_NAMES)
+
+
+def reference_route(c: LayeredCircuit, g, initial_map, fid: FidelityModel,
+                    forced: list | None = None) -> RoutedCircuit:
+    """The greedy router written plainly, as the oracle of the library's
+    router kernel: ``Gate`` objects, a set for the busy qubits, a fresh
+    layout copy per scored candidate. When ``forced`` is a list, the
+    index of every step taken by the forced-progress walk is appended.
+    """
+    n = g.n
+    initial_map = tuple(initial_map)
+    dist = g.distances()
+    remaining = c.gates()
+    pos = list(initial_map)
+    steps: list[tuple] = []
+    stall = 0
+    stall_limit = 2 * n
+    while remaining:
+        fr, rest, busy = [], [], set()
+        for gt in remaining:
+            (rest if gt.p in busy or gt.q in busy else fr).append(gt)
+            busy.update((gt.p, gt.q))
+        ready = [gt for gt in fr if g.has_edge(pos[gt.p], pos[gt.q])]
+        if ready:
+            ops = []
+            for gt in ready:
+                i, j = pos[gt.p], pos[gt.q]
+                ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j), merged_swap=False,
+                                  cnots_used=fid.cost(gt.gid, i, j).n_plain))
+            steps.append(tuple(ops))
+            executed = {gt.gid for gt in ready}
+            remaining = [gt for gt in remaining if gt.gid not in executed]
+            stall = 0
+            continue
+
+        occ = [-1] * n
+        for q in range(n):
+            occ[pos[q]] = q
+        look = rest[:WINDOW]
+
+        def score(layout) -> float:
+            s = 0.0
+            for gt in fr:
+                s += dist[layout[gt.p]][layout[gt.q]]
+            weight = 0.5
+            for gt in look:
+                s += weight * dist[layout[gt.p]][layout[gt.q]]
+                weight *= DECAY
+            return s
+
+        base_front = sum(dist[pos[gt.p]][pos[gt.q]] for gt in fr)
+        if stall >= stall_limit:
+            if forced is not None:
+                forced.append(len(steps))
+            gt = min(fr, key=lambda x: x.gid)
+            i, j = pos[gt.p], pos[gt.q]
+            nxt = min((k for k in g.neighbors(i) if dist[k][j] < dist[i][j]))
+            best_edge = norm_edge(i, nxt)
+        else:
+            cand = {norm_edge(node, nb) for gt in fr for node in (pos[gt.p], pos[gt.q])
+                    for nb in g.neighbors(node)}
+            best_edge, best_score = None, None
+            for (i, j) in sorted(cand):
+                layout = pos.copy()
+                qa, qb = occ[i], occ[j]
+                layout[qa], layout[qb] = j, i
+                sc = score(layout)
+                if best_score is None or sc < best_score - 1e-12:
+                    best_edge, best_score = (i, j), sc
+        i, j = best_edge
+        qa, qb = occ[i], occ[j]
+        pos[qa], pos[qb] = j, i
+        steps.append((FreeSwap(edge=(i, j)),))
+        new_front = sum(dist[pos[gt.p]][pos[gt.q]] for gt in fr)
+        stall = 0 if new_front < base_front else stall + 1
+    return RoutedCircuit(n_nodes=n, initial_map=initial_map, final_map=tuple(pos),
+                         steps=tuple(steps), origin="sabre_like", time_aligned=False)

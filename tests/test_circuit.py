@@ -100,3 +100,31 @@ def test_load_circuit_errors():
         load_circuit({"qubits": 3, "gates": []})
     with pytest.raises(CircuitError):
         load_circuit({"qubits": ["a", "b"], "gates": [5]})
+
+
+def test_loader_rejects_a_diagonal_off_unitary_by_more_than_its_tolerance():
+    # diag(1 + 4e-6, 1, 1, 1) is 8e-6 off unitary on the diagonal, far past
+    # the 1e-8 tolerance; a relative tolerance there once let it through,
+    # to fail later in the pricing without a gate id.
+    u = np.diag([1 + 4e-6, 1, 1, 1])
+    doc = {"qubits": ["a", "b"],
+           "gates": [{"p": "a", "q": "b", "kind": "matrix",
+                      "matrix": [[float(z.real), float(z.imag)] for z in u.reshape(-1)]}]}
+    with pytest.raises(CircuitError, match="^gate 0 payload is not a 4x4 unitary$"):
+        load_circuit(doc)
+
+
+def test_layerize_keeps_a_gate_that_has_its_id(monkeypatch):
+    # A gate that already carries its id is placed as it is, not rebuilt,
+    # so its payload is checked once, when the gate is made.
+    gates = [Gate(0, 1, CX, gid=4), Gate(1, 2, CX, gid=7)]
+    unnumbered = Gate(0, 1, CX)
+    checks = []
+    monkeypatch.setattr("qaroute.circuit.is_unitary", lambda u: checks.append(u) or True)
+    c = layerize(gates)
+    assert c.gates()[0] is gates[0] and c.gates()[1] is gates[1]
+    assert checks == []
+    # A gate without an id gets one, in a copy that is checked again.
+    c = layerize([unnumbered])
+    assert c.gates()[0].gid == 0 and unnumbered.gid == -1
+    assert len(checks) == 1

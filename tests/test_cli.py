@@ -291,9 +291,24 @@ def test_bench_table(tmp_path):
     assert code == 0
     lines = (tmp_path / "bench.tsv").read_text().strip().split("\n")
     assert lines[0].split("\t") == ["circuit", "variant", "cnot_count",
-                                    "depth_proxy", "error_objective", "hop"]
+                                    "depth_proxy", "error_objective", "hop", "status"]
     assert lines[1].split("\t")[0:2] == ["0", "sabre_like"]
     assert lines[2].split("\t")[0:2] == ["1", "sabre_like"]
+    assert lines[1].split("\t")[-1] == lines[2].split("\t")[-1] == "ok"
+
+
+def test_bench_writes_its_table_when_a_run_has_no_route(tmp_path, capsys):
+    # bip_constrained finds no route for either 2-layer circuit on y-6: each
+    # is a no_route row without figures and outside the HOP estimate, the
+    # table is written, and the command exits 2.
+    code = main(["bench", "--builtin", "y,6", "--qv", "4,2", "--qv-layers", "2",
+                 "--variant", "bip_constrained", "--out", str(tmp_path)])
+    assert code == 2
+    assert "2 of 2 runs found no route" in capsys.readouterr().err
+    lines = (tmp_path / "bench.tsv").read_text().split("\n")
+    assert lines[1:3] == ["0\tbip_constrained\t\t\t\t\tno_route",
+                          "1\tbip_constrained\t\t\t\t\tno_route"]
+    assert lines[5] == "bip_constrained\t\t\tFalse"
 
 
 def test_bench_jobs_deterministic(tmp_path):
@@ -407,3 +422,51 @@ def test_pareto_pool_capped_at_tasks_and_cpus(cpus, pools, monkeypatch, tmp_path
                  "--out", str(tmp_path)])
     assert code == 0
     assert RecordingPool.sizes == pools
+
+
+def test_repeated_calls_share_one_parser_and_nothing_else(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process. Each call of a sequence (with
+    # --out, without it, another subcommand, an argument error) must parse
+    # to the namespace, and give the output, files and exit code, that it
+    # gets from a freshly built parser.
+    out = tmp_path / "out"
+    calls = (
+        ["transpile", "--builtin", "line,4", *FAST, "--seed", "3", "--out", str(out)],
+        ["transpile", "--builtin", "line,4", *FAST, "--seed", "3"],
+        ["pareto", "--builtin", "line,4", *FAST, "--steps", "1"],
+        ["transpile", "--builtin", "line,4", *FAST, "--variant", "annealer"],
+    )
+    parsed = []
+    parse = cli._Parser.parse_args
+
+    def recording(self, args=None, namespace=None):
+        ns = parse(self, args, namespace)
+        parsed.append(dict(vars(ns)))
+        return ns
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+
+    def run(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            cap = capsys.readouterr()
+            files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
+            results.append((code, cap.out, cap.err, files))
+        return results
+
+    first = run(fresh=True)
+    fresh_namespaces = parsed[:]
+    parsed.clear()
+    for p in out.glob("*"):
+        p.unlink()
+    again = run(fresh=False)
+    info = cli._build_parser.cache_info()
+    assert (info.hits, info.misses) == (len(calls), 1)
+    assert [r[0] for r in first] == [0, 0, 0, 4]
+    assert "invalid choice" in first[3][2]
+    assert again == first
+    assert parsed == fresh_namespaces
+    assert [ns["out"] for ns in parsed] == [out, None, None]

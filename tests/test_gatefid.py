@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import CX, numeric_fidelity_budget, prepared, random_layered_circuit
-from qaroute.gatefid import (FidelityError, avg_gate_fidelity,
+from qaroute.circuit import Gate, LayeredCircuit
+from qaroute.gatefid import (FidelityError, FidelityModel, avg_gate_fidelity,
                              closest_unitary_distance, cnot_budget_fidelities,
                              exact_cnot_fidelities, load_fidelity_overrides,
                              placement_cost, trace_to_fidelity,
                              weyl_coordinates)
 from qaroute.hwgraph import builtin_topology
-from qaroute.qvbench import haar_su4
+from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.simulate import exchange_qubits
 
 SWAP = np.array([[1, 0, 0, 0],
@@ -173,3 +174,47 @@ def test_gate_and_swap_prices(line4):
         assert fid.swap_error(i, j) == -3.0 * math.log(line4.beta_of(i, j))
     mean_beta = sum(line4.beta.values()) / len(line4.beta)
     assert fid.mean_swap_error() == -3.0 * math.log(mean_beta)
+
+
+def per_gate_tables(c, overrides=None):
+    """The tables one ``cnot_budget_fidelities`` call per matrix gives."""
+    overrides = overrides or {}
+    f, fs = {}, {}
+    for gate in c.gates():
+        if gate.gid in overrides:
+            f[gate.gid] = tuple(overrides[gate.gid]["f"])
+            fs[gate.gid] = tuple(overrides[gate.gid]["f_swap"])
+        else:
+            f[gate.gid] = cnot_budget_fidelities(gate.unitary)
+            fs[gate.gid] = cnot_budget_fidelities(SWAP @ gate.unitary)
+    return f, fs
+
+
+def test_batched_pricing_equals_per_gate_pricing_bit_for_bit():
+    # FidelityModel.build prices every gate without an override in one
+    # stack; each table must equal the per-gate call exactly.
+    y6 = builtin_topology("y", 6)
+    qv = [lower_circuit(gen_qv_circuit(6, [3, k])) for k in range(4)]
+    named = LayeredCircuit(6, ((Gate(0, 1, CX, 0), Gate(2, 3, SWAP, 1),
+                                Gate(4, 5, np.eye(4), 2)),
+                               (Gate(1, 2, SWAP @ CX, 3), Gate(3, 4, CX, 4))))
+    some = {0: {"f": [0.5, 0.9, 1.0, 1.0], "f_swap": [0.4, 0.4, 0.6, 1.0]},
+            5: {"f": [0.3, 0.7, 0.9, 1.0], "f_swap": [0.2, 0.5, 0.8, 1.0]}}
+    every = {gate.gid: some[0] for gate in qv[0].gates()}
+    empty = LayeredCircuit(6, ((), ()))
+    cases = [(c, None) for c in qv] + [(named, None), (qv[0], some), (named, some),
+                                       (qv[0], every), (empty, None)]
+    for c, overrides in cases:
+        fid = FidelityModel.build(c, y6, overrides=overrides)
+        # Float equality, no tolerance.
+        assert (fid.f_table, fid.f_swap_table) == per_gate_tables(c, overrides)
+    assert FidelityModel.build(empty, y6).f_table == {}
+
+
+def test_batched_pricing_names_a_gate_whose_determinant_is_off():
+    # diag(1 + 4e-9, ...) passes the gate's unitarity check (8e-9 off) but
+    # its determinant is 1.6e-8 off one: the pricing names the gate.
+    off = np.diag([1 + 4e-9] * 4).astype(complex)
+    c = LayeredCircuit(4, ((Gate(0, 1, CX, 0), Gate(2, 3, off, 1)),))
+    with pytest.raises(FidelityError, match="^gate 1 is not unitary$"):
+        FidelityModel.build(c, builtin_topology("line", 4))

@@ -6,14 +6,14 @@ import pytest
 import qaroute.heuristic
 import qaroute.lexopt
 import qaroute.solver
-from helpers import prepared, random_layered_circuit
-from qaroute.circuit import Gate, LayeredCircuit, pad_qubits
-from qaroute.extract import GateOp, verify_structural, verify_unitary
+from helpers import CX, prepared, random_layered_circuit, reference_route
+from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, layerize, pad_qubits
+from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
-from qaroute.heuristic import (VARIANTS, HeuristicError, _repair_first_layer,
+from qaroute.heuristic import (TRIALS, VARIANTS, HeuristicError, _repair_first_layer, _route,
                                heuristic_layout, heuristic_route, run_variant_full)
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
-from qaroute.qvbench import haar_su4
+from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import SolveLimits
 
 
@@ -58,10 +58,87 @@ def test_route_input_validation(inst, line4, grid6):
         heuristic_route(c, grid6, (0, 1, 2, 3, 4, 5), fid)
 
 
+ORACLE_GRAPHS = (("line", 4), ("line", 6), ("line", 8), ("y", 6), ("y", 8),
+                 ("grid", 6), ("grid", 8))
+
+
+def qv_instances():
+    """Seeded QV circuits of every width from 4 to n on each oracle graph,
+    padded, with one dummy step."""
+    for name, n in ORACLE_GRAPHS:
+        g = builtin_topology(name, n)
+        for w in range(4, n + 1):
+            c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(w, [31, n, w])), n), 1)
+            yield g, c, FidelityModel.build(c, g)
+
+
+def test_router_kernel_matches_the_reference_router():
+    # The kernel, through heuristic_route and on its own, routes every
+    # instance from four random layouts exactly as the plain reference
+    # router does: the same steps and the same final map.
+    rng = np.random.default_rng(2025)
+    swaps = 0
+    for g, c, fid in qv_instances():
+        gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
+        for _ in range(4):
+            layout = tuple(int(v) for v in rng.permutation(g.n))
+            want = reference_route(c, g, layout, fid)
+            assert heuristic_route(c, g, layout, fid) == want
+            plan, final_map = _route(gates, g, layout)
+            assert final_map == want.final_map
+            assert len(plan) == len(want.steps)
+            swaps += sum(1 for edge, _ in plan if edge is not None)
+    assert swaps > 1000  # most random layouts need swaps
+
+
+def test_forced_progress_walk_is_reached_and_matches_the_reference():
+    # Nodes 0, 1 and 2 form a triangle at the end of the path 2-3-4-5.
+    # Gate (a, b) runs from node 0 to node 5. Behind it, (b, w) and seven
+    # (x, w) gates put lookahead weight 1.07 on (x, w), which each swap that
+    # shortens (a, b) (edges (0, 2) and (4, 5)) lengthens; swap (0, 1)
+    # moves a sideways at no cost. So the greedy step swaps a back and forth
+    # across (0, 1) until the stall reaches 2n = 12, and the forced walk
+    # then takes a through node 2. No QV instance on line, y or grid
+    # graphs of up to 12 nodes was seen to reach this branch.
+    g = HardwareGraph(n=6, edges=((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)))
+    a, x, w, b = 0, 2, 4, 5
+    c = layerize([(a, b, CX), (b, w, CX)] + [(x, w, CX)] * 7, n_qubits=6)
+    fid = FidelityModel.build(c, g)
+    forced = []
+    want = reference_route(c, g, tuple(range(6)), fid, forced)
+    assert forced == [12]
+    assert want.steps[:13] == ((FreeSwap(edge=(0, 1)),),) * 12 + ((FreeSwap(edge=(0, 2)),),)
+    assert heuristic_route(c, g, tuple(range(6)), fid) == want
+    assert verify_structural(want, c, g) is None
+
+
+def reference_layout(c, g, seed=0):
+    """``heuristic_layout`` with every trial routed by the reference router."""
+    if not any(c.groups):
+        return tuple(range(g.n))
+    fid = FidelityModel.build(c, g)
+    rng = np.random.default_rng(seed)
+    best = None
+    for trial in range(TRIALS):
+        start = tuple(int(v) for v in rng.permutation(g.n))
+        refined = _repair_first_layer(c, g, reference_route(c, g, start, fid).final_map,
+                                      matching_size(g))
+        rc = reference_route(c, g, refined, fid)
+        key = (sum(isinstance(op, FreeSwap) for ops in rc.steps for op in ops), trial)
+        if best is None or key < best[0]:
+            best = (key, refined)
+    return best[1]
+
+
+def test_layout_search_matches_one_routed_by_the_reference_router():
+    for seed, (g, c, _) in enumerate(qv_instances()):
+        assert heuristic_layout(c, g, seed) == reference_layout(c, g, seed)
+
+
 def test_layout_is_permutation_and_deterministic(inst, line4):
     c, fid = inst
-    a = heuristic_layout(c, line4, fid)
-    b = heuristic_layout(c, line4, fid)
+    a = heuristic_layout(c, line4)
+    b = heuristic_layout(c, line4)
     assert a == b
     assert sorted(a) == [0, 1, 2, 3]
     # The chosen layout lets the whole first layer run at once.
@@ -71,7 +148,7 @@ def test_layout_is_permutation_and_deterministic(inst, line4):
 
 def test_layout_of_gate_free_circuit_is_identity(line4):
     c = LayeredCircuit(4, ((), ()))
-    assert heuristic_layout(c, line4, FidelityModel.build(c, line4)) == (0, 1, 2, 3)
+    assert heuristic_layout(c, line4) == (0, 1, 2, 3)
 
 
 def test_unknown_variant_rejected(inst, line4):
@@ -140,7 +217,7 @@ def test_every_exact_variant_solves_through_the_stage_loop(inst, line4, variant,
         assert dp_calls == [] and bb_calls == []
     else:
         order = ("error",) if variant == "bip_layout" else ("error", "depth")
-        pinned = heuristic_layout(c, line4, fid) if variant == "bip_routing" else None
+        pinned = heuristic_layout(c, line4) if variant == "bip_routing" else None
         assert dp_calls == [(order, pinned)]
         assert bb_calls == []
         assert run.closed
@@ -166,7 +243,7 @@ def test_instance_past_the_guard_solves_through_the_stage_loop(variant, monkeypa
     else:
         assert_stage_loop(bb_calls, ("error", "depth"))
         assert run.closed
-        assert run.routed.initial_map == heuristic_layout(c, line10, fid)
+        assert run.routed.initial_map == heuristic_layout(c, line10)
 
 
 @pytest.mark.parametrize("variant", ["bip", "bip_layout", "bip_routing"])
@@ -177,7 +254,7 @@ def test_dp_past_the_time_limit_returns_the_greedy_route_unproven(inst, line4, v
     c, fid = inst
     run = run_variant_full(variant, c, line4, fid, SolveLimits(time_limit=1e-9))
     assert not run.closed
-    greedy = heuristic_route(c, line4, heuristic_layout(c, line4, fid), fid)
+    greedy = heuristic_route(c, line4, heuristic_layout(c, line4), fid)
     assert run.routed.steps == greedy.steps
     assert run.routed.origin == variant
 
@@ -200,7 +277,7 @@ def test_constrained_variant_restores_layout(inst, line4):
 
 def test_routing_variant_pins_heuristic_layout(inst, line4):
     c, fid = inst
-    layout = heuristic_layout(c, line4, fid)
+    layout = heuristic_layout(c, line4)
     run = run_variant_full("bip_routing", c, line4, fid)
     assert run.routed.initial_map == layout
     free = run_variant_full("bip", c, line4, fid)

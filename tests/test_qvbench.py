@@ -12,7 +12,7 @@ from qaroute.qvbench import (BenchError, HopEstimate, _estimate, _pearson,
                              ideal_probs, lower_circuit)
 from qaroute.heuristic import run_variant_full
 from qaroute.simulate import embed_two_qubit, is_unitary
-from qaroute.solver import SolveLimits
+from qaroute.solver import NoRouteError, SolveLimits
 
 
 def test_haar_su4_properties():
@@ -162,3 +162,26 @@ def test_benchmark_parallel_matches_serial(line4):
         assert (by[(idx, "bip")].error_objective
                 <= by[(idx, "sabre_like")].error_objective + 1e-9)
         assert by[(idx, "bip")].hop >= by[(idx, "sabre_like")].hop - 1e-9
+
+
+def test_a_run_without_a_route_is_a_row_outside_the_estimates(line4, monkeypatch):
+    # The second run raises NoRouteError: it becomes a no_route row with
+    # no figures, and the HOP estimate and correlations use the other two.
+    real, calls = qvbench.run_variant_full, []
+
+    def second_has_no_route(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise NoRouteError("instance is infeasible")
+        return real(*args)
+
+    monkeypatch.setattr(qvbench, "run_variant_full", second_has_no_route)
+    res = benchmark_batch(3, 4, ("sabre_like",), line4, seed=16, dummy_steps=1, n_layers=2)
+    assert [r.status for r in res.rows] == ["ok", "no_route", "ok"]
+    gone = res.rows[1]
+    assert (gone.cnot_count, gone.depth_proxy, gone.error_objective, gone.hop) == (None,) * 4
+    kept = [res.rows[0], res.rows[2]]
+    assert res.estimates["sabre_like"] == _estimate([r.hop for r in kept])
+    assert res.correlations[("sabre_like", "error_objective")] == _pearson(
+        [r.error_objective for r in kept], [r.hop for r in kept])
+    assert res.to_table().split("\n")[2] == "1\tsabre_like\t\t\t\t\tno_route"

@@ -24,6 +24,10 @@ def test_is_unitary():
     assert is_unitary(haar_su4(0))
     assert not is_unitary(np.ones((4, 4)))
     assert not is_unitary(np.eye(3)[:2])
+    # The tolerance bounds every entry of m m^dagger - I, the diagonal too.
+    assert not is_unitary(np.diag([1 + 4e-6, 1, 1, 1]))
+    assert is_unitary(np.diag([1 + 4e-9, 1, 1, 1]))
+    assert is_unitary(np.diag([1 + 4e-6, 1, 1, 1]), atol=1e-5)
 
 
 def test_apply_matches_embed():

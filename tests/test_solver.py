@@ -380,7 +380,7 @@ def test_dp_steps_match_branch_and_bound(graph, width, layers, order, dummies, p
                                          request):
     g = request.getfixturevalue(graph)
     c, fid = prepared(random_layered_circuit(width, layers, [19, dummies]), g, dummies)
-    layout = heuristic_layout(c, g, fid, seed=dummies) if pinned else None
+    layout = heuristic_layout(c, g, seed=dummies) if pinned else None
     lex = lexicographic_solve(c, g, fid, order, initial_map=layout)
     value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
     assert lex.closed
@@ -422,7 +422,7 @@ def test_matchings_the_dp_cannot_take_change_nothing(graph, width, layers, order
     active = len({q for gate in c.gates() for q in gate.operands})
     every = enumerate_matchings(g, g.n // 2)
     assert len(enumerate_matchings(g, active)) < len(every)
-    layout = heuristic_layout(c, g, fid, seed=dummies) if pinned else None
+    layout = heuristic_layout(c, g, seed=dummies) if pinned else None
     value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
     monkeypatch.setattr(qaroute.solver, "enumerate_matchings", lambda _g, _most: every)
     value_all, rc_all = solve_exhaustive(c, g, fid, order, initial_map=layout)
@@ -499,7 +499,7 @@ def test_pinned_dp_matches_branch_and_bound_past_eight_nodes():
     # the same initial_map proves the same instance independently.
     line10 = builtin_topology("line", 10)
     c, fid = prepared(random_layered_circuit(4, (1, 1), 3), line10, 1)
-    layout = heuristic_layout(c, line10, fid)
+    layout = heuristic_layout(c, line10)
     (err, depth), _ = solve_exhaustive(c, line10, fid, ("error", "depth"), initial_map=layout)
     run = run_variant_full("bip_routing", c, line10, fid)
     assert run.closed
@@ -548,7 +548,7 @@ def test_dp_with_idle_qubits_matches_branch_and_bound(graph, width, layers, seed
 def test_pinned_dp_matches_branch_and_bound_with_pinned_rows(graph, width, layers, request):
     g = request.getfixturevalue(graph)
     c, fid = prepared(random_layered_circuit(width, layers, [18, 0]), g, 1)
-    layout = heuristic_layout(c, g, fid, seed=3)
+    layout = heuristic_layout(c, g, seed=3)
     (err, depth), rc = solve_exhaustive(c, g, fid, ("error", "depth"), initial_map=layout)
     lex = lexicographic_solve(c, g, fid, ("error", "depth"), initial_map=layout)
     assert lex.closed
