@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .hwgraph import HardwareGraph, norm_edge
-from .simulate import SWAP
+from .simulate import SWAP, UNITARY_ATOL, is_unitary, unitary_defect
 
 _B_MAGIC = np.array(
     [[1, 0, 0, 1j],
@@ -53,23 +53,24 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     U in the magic basis (Zhang et al., PRA 67, 042313).
     """
     u = np.asarray(u, dtype=complex)
-    det = np.linalg.det(u)
-    if abs(abs(det) - 1.0) > 1e-8:
+    if not is_unitary(u):
         raise FidelityError("matrix is not unitary")
-    u = u / det ** 0.25
+    u = u / np.linalg.det(u) ** 0.25
     up = _B_MAGIC.conj().T @ u @ _B_MAGIC
     return _fold_spectrum(np.linalg.eigvals(up.T @ up))
 
 
 def _weyl_batch(us: np.ndarray, gids: list[int]) -> list[tuple[float, float, float]]:
     """``weyl_coordinates`` of each matrix of a (k, 4, 4) stack, that of
-    gate ``gids[m]`` for matrix m, by one stacked determinant, product and
-    eigenvalue call. LAPACK and BLAS treat each matrix of a stack as they
-    treat it alone, so every result equals the one-matrix result bit for bit."""
-    dets = np.linalg.det(us)
-    bad = np.flatnonzero(np.abs(np.abs(dets) - 1.0) > 1e-8)
+    gate ``gids[m]`` for matrix m, by one stacked unitarity check (the
+    loader's rule, so every gate that loads is priced), determinant,
+    product and eigenvalue call. LAPACK and BLAS treat each matrix of a
+    stack as they treat it alone, so every result equals the one-matrix
+    result bit for bit."""
+    bad = np.flatnonzero(unitary_defect(us) > UNITARY_ATOL)
     if bad.size:
         raise FidelityError(f"gate {gids[bad[0]]} is not unitary")
+    dets = np.linalg.det(us)
     ups = _B_MAGIC.conj().T @ (us / (dets ** 0.25)[:, None, None]) @ _B_MAGIC
     return [_fold_spectrum(e) for e in np.linalg.eigvals(ups.transpose(0, 2, 1) @ ups)]
 

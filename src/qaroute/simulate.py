@@ -28,13 +28,26 @@ SWAP = np.array(
      [0, 0, 0, 1]], dtype=complex)
 
 
-def is_unitary(m: np.ndarray, atol: float = 1e-8) -> bool:
+# How far from zero an entry of m m^dagger - I may be for m to count as
+# unitary: one rule for the circuit loader and the gate pricing alike.
+UNITARY_ATOL = 1e-8
+
+
+def unitary_defect(m: np.ndarray) -> np.ndarray:
+    """The largest |entry| of ``m m^dagger - I`` for a square matrix, or
+    for each matrix of a stack of them."""
+    m = np.asarray(m, dtype=complex)
+    gram = m @ np.conj(np.swapaxes(m, -1, -2))
+    return np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0)
+
+
+def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     """True when ``m`` is square and every entry of ``m m^dagger - I``
     lies within ``atol`` of zero."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return float(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max(initial=0.0)) <= atol
+    return float(unitary_defect(m)) <= atol
 
 
 def exchange_qubits(u4: np.ndarray) -> np.ndarray:

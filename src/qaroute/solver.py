@@ -11,8 +11,11 @@ the tree quickly and keeps the solver dependency-free.
 
 ``solve_exhaustive``, dynamic programming in numpy over the placements
 of the qubits some gate touches and the matchings of the hardware graph
-with at most one edge per such qubit, is the exact engine of ``bip``,
-``bip_layout`` and ``bip_routing`` on every instance whose arrays fit
+with at most one edge per such qubit, relaxes each step in vectorized
+passes over its (state, matching) candidates, one pass unless they
+outnumber ``DP_PASS``; ``_fold`` keeps per target exactly the value an
+in-order lexicographic comparison would. It is the exact engine of
+``bip``, ``bip_layout`` and ``bip_routing`` on every instance whose arrays fit
 ``DP_MEMORY``, until the run's time limit. It shares only the gate and
 swap prices with the branch and bound, which, through ``lexopt``,
 routes ``bip_constrained``, ``pareto`` and the instances the DP refuses,
@@ -444,6 +447,12 @@ def _check_order(order) -> tuple[str, ...]:
 # for a few ``bench`` workers running one each. The deadline bounds its time.
 DP_MEMORY = 1 << 30
 
+# Most (matching, state) candidates one pass of a DP step examines: a step
+# whose matchings times the states on its smaller side exceed it is
+# relaxed in several passes, each over a run of consecutive matchings, so
+# the pass buffers stay at a few MB.
+DP_PASS = 1 << 16
+
 
 class DPTooLarge(SolveError):
     """The layout DP's arrays would not fit ``DP_MEMORY``."""
@@ -456,13 +465,16 @@ class DPTimeLimit(SolveError):
 def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: int,
                      matchings: int) -> int:
     """Bytes of the layout DP's arrays. Per placement of the ``active``
-    qubits: 2 B of nodes per qubit; per edge a 4 B swap table entry and
-    9 B of swap rows (kept for the live states only, at most every
-    placement); 2 B of node masks per node; 32 B of values per objective;
-    48 B of indices, the row map and temporaries; and 8 B of parents per
-    step. Per matching: its tuple of edges, their ids and mask."""
-    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 48 + 8 * steps
-    return math.perm(n, active) * per_place + matchings * (8 * n + 128)
+    qubits: 2 B of nodes per qubit; per edge, and once more for no edge,
+    a 4 B swap table entry and 9 B of swap rows (kept for the states on
+    one side of a step only, at most every placement); 2 B of node masks
+    per node; 32 B of values per objective; 56 B of indices, the row
+    map, the fold's scratch and temporaries (enough for a pass over a
+    single matching); and 8 B of parents per step. Per matching: its
+    tuple of edges, their ids and mask. And 64 B for each of the at most
+    ``DP_PASS`` candidates of a pass over several matchings."""
+    per_place = 2 * active + 13 * (edges + 1) + 2 * n + 32 * objectives + 56 + 8 * steps
+    return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 64 * DP_PASS
 
 
 def _placements(n: int, a: int) -> np.ndarray:
@@ -518,6 +530,85 @@ def _less(a, b, slack) -> np.ndarray:
     return out
 
 
+def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
+    """The candidates that win their targets in the in-order fold: each
+    target starts from its incumbent and takes, by ascending ``key``,
+    every candidate that ``_less`` finds better than its current value.
+
+    Candidate i offers target ``tgt[i]`` the values ``rows[o][i]``;
+    ``key`` is unique per target. ``held[o]`` holds each target's
+    incumbent values (inf where it has none), or ``held`` is None when no
+    target has one. ``scratch`` is a float array over the
+    targets, all inf, and is left so. Returns the indices of the winners,
+    at most one per target and none where the incumbent stays.
+
+    It takes a few passes over all candidates, not one per key. On an
+    objective compared exactly (slack 0) a target keeps only the values
+    equal to its least. On one with slack s it keeps those within s/2 of
+    the least: they are within s of each other, so the next objectives
+    decide among them, and each beats every value more than 2s above
+    the least, which can then never win. A target with a value between
+    s/2 and 2s above its least is folded key by key instead. The first
+    value left wins, the incumbent before every key.
+    """
+    pos = None  # the candidates still in the running; None: all
+    at = tgt  # their targets
+    kept = None if held is None else np.isfinite(held[0].take(tgt))  # their incumbent is in
+    odd = []  # targets folded key by key
+    for o, (x, s) in enumerate(zip(rows, slack)):
+        if pos is not None:
+            x = x.take(pos)
+        if kept is not None:
+            h = held[o].take(at)
+            scratch[at[kept]] = h[kept]
+        np.minimum.at(scratch, at, x)
+        least = scratch.take(at)
+        scratch[at] = math.inf
+        if s == 0:
+            stay = x == least
+            if kept is not None:
+                kept &= h == least
+        else:
+            near, far = least + s / 2, least + 2 * s
+            stay = x <= near
+            between = ~stay & (x <= far)
+            if kept is not None:
+                between |= kept & (h > near) & (h <= far)
+                kept &= h <= near
+            odd.append(at[between])
+        stay = np.flatnonzero(stay)
+        pos, at = (stay if pos is None else pos.take(stay)), at.take(stay)
+        if kept is not None:
+            kept = kept.take(stay)
+    key_left = key if pos is None else key.take(pos)
+    np.minimum.at(scratch, at, key_left)
+    first = key_left == scratch.take(at)
+    scratch[at] = math.inf
+    if kept is not None:
+        first &= ~kept
+    win = np.flatnonzero(first) if pos is None else pos[first]
+    odd = np.concatenate(odd) if odd else at[:0]
+    if len(odd) == 0:
+        return win
+    win = win[~np.isin(tgt.take(win), odd)]
+    idx = np.flatnonzero(np.isin(tgt, odd))
+    idx = idx[np.argsort(key.take(idx), kind="stable")]
+    where, slot = np.unique(tgt.take(idx), return_inverse=True)
+    if held is None:
+        cur = [np.full(len(where), math.inf) for _ in rows]
+    else:
+        cur = [h.take(where) for h in held]
+    pick = np.full(len(where), -1)
+    for run in np.split(np.arange(len(idx)), np.flatnonzero(np.diff(key.take(idx))) + 1):
+        i, j = idx[run], slot[run]  # one key: distinct targets
+        better = _less([r[i] for r in rows], [c[j] for c in cur], slack)
+        i, j = i[better], j[better]
+        for c, r in zip(cur, rows):
+            c[j] = r[i]
+        pick[j] = i
+    return np.sort(np.concatenate((win, pick[pick >= 0])))
+
+
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                      objective="error", initial_map=None, limits: SolveLimits | None = None):
     """Optimum by dynamic programming over the layouts of the active qubits.
@@ -525,23 +616,33 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     A state is the node tuple of the qubits some gate touches (a column
     of one int16 array, placements in lexicographic order), so there are
     n!/(n-a)! states; idle qubits are interchangeable and ride along.
-    Each hardware edge has an int32 table, built once, of the placement
-    with its two nodes swapped; a matching's successor is its edges'
-    tables composed, and since a matching is its own inverse the same
-    tables give its predecessor. Each step prices the live states once:
-    their plain gate error, and per edge a row that says whether a swap
-    there is allowed (on a gate's own edge, at merged minus plain error;
-    elsewhere only if neither node holds a gate qubit and one holds an
-    active qubit, at the swap's error) and what it adds. It then loops
-    over the matchings of at most ``a`` edges (a swapped edge moves an
-    active qubit), never over states, from the smaller side: it pushes
-    from the live states, or pulls into the valid states of the next
-    step when those are fewer. A target keeps a candidate that beats
-    its value lexicographically, each component but the last within its
-    ``_OBJ_EPS`` slack, so float rounding in a sum cannot decide a later
-    component; the first matching wins a tie. The walk
-    back puts the idle qubits on the free nodes at step 0, in order, and
-    carries them through the recorded matchings.
+    One int32 array, built once, holds per hardware edge the placement
+    with its two nodes swapped, and the placement itself in a last row
+    that stands for no edge; a matching's successor is its edges' rows
+    composed, and since a matching is its own inverse the same rows give
+    its predecessor. Each step prices the live states once: their plain
+    gate error, and per edge the error a swap there adds (merged minus
+    plain error on a gate's own edge, the swap's error elsewhere). It
+    then relaxes the matchings of at most ``a`` edges (a swapped edge
+    moves an active qubit) from the smaller side, pushing from the live
+    states or pulling into the valid states of the next step when those
+    are fewer. Per edge it marks the states of that side that may swap
+    there: on a gate's own edge, or where neither node holds a gate
+    qubit and one holds an active qubit; a matching moves no qubit onto
+    or off its edges' nodes, so a target answers as its source would.
+    It works once per pass, each pass a run of consecutive matchings
+    whose count times that side's states stays within ``DP_PASS`` (so
+    one pass unless the step is large, and one matching per pass only
+    when a single one exceeds it): the pass gathers every (state,
+    matching) candidate the marks allow, prices them together and keeps
+    per target the value the in-order fold would keep (``_fold``). A
+    candidate replaces the target's value when it is lexicographically
+    smaller, each component but the last within its ``_OBJ_EPS`` slack,
+    so float rounding in a sum cannot decide a later component; the
+    first matching wins a tie, and an earlier pass's value comes before
+    every matching of a later one. The walk back puts the idle qubits on
+    the free nodes at step 0, in order, and carries them through the
+    recorded matchings.
 
     ``objective`` is one of ``error``/``depth``/``crosstalk`` or an order
     of them that ``_check_order`` accepts, as in ``lexopt``.
@@ -551,7 +652,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
     would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
     has passed (checked after the matchings, after the placements, after
-    each edge's table and once per matching; the DP counts no nodes), and
+    each edge's table and once per pass; the DP counts no nodes), and
     ``NoRouteError`` when no routing exists.
     """
     single = isinstance(objective, str)
@@ -569,8 +670,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     xt = g.crosstalk_edges if "crosstalk" in objs else ()  # one int64 mask bit each
     if len(xt) > 63:
         raise SolveError("the layout DP counts crosstalk on at most 63 edges")
-    takeable = sum(math.comb(len(g.edges), k) for k in range(a + 1))  # bounds the matchings
-    if exhaustive_bytes(n, len(g.edges), a, m, len(objs), takeable) > DP_MEMORY:
+    ne = len(g.edges)
+    takeable = sum(math.comb(ne, k) for k in range(a + 1))  # bounds the matchings
+    if exhaustive_bytes(n, ne, a, m, len(objs), takeable) > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
     deadline = time.perf_counter() + ((limits and limits.time_limit) or math.inf)
 
@@ -584,11 +686,14 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     states = _placements(n, a)
     places = states.shape[1]
     check_time()
-    tables = []
-    for i, j in g.edges:
-        tables.append(_swap_table(states, n, i, j))
+    tables = np.empty((ne + 1, places), dtype=np.int32)  # row ne: no edge
+    for k, (i, j) in enumerate(g.edges):
+        tables[k] = _swap_table(states, n, i, j)
         check_time()
+    tables[ne] = np.arange(places)
+    flat = tables.reshape(-1)
 
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
     adj = np.zeros((n, n), dtype=bool)
     eid = np.zeros((n, n), dtype=np.int64)
     for k, (i, j) in enumerate(g.edges):
@@ -607,11 +712,21 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             merged[gate.gid][i, j] = merged[gate.gid][j, i] = fid.gate_error(
                 gate.gid, i, j, merged=True)
     gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
-    swaps = [tuple(int(eid[e]) for e in M) for M in matchings]  # edge ids
-    masks = [int(sum(bit[e] for e in M)) for M in matchings]  # disjoint edges: sum is or
+    size = np.array([len(M) for M in matchings])  # ascending
+    index = {e: k for k, e in enumerate(g.edges)}
+    edge_ids = np.array([[index[e] for e in M] + [ne] * (max(1, size[-1]) - len(M))
+                         for M in matchings])  # padded with no edge
+    wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first matching of each size
+    edge_bit = np.array([bit[e] for e in g.edges] + [0], dtype=np.int64)
+    masks = np.bitwise_or.reduce(edge_bit[edge_ids], axis=1)  # disjoint edges
     dummy = set(c.dummy_steps)
     pairs = [(bit[e1], bit[e2]) for e1, e2 in g.crosstalk_pairs]
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
+
+    def cuts(k: np.ndarray) -> np.ndarray:
+        """Where the matchings ``k`` (ascending) first have a c-th edge,
+        for c = 1, 2, ...: past that position every one has it."""
+        return np.searchsorted(k, wider)
 
     def valid(t: int, at=slice(None)) -> np.ndarray:
         nodes = states[:, at]
@@ -620,47 +735,61 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             ok &= adj[nodes[cp], nodes[cq]]
         return ok
 
+    def allowed(t: int, at: np.ndarray) -> np.ndarray:
+        """Per edge, and in a last row for no edge, whether each placement
+        ``at`` may swap there at step t: where some active qubit moves and
+        no gate qubit does, or where the edge's nodes hold the two qubits
+        of one gate, which absorbs the swap. A swap set is allowed when
+        each of its edges is, so every gate runs in place or absorbs a
+        swap of its own operands, and no swap of two idle qubits (which
+        changes no state and only adds cost) is taken. A matching moves
+        no qubit onto or off its edges' nodes, so a placement and its
+        successor agree on each of its edges, and a pull asks its
+        targets."""
+        rows = states[:, at]
+        everyone = np.arange(len(at))
+        full = np.zeros((n, len(at)), dtype=bool)  # a node holds an active qubit
+        full[rows, everyone] = True
+        held = np.zeros((n, len(at)), dtype=bool)  # a node holds a gate qubit
+        for cp, cq, _ in gates_at[t]:
+            held[rows[cp], everyone] = held[rows[cq], everyone] = True
+        ok = np.ones((ne + 1, len(at)), dtype=bool)
+        ok[:ne] = (full[ends[0]] | full[ends[1]]) & ~(held[ends[0]] | held[ends[1]])
+        for cp, cq, _ in gates_at[t]:
+            i, j = rows[cp], rows[cq]
+            on = np.flatnonzero(adj[i, j])  # every one, for a state valid at t
+            ok[eid[i.take(on), j.take(on)], on] = True
+        return ok
+
     def priced(t: int, alive: np.ndarray):
-        """The states ``alive`` at step t: each one's plain gate error and
-        crosstalk mask of its gate edges, and per edge a row of whether a
-        swap there may be taken and the error it adds. A swap set is
-        allowed when each of its edges is (so every gate runs in place or
-        absorbs a swap of its own operands, and some active qubit moves on
-        every swapped edge, since a swap of two idle qubits changes no
-        state and only adds cost)."""
+        """The live states ``alive`` at step t: each one's plain gate error
+        and crosstalk mask of its gate edges, and per edge (and the last
+        row, no edge) the error a swap there adds: merged minus plain
+        error on a gate's own edge, the swap's error elsewhere."""
         rows = states[:, alive]
         everyone = np.arange(len(alive))
-        full = np.zeros((n, len(alive)), dtype=bool)  # a node holds an active qubit
-        full[rows, everyone] = True
-        held = np.zeros((n, len(alive)), dtype=bool)  # a node holds a gate qubit
         err = np.zeros(len(alive))
         used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
-        arcs = []
+        add = np.zeros((ne + 1, len(alive)))
+        add[:ne] = swap_err[:, None]
         for cp, cq, gid in gates_at[t]:
             i, j = rows[cp], rows[cq]
-            held[i, everyone] = held[j, everyone] = True
             err += plain[gid][i, j]
             used |= bit[i, j]
-            arcs.append((eid[i, j], merged[gid][i, j] - plain[gid][i, j]))
-        ok = np.empty((len(g.edges), len(alive)), dtype=bool)
-        for k, (i, j) in enumerate(g.edges):
-            ok[k] = (full[i] | full[j]) & ~(held[i] | held[j])
-        add = np.repeat(swap_err[:, None], len(alive), axis=1)
-        for e, extra in arcs:
-            ok[e, everyone] = True
-            add[e, everyone] = extra
-        return err, used, ok, add
+            add[eid[i, j], everyone] = merged[gid][i, j] - plain[gid][i, j]
+        return err, used, add
 
-    def costs(t: int, k: int, src: np.ndarray, err, used, add) -> list:
-        """One cost row per objective for the states ``src`` taking matching k at step t."""
+    def costs(t: int, k: np.ndarray, src: np.ndarray, err, used, add) -> list:
+        """One cost row per objective for the live states ``src`` taking
+        matchings ``k`` at step t."""
         out = []
         for o in objs:
             if o == "error":
-                x = err[src]
-                for e in swaps[k]:
-                    x = x + add[e, src]
+                x = err.take(src)
+                for e, p in zip(edge_ids.T, cuts(k)):
+                    x[p:] += add.take(e.take(k[p:]) * len(err) + src[p:])
             elif o == "depth":
-                x = np.full(len(src), 1.0 if (t in dummy and swaps[k]) else 0.0)
+                x = (size[k] > 0).astype(float) if t in dummy else np.zeros(len(src))
             else:
                 both = used[src] | masks[k]
                 x = sum((((both & b1) != 0) & ((both & b2) != 0) for b1, b2 in pairs),
@@ -676,9 +805,12 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         start = start[valid(0, start)]
     for v in value:
         v[start] = 0.0
+    scratch = np.full(places, math.inf)  # _fold's, over the targets
     parents = []
     for t in range(m - 1):
         alive = np.flatnonzero(np.isfinite(value[0]))
+        if len(alive) == 0:
+            break
         base = [v[alive] for v in value]
         ahead = valid(t + 1)
         targets = np.flatnonzero(ahead)
@@ -689,37 +821,39 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         value = [np.full(places, math.inf) for _ in objs]
         parent = np.full(places, -1, dtype=np.int32)
         via = np.zeros(places, dtype=np.int32)
-        err, used, ok, add = priced(t, alive)
-        for k, es in enumerate(swaps):
+        err, used, add = priced(t, alive)
+        side = targets if pull else alive
+        ok = allowed(t, side)
+        run = max(1, DP_PASS // max(1, len(side)))  # matchings per pass
+        for k0 in range(0, len(matchings), run):
             check_time()
-            if pull:
-                src = targets
-                for e in es:
-                    src = tables[e][src]
-                src = row_of[src]
-                keep = src >= 0
-                for e in es:
-                    keep[keep] = ok[e, src[keep]]
-                src, tgt = src[keep], targets[keep]
-            else:
-                take = np.ones(len(alive), dtype=bool)
-                for e in es:
-                    take &= ok[e]
-                src = np.flatnonzero(take)
-                tgt = alive[src]
-                for e in es:
-                    tgt = tables[e][tgt]
-                keep = ahead[tgt]
-                src, tgt = src[keep], tgt[keep]
-            if len(src) == 0:
+            ids = edge_ids[k0:k0 + run]
+            keep = ok[ids[:, 0]]
+            for e in ids.T[1:size[k0 + len(ids) - 1]]:  # as wide as its widest matching
+                keep &= ok[e]
+            k, at = np.divmod(np.flatnonzero(keep), len(side))
+            if len(k) == 0:
                 continue
-            cand = [b[src] + x for b, x in zip(base, costs(t, k, src, err, used, add))]
-            win = _less(cand, [v[tgt] for v in value], slack)
-            tgt = tgt[win]
+            k += k0
+            end = side.take(at)  # each candidate's other end
+            for e, p in zip(edge_ids.T, cuts(k)):
+                end[p:] = flat.take(e.take(k[p:]) * places + end[p:])
+            if pull:
+                tgt, src = side.take(at), row_of.take(end)
+                at = np.flatnonzero(src >= 0)
+            else:
+                src, tgt = at, end
+                at = np.flatnonzero(ahead.take(tgt))
+            k, src, tgt = k.take(at), src.take(at), tgt.take(at)
+            cand = costs(t, k, src, err, used, add)
+            for b, x in zip(base, cand):
+                x += b.take(src)
+            win = _fold(tgt, k, cand, slack, value if k0 else None, scratch)
+            tgt = tgt.take(win)
             for v, x in zip(value, cand):
-                v[tgt] = x[win]
-            parent[tgt] = alive[src[win]]
-            via[tgt] = k
+                v[tgt] = x.take(win)
+            parent[tgt] = alive.take(src.take(win))
+            via[tgt] = k.take(win)
         parents.append((parent, via))
     alive = np.flatnonzero(np.isfinite(value[0]))
     if len(alive) == 0:
@@ -728,8 +862,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     # The last step runs its gates with no swap set (matching 0 is the
     # empty one); the best final state has the least error, then within
     # its slack the least depth, and so on.
-    err, used, _, add = priced(m - 1, alive)
-    last = costs(m - 1, 0, np.arange(len(alive)), err, used, add)
+    err, used, add = priced(m - 1, alive)
+    last = costs(m - 1, np.zeros(len(alive), dtype=np.intp), np.arange(len(alive)),
+                 err, used, add)
     total = [v[alive] + x for v, x in zip(value, last)]
     pick = np.arange(len(alive))
     for row, s in zip(total, slack):

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import CX, numeric_fidelity_budget, prepared, random_layered_circuit
-from qaroute.circuit import Gate, LayeredCircuit
+from qaroute.circuit import Gate, LayeredCircuit, dump_circuit
+from qaroute.cli import main
 from qaroute.gatefid import (FidelityError, FidelityModel, avg_gate_fidelity,
                              closest_unitary_distance, cnot_budget_fidelities,
                              exact_cnot_fidelities, load_fidelity_overrides,
@@ -211,10 +213,29 @@ def test_batched_pricing_equals_per_gate_pricing_bit_for_bit():
     assert FidelityModel.build(empty, y6).f_table == {}
 
 
-def test_batched_pricing_names_a_gate_whose_determinant_is_off():
-    # diag(1 + 4e-9, ...) passes the gate's unitarity check (8e-9 off) but
-    # its determinant is 1.6e-8 off one: the pricing names the gate.
+def test_a_gate_whose_determinant_is_off_loads_prices_and_transpiles(tmp_path, capsys):
+    # diag(1 + 4e-9, ...) is 8e-9 off unitary, within the loader's 1e-8,
+    # while its determinant is 1.6e-8 off one. Loader and pricing share
+    # one rule, so a document the loader accepts is routed (exit 0).
     off = np.diag([1 + 4e-9] * 4).astype(complex)
+    assert abs(abs(np.linalg.det(off)) - 1) > 1e-8
     c = LayeredCircuit(4, ((Gate(0, 1, CX, 0), Gate(2, 3, off, 1)),))
+    fid = FidelityModel.build(c, builtin_topology("line", 4))
+    assert fid.f_table[1] == cnot_budget_fidelities(off)
+    doc = tmp_path / "off.json"
+    doc.write_text(json.dumps(dump_circuit(c)))
+    code = main(["transpile", "--builtin", "line,4", "--circuit", str(doc)])
+    assert code == 0, capsys.readouterr().err
+    assert "unitary: ok" in capsys.readouterr().out
+
+
+def test_batched_pricing_names_a_non_unitary_gate_built_in_code():
+    # A payload swapped in after the gate was made skips the loader; the
+    # pricing checks the same rule and names the gate.
+    gate = Gate(2, 3, CX, 1)
+    gate.unitary = np.diag([1 + 4e-6, 1, 1, 1]).astype(complex)
+    c = LayeredCircuit(4, ((Gate(0, 1, CX, 0), gate),))
     with pytest.raises(FidelityError, match="^gate 1 is not unitary$"):
         FidelityModel.build(c, builtin_topology("line", 4))
+    with pytest.raises(FidelityError, match="^matrix is not unitary$"):
+        cnot_budget_fidelities(gate.unitary)

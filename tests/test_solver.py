@@ -392,6 +392,27 @@ def test_dp_steps_match_branch_and_bound(graph, width, layers, order, dummies, p
     assert verify_structural(rc, c, g) is None
 
 
+@pytest.mark.parametrize("graph, width, layers", [("line4", 3, (1, 1, 1)),
+                                                  ("y6", 4, (2, 1, 2)), ("grid6", 5, (2, 2))])
+@pytest.mark.parametrize("budget", [1, 40])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_steps_split_into_passes_change_nothing(graph, width, layers, budget, pinned,
+                                                request, monkeypatch):
+    # A pass budget of one candidate relaxes one matching per pass; 40
+    # puts a few matchings of mixed sizes in each pass. Either way every
+    # step after its first pass folds into the values an earlier pass
+    # kept, and values and routes equal one pass per step.
+    g = request.getfixturevalue(graph)
+    c, fid = prepared(random_layered_circuit(width, layers, [31, width]), g, 2)
+    layout = heuristic_layout(c, g, seed=1) if pinned else None
+    order = ("crosstalk", "error", "depth")
+    value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    monkeypatch.setattr(qaroute.solver, "DP_PASS", budget)
+    split, rc_split = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    assert split == value
+    assert routed_to_json(rc_split) == routed_to_json(rc)
+
+
 def line8_crosstalk():
     """line-8 whose couplers two apart interfere, like line-6's."""
     edges = tuple((i, i + 1) for i in range(7))
