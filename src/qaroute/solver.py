@@ -465,15 +465,15 @@ class DPTimeLimit(SolveError):
 def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: int,
                      matchings: int) -> int:
     """Bytes of the layout DP's arrays. Per placement of the ``active``
-    qubits: 2 B of nodes per qubit; per edge, and once more for no edge,
-    a 4 B swap table entry and 9 B of swap rows (kept for the states on
-    one side of a step only, at most every placement); 2 B of node masks
-    per node; 32 B of values per objective; 56 B of indices, the row
-    map, the fold's scratch and temporaries (enough for a pass over a
-    single matching); and 8 B of parents per step. Per matching: its
-    tuple of edges, their ids and mask. And 64 B for each of the at most
-    ``DP_PASS`` candidates of a pass over several matchings."""
-    per_place = 2 * active + 13 * (edges + 1) + 2 * n + 32 * objectives + 56 + 8 * steps
+    qubits: 2 B of nodes per qubit; per edge a 4 B swap table entry and
+    9 B of swap rows (kept for the states on one side of a step only, at
+    most every placement); 2 B of node masks per node; 32 B of values
+    per objective; 56 B of indices, the row map, the fold's scratch and
+    temporaries (enough for a pass over a single matching); and 8 B of
+    parents per step. Per matching: its tuple of edges, their ids and
+    mask. And 64 B for each of the at most ``DP_PASS`` candidates of a
+    pass over several matchings."""
+    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 56 + 8 * steps
     return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 64 * DP_PASS
 
 
@@ -575,7 +575,8 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
             if kept is not None:
                 between |= kept & (h > near) & (h <= far)
                 kept &= h <= near
-            odd.append(at[between])
+            if between.any():
+                odd.append(at[between])
         stay = np.flatnonzero(stay)
         pos, at = (stay if pos is None else pos.take(stay)), at.take(stay)
         if kept is not None:
@@ -587,9 +588,9 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     if kept is not None:
         first &= ~kept
     win = np.flatnonzero(first) if pos is None else pos[first]
-    odd = np.concatenate(odd) if odd else at[:0]
-    if len(odd) == 0:
+    if not odd:
         return win
+    odd = np.concatenate(odd)
     win = win[~np.isin(tgt.take(win), odd)]
     idx = np.flatnonzero(np.isin(tgt, odd))
     idx = idx[np.argsort(key.take(idx), kind="stable")]
@@ -686,11 +687,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     states = _placements(n, a)
     places = states.shape[1]
     check_time()
-    tables = np.empty((ne + 1, places), dtype=np.int32)  # row ne: no edge
+    tables = np.empty((ne, places), dtype=np.int32)
     for k, (i, j) in enumerate(g.edges):
         tables[k] = _swap_table(states, n, i, j)
         check_time()
-    tables[ne] = np.arange(places)
     flat = tables.reshape(-1)
 
     ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
@@ -714,8 +714,8 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
     size = np.array([len(M) for M in matchings])  # ascending
     index = {e: k for k, e in enumerate(g.edges)}
-    edge_ids = np.array([[index[e] for e in M] + [ne] * (max(1, size[-1]) - len(M))
-                         for M in matchings])  # padded with no edge
+    edge_ids = np.array([[index[e] for e in M] + [ne] * (size[-1] - len(M))
+                         for M in matchings]).reshape(len(matchings), -1)  # ne: no edge
     wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first matching of each size
     edge_bit = np.array([bit[e] for e in g.edges] + [0], dtype=np.int64)
     masks = np.bitwise_or.reduce(edge_bit[edge_ids], axis=1)  # disjoint edges
@@ -724,8 +724,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
 
     def cuts(k: np.ndarray) -> np.ndarray:
-        """Where the matchings ``k`` (ascending) first have a c-th edge,
-        for c = 1, 2, ...: past that position every one has it."""
+        """Where the matchings ``k`` (ascending, so by size) first have a
+        c-th edge, for c = 1, 2, ...: from there on every one has it,
+        and column c - 1 of ``edge_ids`` is read from there on only."""
         return np.searchsorted(k, wider)
 
     def valid(t: int, at=slice(None)) -> np.ndarray:
@@ -736,8 +737,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         return ok
 
     def allowed(t: int, at: np.ndarray) -> np.ndarray:
-        """Per edge, and in a last row for no edge, whether each placement
-        ``at`` may swap there at step t: where some active qubit moves and
+        """Per edge, whether each placement ``at`` may swap there at step t: where some active qubit moves and
         no gate qubit does, or where the edge's nodes hold the two qubits
         of one gate, which absorbs the swap. A swap set is allowed when
         each of its edges is, so every gate runs in place or absorbs a
@@ -753,8 +753,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         held = np.zeros((n, len(at)), dtype=bool)  # a node holds a gate qubit
         for cp, cq, _ in gates_at[t]:
             held[rows[cp], everyone] = held[rows[cq], everyone] = True
-        ok = np.ones((ne + 1, len(at)), dtype=bool)
-        ok[:ne] = (full[ends[0]] | full[ends[1]]) & ~(held[ends[0]] | held[ends[1]])
+        ok = (full[ends[0]] | full[ends[1]]) & ~(held[ends[0]] | held[ends[1]])
         for cp, cq, _ in gates_at[t]:
             i, j = rows[cp], rows[cq]
             on = np.flatnonzero(adj[i, j])  # every one, for a state valid at t
@@ -763,15 +762,14 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
 
     def priced(t: int, alive: np.ndarray):
         """The live states ``alive`` at step t: each one's plain gate error
-        and crosstalk mask of its gate edges, and per edge (and the last
-        row, no edge) the error a swap there adds: merged minus plain
-        error on a gate's own edge, the swap's error elsewhere."""
+        and crosstalk mask of its gate edges, and per edge the error a
+        swap there adds: merged minus plain error on a gate's own edge,
+        the swap's error elsewhere."""
         rows = states[:, alive]
         everyone = np.arange(len(alive))
         err = np.zeros(len(alive))
         used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
-        add = np.zeros((ne + 1, len(alive)))
-        add[:ne] = swap_err[:, None]
+        add = np.repeat(swap_err[:, None], len(alive), axis=1)
         for cp, cq, gid in gates_at[t]:
             i, j = rows[cp], rows[cq]
             err += plain[gid][i, j]
@@ -828,9 +826,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         for k0 in range(0, len(matchings), run):
             check_time()
             ids = edge_ids[k0:k0 + run]
-            keep = ok[ids[:, 0]]
-            for e in ids.T[1:size[k0 + len(ids) - 1]]:  # as wide as its widest matching
-                keep &= ok[e]
+            keep = np.ones((len(ids), len(side)), dtype=bool)
+            for e, p in zip(ids.T, cuts(np.arange(k0, k0 + len(ids)))):
+                keep[p:] &= ok[e[p:]]
             k, at = np.divmod(np.flatnonzero(keep), len(side))
             if len(k) == 0:
                 continue
@@ -843,8 +841,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                 at = np.flatnonzero(src >= 0)
             else:
                 src, tgt = at, end
-                at = np.flatnonzero(ahead.take(tgt))
-            k, src, tgt = k.take(at), src.take(at), tgt.take(at)
+                at = None if len(targets) == places else np.flatnonzero(ahead.take(tgt))
+            if at is not None:  # None: every placement is valid at t + 1
+                k, src, tgt = k.take(at), src.take(at), tgt.take(at)
             cand = costs(t, k, src, err, used, add)
             for b, x in zip(base, cand):
                 x += b.take(src)

@@ -2,9 +2,9 @@ import numpy as np
 
 from helpers import CX
 from qaroute.qvbench import haar_su4
-from qaroute.simulate import (apply_two_qubit, embed_two_qubit,
-                              exchange_qubits, is_unitary,
-                              permutation_matrix, phase_distance, zero_state)
+from qaroute.simulate import (UNITARY_ATOL, apply_two_qubit, embed_two_qubit,
+                              exchange_qubits, is_unitary, permutation_matrix,
+                              phase_distance, unitary_defect, zero_state)
 
 
 def random_state(n, seed=0):
@@ -28,6 +28,15 @@ def test_is_unitary():
     assert not is_unitary(np.diag([1 + 4e-6, 1, 1, 1]))
     assert is_unitary(np.diag([1 + 4e-9, 1, 1, 1]))
     assert is_unitary(np.diag([1 + 4e-6, 1, 1, 1]), atol=1e-5)
+
+
+def test_unitary_defect_of_a_stack_is_each_matrix_defect():
+    # The pricing checks a whole stack with the loader's rule.
+    stack = np.stack([haar_su4(0), np.diag([1 + 4e-6, 1, 1, 1]), np.eye(4), CX])
+    each = [unitary_defect(m) for m in stack]
+    assert unitary_defect(stack).tolist() == each
+    assert [d <= UNITARY_ATOL for d in each] == [is_unitary(m) for m in stack]
+    assert [is_unitary(m) for m in stack] == [True, False, True, True]
 
 
 def test_apply_matches_embed():
