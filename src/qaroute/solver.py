@@ -538,9 +538,9 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     Candidate i offers target ``tgt[i]`` the values ``rows[o][i]``;
     ``key`` is unique per target. ``held[o]`` holds each target's
     incumbent values (inf where it has none), or ``held`` is None when no
-    target has one. ``scratch`` is a float array over the
-    targets, all inf, and is left so. Returns the indices of the winners,
-    at most one per target and none where the incumbent stays.
+    target has one. ``scratch`` is a float array over the targets, all
+    inf, and is left so. Returns the indices of the winners, at most one
+    per target and none where the incumbent stays.
 
     It takes a few passes over all candidates, not one per key. On an
     objective compared exactly (slack 0) a target keeps only the values
@@ -551,13 +551,12 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     s/2 and 2s above its least is folded key by key instead. The first
     value left wins, the incumbent before every key.
     """
-    pos = None  # the candidates still in the running; None: all
+    pos = np.arange(len(tgt))  # the candidates still in the running
     at = tgt  # their targets
     kept = None if held is None else np.isfinite(held[0].take(tgt))  # their incumbent is in
     odd = []  # targets folded key by key
     for o, (x, s) in enumerate(zip(rows, slack)):
-        if pos is not None:
-            x = x.take(pos)
+        x = x.take(pos)
         if kept is not None:
             h = held[o].take(at)
             scratch[at[kept]] = h[kept]
@@ -578,16 +577,16 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
             if between.any():
                 odd.append(at[between])
         stay = np.flatnonzero(stay)
-        pos, at = (stay if pos is None else pos.take(stay)), at.take(stay)
+        pos, at = pos.take(stay), at.take(stay)
         if kept is not None:
             kept = kept.take(stay)
-    key_left = key if pos is None else key.take(pos)
+    key_left = key.take(pos)
     np.minimum.at(scratch, at, key_left)
     first = key_left == scratch.take(at)
     scratch[at] = math.inf
     if kept is not None:
         first &= ~kept
-    win = np.flatnonzero(first) if pos is None else pos[first]
+    win = pos[first]
     if not odd:
         return win
     odd = np.concatenate(odd)
@@ -607,7 +606,7 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
         for c, r in zip(cur, rows):
             c[j] = r[i]
         pick[j] = i
-    return np.sort(np.concatenate((win, pick[pick >= 0])))
+    return np.concatenate((win, pick[pick >= 0]))
 
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
@@ -618,10 +617,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     of one int16 array, placements in lexicographic order), so there are
     n!/(n-a)! states; idle qubits are interchangeable and ride along.
     One int32 array, built once, holds per hardware edge the placement
-    with its two nodes swapped, and the placement itself in a last row
-    that stands for no edge; a matching's successor is its edges' rows
-    composed, and since a matching is its own inverse the same rows give
-    its predecessor. Each step prices the live states once: their plain
+    with its two nodes swapped; a matching's successor is its edges'
+    rows composed, and since a matching is its own inverse the same rows
+    give its predecessor. Matchings are listed by size, so in a run of
+    them those with a c-th edge come last, and a pass applies each edge
+    column to that tail only: matchings of different sizes share it. Each step prices the live states once: their plain
     gate error, and per edge the error a swap there adds (merged minus
     plain error on a gate's own edge, the swap's error elsewhere). It
     then relaxes the matchings of at most ``a`` edges (a swapped edge
