@@ -8,11 +8,12 @@ solution against it).
 
 Exit codes: 0 the layout DP or every lexicographic stage proved its
 optimum (in ``pareto`` and ``bench``: every stage of every point or
-run), 2 no route (``solver.NoRouteError``: the instance is infeasible,
-or a stage spent its budget with no incumbent; ``bench`` first writes its
-table, a ``no_route`` row per such run), 3 budget hit with an
-incumbent, 4 I/O, argument or input-document errors (a sweep argument
-the solver rejects among them).
+run), 2 no route (``solver.NoRouteError``; ``pareto`` and ``bench``
+first write their table, a ``no_route`` row per circuit or run without
+one), 3 budget hit with an incumbent, 4 I/O, argument or input-document
+errors (a sweep argument the solver rejects among them). A
+``transpile`` route that fails its own check raises once its files are
+written.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from pathlib import Path
 
 from .bipmodel import ModelError, assemble_problem
 from .circuit import CircuitError, LayeredCircuit, insert_dummy_steps, load_circuit, pad_qubits
-from .extract import (ExtractError, decode, routed_to_json, stats,
+from .extract import (EQUIVALENCE_ATOL, ExtractError, decode, routed_to_json, stats,
                       verify_structural, verify_unitary)
 from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
-from .lexopt import pareto_sweep, sweep_table
-from .qvbench import (LIMIT, NO_ROUTE, BenchError, benchmark_batch, gen_qv_circuit,
-                      lower_circuit, map_in_pool)
+from .lexopt import LIMIT, NO_ROUTE, pareto_sweep, sweep_table
+from .qvbench import BenchError, benchmark_batch, map_in_pool, qv_instance
 from .solver import (_OBJ_EPS, NoRouteError, SolutionInfeasibleError, SolveError,
                      SolveLimits, _check_order, export_model, import_solution)
 
@@ -182,20 +182,10 @@ def _limits(ns: argparse.Namespace) -> SolveLimits:
     return SolveLimits(time_limit=ns.time_limit, node_limit=ns.node_limit)
 
 
-def _check_width(width: int, g: HardwareGraph) -> None:
-    if width > g.n:
-        raise _CliError(f"circuit wider than hardware ({width} qubits vs {g.n} nodes)")
-
-
 def _load_circuit(ns: argparse.Namespace, g: HardwareGraph, index: int = 0) -> LayeredCircuit:
-    if ns.circuit is not None:
-        raw = load_circuit(Path(ns.circuit).read_text())
-        _check_width(raw.n_qubits, g)
-    else:
-        # Checked before generating, which takes time quadratic in the width.
-        _check_width(ns.qv[0], g)
-        raw = lower_circuit(gen_qv_circuit(ns.qv[0], [ns.seed, index]),
-                            n_layers=ns.qv_layers)
+    if ns.circuit is None:
+        return qv_instance(ns.qv[0], [ns.seed, index], g.n, ns.qv_layers, ns.dummy_steps)[1]
+    raw = load_circuit(Path(ns.circuit).read_text())
     return insert_dummy_steps(pad_qubits(raw, g.n), ns.dummy_steps)
 
 
@@ -220,22 +210,28 @@ def cmd_transpile(ns: argparse.Namespace) -> int:
     for key, val in run.stats.as_dict().items():
         lines.append(f"{key}: {val}")
     lines.append(f"structural: {'ok' if report is None else report}")
-    if g.n <= 6:
+    if g.n <= 6 and report is None:
         dev = verify_unitary(run.routed, c)
+        if not dev <= EQUIVALENCE_ATOL:
+            report = f"unitary deviation {dev:.3e}"
         lines.append(f"unitary_deviation: {dev:.3e}")
-        lines.append(f"unitary: {'ok' if dev <= 1e-8 else 'FAILED'}")
+        lines.append(f"unitary: {'ok' if report is None else 'FAILED'}")
     _emit(ns, "routed.json", routed_to_json(run.routed))
     _emit(ns, "report.txt", "\n".join(lines) + "\n")
     if report is not None:
-        return EXIT_INFEASIBLE
+        # The route is this program's own: a failed check is a fault in it.
+        raise RuntimeError(f"the {ns.variant} route fails its check: {report}")
     return EXIT_OK if run.closed else EXIT_LIMIT
 
 
-def _sweep_one(task) -> list:
+def _sweep_one(task) -> list | None:  # None: the circuit has no route
     ns, g, overrides, lim, idx = task
     c = _load_circuit(ns, g, idx)
     fid = FidelityModel.build(c, g, overrides=overrides)
-    return pareto_sweep(c, g, fid, ns.objectives, steps=ns.steps, lim=lim)
+    try:
+        return pareto_sweep(c, g, fid, ns.objectives, steps=ns.steps, lim=lim)
+    except NoRouteError:
+        return None
 
 
 def cmd_pareto(ns: argparse.Namespace) -> int:
@@ -246,6 +242,10 @@ def cmd_pareto(ns: argparse.Namespace) -> int:
     table = sweep_table({f"circuit{idx}": pts for idx, pts in enumerate(sweeps)},
                         ns.objectives)
     _emit(ns, "pareto.tsv", table)
+    if None in sweeps:
+        print(f"infeasible: {sweeps.count(None)} of {count} circuits found no route",
+              file=sys.stderr)
+        return EXIT_INFEASIBLE
     return EXIT_OK if all(pt.closed for pts in sweeps for pt in pts) else EXIT_LIMIT
 
 

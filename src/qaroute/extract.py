@@ -31,6 +31,10 @@ class ExtractError(ValueError):
     """Raised when an assignment or routed circuit is malformed."""
 
 
+# The largest ``verify_unitary`` deviation of a route that counts as correct.
+EQUIVALENCE_ATOL = 1e-8
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One logical gate placed on a hardware arc.
@@ -271,12 +275,7 @@ def verify_structural(rc: RoutedCircuit, c: LayeredCircuit,
         touched = set()
         swaps = []
         for op in ops:
-            if isinstance(op, GateOp):
-                i, j = op.arc
-                nodes = (i, j)
-            else:
-                i, j = op.edge
-                nodes = (i, j)
+            i, j = nodes = op.arc if isinstance(op, GateOp) else op.edge
             if i == j or not g.has_edge(i, j):
                 return f"step {t}: arc ({i}, {j}) not in hardware"
             if touched & set(nodes):
@@ -320,7 +319,8 @@ def verify_structural(rc: RoutedCircuit, c: LayeredCircuit,
 
 def verify_unitary(rc: RoutedCircuit, c: LayeredCircuit) -> float:
     """Max deviation between the routed circuit and the permuted logical
-    unitary, after global-phase alignment. Passing means <= 1e-8."""
+    unitary, after global-phase alignment. Passing means at most
+    ``EQUIVALENCE_ATOL``."""
     n = rc.n_nodes
     if n > 6:
         raise ExtractError("instance too large for dense unitary verification")

@@ -13,6 +13,7 @@ Average gate fidelity of a channel implementing V against target U is
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,21 +56,14 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise FidelityError("matrix is not unitary")
-    u = u / np.linalg.det(u) ** 0.25
-    up = _B_MAGIC.conj().T @ u @ _B_MAGIC
-    return _fold_spectrum(np.linalg.eigvals(up.T @ up))
+    return _weyl_batch(u[None])[0]
 
 
-def _weyl_batch(us: np.ndarray, gids: list[int]) -> list[tuple[float, float, float]]:
-    """``weyl_coordinates`` of each matrix of a (k, 4, 4) stack, that of
-    gate ``gids[m]`` for matrix m, by one stacked unitarity check (the
-    loader's rule, so every gate that loads is priced), determinant,
-    product and eigenvalue call. LAPACK and BLAS treat each matrix of a
-    stack as they treat it alone, so every result equals the one-matrix
-    result bit for bit."""
-    bad = np.flatnonzero(unitary_defect(us) > UNITARY_ATOL)
-    if bad.size:
-        raise FidelityError(f"gate {gids[bad[0]]} is not unitary")
+def _weyl_batch(us: np.ndarray) -> list[tuple[float, float, float]]:
+    """``weyl_coordinates`` of each unitary of a (k, 4, 4) stack, by one
+    stacked determinant, product and eigenvalue call. LAPACK and BLAS
+    treat each matrix of a stack as they treat it alone, so a result does
+    not depend on the rest of the stack."""
     dets = np.linalg.det(us)
     ups = _B_MAGIC.conj().T @ (us / (dets ** 0.25)[:, None, None]) @ _B_MAGIC
     return [_fold_spectrum(e) for e in np.linalg.eigvals(ups.transpose(0, 2, 1) @ ups)]
@@ -149,12 +143,7 @@ def _exact_fidelities(a: float, b: float, c: float) -> tuple[float, float, float
 
 def _budget(coords: tuple[float, float, float]) -> tuple[float, float, float, float]:
     """``cnot_budget_fidelities`` of a gate with Weyl coordinates ``coords``."""
-    out = []
-    best = 0.0
-    for f in _exact_fidelities(*coords):
-        best = max(best, f)
-        out.append(best)
-    return tuple(out)
+    return tuple(itertools.accumulate(_exact_fidelities(*coords), max))
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,7 @@ class FidelityModel:
         """Price every gate of ``c`` on ``g``: a gate listed in
         ``overrides`` takes its tables from there, and all others are
         priced together, their unitaries and their swap-merged forms in
-        one stack."""
+        one stack (``_weyl_batch``)."""
         f_table = {}
         f_swap_table = {}
         overrides = overrides or {}
@@ -234,7 +223,11 @@ class FidelityModel:
         if priced:
             gids = [gate.gid for gate in priced]
             us = np.stack([gate.unitary for gate in priced])
-            coords = _weyl_batch(np.concatenate((us, SWAP @ us)), gids + gids)
+            # The loader's unitarity rule, so every gate that loads is priced.
+            bad = np.flatnonzero(unitary_defect(us) > UNITARY_ATOL)
+            if bad.size:
+                raise FidelityError(f"gate {gids[bad[0]]} is not unitary")
+            coords = _weyl_batch(np.concatenate((us, SWAP @ us)))
             for k, gid in enumerate(gids):
                 f, fs = _budget(coords[k]), _budget(coords[len(gids) + k])
                 if abs(f[3] - 1.0) > 1e-9 or abs(fs[3] - 1.0) > 1e-9:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import LayeredCircuit
-from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, decode, stats
+from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, stats
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, matching_size, norm_edge
-from .lexopt import lexicographic_solve
+from .lexopt import NoIncumbentError, lexicographic_solve
 from .solver import DPTimeLimit, DPTooLarge, SolveLimits, solve_exhaustive
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
@@ -252,11 +252,11 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     alone), the initial layout (``bip_routing`` pins its greedy one) and
     whether the final layout must equal the initial one
     (``bip_constrained``); whichever engine runs gets the same
-    ``initial_map``. ``bip``, ``bip_layout`` and ``bip_routing`` go to
-    the layout DP, and its route is a proof; past ``lim``'s time limit
-    they return the greedy route, unproven. ``bip_constrained`` and the
-    instances the DP refuses as too large are one lexicographic solve
-    each, under ``lim``. Raises ``NoRouteError`` when no route is found.
+    ``initial_map``. The layout DP proves the others; the instances it
+    refuses as too large, and ``bip_constrained``, are one lexicographic
+    solve each, under ``lim``. Where ``lim`` leaves a free variant with
+    no proof and no route, it returns the greedy route (from its pinned
+    layout, if any), unproven. Raises ``NoRouteError`` for no route.
     """
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, seed)
@@ -266,20 +266,20 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
         raise HeuristicError(f"unknown variant {variant!r}")
     order = ("error",) if variant == "bip_layout" else ("error", "depth")
     layout = heuristic_layout(c, g, seed) if variant == "bip_routing" else None
-    same = variant == "bip_constrained"
-    rc, closed = None, True
-    if not same:
+    if variant == "bip_constrained":
+        lex = lexicographic_solve(c, g, fid, order, lim, same_endpoints=True)
+        rc, closed = lex.routed, lex.closed
+    else:
         try:
-            _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, limits=lim)
-        except DPTimeLimit:
+            try:
+                _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, lim=lim)
+                closed = True
+            except DPTooLarge:
+                lex = lexicographic_solve(c, g, fid, order, lim, initial_map=layout)
+                rc, closed = lex.routed, lex.closed
+        except (DPTimeLimit, NoIncumbentError):
             start = layout or heuristic_layout(c, g, seed)
             rc, closed = heuristic_route(c, g, start, fid), False
-        except DPTooLarge:
-            pass
-    if rc is None:
-        lex = lexicographic_solve(c, g, fid, order, lim, initial_map=layout, same_endpoints=same)
-        rc = decode(lex.vs, lex.result.assignment, c, g, fid)
-        closed = lex.closed
     if variant == "bip_layout":
         rc = heuristic_route(c, g, rc.initial_map, fid)
     rc = replace(rc, origin=variant)

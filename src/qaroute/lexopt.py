@@ -17,10 +17,15 @@ import numpy as np
 
 from .bipmodel import BipProblem, Row, VariableSpace, assemble_problem, set_objective
 from .circuit import LayeredCircuit
+from .extract import RoutedCircuit, decode
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
 from .solver import (_OBJ_EPS, NoRouteError, SolveError, SolveLimits, SolveResult, SolveStatus,
-                     _check_order, solve_branch_and_bound)
+                     _check_initial_map, _check_order, solve_branch_and_bound)
+
+
+class NoIncumbentError(NoRouteError):
+    """A limit ran out before a stage found any route; one may exist."""
 
 
 @dataclass(frozen=True)
@@ -28,7 +33,7 @@ class LexResult:
     order: tuple[str, ...]
     stage_values: tuple[float, ...]
     result: SolveResult
-    vs: object
+    routed: RoutedCircuit  # the last stage's assignment, decoded
     closed: bool  # every stage proved its optimum
 
 
@@ -41,9 +46,8 @@ class ParetoPoint:
     tertiary_value: float | None = None
 
     def values(self) -> tuple:
-        if self.tertiary_value is None:
-            return (self.primary_value, self.secondary_value)
-        return (self.primary_value, self.secondary_value, self.tertiary_value)
+        more = () if self.tertiary_value is None else (self.tertiary_value,)
+        return (self.primary_value, self.secondary_value, *more)
 
 
 def _budget_row(vec: np.ndarray, rhs: float) -> Row:
@@ -59,8 +63,7 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
     ``initial_map`` pins every qubit's step-0 node (``PIN_INIT`` rows);
     ``same_endpoints`` makes the last step's layout equal the first's
     (``SAME_ENDPOINTS`` rows)."""
-    if initial_map is not None and sorted(initial_map) != list(range(g.n)):
-        raise SolveError("initial_map is not a qubit-to-node bijection")
+    _check_initial_map(initial_map, g.n)
     vs, p = assemble_problem(c, g, fid, objective=order[0],
                              crosstalk_mode="crosstalk" in order)
     pins = [] if initial_map is None else [
@@ -120,7 +123,7 @@ def _solve_stages(stages: list[BipProblem], rows: list[Row], run_lim: _RunLimits
         if result.status == SolveStatus.INFEASIBLE:
             raise NoRouteError(f"stage {k + 1} problem is infeasible")
         if result.objective is None:
-            raise NoRouteError(f"stage {k + 1} hit its budget with no incumbent")
+            raise NoIncumbentError(f"stage {k + 1} hit its budget with no incumbent")
         values.append(result.objective)
         closed = closed and result.status == SolveStatus.OPTIMAL
         incumbent = result.assignment
@@ -138,21 +141,23 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     Stage i re-solves under budget rows pinning every earlier objective
     to its recorded optimum (1e-6 slack for the error objective, none
     for the integral ones), starting from stage i-1's assignment.
-    Returns the final incumbent plus the per-stage optima; ``closed``
-    holds only when every stage proved its optimum. ``lim`` bounds the
-    whole run, not each stage: the stages share one deadline and one
-    node budget. ``initial_map`` pins the step-0 node of every qubit,
-    idle ones included, as in ``solver.solve_exhaustive``
-    (``bip_routing``); ``same_endpoints`` makes the final layout equal
-    the initial one (``bip_constrained``). Raises ``SolveError`` for a
-    bad order or a non-bijective ``initial_map``, and ``NoRouteError``
-    when a stage is infeasible or spends the budget with no incumbent.
+    Returns the final incumbent, decoded as ``routed``, plus the
+    per-stage optima; ``closed`` holds only when every stage proved its
+    optimum. ``lim`` bounds the whole run, not each stage: the stages
+    share one deadline and one node budget. ``initial_map`` pins the
+    step-0 node of every qubit, idle ones included, as in
+    ``solver.solve_exhaustive`` (``bip_routing``); ``same_endpoints``
+    makes the final layout equal the initial one (``bip_constrained``).
+    Raises ``SolveError`` for a bad order or a non-bijective
+    ``initial_map``, ``NoRouteError`` when a stage is infeasible, and its
+    subclass ``NoIncumbentError`` when a stage spends the budget with no
+    incumbent.
     """
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, initial_map, same_endpoints)
     values, result, closed = _solve_stages(stages, [], _RunLimits(lim or SolveLimits()))
-    return LexResult(order=order, stage_values=tuple(values),
-                     result=result, vs=vs, closed=closed)
+    return LexResult(order=order, stage_values=tuple(values), result=result,
+                     routed=decode(vs, result.assignment, c, g, fid), closed=closed)
 
 
 def default_step_size(objective: str, fid: FidelityModel) -> float:
@@ -203,26 +208,28 @@ def pareto_sweep(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     return points
 
 
-def sweep_table(sweeps: dict[str, list[ParetoPoint]], order) -> str:
+# Row statuses of the sweep and bench tables, named as their exit codes: every
+# stage proved its optimum, a limit left one unproven, or no route was found.
+OK, LIMIT, NO_ROUTE = "ok", "limit", "no_route"
+
+
+def sweep_table(sweeps: dict[str, list[ParetoPoint] | None], order) -> str:
     """Batch sweeps as delimited text, one row per circuit, step and
     objective, with the increase relative to that circuit's own minimum
-    (absolute difference when the minimum is zero)."""
+    (absolute difference when the minimum is zero) and the point's status.
+    A circuit whose sweep is None found no route: one ``NO_ROUTE`` row
+    without values."""
     order = _check_order(order)
-    lines = ["circuit\tstep\tobjective\tvalue\tincrease_vs_min"]
+    lines = ["circuit\tstep\tobjective\tvalue\tincrease_vs_min\tstatus"]
     for name in sorted(sweeps):
         points = sweeps[name]
-        per_obj: list[list[float]] = [[] for _ in order]
+        if points is None:
+            lines.append(f"{name}\t\t\t\t\t{NO_ROUTE}")
+            continue
+        least = [min(col) for col in zip(*(pt.values() for pt in points))]
         for pt in points:
-            for k, v in enumerate(pt.values()):
-                per_obj[k].append(v)
-        for pt in points:
-            vals = pt.values()
-            for k, obj in enumerate(order):
-                vmin = min(per_obj[k])
-                if vmin > 1e-12:
-                    rel = (vals[k] - vmin) / vmin
-                else:
-                    rel = vals[k] - vmin
+            for obj, v, vmin in zip(order, pt.values(), least):
+                rel = (v - vmin) / vmin if vmin > 1e-12 else v - vmin
                 lines.append(f"{name}\t{pt.step_index}\t{obj}\t"
-                             f"{vals[k]:.12g}\t{rel:.12g}")
+                             f"{v:.12g}\t{rel:.12g}\t{OK if pt.closed else LIMIT}")
     return "\n".join(lines) + "\n"

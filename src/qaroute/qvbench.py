@@ -21,6 +21,7 @@ from .extract import RoutedCircuit, stats
 from .gatefid import FidelityModel
 from .heuristic import run_variant_full
 from .hwgraph import HardwareGraph
+from .lexopt import LIMIT, NO_ROUTE, OK
 from .simulate import apply_two_qubit, zero_state
 from .solver import NoRouteError, SolveLimits
 
@@ -87,6 +88,19 @@ def lower_circuit(qv: QvCircuit, n_layers: int | None = None) -> LayeredCircuit:
     return LayeredCircuit(n_qubits=qv.width, groups=tuple(groups))
 
 
+def qv_instance(w: int, seed, n_nodes: int, n_layers: int | None = None,
+                dummy_steps: int = 2) -> tuple[QvCircuit, LayeredCircuit]:
+    """``gen_qv_circuit(w, seed)`` and the circuit a router takes: its
+    first ``n_layers`` layers, padded to ``n_nodes`` qubits, with
+    ``dummy_steps`` empty steps between layers. A width above ``n_nodes``
+    is refused before the draw, whose time is quadratic in the width."""
+    if w > n_nodes:
+        raise BenchError(f"width {w} exceeds the graph's {n_nodes} nodes")
+    qv = gen_qv_circuit(w, seed)
+    c = pad_qubits(lower_circuit(qv, n_layers=n_layers), n_nodes)
+    return qv, insert_dummy_steps(c, dummy_steps)
+
+
 def ideal_probs(qv: QvCircuit) -> np.ndarray:
     """Exact output distribution of the ideal circuit on |0...0>."""
     w = qv.width
@@ -144,17 +158,11 @@ def _estimate(values: list[float]) -> HopEstimate:
     return HopEstimate(values=tuple(values), mean=mean, stderr=stderr)
 
 
-# Row statuses, named as the exit codes they lead to: every solver stage
-# of the run proved its optimum, a limit left an unproven incumbent, or
-# the run found no route (``NoRouteError``).
-OK, LIMIT, NO_ROUTE = "ok", "limit", "no_route"
-
-
 @dataclass(frozen=True)
 class BenchRow:
     circuit: int
     variant: str
-    status: str  # OK, LIMIT or NO_ROUTE; a NO_ROUTE row has no figures
+    status: str  # lexopt's OK, LIMIT or NO_ROUTE; a NO_ROUTE row has no figures
     cnot_count: int | None = None
     depth_proxy: int | None = None
     error_objective: float | None = None
@@ -213,10 +221,7 @@ def _bench_one(task) -> list[BenchRow]:
     # Module-level so a process pool can pickle it; everything in the
     # task tuple is a plain dataclass, tuple, or dict.
     idx, w, seed, n_layers, g, dummy_steps, fid_overrides, variants, lim = task
-    qv = gen_qv_circuit(w, [seed, idx])
-    c = lower_circuit(qv, n_layers=n_layers)
-    c = pad_qubits(c, g.n)
-    c = insert_dummy_steps(c, dummy_steps)
+    qv, c = qv_instance(w, [seed, idx], g.n, n_layers, dummy_steps)
     fid = FidelityModel.build(c, g, overrides=fid_overrides)
     heavy, h_ideal = heavy_output_mass(qv)
     out = []
@@ -241,9 +246,11 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
                     jobs: int = 1) -> BenchResult:
     """Route a batch of QV circuits with each variant and score HOP.
 
-    Per-circuit randomness comes from the stream (seed, index), so a
-    batch is reproducible regardless of execution order; with jobs > 1
-    circuits are routed through ``map_in_pool`` and reassembled in order.
+    Circuit ``index`` is ``qv_instance(w, [seed, index], ...)``, which
+    refuses a width above the graph's node count. Each circuit draws from
+    its own stream, so a batch is reproducible regardless of execution
+    order; with jobs > 1 circuits are routed through ``map_in_pool`` and
+    reassembled in order.
     ``seed`` also seeds the greedy layout search of every variant that
     uses one. Heavy sets are computed on the full-width ideal circuit
     once per circuit. A run with no route is a ``NO_ROUTE`` row, left
@@ -251,8 +258,6 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
     """
     if n_circuits < 1:
         raise BenchError("need at least one circuit")
-    if w > g.n:
-        raise BenchError(f"width {w} exceeds the graph's {g.n} nodes")
     variants = tuple(variants)
     lim = lim or SolveLimits()
     tasks = [(idx, w, seed, n_layers, g, dummy_steps, fid_overrides,

@@ -9,19 +9,13 @@ objective, the cheapest remaining placement of every unplaced gate. No
 LP relaxation is involved; at desk scale the combinatorial bound closes
 the tree quickly and keeps the solver dependency-free.
 
-``solve_exhaustive``, dynamic programming in numpy over the placements
-of the qubits some gate touches and the matchings of the hardware graph
-with at most one edge per such qubit, relaxes each step in vectorized
-passes over its (state, matching) candidates, one pass unless they
-outnumber ``DP_PASS``; ``_fold`` keeps per target exactly the value an
-in-order lexicographic comparison would. It is the exact engine of
-``bip``, ``bip_layout`` and ``bip_routing`` on every instance whose arrays fit
-``DP_MEMORY``, until the run's time limit. It shares only the gate and
-swap prices with the branch and bound, which, through ``lexopt``,
-routes ``bip_constrained``, ``pareto`` and the instances the DP refuses,
-and is the tests' independent MILP oracle for the DP: the DP is never
-checked against itself. The layouts the DP walks back become a routed
-circuit through ``extract.schedule``.
+``solve_exhaustive``, the layout DP (its docstring describes it), is
+the exact engine of ``bip``, ``bip_layout`` and ``bip_routing`` on every
+instance whose arrays fit ``DP_MEMORY``, until the run's time limit. It
+shares only the gate and swap prices with the branch and bound, which,
+through ``lexopt``, routes ``bip_constrained``, ``pareto`` and the
+instances the DP refuses, and is the tests' independent MILP oracle for
+the DP: the DP is never checked against itself.
 """
 
 from __future__ import annotations
@@ -46,7 +40,8 @@ class SolveError(ValueError):
 
 class NoRouteError(SolveError):
     """No routed circuit to return: the instance has none, or a
-    branch-and-bound stage spent its budget before finding one."""
+    branch-and-bound stage spent its budget before finding one
+    (``lexopt.NoIncumbentError``)."""
 
 
 class SolutionInfeasibleError(SolveError):
@@ -431,6 +426,8 @@ _OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
 def _check_order(order) -> tuple[str, ...]:
     """``order`` as a tuple of distinct known objectives, at least one."""
+    if isinstance(order, str):
+        raise SolveError(f"objective order must be a sequence of names, not the string {order!r}")
     order = tuple(order)
     if not order:
         raise SolveError("objective order is empty")
@@ -440,6 +437,13 @@ def _check_order(order) -> tuple[str, ...]:
     if len(set(order)) != len(order):
         raise SolveError("objective order repeats an objective")
     return order
+
+
+def _check_initial_map(initial_map, n: int) -> None:
+    """Both exact engines' rule: ``initial_map``, when given, sends the n
+    qubits to the n nodes one to one."""
+    if initial_map is not None and sorted(initial_map) != list(range(n)):
+        raise SolveError("initial_map is not a qubit-to-node bijection")
 
 
 # The layout DP holds all its arrays at once; it takes an instance only when
@@ -610,7 +614,7 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
 
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                     objective="error", initial_map=None, limits: SolveLimits | None = None):
+                     order, initial_map=None, lim: SolveLimits | None = None):
     """Optimum by dynamic programming over the layouts of the active qubits.
 
     A state is the node tuple of the qubits some gate touches (a column
@@ -621,9 +625,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     rows composed, and since a matching is its own inverse the same rows
     give its predecessor. Matchings are listed by size, so in a run of
     them those with a c-th edge come last, and a pass applies each edge
-    column to that tail only: matchings of different sizes share it. Each step prices the live states once: their plain
-    gate error, and per edge the error a swap there adds (merged minus
-    plain error on a gate's own edge, the swap's error elsewhere). It
+    column to that tail only: matchings of different sizes share it.
+    Each step prices the live states once: their plain gate error, and
+    per edge the error a swap there adds (merged minus plain error on a
+    gate's own edge, the swap's error elsewhere), and crosstalk by one
+    int64 mask bit per crosstalk edge (so on at most 63 of them). It
     then relaxes the matchings of at most ``a`` edges (a swapped edge
     moves an active qubit) from the smaller side, pushing from the live
     states or pulling into the valid states of the next step when those
@@ -645,26 +651,25 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     the free nodes at step 0, in order, and carries them through the
     recorded matchings.
 
-    ``objective`` is one of ``error``/``depth``/``crosstalk`` or an order
-    of them that ``_check_order`` accepts, as in ``lexopt``.
-    ``initial_map`` pins the step-0 node of every qubit, idle ones
-    included. Returns ``(value, routed)``, the value a tuple when
-    ``objective`` is, and one optimal routed circuit (see
-    extract.RoutedCircuit). Raises ``DPTooLarge`` at once when the arrays
-    would not fit ``DP_MEMORY``, ``DPTimeLimit`` once ``limits.time_limit``
-    has passed (checked after the matchings, after the placements, after
-    each edge's table and once per pass; the DP counts no nodes), and
-    ``NoRouteError`` when no routing exists.
+    ``order``, ``initial_map`` and ``lim`` mean what they mean for
+    ``lexopt.lexicographic_solve``: an objective order that
+    ``_check_order`` accepts, the step-0 node of every qubit (idle ones
+    included) when given, and the run's limits. Returns ``(values,
+    routed)``: the value of each objective of ``order``, as a tuple, and
+    one optimal routed circuit (see extract.RoutedCircuit). Raises
+    ``DPTooLarge`` at once when ``exhaustive_bytes`` of its arrays would
+    not fit ``DP_MEMORY`` (its only refusal), ``DPTimeLimit`` once
+    ``lim.time_limit`` has passed (checked after the matchings, after the
+    placements, after each edge's table and once per pass; the DP counts
+    no nodes), and ``NoRouteError`` when no routing exists.
     """
-    single = isinstance(objective, str)
-    objs = _check_order((objective,) if single else objective)
+    objs = _check_order(order)
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
-    if initial_map is not None and sorted(initial_map) != list(range(n)):
-        raise SolveError("initial_map is not a qubit-to-node bijection")
+    _check_initial_map(initial_map, n)
     if m == 0:
-        return (0.0 if single else (0.0,) * len(objs)), schedule(c, fid, [], "exhaustive")
+        return (0.0,) * len(objs), schedule(c, fid, [], "exhaustive")
 
     active = sorted({q for gate in c.gates() for q in gate.operands})
     a = len(active)
@@ -675,7 +680,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     takeable = sum(math.comb(ne, k) for k in range(a + 1))  # bounds the matchings
     if exhaustive_bytes(n, ne, a, m, len(objs), takeable) > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
-    deadline = time.perf_counter() + ((limits and limits.time_limit) or math.inf)
+    deadline = time.perf_counter() + ((lim and lim.time_limit) or math.inf)
 
     def check_time() -> None:
         if time.perf_counter() > deadline:
@@ -890,8 +895,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
             move[i], move[j] = j, i
         pos = move[pos]
         layouts.append(tuple(pos.tolist()))
-    result = tuple(float(row[best]) for row in total)
-    return (result[0] if single else result), schedule(c, fid, layouts, "exhaustive")
+    return tuple(float(row[best]) for row in total), schedule(c, fid, layouts, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def desk_batch(line4):
         lex = lexicographic_solve(c, g, fid, ("error", "depth"))
         _, p_err = assemble_problem(c, g, fid, objective="error")
         err_vec = p_err.objective
-        rc_bip = decode(lex.vs, lex.result.assignment, c, g, fid)
+        rc_bip = lex.routed
         bip = dict(rc=rc_bip, st=stats(rc_bip, fid, g),
                    achieved=float(np.dot(err_vec, lex.result.assignment)))
         _, p_depth = assemble_problem(c, g, fid, objective="depth")
@@ -104,7 +104,7 @@ def test_criterion_01_solver_matches_exhaustive(report, exact_batch, line4):
         t0 = time.time()
         vs, p = assemble_problem(c, line4, fid, objective="error")
         res = solve_branch_and_bound(p, SolveLimits())
-        ref, _ = solve_exhaustive(c, line4, fid, objective="error")
+        (ref,), _ = solve_exhaustive(c, line4, fid, ("error",))
         dt = time.time() - t0
         if res.status is SolveStatus.OPTIMAL:
             n_opt += 1

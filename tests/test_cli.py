@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -9,7 +10,7 @@ from qaroute import cli, qvbench
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
-from qaroute.extract import FreeSwap, routed_from_json
+from qaroute.extract import FreeSwap, GateOp, routed_from_json
 from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolveLimits, export_solution,
@@ -166,6 +167,22 @@ def test_sweep_and_bench_exit_3_when_a_stage_is_unproven(argv, tmp_path):
     assert len(list(tmp_path.glob("*.tsv"))) == 1
 
 
+@pytest.mark.parametrize("variant", ["bip", "bip_layout", "bip_routing"])
+def test_free_variants_return_the_greedy_route_when_a_limit_leaves_no_incumbent(variant,
+                                                                              capsys):
+    # The DP refuses eight active qubits on line-12, and the branch and
+    # bound finds no incumbent in one node: the route exists, so the free
+    # variants return the greedy one, from the greedy layout (which is
+    # bip_routing's pinned layout), unproven.
+    argv = ["transpile", "--builtin", "line,12", "--qv", "8,1", "--qv-layers", "2"]
+    assert main([*argv, "--variant", "sabre_like"]) == 0
+    greedy = capsys.readouterr().out.split("structural: ok")[0]
+    assert main([*argv, "--node-limit", "1", "--variant", variant]) == 3
+    out = capsys.readouterr().out
+    assert "structural: ok" in out
+    assert out.split("structural: ok")[0] == greedy.replace("sabre_like", variant)
+
+
 def test_limit_without_incumbent_exits_2(capsys):
     # bip_constrained solves through the stage loop, whose first stage
     # finds no incumbent in one node.
@@ -267,10 +284,40 @@ def test_pareto_single_step(tmp_path):
                  "--steps", "1", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "pareto.tsv").read_text().strip().split("\n")
-    assert lines[0] == "circuit\tstep\tobjective\tvalue\tincrease_vs_min"
+    assert lines[0] == "circuit\tstep\tobjective\tvalue\tincrease_vs_min\tstatus"
     # one circuit, one step, two objectives
     assert len(lines) == 3
     assert all(l.startswith("circuit0\t0\t") for l in lines[1:])
+
+
+def test_pareto_writes_its_table_when_a_circuit_has_no_route(tmp_path, capsys):
+    # Circuits 1-3 sweep within 15 branch-and-bound nodes; circuit 0's
+    # stage 1 finds no incumbent there. Its row carries no values, the
+    # whole table is written, and the command exits 2.
+    code = main(["pareto", "--builtin", "grid,6", "--qv", "4,4", "--qv-layers", "2",
+                 "--node-limit", "15", "--steps", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "1 of 4 circuits found no route" in capsys.readouterr().err
+    lines = (tmp_path / "pareto.tsv").read_text().strip("\n").split("\n")
+    assert len(lines) == 1 + 1 + 3 * 2
+    assert lines[1] == "circuit0\t\t\t\t\tno_route"
+    assert {l.split("\t")[0] for l in lines[2:]} == {"circuit1", "circuit2", "circuit3"}
+    assert all(l.split("\t")[5] in ("ok", "limit") for l in lines[2:])
+
+
+def test_pareto_three_objectives(tmp_path):
+    # The README's --objectives error,depth,crosstalk on y-6, small: each
+    # point has three values, one row each.
+    code = main(["pareto", "--builtin", "y,6", *FAST, "--objectives", "error,depth,crosstalk",
+                 "--steps", "2", "--out", str(tmp_path)])
+    assert code == 0
+    rows = [l.split("\t") for l in (tmp_path / "pareto.tsv").read_text().split("\n")[1:] if l]
+    assert [(r[1], r[2]) for r in rows] == [(step, obj) for step in "01"
+                                            for obj in ("error", "depth", "crosstalk")]
+    assert all(r[5] == "ok" for r in rows)
+    # The error ceiling only widens, so the depth and crosstalk values
+    # never rise from one point to the next.
+    assert float(rows[4][3]) <= float(rows[1][3])
 
 
 def test_pareto_needs_two_objectives(capsys):
@@ -400,6 +447,26 @@ def test_internal_value_error_is_not_exit_4(monkeypatch):
     monkeypatch.setattr(cli, "run_variant_full", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["transpile", "--builtin", "line,4", *FAST])
+
+
+def test_a_route_that_fails_its_own_check_is_an_internal_fault(monkeypatch, tmp_path):
+    # One gate on the wrong arc: its two nodes reversed. The files are
+    # written, then the fault propagates instead of an exit code.
+    def wrong_arc(*args, **kwargs):
+        run = run_variant_full(*args, **kwargs)
+        steps = [list(ops) for ops in run.routed.steps]
+        t, k = next((t, k) for t, ops in enumerate(steps) for k, op in enumerate(ops)
+                    if isinstance(op, GateOp))
+        steps[t][k] = dataclasses.replace(steps[t][k], arc=steps[t][k].arc[::-1])
+        bad = dataclasses.replace(run.routed, steps=tuple(map(tuple, steps)))
+        return dataclasses.replace(run, routed=bad)
+
+    run_variant_full = cli.run_variant_full
+    monkeypatch.setattr(cli, "run_variant_full", wrong_arc)
+    with pytest.raises(RuntimeError, match="fails its check: gate"):
+        main(["transpile", "--builtin", "line,4", *FAST, "--out", str(tmp_path)])
+    assert "structural: gate" in (tmp_path / "report.txt").read_text()
+    assert routed_from_json((tmp_path / "routed.json").read_text()).n_nodes == 4
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

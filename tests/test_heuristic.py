@@ -56,6 +56,8 @@ def test_route_input_validation(inst, line4, grid6):
         heuristic_route(c, line4, (0, 1, 2, 2), fid)
     with pytest.raises(HeuristicError):
         heuristic_route(c, grid6, (0, 1, 2, 3, 4, 5), fid)
+    with pytest.raises(HeuristicError, match="pad the circuit"):
+        heuristic_layout(c, grid6)
 
 
 ORACLE_GRAPHS = (("line", 4), ("line", 6), ("line", 8), ("y", 6), ("y", 8),
@@ -177,9 +179,9 @@ def record_solves(monkeypatch):
     dp = qaroute.heuristic.solve_exhaustive
     solve = qaroute.lexopt.solve_branch_and_bound
 
-    def recording_dp(c, g, fid, objective, initial_map=None, limits=None):
-        dp_calls.append((objective, initial_map))
-        return dp(c, g, fid, objective, initial_map=initial_map, limits=limits)
+    def recording_dp(c, g, fid, order, initial_map=None, lim=None):
+        dp_calls.append((order, initial_map))
+        return dp(c, g, fid, order, initial_map=initial_map, lim=lim)
 
     def recording_bb(p, lim, incumbent=None):
         bb_calls.append((p.objective_kind, incumbent, solve(p, lim, incumbent=incumbent)))

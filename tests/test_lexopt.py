@@ -7,10 +7,9 @@ from helpers import prepared, random_layered_circuit
 import qaroute.lexopt
 from qaroute.bipmodel import assemble_problem, set_objective
 from qaroute.circuit import insert_dummy_steps, pad_qubits
-from qaroute.extract import decode
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
-from qaroute.lexopt import (ParetoPoint, _budget_row, default_step_size,
+from qaroute.lexopt import (NoIncumbentError, ParetoPoint, _budget_row, default_step_size,
                             lexicographic_solve, pareto_sweep, sweep_table)
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (_OBJ_EPS, SolveError, SolveLimits, SolveStatus,
@@ -28,13 +27,13 @@ def test_two_stage_respects_stage_one_budget(inst, line4):
     lex = lexicographic_solve(c, line4, fid, ("error", "depth"))
     assert lex.closed
     assert lex.order == ("error", "depth")
-    _, p_err = assemble_problem(c, line4, fid, objective="error")
+    vs, p_err = assemble_problem(c, line4, fid, objective="error")
     pure = solve_branch_and_bound(p_err, SolveLimits())
     assert lex.stage_values[0] == pytest.approx(pure.objective, abs=1e-9)
     achieved_error = float(np.dot(p_err.objective, lex.result.assignment))
     assert achieved_error <= lex.stage_values[0] + 1e-6
     # The final incumbent's depth equals the recorded stage-2 optimum.
-    n_dummy_used = sum(int(lex.result.assignment[lex.vs.z(t)])
+    n_dummy_used = sum(int(lex.result.assignment[vs.z(t)])
                        for t in c.dummy_steps)
     assert n_dummy_used == lex.stage_values[1]
 
@@ -47,6 +46,17 @@ def test_order_validation(inst, line4):
             lexicographic_solve(c, line4, fid, bad)
         with pytest.raises(SolveError):
             solve_exhaustive(c, line4, fid, bad)
+    # A bare name is refused as one, not read letter by letter.
+    for engine in (lexicographic_solve, solve_exhaustive):
+        with pytest.raises(SolveError, match="not the string 'error'"):
+            engine(c, line4, fid, "error")
+
+
+def test_a_stage_without_an_incumbent_raises_no_incumbent_error(inst, line4):
+    # One node finds no assignment: the route is unknown, not infeasible.
+    c, fid = inst
+    with pytest.raises(NoIncumbentError, match="stage 1 hit its budget with no incumbent"):
+        lexicographic_solve(c, line4, fid, ("error", "depth"), SolveLimits(node_limit=1))
 
 
 def test_three_stage_with_crosstalk(y6):
@@ -56,8 +66,7 @@ def test_three_stage_with_crosstalk(y6):
     assert lex.closed
     assert len(lex.stage_values) == 3
     assert lex.stage_values[2] >= 0.0
-    rc = decode(lex.vs, lex.result.assignment, c, y6, fid)
-    assert rc.time_aligned
+    assert lex.routed.time_aligned
 
 
 def test_default_step_size(inst):
@@ -211,26 +220,28 @@ def test_sweep_argument_validation(inst, line4):
 def test_sweep_table_layout():
     sweeps = {
         "a": [ParetoPoint(0, 2.0, 3.0, True), ParetoPoint(1, 2.5, 1.0, True)],
-        "b": [ParetoPoint(0, 0.0, 4.0, True), ParetoPoint(1, 0.5, 4.0, True)],
+        "b": [ParetoPoint(0, 0.0, 4.0, True), ParetoPoint(1, 0.5, 4.0, False)],
+        "c": None,
     }
     text = sweep_table(sweeps, ("error", "depth"))
-    lines = text.strip().split("\n")
-    assert lines[0] == "circuit\tstep\tobjective\tvalue\tincrease_vs_min"
-    assert len(lines) == 1 + 2 * 2 * 2
-    # Relative increase for a nonzero minimum, absolute for a zero one.
+    lines = text.strip("\n").split("\n")
+    assert lines[0] == "circuit\tstep\tobjective\tvalue\tincrease_vs_min\tstatus"
+    assert len(lines) == 1 + 2 * 2 * 2 + 1
+    # Relative increase for a nonzero minimum, absolute for a zero one;
+    # each point's status, and one row without values for no route.
     row_a = next(l for l in lines if l.startswith("a\t1\terror"))
-    assert row_a.split("\t")[4] == "0.25"
+    assert row_a.split("\t")[4:] == ["0.25", "ok"]
     row_b = next(l for l in lines if l.startswith("b\t1\terror"))
-    assert row_b.split("\t")[4] == "0.5"
+    assert row_b.split("\t")[4:] == ["0.5", "limit"]
+    assert lines[-1] == "c\t\t\t\t\tno_route"
 
 
 def test_initial_map_pins_initial_layout(inst, line4):
     c, fid = inst
     free = lexicographic_solve(c, line4, fid, ("error", "depth"))
-    layout = decode(free.vs, free.result.assignment, c, line4, fid).initial_map
+    layout = free.routed.initial_map
     lex = lexicographic_solve(c, line4, fid, ("error", "depth"), initial_map=layout)
-    rc = decode(lex.vs, lex.result.assignment, c, line4, fid)
-    assert rc.initial_map == layout
+    assert lex.routed.initial_map == layout
     # Pinning to the free optimum's own layout cannot change the optimum.
     assert lex.stage_values[0] == pytest.approx(free.stage_values[0], abs=1e-9)
 

@@ -6,10 +6,11 @@ import pytest
 
 from helpers import RecordingPool, prepared
 from qaroute import qvbench
+from qaroute.circuit import dump_circuit, insert_dummy_steps, pad_qubits
 from qaroute.qvbench import (BenchError, HopEstimate, _estimate, _pearson,
                              benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise,
-                             ideal_probs, lower_circuit)
+                             ideal_probs, lower_circuit, qv_instance)
 from qaroute.heuristic import run_variant_full
 from qaroute.simulate import embed_two_qubit, is_unitary
 from qaroute.solver import NoRouteError, SolveLimits
@@ -130,6 +131,17 @@ def test_benchmark_batch_rows_and_table(line4):
     # header + 3 rows, blank, estimate header + 1 row, blank,
     # correlation header + 3 rows
     assert len(table.strip().split("\n")) == 4 + 1 + 2 + 1 + 4
+
+
+def test_qv_instance_draws_lowers_pads_and_spaces(monkeypatch):
+    qv, c = qv_instance(4, [3, 1], 6, n_layers=2, dummy_steps=1)
+    want = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [3, 1]), 2), 6), 1)
+    assert dump_circuit(c) == dump_circuit(want)
+    assert dump_circuit(lower_circuit(qv)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1])))
+    # A width above the node count is refused before the draw.
+    monkeypatch.setattr(qvbench, "gen_qv_circuit", lambda *args: pytest.fail("drawn"))
+    with pytest.raises(BenchError, match="width 7 exceeds the graph's 6 nodes"):
+        qv_instance(7, 0, 6)
 
 
 def test_benchmark_batch_invalid():

@@ -1,11 +1,14 @@
-"""The README's Library snippet runs as written, so a signature change
-cannot leave it stale."""
+"""The README's Library snippet runs as written, and its command lines
+parse, so a signature or flag change cannot leave them stale."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from qaroute import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +20,14 @@ def test_readme_library_snippet_runs():
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_commands_parse():
+    # Parsed, not run: a renamed or dropped flag fails here.
+    block = re.search(r"## Command line\n\n```\n(.*?)```", (ROOT / "README.md").read_text(),
+                      re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands and all(argv[0] == "qaroute" for argv in commands)
+    for argv in commands:
+        ns = cli._build_parser().parse_args(argv[1:])
+        assert ns.command == argv[1]

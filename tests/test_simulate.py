@@ -27,7 +27,6 @@ def test_is_unitary():
     # The tolerance bounds every entry of m m^dagger - I, the diagonal too.
     assert not is_unitary(np.diag([1 + 4e-6, 1, 1, 1]))
     assert is_unitary(np.diag([1 + 4e-9, 1, 1, 1]))
-    assert is_unitary(np.diag([1 + 4e-6, 1, 1, 1]), atol=1e-5)
 
 
 def test_unitary_defect_of_a_stack_is_each_matrix_defect():
@@ -98,3 +97,11 @@ def test_phase_distance():
     assert phase_distance(u, np.exp(0.3j) * u) < 1e-12
     v = haar_su4(5)
     assert phase_distance(u, v) > 1e-3
+
+
+def test_phase_distance_without_overlap():
+    # Tr(Z^dagger X) = 0, so no phase aligns X with Z, and every phase
+    # leaves a max-norm distance of 1, which is sqrt(2/d) at d = 2.
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1, -1]).astype(complex)
+    assert phase_distance(x, z) == 1.0

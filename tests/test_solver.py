@@ -46,7 +46,7 @@ def test_error_objective_matches_exhaustive(line4, seed):
     c, fid, vs, p = small_instance(line4, (2, 2), seed)
     res = solve_branch_and_bound(p, SolveLimits())
     assert res.status is SolveStatus.OPTIMAL
-    val, rc = solve_exhaustive(c, line4, fid, objective="error")
+    (val,), rc = solve_exhaustive(c, line4, fid, ("error",))
     assert res.objective == pytest.approx(val, abs=1e-9)
     assert res.dual_bound == pytest.approx(res.objective, abs=1e-9)
     assert res.gap == pytest.approx(0.0, abs=1e-12)
@@ -55,7 +55,7 @@ def test_error_objective_matches_exhaustive(line4, seed):
 def test_depth_objective_matches_exhaustive(line4):
     c, fid, vs, p = small_instance(line4, (2, 2), 5, k=2, objective="depth")
     res = solve_branch_and_bound(p, SolveLimits())
-    val, rc = solve_exhaustive(c, line4, fid, objective="depth")
+    (val,), rc = solve_exhaustive(c, line4, fid, ("depth",))
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(val, abs=1e-9)
 
@@ -65,14 +65,14 @@ def test_crosstalk_objective_matches_exhaustive(y6):
     c, fid = prepared(c, y6, 1)
     vs, p = assemble_problem(c, y6, fid, objective="crosstalk")
     res = solve_branch_and_bound(p, SolveLimits())
-    val, rc = solve_exhaustive(c, y6, fid, objective="crosstalk")
+    (val,), rc = solve_exhaustive(c, y6, fid, ("crosstalk",))
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(val, abs=1e-9)
 
 
 def test_exhaustive_lexicographic_tuple(line4):
     c, fid, vs, p = small_instance(line4, (2,), 7, k=1)
-    val, rc = solve_exhaustive(c, line4, fid, objective=("error", "depth"))
+    val, rc = solve_exhaustive(c, line4, fid, ("error", "depth"))
     assert isinstance(val, tuple) and len(val) == 2
     res = solve_branch_and_bound(p, SolveLimits())
     assert val[0] == pytest.approx(res.objective, abs=1e-9)
@@ -171,7 +171,7 @@ def test_merged_gates_cheaper_than_plain_match_exhaustive(line4, seed):
     c, fid = prepared(c, line4, 2, overrides=overrides)
     _, p = assemble_problem(c, line4, fid, objective="error")
     assert (p.objective < 0.0).any()
-    want = solve_exhaustive(c, line4, fid, objective="error")[0]
+    (want,), _ = solve_exhaustive(c, line4, fid, ("error",))
     res = solve_branch_and_bound(p, SolveLimits())
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(want, abs=1e-9)
@@ -318,7 +318,7 @@ def test_instance_past_the_memory_bound_is_refused_at_once():
 def test_time_limit_stops_the_dp(line4):
     c, fid, _, _ = small_instance(line4, (2, 2), 0)
     with pytest.raises(DPTimeLimit):
-        solve_exhaustive(c, line4, fid, ("error", "depth"), limits=SolveLimits(time_limit=1e-9))
+        solve_exhaustive(c, line4, fid, ("error", "depth"), lim=SolveLimits(time_limit=1e-9))
 
 
 def test_time_limit_stops_the_dp_while_it_builds_its_tables():
@@ -329,7 +329,7 @@ def test_time_limit_stops_the_dp_while_it_builds_its_tables():
     c, fid = qv_instance(line14, 6, 3)
     start = time.perf_counter()
     with pytest.raises(DPTimeLimit):
-        solve_exhaustive(c, line14, fid, ("error", "depth"), limits=SolveLimits(time_limit=0.01))
+        solve_exhaustive(c, line14, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
 
 
@@ -343,7 +343,7 @@ def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
     c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), line62, 1)
     start = time.perf_counter()
     with pytest.raises(DPTimeLimit):
-        solve_exhaustive(c, line62, fid, ("error", "depth"), limits=SolveLimits(time_limit=0.01))
+        solve_exhaustive(c, line62, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
 
 
@@ -456,7 +456,7 @@ def test_a_swap_layer_may_move_every_active_qubit(line4):
     # neighbours before the gate: one layer with an edge per active qubit.
     c = LayeredCircuit(4, ((), (Gate(0, 1, haar_su4(0), gid=0),)))
     fid = FidelityModel.build(c, line4)
-    value, rc = solve_exhaustive(c, line4, fid, "error", initial_map=(0, 3, 1, 2))
+    (value,), rc = solve_exhaustive(c, line4, fid, ("error",), initial_map=(0, 3, 1, 2))
     assert value == pytest.approx(2 * fid.swap_error(0, 1) + fid.gate_error(0, 1, 2),
                                   abs=1e-12)
     assert verify_structural(rc, c, line4) is None
@@ -505,12 +505,20 @@ def test_crosstalk_counts_edges_with_high_ids():
     assert stats(rc, fid, g).crosstalk_count == 1
 
 
+def test_a_circuit_with_no_steps_routes_to_nothing(line4):
+    c = LayeredCircuit(4, ())
+    values, rc = solve_exhaustive(c, line4, FidelityModel.build(c, line4), ("error", "depth"))
+    assert values == (0.0, 0.0)
+    assert rc.steps == () and rc.initial_map == rc.final_map == (0, 1, 2, 3)
+    assert verify_structural(rc, c, line4) is None
+
+
 def test_crosstalk_on_more_than_63_edges_is_refused():
     g = hub_graph([(0, 1), (0, 2), (1, 2)])
     assert len(g.crosstalk_edges) == 66
     c, fid = prepared(random_layered_circuit(4, (2,), seed=0), g, 0)
     with pytest.raises(SolveError, match="63 edges"):
-        solve_exhaustive(c, g, fid, "crosstalk")
+        solve_exhaustive(c, g, fid, ("crosstalk",))
     (err, depth), _ = solve_exhaustive(c, g, fid, ("error", "depth"))
     assert depth == 0.0
 
