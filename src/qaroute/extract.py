@@ -24,7 +24,7 @@ from .bipmodel import dummy_runs
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, norm_edge
-from .simulate import SWAP, apply_two_qubit, permutation_matrix, phase_distance
+from .simulate import SWAP, apply_two_qubit, permutation_index, phase_distance
 
 
 class ExtractError(ValueError):
@@ -339,10 +339,16 @@ def verify_unitary(rc: RoutedCircuit, c: LayeredCircuit) -> float:
     logical = np.eye(dim, dtype=complex)
     for gt in c.gates():
         logical = apply_two_qubit(logical, gt.unitary, gt.p, gt.q, n)
-    p_init = permutation_matrix(rc.initial_map)
-    p_final = permutation_matrix(rc.final_map)
-    target = p_final @ logical @ p_init.conj().T
-    return phase_distance(phys, target)
+    return phase_distance(phys, _permuted_target(logical, rc.initial_map, rc.final_map))
+
+
+def _permuted_target(logical: np.ndarray, initial_map, final_map) -> np.ndarray:
+    """``permutation_matrix(final_map) @ logical @
+    permutation_matrix(initial_map)^dagger``, by moving each entry of
+    ``logical`` to the row and column its two wire permutations give."""
+    target = np.empty_like(logical)
+    target[np.ix_(permutation_index(final_map), permutation_index(initial_map))] = logical
+    return target
 
 
 # ---------------------------------------------------------------------------

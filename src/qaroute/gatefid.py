@@ -61,44 +61,42 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
 
 def _weyl_batch(us: np.ndarray) -> list[tuple[float, float, float]]:
     """``weyl_coordinates`` of each unitary of a (k, 4, 4) stack, by one
-    stacked determinant, product and eigenvalue call. LAPACK and BLAS
-    treat each matrix of a stack as they treat it alone, so a result does
-    not depend on the rest of the stack."""
+    stacked determinant, product and eigenvalue call and one fold of all
+    the spectra. LAPACK and BLAS treat each matrix of a stack as they
+    treat it alone, and the fold works element by element (its one sort
+    row by row), so a result does not depend on the rest of the stack."""
+    return _fold_spectra(_spectra(us))
+
+
+def _spectra(us: np.ndarray) -> np.ndarray:
+    """The spectrum of V^T V for each unitary of a (k, 4, 4) stack, V the
+    unitary scaled to determinant 1 and taken to the magic basis."""
     dets = np.linalg.det(us)
     ups = _B_MAGIC.conj().T @ (us / (dets ** 0.25)[:, None, None]) @ _B_MAGIC
-    return [_fold_spectrum(e) for e in np.linalg.eigvals(ups.transpose(0, 2, 1) @ ups)]
+    return np.linalg.eigvals(ups.transpose(0, 2, 1) @ ups)
 
 
-def _fold_spectrum(eigs: np.ndarray) -> tuple[float, float, float]:
-    """Weyl coordinates from the spectrum of V^T V."""
+def _fold_spectra(eigs: np.ndarray) -> list[tuple[float, float, float]]:
+    """Weyl coordinates from each row of a (k, 4) stack of spectra."""
     d = -np.angle(eigs) / 2.0
-    d[3] = -d[0] - d[1] - d[2]
-    cs = np.mod((d[:3] + d[3]) / 2.0, 2.0 * math.pi)
+    d3 = -d[:, 0] - d[:, 1] - d[:, 2]
+    cs = np.mod((d[:, :3] + d3[:, None]) / 2.0, 2.0 * math.pi)
 
     # Fold into the canonical chamber; order by distance to the pi/2 lattice.
     cstemp = np.mod(cs, _PI2)
     np.minimum(cstemp, _PI2 - cstemp, out=cstemp)
-    order = np.argsort(cstemp)[[1, 2, 0]]
-    cs = cs[order].tolist()
+    order = np.argsort(cstemp, axis=1)[:, [1, 2, 0]]
+    c0, c1, c2 = np.take_along_axis(cs, order, axis=1).T
 
-    if cs[0] > _PI2 + 1e-13:
-        cs[0] -= 3.0 * _PI2
-    if cs[1] > _PI2 + 1e-13:
-        cs[1] -= 3.0 * _PI2
-    conjs = 0
-    if cs[0] > _PI4 + 1e-13:
-        cs[0] = _PI2 - cs[0]
-        conjs += 1
-    if cs[1] > _PI4 + 1e-13:
-        cs[1] = _PI2 - cs[1]
-        conjs += 1
-    if cs[2] > _PI2 + 1e-13:
-        cs[2] -= 3.0 * _PI2
-    if conjs == 1:
-        cs[2] = _PI2 - cs[2]
-    if cs[2] > _PI4 + 1e-13:
-        cs[2] -= _PI2
-    return cs[1], cs[0], cs[2]
+    c0 = np.where(c0 > _PI2 + 1e-13, c0 - 3.0 * _PI2, c0)
+    c1 = np.where(c1 > _PI2 + 1e-13, c1 - 3.0 * _PI2, c1)
+    conj0, conj1 = c0 > _PI4 + 1e-13, c1 > _PI4 + 1e-13
+    c0 = np.where(conj0, _PI2 - c0, c0)
+    c1 = np.where(conj1, _PI2 - c1, c1)
+    c2 = np.where(c2 > _PI2 + 1e-13, c2 - 3.0 * _PI2, c2)
+    c2 = np.where(conj0 != conj1, _PI2 - c2, c2)
+    c2 = np.where(c2 > _PI4 + 1e-13, c2 - _PI2, c2)
+    return list(zip(c1.tolist(), c0.tolist(), c2.tolist()))
 
 
 def trace_to_fidelity(trace: complex) -> float:
@@ -191,11 +189,16 @@ class FidelityModel:
         self.graph = graph
         self.f_table = dict(f_table)
         self.f_swap_table = dict(f_swap_table)
+        by_beta: dict[float, list[tuple[int, int]]] = {}
+        for edge in graph.edges:
+            by_beta.setdefault(graph.beta[edge], []).append(edge)
         self._costs: dict[tuple[int, tuple[int, int]], GatePlacementCost] = {}
         for gid, fids in self.f_table.items():
             fids_swap = self.f_swap_table[gid]
-            for edge in graph.edges:
-                self._costs[gid, edge] = placement_cost(fids, fids_swap, graph.beta[edge])
+            for beta, edges in by_beta.items():
+                cost = placement_cost(fids, fids_swap, beta)
+                for edge in edges:
+                    self._costs[gid, edge] = cost
 
     @classmethod
     def build(cls, c: LayeredCircuit, g: HardwareGraph,

@@ -6,11 +6,19 @@ reduces a decay-weighted distance score over the front and a lookahead
 window. It exists as a baseline and as the layout/routing half of the
 hybrid variants, not as a faithful reimplementation of any production
 transpiler.
+
+Scores are exact integers (the decay weights scaled to whole numbers),
+and a candidate swap is scored by the change it makes to the terms of
+the gates on its two qubits. The layout search routes from random
+restarts; within one call it routes each distinct layout once and
+repairs each distinct final map once, and it keeps nothing between calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,78 +45,131 @@ TRIALS = 8
 REPAIR_NODES = 100000
 
 
-def _route(gates, g: HardwareGraph, initial_map) -> tuple[list, tuple[int, ...]]:
+def _score_weights() -> tuple[int, tuple[int, ...]]:
+    """The swap score's weights as exact integers: a front gate's
+    distance counts 1 and the k-th lookahead gate's 0.5 * DECAY**k, all
+    scaled by their least common denominator (2 * 10**7 for DECAY 0.7).
+    Two different exact scores then differ by at least 1 / scale (5e-8),
+    far more than the rounding of the same score summed in floats (about
+    1e-13), so ties are decided exactly and the choices are those of the
+    float score with a 1e-12 tolerance."""
+    decay = Fraction(str(DECAY))
+    look = [Fraction(1, 2) * decay**k for k in range(WINDOW)]
+    scale = math.lcm(*(w.denominator for w in look))
+    return scale, tuple(int(w * scale) for w in look)
+
+
+FRONT_WEIGHT, LOOK_WEIGHTS = _score_weights()
+
+
+def _graph_tables(g: HardwareGraph) -> tuple:
+    """What ``_route`` reads of ``g``: hop distances, and per node its
+    neighbours, their bit mask and the edges that meet it."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    return (g.distances(), nbrs, [sum(1 << k for k in nb) for nb in nbrs],
+            [tuple(norm_edge(v, k) for k in nb) for v, nb in enumerate(nbrs)])
+
+
+def _route(gates, g: HardwareGraph, initial_map,
+           tables=None) -> tuple[list, tuple[int, ...]]:
     """Route ``(gid, p, q)`` gates, in program order, from a fixed layout
     by greedy swap insertion.
 
     Adjacent front gates execute together in one step; otherwise one
-    swap per step. When the greedy score stalls for too long, the
-    lowest-numbered front gate is walked home along a shortest path,
-    which bounds the schedule length. Returns the plan, one
-    ``(edge, ())`` entry per swap and one ``(None, ((gid, p, q, i, j),
-    ...))`` entry per step of gates on arcs ``(i, j)``, and the final map.
+    swap per step, the candidate that most lowers the score: front
+    distances plus the decay-weighted distances of a lookahead window.
+    Scores are exact integers (``FRONT_WEIGHT``, ``LOOK_WEIGHTS``) and a
+    swap is scored by the change it makes to the terms of the gates on
+    its two qubits; the first candidate in edge order wins a tie. When
+    the score stalls for too long, the lowest-numbered front gate is
+    walked home along a shortest path, which bounds the schedule length.
+    Returns the plan, one ``(edge, ())`` entry per swap and one ``(None,
+    ((gid, p, q, i, j), ...))`` entry per step of gates on arcs ``(i,
+    j)``, and the final map. ``tables`` is ``_graph_tables(g)``, for
+    callers that route many times on one graph.
     """
     n = g.n
-    dist = g.distances()
-    nbrs = [g.neighbors(v) for v in range(n)]
-    adj = [sum(1 << k for k in nb) for nb in nbrs]
-    incident = [tuple(norm_edge(v, k) for k in nb) for v, nb in enumerate(nbrs)]
-    weights, weight = [], 0.5
-    for _ in range(WINDOW):
-        weights.append(weight)
-        weight *= DECAY
+    dist, nbrs, adj, incident = tables or _graph_tables(g)
+    every = (1 << n) - 1
     remaining = [(gid, p, q, 1 << p | 1 << q) for gid, p, q in gates]
     pos = list(initial_map)
+    occ = [0] * n
+    for qubit, node in enumerate(pos):
+        occ[node] = qubit
     plan: list[tuple] = []
     stall = 0
+    fr = None  # the front, rebuilt after each gate step
     while remaining:
-        # A gate is in the front when no earlier remaining gate shares a
-        # qubit with it; the rest keep program order for the lookahead.
-        fr, look, busy = [], [], 0
-        for gt in remaining:
-            if not busy & gt[3]:
-                fr.append(gt)
-            elif len(look) < WINDOW:
-                look.append(gt)
-            busy |= gt[3]
+        if fr is None:
+            # A gate is in the front when no earlier remaining gate shares
+            # a qubit with it; the next WINDOW others form the lookahead.
+            # terms[q] lists (weight, other qubit) of each scored gate on
+            # q, and mate[q] is q's partner in the front, or -1. Both hold
+            # until a gate runs, whatever swaps come first.
+            fr, terms, mate, busy, k = [], [[] for _ in range(n)], [-1] * n, 0, 0
+            for gt in remaining:
+                _, p, q, mask = gt
+                if not busy & mask:
+                    fr.append(gt)
+                    mate[p], mate[q] = q, p
+                    w = FRONT_WEIGHT
+                elif k < WINDOW:
+                    w = LOOK_WEIGHTS[k]
+                    k += 1
+                elif busy == every:
+                    break  # a full window, and no later gate can be in front
+                else:
+                    busy |= mask
+                    continue
+                terms[p].append((w, q))
+                terms[q].append((w, p))
+                busy |= mask
         ready = [(gid, p, q, pos[p], pos[q]) for gid, p, q, _ in fr if adj[pos[p]] >> pos[q] & 1]
         if ready:
             plan.append((None, tuple(ready)))
             executed = {gt[0] for gt in ready}
             remaining = [gt for gt in remaining if gt[0] not in executed]
-            stall = 0
+            stall, fr = 0, None
             continue
 
-        base_front = sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr)
         if stall >= 2 * n:
             # Forced progress: walk the oldest front gate together.
             _, p, q, _ = min(fr, key=lambda gt: gt[0])
             i, j = pos[p], pos[q]
             nxt = min(k for k in nbrs[i] if dist[k][j] < dist[i][j])
-            best_edge = norm_edge(i, nxt)
+            i, j = norm_edge(i, nxt)
         else:
-            occ = [-1] * n
-            for qubit, node in enumerate(pos):
-                occ[node] = qubit
-            cand = {e for _, p, q, _ in fr for e in incident[pos[p]] + incident[pos[q]]}
-            best_edge, best_score = None, None
-            for (i, j) in sorted(cand):
-                # Score the layout with this swap applied: front distances
-                # plus the decay-weighted lookahead, in program order.
-                qa, qb = occ[i], occ[j]
-                pos[qa], pos[qb] = j, i
-                sc = float(sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr))
-                for w, (_, p, q, _) in zip(weights, look):
-                    sc += w * dist[pos[p]][pos[q]]
-                pos[qa], pos[qb] = i, j
-                if best_score is None or sc < best_score - 1e-12:
-                    best_edge, best_score = (i, j), sc
-        i, j = best_edge
-        qa, qb = pos.index(i), pos.index(j)
+            cand = set()
+            for _, p, q, _ in fr:
+                cand.update(incident[pos[p]], incident[pos[q]])
+            best_delta = None
+            for (a, b) in sorted(cand):
+                # Moving qa from a to b and qb from b to a changes only
+                # the terms of gates on qa or qb (a gate on both keeps
+                # its distance).
+                qa, qb = occ[a], occ[b]
+                da, db = dist[a], dist[b]
+                delta = 0
+                for w, o in terms[qa]:
+                    if o != qb:
+                        delta += w * (db[pos[o]] - da[pos[o]])
+                for w, o in terms[qb]:
+                    if o != qa:
+                        delta += w * (da[pos[o]] - db[pos[o]])
+                if best_delta is None or delta < best_delta:
+                    i, j, best_delta = a, b, delta
+        # The swap stalls unless it shortens the front. Its two qubits are
+        # never one front gate's: that gate would have been ready.
+        qa, qb = occ[i], occ[j]
+        gain = 0
+        if mate[qa] >= 0:
+            gain += dist[i][pos[mate[qa]]] - dist[j][pos[mate[qa]]]
+        if mate[qb] >= 0:
+            gain += dist[j][pos[mate[qb]]] - dist[i][pos[mate[qb]]]
         pos[qa], pos[qb] = j, i
-        plan.append((best_edge, ()))
-        new_front = sum(dist[pos[p]][pos[q]] for _, p, q, _ in fr)
-        stall = 0 if new_front < base_front else stall + 1
+        occ[i], occ[j] = qb, qa
+        plan.append(((i, j), ()))
+        stall = 0 if gain > 0 else stall + 1
     return plan, tuple(pos)
 
 
@@ -213,6 +274,9 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
     trick collapsed to one forward reuse); candidates are scored by
     their routed swap count, so no trial prices a gate. The winner is
     reshaped so the first gate layer is simultaneously executable.
+    Trials often meet a layout or a final map again; within one call
+    each distinct layout is routed once and each distinct final map
+    repaired once.
     """
     if c.n_qubits != g.n:
         raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
@@ -221,12 +285,24 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
     rng = np.random.default_rng(seed)
     fits = matching_size(g)
     gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
+    tables = _graph_tables(g)
+    routed: dict[tuple, tuple[int, tuple[int, ...]]] = {}  # layout -> (swaps, final map)
+    repaired: dict[tuple, tuple[int, ...]] = {}  # final map -> refined layout
+
+    def route(layout):
+        if layout not in routed:
+            plan, final_map = _route(gates, g, layout, tables)
+            routed[layout] = (sum(1 for edge, _ in plan if edge is not None), final_map)
+        return routed[layout]
+
     best_map, best_key = None, None
     for trial in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
-        refined = _repair_first_layer(c, g, _route(gates, g, start)[1], fits)
-        swaps = sum(1 for edge, _ in _route(gates, g, refined)[0] if edge is not None)
-        key = (swaps, trial)
+        final_map = route(start)[1]
+        if final_map not in repaired:
+            repaired[final_map] = _repair_first_layer(c, g, final_map, fits)
+        refined = repaired[final_map]
+        key = (route(refined)[0], trial)
         if best_key is None or key < best_key:
             best_map, best_key = refined, key
     return best_map
@@ -280,7 +356,8 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
         except (DPTimeLimit, NoIncumbentError):
             start = layout or heuristic_layout(c, g, seed)
             rc, closed = heuristic_route(c, g, start, fid), False
-    if variant == "bip_layout":
+    if variant == "bip_layout" and rc.origin != "sabre_like":
+        # The model's layout, routed greedily; a fallback route already is.
         rc = heuristic_route(c, g, rc.initial_map, fid)
     rc = replace(rc, origin=variant)
     return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=closed)

@@ -88,17 +88,27 @@ def embed_two_qubit(u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return apply_two_qubit(np.eye(2**n, dtype=complex), u4, a, b, n)
 
 
+def permutation_index(dest: list[int] | tuple[int, ...]) -> np.ndarray:
+    """Where ``permutation_matrix(dest)`` sends each basis state: entry b
+    is the basis index that carries, on each wire dest[q], the bit that
+    wire q carries in b."""
+    n = len(dest)
+    cols = np.arange(2**n)
+    rows = np.zeros(2**n, dtype=np.intp)
+    for q in range(n):
+        rows |= ((cols >> (n - 1 - q)) & 1) << (n - 1 - dest[q])
+    return rows
+
+
 def permutation_matrix(dest: list[int] | tuple[int, ...]) -> np.ndarray:
     """Permutation operator sending the content of wire q to wire dest[q].
 
     Acting on a basis state whose wire q carries bit b_q, the image has
     bit b_q on wire dest[q].
     """
-    n = len(dest)
-    p = np.zeros((2**n, 2**n), dtype=complex)
-    for col in range(2**n):
-        row = sum(((col >> (n - 1 - q)) & 1) << (n - 1 - dest[q]) for q in range(n))
-        p[row, col] = 1.0
+    dim = 2 ** len(dest)
+    p = np.zeros((dim, dim), dtype=complex)
+    p[permutation_index(dest), np.arange(dim)] = 1.0
     return p
 
 

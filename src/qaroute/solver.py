@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -668,8 +668,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
     _check_initial_map(initial_map, n)
-    if m == 0:
-        return (0.0,) * len(objs), schedule(c, fid, [], "exhaustive")
+    if m == 0:  # no steps: the pinned map, if any, is the whole route
+        pin = tuple(range(n) if initial_map is None else initial_map)
+        return (0.0,) * len(objs), replace(schedule(c, fid, [], "exhaustive"),
+                                           initial_map=pin, final_map=pin)
 
     active = sorted({q for gate in c.gates() for q in gate.operands})
     a = len(active)

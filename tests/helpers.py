@@ -7,6 +7,8 @@ explicit k-CNOT ansatz by local optimization with random restarts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -84,6 +86,44 @@ def numeric_fidelity_budget(u: np.ndarray, k_max: int = 2, restarts: int = 12,
         best = max(best, numeric_fidelity_exact_k(u, k, restarts, seed))
         out.append(best)
     return tuple(out)
+
+
+def lattice_offsets(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three raw Weyl angles of one spectrum of V^T V, each in
+    [0, 2 pi), and the distance of each to the pi/2 lattice."""
+    d = -np.angle(eigs) / 2.0
+    d[3] = -d[0] - d[1] - d[2]
+    cs = np.mod((d[:3] + d[3]) / 2.0, 2.0 * math.pi)
+    near = np.mod(cs, math.pi / 2)
+    np.minimum(near, math.pi / 2 - near, out=near)
+    return cs, near
+
+
+def reference_fold_spectrum(eigs: np.ndarray) -> tuple[float, float, float]:
+    """Weyl coordinates from one spectrum of V^T V, one branch at a time:
+    the oracle of the library's fold of a whole stack of spectra."""
+    pi2, pi4 = math.pi / 2, math.pi / 4
+    cs, near = lattice_offsets(eigs)
+    # Fold into the canonical chamber; order by distance to the pi/2 lattice.
+    cs = cs[np.argsort(near)[[1, 2, 0]]].tolist()
+    if cs[0] > pi2 + 1e-13:
+        cs[0] -= 3.0 * pi2
+    if cs[1] > pi2 + 1e-13:
+        cs[1] -= 3.0 * pi2
+    conjs = 0
+    if cs[0] > pi4 + 1e-13:
+        cs[0] = pi2 - cs[0]
+        conjs += 1
+    if cs[1] > pi4 + 1e-13:
+        cs[1] = pi2 - cs[1]
+        conjs += 1
+    if cs[2] > pi2 + 1e-13:
+        cs[2] -= 3.0 * pi2
+    if conjs == 1:
+        cs[2] = pi2 - cs[2]
+    if cs[2] > pi4 + 1e-13:
+        cs[2] -= pi2
+    return cs[1], cs[0], cs[2]
 
 
 def random_layered_circuit(n_qubits: int, layer_sizes, seed) -> LayeredCircuit:

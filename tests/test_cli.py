@@ -6,7 +6,7 @@ import time
 import pytest
 
 from helpers import RecordingPool
-from qaroute import cli, qvbench
+from qaroute import cli, heuristic, qvbench
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
@@ -181,6 +181,27 @@ def test_free_variants_return_the_greedy_route_when_a_limit_leaves_no_incumbent(
     out = capsys.readouterr().out
     assert "structural: ok" in out
     assert out.split("structural: ok")[0] == greedy.replace("sabre_like", variant)
+
+
+def test_a_fallback_route_of_bip_layout_is_routed_once(monkeypatch, capsys):
+    # The greedy fallback already routes from the greedy layout; bip_layout
+    # then keeps that route rather than routing the same layout again.
+    calls = []
+    route = heuristic.heuristic_route
+
+    def counting(*args):
+        calls.append(args[2])
+        return route(*args)
+
+    monkeypatch.setattr(heuristic, "heuristic_route", counting)
+    argv = ["transpile", "--builtin", "line,12", "--qv", "8,1", "--qv-layers", "2"]
+    assert main([*argv, "--variant", "sabre_like"]) == 0
+    greedy = capsys.readouterr().out.split("structural: ok")[0]
+    assert len(calls) == 1
+    assert main([*argv, "--node-limit", "1", "--variant", "bip_layout"]) == 3
+    assert len(calls) == 2 and calls[1] == calls[0]
+    assert capsys.readouterr().out.split("structural: ok")[0] == greedy.replace(
+        "sabre_like", "bip_layout")
 
 
 def test_limit_without_incumbent_exits_2(capsys):

@@ -1,15 +1,19 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import assemble_problem, set_objective
-from qaroute.extract import (ExtractError, FreeSwap, GateOp, RoutedCircuit,
-                             decode, encode, routed_from_json, routed_to_json,
-                             stats, verify_structural, verify_unitary)
+from qaroute.extract import (EQUIVALENCE_ATOL, ExtractError, FreeSwap, GateOp,
+                             RoutedCircuit, _permuted_target, decode, encode,
+                             routed_from_json, routed_to_json, stats, verify_structural,
+                             verify_unitary)
 from qaroute.gatefid import FidelityModel
+from qaroute.heuristic import heuristic_route
+from qaroute.simulate import permutation_matrix
 from qaroute.solver import (SolveLimits, import_solution, solve_branch_and_bound,
                             solve_exhaustive)
 
@@ -113,6 +117,47 @@ def test_verify_unitary_detects_damage(solved):
             break
     assert broken is not None
     assert verify_unitary(broken, c) > 1e-3
+
+
+@pytest.fixture(scope="module")
+def greedy_routes(y6):
+    """Greedy routes of one six-qubit circuit from random layouts, each
+    with a free swap."""
+    c, fid = prepared(random_layered_circuit(6, (3, 3, 3), seed=23), y6, 1)
+    rng = np.random.default_rng(24)
+    routes = [heuristic_route(c, y6, tuple(int(v) for v in rng.permutation(6)), fid)
+              for _ in range(6)]
+    assert all(any(isinstance(op, FreeSwap) for ops in rc.steps for op in ops)
+               for rc in routes)
+    return c, routes
+
+
+def test_permuted_target_equals_the_permutation_matrix_product(greedy_routes):
+    # Moving entries computes nothing, so the target is bit for bit the
+    # product of the two permutation matrices with any matrix.
+    c, routes = greedy_routes
+    rng = np.random.default_rng(25)
+    logical = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    moved = 0
+    for rc in routes:
+        want = (permutation_matrix(rc.final_map) @ logical
+                @ permutation_matrix(rc.initial_map).conj().T)
+        assert np.array_equal(_permuted_target(logical, rc.initial_map, rc.final_map), want)
+        moved += rc.initial_map != tuple(range(6)) and rc.final_map != rc.initial_map
+    assert moved == len(routes)
+
+
+def test_verify_unitary_fails_a_wrong_final_map_or_a_dropped_swap(greedy_routes):
+    c, routes = greedy_routes
+    for rc in routes:
+        assert verify_unitary(rc, c) <= EQUIVALENCE_ATOL
+        final = list(rc.final_map)
+        final[0], final[1] = final[1], final[0]
+        assert verify_unitary(dataclasses.replace(rc, final_map=tuple(final)), c) \
+            > EQUIVALENCE_ATOL
+        t = next(t for t, ops in enumerate(rc.steps) if isinstance(ops[0], FreeSwap))
+        dropped = dataclasses.replace(rc, steps=rc.steps[:t] + rc.steps[t + 1:])
+        assert verify_unitary(dropped, c) > EQUIVALENCE_ATOL
 
 
 def test_structural_violations_reported(solved, line4):

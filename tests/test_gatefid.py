@@ -1,18 +1,22 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import CX, numeric_fidelity_budget, prepared, random_layered_circuit
+import qaroute.gatefid
+from helpers import (CX, lattice_offsets, numeric_fidelity_budget, prepared,
+                     random_layered_circuit, reference_fold_spectrum)
 from qaroute.circuit import Gate, LayeredCircuit, dump_circuit
 from qaroute.cli import main
-from qaroute.gatefid import (FidelityError, FidelityModel, avg_gate_fidelity,
+from qaroute.gatefid import (FidelityError, FidelityModel, _fold_spectra, _spectra,
+                             _weyl_batch, avg_gate_fidelity,
                              closest_unitary_distance, cnot_budget_fidelities,
                              exact_cnot_fidelities, load_fidelity_overrides,
                              placement_cost, trace_to_fidelity,
                              weyl_coordinates)
-from qaroute.hwgraph import builtin_topology
+from qaroute.hwgraph import HardwareGraph, builtin_topology
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.simulate import exchange_qubits
 
@@ -239,3 +243,64 @@ def test_batched_pricing_names_a_non_unitary_gate_built_in_code():
         FidelityModel.build(c, builtin_topology("line", 4))
     with pytest.raises(FidelityError, match="^matrix is not unitary$"):
         cnot_budget_fidelities(gate.unitary)
+
+
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+SQRT_SWAP = np.array([[1, 0, 0, 0],
+                      [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
+                      [0, (1 - 1j) / 2, (1 + 1j) / 2, 0],
+                      [0, 0, 0, 1]])
+
+
+def canonical_gate(a: float, b: float, c: float) -> np.ndarray:
+    """exp(i (a XX + b YY + c ZZ))."""
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    w, v = np.linalg.eigh(a * np.kron(x, x) + b * np.kron(y, y) + c * np.kron(z, z))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def test_stacked_fold_matches_the_one_spectrum_fold_bit_for_bit():
+    # The fold of a whole stack gives, to the last bit, what the plain
+    # one-spectrum fold gives on each row: on Haar-random gates, on named
+    # gates with degenerate spectra, on canonical gates at multiples of
+    # pi/8, and on the swap-merged form of each. On many of the last, two
+    # raw angles lie equally far from the pi/2 lattice, so the sort's tie
+    # order decides which becomes which coordinate.
+    haar = np.stack([haar_su4([97, k]) for k in range(400)])
+    named = np.stack([np.eye(4, dtype=complex), CX, SWAP, ISWAP, SQRT_SWAP])
+    steps = [k * math.pi / 8 for k in range(-4, 5)]
+    grid = np.stack([canonical_gate(*abc) for abc in itertools.product(steps, repeat=3)])
+    decisive = 0
+    for us in (haar, SWAP @ haar, named, SWAP @ named, grid, SWAP @ grid):
+        eigs = _spectra(us)
+        got = _fold_spectra(eigs)
+        assert got == _weyl_batch(us)
+        want = [reference_fold_spectrum(e) for e in eigs]
+        assert [tuple(map(repr, t)) for t in got] == [tuple(map(repr, t)) for t in want]
+        for e in eigs:
+            raw, near = lattice_offsets(e)
+            decisive += any(near[i] == near[j] and raw[i] != raw[j]
+                            for i, j in itertools.combinations(range(3), 2))
+    assert decisive >= 100
+
+
+def test_edge_costs_are_priced_once_per_gate_and_distinct_beta(monkeypatch):
+    # Three of the five edges share the default beta: each gate is priced
+    # three times, and every edge gets what pricing it alone gives.
+    g = HardwareGraph(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)),
+                      beta={(1, 2): 0.97, (3, 4): 0.985})
+    c, _ = prepared(random_layered_circuit(6, (3, 2), seed=17), g, 1)
+    calls = []
+    price = qaroute.gatefid.placement_cost
+
+    def counting(fids, fids_swap, beta):
+        calls.append(beta)
+        return price(fids, fids_swap, beta)
+
+    monkeypatch.setattr(qaroute.gatefid, "placement_cost", counting)
+    fid = FidelityModel.build(c, g)
+    assert len(calls) == 3 * len(c.gates())
+    for gate in c.gates():
+        for i, j in g.edges:
+            want = price(fid.f_table[gate.gid], fid.f_swap_table[gate.gid], g.beta_of(i, j))
+            assert fid.cost(gate.gid, j, i) == want

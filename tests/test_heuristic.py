@@ -61,17 +61,23 @@ def test_route_input_validation(inst, line4, grid6):
 
 
 ORACLE_GRAPHS = (("line", 4), ("line", 6), ("line", 8), ("y", 6), ("y", 8),
-                 ("grid", 6), ("grid", 8))
+                 ("grid", 6), ("grid", 8), ("line", 10))
 
 
 def qv_instances():
     """Seeded QV circuits of every width from 4 to n on each oracle graph,
-    padded, with one dummy step."""
+    padded, with one dummy step; then full-depth six-qubit QV circuits on
+    y-6 with two dummy steps, drawn as the greedy benchmark draws them
+    (seed 1)."""
     for name, n in ORACLE_GRAPHS:
         g = builtin_topology(name, n)
         for w in range(4, n + 1):
             c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(w, [31, n, w])), n), 1)
             yield g, c, FidelityModel.build(c, g)
+    y6 = builtin_topology("y", 6)
+    for s in range(12):
+        c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(6, [1, s])), 6), 2)
+        yield y6, c, FidelityModel.build(c, y6)
 
 
 def test_router_kernel_matches_the_reference_router():
@@ -114,27 +120,61 @@ def test_forced_progress_walk_is_reached_and_matches_the_reference():
     assert verify_structural(want, c, g) is None
 
 
-def reference_layout(c, g, seed=0):
-    """``heuristic_layout`` with every trial routed by the reference router."""
-    if not any(c.groups):
-        return tuple(range(g.n))
+def reference_trials(c, g, seed=0):
+    """The ``(start, refined, swaps)`` of every trial of the layout search,
+    each layout routed afresh by the reference router."""
     fid = FidelityModel.build(c, g)
     rng = np.random.default_rng(seed)
-    best = None
-    for trial in range(TRIALS):
+    trials = []
+    for _ in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
         refined = _repair_first_layer(c, g, reference_route(c, g, start, fid).final_map,
                                       matching_size(g))
         rc = reference_route(c, g, refined, fid)
-        key = (sum(isinstance(op, FreeSwap) for ops in rc.steps for op in ops), trial)
-        if best is None or key < best[0]:
-            best = (key, refined)
-    return best[1]
+        trials.append((start, refined,
+                       sum(isinstance(op, FreeSwap) for ops in rc.steps for op in ops)))
+    return trials
+
+
+def reference_layout(c, g, seed=0):
+    """``heuristic_layout`` with every trial routed by the reference router."""
+    if not any(c.groups):
+        return tuple(range(g.n))
+    trials = reference_trials(c, g, seed)
+    best = min(range(TRIALS), key=lambda t: (trials[t][2], t))
+    return trials[best][1]
 
 
 def test_layout_search_matches_one_routed_by_the_reference_router():
     for seed, (g, c, _) in enumerate(qv_instances()):
         assert heuristic_layout(c, g, seed) == reference_layout(c, g, seed)
+
+
+def test_layout_search_routes_each_distinct_layout_once(monkeypatch):
+    # Trials that meet a refined layout again reuse its route: the search
+    # routes each distinct start and refined layout once, and where a
+    # refined layout repeats it still picks what the reference search,
+    # which routes every trial afresh, picks. Such repeats do occur.
+    routed = []
+    kernel = qaroute.heuristic._route
+
+    def recording(gates, g, layout, tables=None):
+        routed.append(layout)
+        return kernel(gates, g, layout, tables)
+
+    monkeypatch.setattr(qaroute.heuristic, "_route", recording)
+    repeats = 0
+    for seed, (g, c, _) in enumerate(qv_instances()):
+        trials = reference_trials(c, g, seed)
+        routed.clear()
+        got = heuristic_layout(c, g, seed)
+        layouts = {layout for start, refined, _ in trials for layout in (start, refined)}
+        assert sorted(routed) == sorted(layouts)
+        repeated = TRIALS - len({refined for _, refined, _ in trials})
+        if repeated:
+            assert got == reference_layout(c, g, seed)
+        repeats += repeated
+    assert repeats >= 40
 
 
 def test_layout_is_permutation_and_deterministic(inst, line4):

@@ -513,6 +513,15 @@ def test_a_circuit_with_no_steps_routes_to_nothing(line4):
     assert verify_structural(rc, c, line4) is None
 
 
+def test_a_circuit_with_no_steps_keeps_its_pinned_map(line4):
+    c = LayeredCircuit(4, ())
+    fid = FidelityModel.build(c, line4)
+    values, rc = solve_exhaustive(c, line4, fid, ("error",), initial_map=(3, 2, 1, 0))
+    assert values == (0.0,)
+    assert rc.steps == () and rc.initial_map == rc.final_map == (3, 2, 1, 0)
+    assert verify_structural(rc, c, line4) is None
+
+
 def test_crosstalk_on_more_than_63_edges_is_refused():
     g = hub_graph([(0, 1), (0, 2), (1, 2)])
     assert len(g.crosstalk_edges) == 66
