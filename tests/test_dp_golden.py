@@ -1,6 +1,6 @@
 """Golden routes of the layout DP.
 
-``dp_golden.json`` holds, for 98 seeded instances, the value tuple
+``dp_golden.json`` holds, for 102 seeded instances, the value tuple
 ``solve_exhaustive`` returns and the sha256 of its routed circuit's
 ``routed_to_json`` text (or ``no_route``). A change to the DP's kernel
 that keeps its answers passes unchanged; one that picks another optimum
@@ -9,7 +9,9 @@ among ties, or sums a value in another order, does not.
 The instances cross the graphs line-4/5/6, y-6, grid-6, grid-8 and y-8
 with seven objective orders, each free and pinned to a random layout
 that runs the first layer in place; widths 3-6, 1-3 layers and 0-2
-dummy steps are drawn per instance.
+dummy steps are drawn per instance. The last four entries are the
+``exact_deadline`` benchmark rungs: QV instance seed 202, order
+("error", "depth"), 2 dummy steps, as the CLI routes them.
 Regenerate the file, only on purpose, with
 ``PYTHONPATH=src:tests python tests/test_dp_golden.py``.
 """
@@ -25,7 +27,9 @@ import pytest
 
 from helpers import prepared, random_layered_circuit
 from qaroute.extract import routed_to_json
+from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import builtin_topology
+from qaroute.qvbench import qv_instance
 from qaroute.solver import NoRouteError, solve_exhaustive
 
 GOLDEN = Path(__file__).with_name("dp_golden.json")
@@ -34,11 +38,20 @@ GRAPHS = [("line", 4), ("line", 5), ("line", 6), ("y", 6), ("grid", 6), ("grid",
           ("y", 8)]
 ORDERS = [("error",), ("error", "depth"), ("depth", "error"), ("error", "crosstalk"),
           ("crosstalk", "error", "depth"), ("depth", "crosstalk", "error"), ("depth",)]
-CASES = range(2 * len(GRAPHS) * len(ORDERS))
+DRAWN = 2 * len(GRAPHS) * len(ORDERS)
+RUNGS = [("grid", 6, 4, 4, 0), ("grid", 8, 6, 3, 0), ("y", 8, 6, 4, 0), ("y", 6, 4, 3, 0)]
+CASES = range(DRAWN + len(RUNGS))
 
 
 def case(k: int):
-    """Instance k: graph, order and pinning from k, the rest drawn."""
+    """Instance k: graph, order and pinning from k, the rest drawn; past
+    the drawn ones, a benchmark rung (topology, nodes, width, layers,
+    index)."""
+    if k >= DRAWN:
+        topo, n, width, layers, index = RUNGS[k - DRAWN]
+        g = builtin_topology(topo, n)
+        c = qv_instance(width, [202, index], n, layers)[1]
+        return g, c, FidelityModel.build(c, g), ("error", "depth"), None
     topo, n = GRAPHS[k % len(GRAPHS)]
     order = ORDERS[(k // len(GRAPHS)) % len(ORDERS)]
     pinned = k >= len(GRAPHS) * len(ORDERS)
