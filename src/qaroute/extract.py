@@ -24,7 +24,7 @@ from .bipmodel import dummy_runs
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, norm_edge
-from .simulate import SWAP, apply_two_qubit, permutation_index, phase_distance
+from .simulate import SWAP, apply_two_qubit, phase_distance
 
 
 class ExtractError(ValueError):
@@ -344,11 +344,12 @@ def verify_unitary(rc: RoutedCircuit, c: LayeredCircuit) -> float:
 
 def _permuted_target(logical: np.ndarray, initial_map, final_map) -> np.ndarray:
     """``permutation_matrix(final_map) @ logical @
-    permutation_matrix(initial_map)^dagger``, by moving each entry of
-    ``logical`` to the row and column its two wire permutations give."""
-    target = np.empty_like(logical)
-    target[np.ix_(permutation_index(final_map), permutation_index(initial_map))] = logical
-    return target
+    permutation_matrix(initial_map)^dagger``, by transposing the 2n wire
+    axes of ``logical``: row wire final_map[q] takes row wire q, column
+    wire initial_map[q] takes column wire q."""
+    n = len(initial_map)
+    axes = [*np.argsort(final_map), *(n + np.argsort(initial_map))]
+    return logical.reshape((2,) * (2 * n)).transpose(axes).reshape(logical.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,16 +62,17 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
     """One shared model, with the objective of each stage set once.
     ``initial_map`` pins every qubit's step-0 node (``PIN_INIT`` rows);
     ``same_endpoints`` makes the last step's layout equal the first's
-    (``SAME_ENDPOINTS`` rows)."""
+    (``SAME_ENDPOINTS`` rows). A model with no steps has no placement to
+    pin and takes neither."""
     _check_initial_map(initial_map, g.n)
     vs, p = assemble_problem(c, g, fid, objective=order[0],
                              crosstalk_mode="crosstalk" in order)
-    pins = [] if initial_map is None else [
+    pins = [] if initial_map is None or vs.m == 0 else [
         Row(vars=(vs.w(q, initial_map[q], 0),), coefs=(1.0,), sense="=", rhs=1.0,
             family="PIN_INIT") for q in range(g.n)]
     ends = [Row(vars=(vs.w(q, i, 0), vs.w(q, i, vs.m - 1)), coefs=(1.0, -1.0), sense="=",
                 rhs=0.0, family="SAME_ENDPOINTS")
-            for q in range(g.n) for i in range(g.n)] if same_endpoints else []
+            for q in range(g.n) for i in range(g.n)] if same_endpoints and vs.m else []
     p = p.with_rows(pins + ends)
     return vs, [p] + [set_objective(p, vs, kind, fid) for kind in order[1:]]
 
@@ -156,8 +157,12 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, initial_map, same_endpoints)
     values, result, closed = _solve_stages(stages, [], _RunLimits(lim or SolveLimits()))
+    routed = decode(vs, result.assignment, c, g, fid)
+    if vs.m == 0 and initial_map is not None:  # no steps: the pinned map is the whole route
+        pin = tuple(initial_map)
+        routed = replace(routed, initial_map=pin, final_map=pin)
     return LexResult(order=order, stage_values=tuple(values), result=result,
-                     routed=decode(vs, result.assignment, c, g, fid), closed=closed)
+                     routed=routed, closed=closed)
 
 
 def default_step_size(objective: str, fid: FidelityModel) -> float:

@@ -88,27 +88,19 @@ def embed_two_qubit(u4: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return apply_two_qubit(np.eye(2**n, dtype=complex), u4, a, b, n)
 
 
-def permutation_index(dest: list[int] | tuple[int, ...]) -> np.ndarray:
-    """Where ``permutation_matrix(dest)`` sends each basis state: entry b
-    is the basis index that carries, on each wire dest[q], the bit that
-    wire q carries in b."""
-    n = len(dest)
-    cols = np.arange(2**n)
-    rows = np.zeros(2**n, dtype=np.intp)
-    for q in range(n):
-        rows |= ((cols >> (n - 1 - q)) & 1) << (n - 1 - dest[q])
-    return rows
-
-
 def permutation_matrix(dest: list[int] | tuple[int, ...]) -> np.ndarray:
     """Permutation operator sending the content of wire q to wire dest[q].
 
     Acting on a basis state whose wire q carries bit b_q, the image has
     bit b_q on wire dest[q].
     """
-    dim = 2 ** len(dest)
-    p = np.zeros((dim, dim), dtype=complex)
-    p[permutation_index(dest), np.arange(dim)] = 1.0
+    n = len(dest)
+    cols = np.arange(2**n)
+    rows = np.zeros(2**n, dtype=np.intp)
+    for q in range(n):
+        rows |= ((cols >> (n - 1 - q)) & 1) << (n - 1 - dest[q])
+    p = np.zeros((2**n, 2**n), dtype=complex)
+    p[rows, cols] = 1.0
     return p
 
 
@@ -117,6 +109,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     global phase with ``a`` by their overlap Tr(b^dagger a). Between two
     d x d unitaries with no overlap every phase leaves a distance of at
     least sqrt(2/d), so ``b`` is then taken as it is."""
-    inner = np.trace(b.conj().T @ a)
+    inner = np.vdot(b, a)
     phase = inner / abs(inner) if inner else 1.0
     return float(np.max(np.abs(a - phase * b)))

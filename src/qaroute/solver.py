@@ -474,9 +474,9 @@ def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: in
     most every placement); 2 B of node masks per node; 32 B of values
     per objective; 56 B of indices, the row map, the fold's scratch and
     temporaries (enough for a pass over a single matching); and 8 B of
-    parents per step. Per matching: its tuple of edges, their ids and
-    mask. And 64 B for each of the at most ``DP_PASS`` candidates of a
-    pass over several matchings."""
+    parents per step. Per matching: its tuple of edges, their ids, mask
+    and summed swap error. And 64 B for each of the at most ``DP_PASS``
+    candidates of a pass over several matchings."""
     per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 56 + 8 * steps
     return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 64 * DP_PASS
 
@@ -485,15 +485,19 @@ def _placements(n: int, a: int) -> np.ndarray:
     """Every tuple of ``a`` distinct nodes, in lexicographic order, as an
     ``(a, n!/(n-a)!)`` int16 array: row k holds qubit k's node in each
     placement. ``DP_MEMORY`` admits no n near 2**15, whose n(n-1)
-    placements alone would exceed it."""
+    placements alone would exceed it.
+
+    Level by level: each prefix keeps its free nodes as a sorted row of
+    ``free`` and extends by each of them in order, and the child that
+    took the j-th keeps the row without it (the row repeated, less the
+    diagonal of a square mask)."""
     cols = np.zeros((0, 1), dtype=np.int16)
-    for _ in range(a):
-        free = np.ones((cols.shape[1], n), dtype=bool)
-        everyone = np.arange(cols.shape[1])
-        for x in cols:
-            free[everyone, x] = False
-        prefix, node = np.nonzero(free)  # row-major: each prefix, then its free nodes in order
-        cols = np.vstack([cols[:, prefix], node.astype(np.int16)[None]])
+    free = np.arange(n, dtype=np.int16)[None]
+    for r in range(n, n - a, -1):
+        p = cols.shape[1]
+        cols = np.vstack([np.repeat(cols, r, axis=1), free.reshape(1, -1)])
+        free = np.broadcast_to(free[:, None], (p, r, r))[:, ~np.eye(r, dtype=bool)]
+        free = free.reshape(p * r, r - 1)
     return cols
 
 
@@ -540,9 +544,9 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     every candidate that ``_less`` finds better than its current value.
 
     Candidate i offers target ``tgt[i]`` the values ``rows[o][i]``;
-    ``key`` is unique per target. ``held[o]`` holds each target's
-    incumbent values (inf where it has none), or ``held`` is None when no
-    target has one. ``scratch`` is a float array over the targets, all
+    ``key`` is unique per target and below 2**53. ``held[o]`` holds
+    each target's incumbent values (inf where it has none), or ``held``
+    is None when no target has one. ``scratch`` is a float array over the targets, all
     inf, and is left so. Returns the indices of the winners, at most one
     per target and none where the incumbent stays.
 
@@ -584,7 +588,9 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
         pos, at = pos.take(stay), at.take(stay)
         if kept is not None:
             kept = kept.take(stay)
-    key_left = key.take(pos)
+    # Float keys (exact below 2**53) keep ufunc.at on its fast loop; int
+    # keys into the float scratch take the generic one, 20x slower.
+    key_left = key.take(pos).astype(np.float64)
     np.minimum.at(scratch, at, key_left)
     first = key_left == scratch.take(at)
     scratch[at] = math.inf
@@ -618,7 +624,8 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     """Optimum by dynamic programming over the layouts of the active qubits.
 
     A state is the node tuple of the qubits some gate touches (a column
-    of one int16 array, placements in lexicographic order), so there are
+    of one int16 array, placements in lexicographic order, built from
+    per-prefix free-node lists by ``_placements``), so there are
     n!/(n-a)! states; idle qubits are interchangeable and ride along.
     One int32 array, built once, holds per hardware edge the placement
     with its two nodes swapped; a matching's successor is its edges'
@@ -629,11 +636,15 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     Each step prices the live states once: their plain gate error, and
     per edge the error a swap there adds (merged minus plain error on a
     gate's own edge, the swap's error elsewhere), and crosstalk by one
-    int64 mask bit per crosstalk edge (so on at most 63 of them). It
-    then relaxes the matchings of at most ``a`` edges (a swapped edge
-    moves an active qubit) from the smaller side, pushing from the live
-    states or pulling into the valid states of the next step when those
-    are fewer. Per edge it marks the states of that side that may swap
+    int64 mask bit per crosstalk edge (so on at most 63 of them). A step
+    with no gates, such as a dummy step, costs every state the same swap
+    errors, so there a candidate's error is one gather from its
+    matching's summed swap error (summed once per solve, column by
+    column, in the order the per-state sum adds them) and no per-edge
+    rows are built. It then relaxes the matchings of at most ``a`` edges
+    (a swapped edge moves an active qubit) from the smaller side, pushing
+    from the live states or pulling into the valid states of the next
+    step when those are fewer. Per edge it marks the states of that side that may swap
     there: on a gate's own edge, or where neither node holds a gate
     qubit and one holds an active qubit; a matching moves no qubit onto
     or off its edges' nodes, so a target answers as its source would.
@@ -726,6 +737,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first matching of each size
     edge_bit = np.array([bit[e] for e in g.edges] + [0], dtype=np.int64)
     masks = np.bitwise_or.reduce(edge_bit[edge_ids], axis=1)  # disjoint edges
+    swaps_err = np.zeros(len(matchings))  # each swap set's error, summed as costs sums it
+    for e, p in zip(edge_ids.T, wider):
+        swaps_err[p:] += swap_err.take(e[p:])
     dummy = set(c.dummy_steps)
     pairs = [(bit[e1], bit[e2]) for e1, e2 in g.crosstalk_pairs]
     slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
@@ -771,11 +785,14 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         """The live states ``alive`` at step t: each one's plain gate error
         and crosstalk mask of its gate edges, and per edge the error a
         swap there adds: merged minus plain error on a gate's own edge,
-        the swap's error elsewhere."""
-        rows = states[:, alive]
-        everyone = np.arange(len(alive))
+        the swap's error elsewhere. At a step with no gates that is the
+        swap's error for every state, and ``add`` is None instead."""
         err = np.zeros(len(alive))
         used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
+        if not gates_at[t]:
+            return err, used, None
+        rows = states[:, alive]
+        everyone = np.arange(len(alive))
         add = np.repeat(swap_err[:, None], len(alive), axis=1)
         for cp, cq, gid in gates_at[t]:
             i, j = rows[cp], rows[cq]
@@ -789,7 +806,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         matchings ``k`` at step t."""
         out = []
         for o in objs:
-            if o == "error":
+            if o == "error" and add is None:  # no gates: err is 0.0
+                x = swaps_err.take(k)
+            elif o == "error":
                 x = err.take(src)
                 for e, p in zip(edge_ids.T, cuts(k)):
                     x[p:] += add.take(e.take(k[p:]) * len(err) + src[p:])

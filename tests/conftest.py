@@ -21,3 +21,13 @@ def y6():
 @pytest.fixture(scope="session")
 def line6():
     return builtin_topology("line", 6)
+
+
+@pytest.fixture(scope="session")
+def grid8():
+    return builtin_topology("grid", 8)
+
+
+@pytest.fixture(scope="session")
+def y8():
+    return builtin_topology("y", 8)

@@ -145,6 +145,12 @@ def test_permuted_target_equals_the_permutation_matrix_product(greedy_routes):
         assert np.array_equal(_permuted_target(logical, rc.initial_map, rc.final_map), want)
         moved += rc.initial_map != tuple(range(6)) and rc.final_map != rc.initial_map
     assert moved == len(routes)
+    for n in range(2, 7):
+        logical = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        for _ in range(8):
+            first, last = (tuple(int(v) for v in rng.permutation(n)) for _ in range(2))
+            want = permutation_matrix(last) @ logical @ permutation_matrix(first).conj().T
+            assert np.array_equal(_permuted_target(logical, first, last), want)
 
 
 def test_verify_unitary_fails_a_wrong_final_map_or_a_dropped_swap(greedy_routes):

@@ -156,6 +156,38 @@ def test_fold_picks_the_in_order_winner(case):
     assert np.isinf(scratch).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(fold_cases(), st.integers(10**5, 2**40))
+def test_fold_takes_large_keys_alike_as_ints_and_floats(case, offset):
+    # Matching indices reach past 10^5 on the larger DP steps; keys a
+    # unit apart must stay apart however the fold holds them.
+    tgt, key, rows, slack, held, targets = case
+    key = key + offset
+    want = scalar_fold(tgt, key, rows, slack, held, targets)
+    for k in (key, key.astype(float)):
+        scratch = np.full(targets, np.inf)
+        assert set(_fold(tgt, k, rows, slack, held, scratch).tolist()) == want
+        assert np.isinf(scratch).all()
+
+
+def test_fold_picks_the_least_key_among_many_exact_ties():
+    # DP-sized: 200,000 candidates over 1,000 targets with keys up to
+    # 3 * 10^5 and few distinct values, so most targets tie; the winner
+    # is the least (value, key) by an independent sort.
+    rng = np.random.default_rng(31)
+    tgt = rng.integers(0, 1000, size=200_000)
+    key = rng.permutation(300_000)[:200_000]
+    rows = [rng.integers(0, 3, size=200_000).astype(float)]
+    by = np.lexsort((key, rows[0], tgt))
+    first = np.ones(len(by), dtype=bool)
+    first[1:] = tgt[by[1:]] != tgt[by[:-1]]
+    for k in (key, key.astype(float)):
+        scratch = np.full(1000, np.inf)
+        got = _fold(tgt, k, rows, [0.0], None, scratch)
+        assert np.array_equal(np.sort(got), np.sort(by[first]))
+        assert np.isinf(scratch).all()
+
+
 def test_fold_replays_a_chain_of_near_ties():
     # Errors 0, 0.9s and 1.8s with depths 2, 1, 0: each beats the one
     # before it within the slack on depth, so the in-order fold ends on

@@ -11,10 +11,10 @@ from helpers import (line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
-from qaroute.extract import routed_to_json, stats, verify_structural
+from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, run_variant_full
-from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
 from qaroute.lexopt import lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, SolutionInfeasibleError, SolveError,
@@ -347,7 +347,7 @@ def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("graph", ["line4", "y6", "grid6"])
+@pytest.mark.parametrize("graph", ["line4", "y6", "grid6", "grid8", "y8"])
 def test_swap_tables_are_involutions_that_trade_the_edge_nodes(graph, request):
     g = request.getfixturevalue(graph)
     for a in range(2, g.n + 1):
@@ -411,6 +411,53 @@ def test_steps_split_into_passes_change_nothing(graph, width, layers, budget, pi
     split, rc_split = solve_exhaustive(c, g, fid, order, initial_map=layout)
     assert split == value
     assert routed_to_json(rc_split) == routed_to_json(rc)
+
+
+def error_in_dp_order(rc, c, g, fid) -> float:
+    """The route's error summed as the DP sums it: per step 0.0, plus its
+    gates' plain errors in group order, plus per edge of its swap set, in
+    the order ``enumerate_matchings`` lists that set, the merged minus
+    plain error on a gate's own edge and the swap error elsewhere; the
+    steps added in turn."""
+    active = len({q for gate in c.gates() for q in gate.operands})
+    listed = {frozenset(M): M for M in enumerate_matchings(g, active)}
+    value = 0.0
+    for group, ops in zip(c.groups, rc.steps):
+        x, own = 0.0, {}
+        arcs = {op.gid: op.arc for op in ops if isinstance(op, GateOp)}
+        for gate in group:
+            plain = fid.gate_error(gate.gid, *arcs[gate.gid])
+            x += plain
+            own[norm_edge(*arcs[gate.gid])] = fid.gate_error(gate.gid, *arcs[gate.gid],
+                                                             merged=True) - plain
+        swapped = {op.edge if isinstance(op, FreeSwap) else norm_edge(*op.arc)
+                   for op in ops if isinstance(op, FreeSwap) or op.merged_swap}
+        for e in listed[frozenset(swapped)]:
+            x += own[e] if e in own else fid.swap_error(*e)
+        value = value + x
+    return value
+
+
+@pytest.mark.parametrize("order", [("error",), ("depth", "error")])
+def test_dp_error_adds_up_in_its_documented_order(order):
+    # With a distinct beta per edge, three or more swap errors summed in
+    # another order differ in their last bits. These pinned grid-8
+    # instances take at least three free swaps at their dummy step.
+    base = builtin_topology("grid", 8)
+    rng = np.random.default_rng(43)
+    g = HardwareGraph(8, base.edges, beta={e: float(rng.uniform(0.95, 0.999))
+                                           for e in base.edges})
+    for seed in (17, 18, 19):
+        c, fid = prepared(random_layered_circuit(8, (1, 4), [41, seed]), g, 1)
+        rng = np.random.default_rng([42, seed])
+        layout = None
+        while layout is None:  # a random layout that runs the first gate
+            draw = tuple(int(v) for v in rng.permutation(8))
+            if g.has_edge(draw[c.groups[0][0].p], draw[c.groups[0][0].q]):
+                layout = draw
+        value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+        assert sum(isinstance(op, FreeSwap) for op in rc.steps[1]) >= 3
+        assert value[order.index("error")] == error_in_dp_order(rc, c, g, fid)
 
 
 def line8_crosstalk():
@@ -520,6 +567,19 @@ def test_a_circuit_with_no_steps_keeps_its_pinned_map(line4):
     assert values == (0.0,)
     assert rc.steps == () and rc.initial_map == rc.final_map == (3, 2, 1, 0)
     assert verify_structural(rc, c, line4) is None
+
+
+def test_a_circuit_with_no_steps_routes_alike_in_both_engines(line4):
+    c = LayeredCircuit(4, ())
+    fid = FidelityModel.build(c, line4)
+    for pin in (None, (3, 2, 1, 0)):
+        values, rc = solve_exhaustive(c, line4, fid, ("error", "depth"), initial_map=pin)
+        lex = lexicographic_solve(c, line4, fid, ("error", "depth"), initial_map=pin)
+        assert lex.stage_values == values == (0.0, 0.0)
+        assert lex.routed.initial_map == rc.initial_map == lex.routed.final_map
+        assert lex.routed.steps == rc.steps == ()
+    assert lexicographic_solve(c, line4, fid, ("error",), initial_map=(3, 2, 1, 0),
+                               same_endpoints=True).routed.final_map == (3, 2, 1, 0)
 
 
 def test_crosstalk_on_more_than_63_edges_is_refused():
