@@ -72,7 +72,7 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
             family="PIN_INIT") for q in range(g.n)]
     ends = [Row(vars=(vs.w(q, i, 0), vs.w(q, i, vs.m - 1)), coefs=(1.0, -1.0), sense="=",
                 rhs=0.0, family="SAME_ENDPOINTS")
-            for q in range(g.n) for i in range(g.n)] if same_endpoints and vs.m else []
+            for q in range(g.n) for i in range(g.n)] if same_endpoints and vs.m > 0 else []
     p = p.with_rows(pins + ends)
     return vs, [p] + [set_objective(p, vs, kind, fid) for kind in order[1:]]
 
