@@ -8,11 +8,11 @@ two-qubit unitaries before loading a circuit here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .documents import parsed, reading
 from .simulate import CX, SWAP, is_unitary
 
 NAMED_GATES = {"cx": CX, "swap": SWAP}
@@ -166,19 +166,8 @@ def load_circuit(source: str | dict) -> LayeredCircuit:
     ``matrix`` (with 16 row-major ``[re, im]`` pairs). Single-qubit gates
     are rejected: merge them into adjacent two-qubit unitaries first.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise CircuitError(f"circuit document is not valid JSON: {exc}") from exc
-    try:
-        return _circuit_from_doc(doc)
-    except CircuitError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise CircuitError(f"malformed circuit document: {exc}") from exc
+    with reading(CircuitError, "circuit document"):
+        return _circuit_from_doc(parsed(source))
 
 
 def _circuit_from_doc(doc) -> LayeredCircuit:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bipmodel import dummy_runs
 from .circuit import LayeredCircuit
+from .documents import parsed, reading
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, norm_edge
 from .simulate import SWAP, apply_two_qubit, phase_distance
@@ -374,32 +375,25 @@ def routed_to_json(rc: RoutedCircuit) -> str:
 
 
 def routed_from_json(source: str | dict) -> RoutedCircuit:
-    try:
-        doc = json.loads(source) if isinstance(source, str) else source
-        steps = []
-        for row in doc["steps"]:
-            ops = []
-            for entry in row:
-                if entry["kind"] == "gate":
-                    ops.append(GateOp(gid=int(entry["gid"]), p=int(entry["p"]),
-                                      q=int(entry["q"]),
-                                      arc=tuple(entry["arc"]),
-                                      merged_swap=bool(entry["merged_swap"]),
-                                      cnots_used=int(entry["cnots_used"])))
-                elif entry["kind"] == "swap":
-                    ops.append(FreeSwap(edge=tuple(entry["edge"])))
-                else:
-                    raise ExtractError(f"unknown op kind {entry['kind']!r}")
-            steps.append(tuple(ops))
-        return RoutedCircuit(n_nodes=int(doc["n_nodes"]),
-                             initial_map=tuple(doc["initial_map"]),
-                             final_map=tuple(doc["final_map"]),
-                             steps=tuple(steps),
-                             origin=str(doc.get("origin", "imported")),
-                             time_aligned=bool(doc.get("time_aligned", True)))
-    except KeyError as exc:
-        raise ExtractError(f"routed-circuit document lacks field {exc}") from exc
-    except ExtractError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ExtractError(f"malformed routed-circuit document: {exc}") from exc
+    with reading(ExtractError, "routed-circuit document"):
+        return _routed_from_doc(parsed(source))
+
+
+def _routed_from_doc(doc) -> RoutedCircuit:
+    steps = []
+    for row in doc["steps"]:
+        ops = []
+        for entry in row:
+            if entry["kind"] == "gate":
+                ops.append(GateOp(gid=int(entry["gid"]), p=int(entry["p"]), q=int(entry["q"]),
+                                  arc=tuple(entry["arc"]), merged_swap=bool(entry["merged_swap"]),
+                                  cnots_used=int(entry["cnots_used"])))
+            elif entry["kind"] == "swap":
+                ops.append(FreeSwap(edge=tuple(entry["edge"])))
+            else:
+                raise ExtractError(f"unknown op kind {entry['kind']!r}")
+        steps.append(tuple(ops))
+    return RoutedCircuit(n_nodes=int(doc["n_nodes"]), initial_map=tuple(doc["initial_map"]),
+                         final_map=tuple(doc["final_map"]), steps=tuple(steps),
+                         origin=str(doc.get("origin", "imported")),
+                         time_aligned=bool(doc.get("time_aligned", True)))

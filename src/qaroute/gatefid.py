@@ -14,13 +14,13 @@ Average gate fidelity of a channel implementing V against target U is
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import LayeredCircuit
+from .documents import parsed, reading
 from .hwgraph import HardwareGraph, norm_edge
 from .simulate import SWAP, UNITARY_ATOL, is_unitary, unitary_defect
 
@@ -260,24 +260,19 @@ class FidelityModel:
 def load_fidelity_overrides(source: str | dict) -> dict:
     """Parse a what-if fidelity table from a JSON document (text or parsed
     dict): gate index -> {'f': [...], 'f_swap': [...]}."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise FidelityError(f"fidelity document is not valid JSON: {exc}") from exc
+    with reading(FidelityError, "fidelity document"):
+        return _overrides_from_doc(parsed(source))
+
+
+def _overrides_from_doc(doc) -> dict:
     if not isinstance(doc, dict):
         raise FidelityError("fidelity document must map gate indices to tables")
     out = {}
     for key, entry in doc.items():
-        try:
+        with reading(FidelityError, f"override {key}"):
             gid = int(key)
             f = [float(v) for v in entry["f"]]
             fs = [float(v) for v in entry["f_swap"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FidelityError(
-                f"override {key} needs an integer key and numeric 'f' and 'f_swap'") from exc
         if len(f) != 4 or len(fs) != 4:
             raise FidelityError(f"override {key} needs four values per table")
         out[gid] = {"f": f, "f_swap": fs}

@@ -11,8 +11,9 @@ a loaded or builtin topology are kept in ``labels`` for reporting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+from .documents import parsed, reading
 
 DEFAULT_BETA = 0.9936
 
@@ -146,19 +147,8 @@ def load_topology(source: str | dict) -> HardwareGraph:
     optional ``default_beta``, ``beta`` (list of ``[i, j, value]``) and
     ``crosstalk_pairs`` (list of edge pairs).
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"topology document is not valid JSON: {exc}") from exc
-    try:
-        return _graph_from_doc(doc)
-    except TopologyError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise TopologyError(f"malformed topology document: {exc}") from exc
+    with reading(TopologyError, "topology document"):
+        return _graph_from_doc(parsed(source))
 
 
 def _graph_from_doc(doc) -> HardwareGraph:

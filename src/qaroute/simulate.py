@@ -35,10 +35,13 @@ UNITARY_ATOL = 1e-8
 
 def unitary_defect(m: np.ndarray) -> np.ndarray:
     """The largest |entry| of ``m m^dagger - I`` for a square matrix, or
-    for each matrix of a stack of them."""
+    for each matrix of a stack of them: infinite for a matrix with a
+    non-finite entry, or one too large to square."""
     m = np.asarray(m, dtype=complex)
-    gram = m @ np.conj(np.swapaxes(m, -1, -2))
-    return np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a matrix gives inf or nan
+        dev = np.abs(m @ np.conj(np.swapaxes(m, -1, -2)) - np.eye(m.shape[-1]))
+    dev[np.isnan(dev)] = np.inf
+    return dev.max(axis=(-2, -1), initial=0.0)
 
 
 def is_unitary(m: np.ndarray) -> bool:

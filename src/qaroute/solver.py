@@ -29,6 +29,7 @@ import numpy as np
 
 from .bipmodel import FEAS_TOL, BipProblem, Row
 from .circuit import LayeredCircuit
+from .documents import reading
 from .extract import schedule
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
@@ -679,9 +680,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
     _check_initial_map(initial_map, n)
-    if m == 0:  # no steps: the pinned map, if any, is the whole route
+    if not c.gates():  # no active qubit: nothing moves, and the pinned map is the route
         pin = tuple(range(n) if initial_map is None else initial_map)
-        return (0.0,) * len(objs), replace(schedule(c, fid, [], "exhaustive"),
+        return (0.0,) * len(objs), replace(schedule(c, fid, [pin] * m, "exhaustive"),
                                            initial_map=pin, final_map=pin)
 
     active = sorted({q for gate in c.gates() for q in gate.operands})
@@ -1014,12 +1015,8 @@ def _export_mps(p: BipProblem) -> str:
 
 def import_model(text: str) -> BipProblem:
     """Parse a model produced by export_model (format auto-detected)."""
-    try:
+    with reading(SolveError, "model document"):
         return _import_mps(text) if text.lstrip().startswith("NAME") else _import_lp(text)
-    except SolveError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SolveError(f"malformed model document: {exc}") from exc
 
 
 def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
@@ -1163,23 +1160,24 @@ def import_solution(p: BipProblem, text: str) -> SolveResult:
     """
     index = {nm: k for k, nm in enumerate(p.names)}
     assignment = np.zeros(p.num_vars, dtype=np.int8)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        fields = ln.split()
-        if len(fields) != 2:
-            raise SolveError(f"line {lineno}: expected 'name value'")
-        name, sval = fields
-        if name not in index:
-            raise SolveError(f"line {lineno}: unknown variable {name!r}")
-        try:
-            val = float(sval)
-        except ValueError as exc:
-            raise SolveError(f"line {lineno}: value {sval!r} is not a number") from exc
-        if abs(val - round(val)) > 1e-6 or round(val) not in (0, 1):
-            raise SolveError(f"line {lineno}: value {sval!r} is not binary")
-        assignment[index[name]] = int(round(val))
+    with reading(SolveError, "solution document"):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            ln = raw.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            fields = ln.split()
+            if len(fields) != 2:
+                raise SolveError(f"line {lineno}: expected 'name value'")
+            name, sval = fields
+            if name not in index:
+                raise SolveError(f"line {lineno}: unknown variable {name!r}")
+            try:
+                val = float(sval)
+            except ValueError as exc:
+                raise SolveError(f"line {lineno}: value {sval!r} is not a number") from exc
+            if abs(val - round(val)) > 1e-6 or round(val) not in (0, 1):
+                raise SolveError(f"line {lineno}: value {sval!r} is not binary")
+            assignment[index[name]] = int(round(val))
     _require_feasible(p, assignment)
     objective = p.objective_value(assignment)
     return SolveResult(status=SolveStatus.FEASIBLE, objective=objective,

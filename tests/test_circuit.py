@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ def test_loader_rejects_a_diagonal_off_unitary_by_more_than_its_tolerance():
                       "matrix": [[float(z.real), float(z.imag)] for z in u.reshape(-1)]}]}
     with pytest.raises(CircuitError, match="^gate 0 payload is not a 4x4 unitary$"):
         load_circuit(doc)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_gate_refuses_a_non_finite_payload(entry):
+    # A non-finite entry is an infinite defect: refused, with no warning.
+    u = CX.copy()
+    u[2, 3] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CircuitError, match="^gate 5 payload is not a 4x4 unitary$"):
+            Gate(0, 1, u, gid=5)
 
 
 def test_layerize_keeps_a_gate_that_has_its_id(monkeypatch):

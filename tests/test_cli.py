@@ -10,7 +10,7 @@ from qaroute import cli, heuristic, qvbench
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
-from qaroute.extract import FreeSwap, GateOp, routed_from_json
+from qaroute.extract import ExtractError, FreeSwap, GateOp, routed_from_json
 from qaroute.gatefid import FidelityModel
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
 from qaroute.solver import (SolveLimits, export_solution,
@@ -468,6 +468,21 @@ def test_internal_value_error_is_not_exit_4(monkeypatch):
     monkeypatch.setattr(cli, "run_variant_full", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["transpile", "--builtin", "line,4", *FAST])
+
+
+def test_a_solution_that_does_not_decode_is_an_internal_fault(monkeypatch, tmp_path):
+    # A solution that passes every row of the model decodes unless the
+    # model itself is wrong: the error propagates, it is not "no route".
+    def broken(*args, **kwargs):
+        raise ExtractError("decoded circuit is inconsistent")
+
+    vs, p = _export_problem()
+    sol = tmp_path / "incoming.sol"
+    sol.write_text(export_solution(p, solve_branch_and_bound(p, SolveLimits()).assignment))
+    monkeypatch.setattr(cli, "decode", broken)
+    with pytest.raises(ExtractError, match="inconsistent"):
+        main(["export", "--builtin", "line,4", *FAST, "--solution", str(sol),
+              "--out", str(tmp_path)])
 
 
 def test_a_route_that_fails_its_own_check_is_an_internal_fault(monkeypatch, tmp_path):

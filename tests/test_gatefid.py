@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,20 @@ def test_batched_pricing_names_a_non_unitary_gate_built_in_code():
         FidelityModel.build(c, builtin_topology("line", 4))
     with pytest.raises(FidelityError, match="^matrix is not unitary$"):
         cnot_budget_fidelities(gate.unitary)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_batched_pricing_names_a_gate_made_non_finite_after_construction(entry):
+    # The determinant would warn on such a payload; the unitarity rule
+    # counts it as an infinite defect first.
+    gate = Gate(2, 3, CX, 1)
+    gate.unitary = gate.unitary.copy()
+    gate.unitary[0, 0] = entry
+    c = LayeredCircuit(4, ((Gate(0, 1, CX, 0), gate),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FidelityError, match="^gate 1 is not unitary$"):
+            FidelityModel.build(c, builtin_topology("line", 4))
 
 
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])

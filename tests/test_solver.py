@@ -2,12 +2,13 @@ import itertools
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qaroute.solver
-from helpers import (line4_five_gate_circuit, prepared,
+from helpers import (CX, line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import Row, assemble_problem
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
@@ -15,10 +16,10 @@ from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_stru
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
-from qaroute.lexopt import lexicographic_solve
+from qaroute.lexopt import NoIncumbentError, lexicographic_solve
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
-from qaroute.solver import (DPTimeLimit, DPTooLarge, SolutionInfeasibleError, SolveError,
-                            SolveLimits, SolveStatus, _placements, _swap_table,
+from qaroute.solver import (DPTimeLimit, DPTooLarge, NoRouteError, SolutionInfeasibleError,
+                            SolveError, SolveLimits, SolveStatus, _placements, _swap_table,
                             exhaustive_bytes, export_model, export_solution, import_model,
                             import_solution, solve_branch_and_bound, solve_exhaustive)
 
@@ -580,6 +581,62 @@ def test_a_circuit_with_no_steps_routes_alike_in_both_engines(line4):
         assert lex.routed.steps == rc.steps == ()
     assert lexicographic_solve(c, line4, fid, ("error",), initial_map=(3, 2, 1, 0),
                                same_endpoints=True).routed.final_map == (3, 2, 1, 0)
+
+
+def test_a_circuit_with_steps_but_no_gates_routes_alike_in_both_engines(line4):
+    # No active qubit: nothing moves, and the route holds the pinned map,
+    # or the identity, at every step.
+    c = LayeredCircuit(4, ((), (), ()))
+    fid = FidelityModel.build(c, line4)
+    order = ("error", "depth", "crosstalk")
+    for pin in (None, (3, 2, 1, 0)):
+        values, rc = solve_exhaustive(c, line4, fid, order, initial_map=pin)
+        lex = lexicographic_solve(c, line4, fid, order, initial_map=pin)
+        assert lex.stage_values == values == (0.0, 0.0, 0.0)
+        assert rc.initial_map == rc.final_map == (pin or (0, 1, 2, 3))
+        assert rc.steps == ((), (), ())
+        assert verify_structural(rc, c, line4) is None
+
+
+def test_a_pinned_map_that_parts_a_first_layer_gate_has_no_route(line4):
+    # Qubits 0 and 1 pinned to nodes 0 and 2: the first gate cannot run,
+    # so the DP starts from no state at all.
+    c = LayeredCircuit(4, ((Gate(0, 1, CX, gid=0),), (), (Gate(2, 3, CX, gid=1),)))
+    fid = FidelityModel.build(c, line4)
+    for engine in (solve_exhaustive, lexicographic_solve):
+        with pytest.raises(NoRouteError) as err:
+            engine(c, line4, fid, ("error", "depth"), initial_map=(0, 2, 1, 3))
+        assert not isinstance(err.value, NoIncumbentError)
+
+
+def _clock_past_the_limit_after_start(monkeypatch):
+    """The branch and bound's clock reads 0 when the search starts and a
+    day later ever after, so a time limit has passed by its first check,
+    at node 512."""
+    ticks = iter([0.0])
+    monkeypatch.setattr(qaroute.solver, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks, 86400.0)))
+
+
+def test_time_stop_returns_the_search_unproven(line4, monkeypatch):
+    c, fid = prepared(line4_five_gate_circuit(), line4, 2)
+    _, p = assemble_problem(c, line4, fid, objective="error")
+    full = solve_branch_and_bound(p)
+    assert full.nodes > 512
+    _clock_past_the_limit_after_start(monkeypatch)
+    res = solve_branch_and_bound(p, SolveLimits(time_limit=60.0))
+    assert res.nodes == 512 and res.status is SolveStatus.FEASIBLE
+    assert res.objective >= full.objective - 1e-9
+    assert res.dual_bound <= full.objective + 1e-9
+
+
+def test_time_stop_before_any_incumbent_raises_no_incumbent_error(line6, monkeypatch):
+    # The depth stage first looks for a route with no swap layer, and
+    # 512 nodes do not end that search on this instance.
+    c, fid = prepared(random_layered_circuit(6, (3, 3, 3), 0), line6, 1)
+    _clock_past_the_limit_after_start(monkeypatch)
+    with pytest.raises(NoIncumbentError, match="stage 1 hit its budget with no incumbent"):
+        lexicographic_solve(c, line6, fid, ("depth", "error"), SolveLimits(time_limit=60.0))
 
 
 def test_crosstalk_on_more_than_63_edges_is_refused():
