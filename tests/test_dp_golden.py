@@ -1,6 +1,6 @@
 """Golden routes of the layout DP.
 
-``dp_golden.json`` holds, for 102 seeded instances, the value tuple
+``dp_golden.json`` holds, for 106 seeded instances, the value tuple
 ``solve_exhaustive`` returns and the sha256 of its routed circuit's
 ``routed_to_json`` text (or ``no_route``). A change to the DP's kernel
 that keeps its answers passes unchanged; one that picks another optimum
@@ -9,9 +9,11 @@ among ties, or sums a value in another order, does not.
 The instances cross the graphs line-4/5/6, y-6, grid-6, grid-8 and y-8
 with seven objective orders, each free and pinned to a random layout
 that runs the first layer in place; widths 3-6, 1-3 layers and 0-2
-dummy steps are drawn per instance. The last four entries are the
-``exact_deadline`` benchmark rungs: QV instance seed 202, order
-("error", "depth"), 2 dummy steps, as the CLI routes them.
+dummy steps are drawn per instance. The last eight entries are QV
+rungs: QV instance seed 202, order ("error", "depth"), 2 dummy steps,
+as the CLI routes them. The first four are the ``exact_deadline``
+benchmark rungs; the other four take the DP past 8 nodes (line-10,
+line-12, line-25 and heavy-hex-27).
 Regenerate the file, only on purpose, with
 ``PYTHONPATH=src:tests python tests/test_dp_golden.py``.
 """
@@ -28,7 +30,7 @@ import pytest
 from helpers import prepared, random_layered_circuit
 from qaroute.extract import routed_to_json
 from qaroute.gatefid import FidelityModel
-from qaroute.hwgraph import builtin_topology
+from qaroute.hwgraph import HardwareGraph, builtin_topology
 from qaroute.qvbench import qv_instance
 from qaroute.solver import NoRouteError, solve_exhaustive
 
@@ -39,7 +41,14 @@ GRAPHS = [("line", 4), ("line", 5), ("line", 6), ("y", 6), ("grid", 6), ("grid",
 ORDERS = [("error",), ("error", "depth"), ("depth", "error"), ("error", "crosstalk"),
           ("crosstalk", "error", "depth"), ("depth", "crosstalk", "error"), ("depth",)]
 DRAWN = 2 * len(GRAPHS) * len(ORDERS)
-RUNGS = [("grid", 6, 4, 4, 0), ("grid", 8, 6, 3, 0), ("y", 8, 6, 4, 0), ("y", 6, 4, 3, 0)]
+RUNGS = [("grid", 6, 4, 4, 0), ("grid", 8, 6, 3, 0), ("y", 8, 6, 4, 0), ("y", 6, 4, 3, 0),
+         ("line", 10, 6, 3, 0), ("line", 12, 6, 2, 0), ("line", 25, 4, 2, 0),
+         ("heavy-hex", 27, 4, 3, 0)]
+# IBM's 27-qubit Falcon coupling map (heavy-hex-27): 27 nodes, 28 edges.
+HEAVY_HEX_27 = ((0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7), (7, 10),
+                (8, 9), (8, 11), (10, 12), (11, 14), (12, 13), (12, 15), (13, 14), (14, 16),
+                (15, 18), (16, 19), (17, 18), (18, 21), (19, 20), (19, 22), (21, 23),
+                (22, 25), (23, 24), (24, 25), (25, 26))
 CASES = range(DRAWN + len(RUNGS))
 
 
@@ -49,7 +58,8 @@ def case(k: int):
     index)."""
     if k >= DRAWN:
         topo, n, width, layers, index = RUNGS[k - DRAWN]
-        g = builtin_topology(topo, n)
+        g = (HardwareGraph(n, HEAVY_HEX_27) if topo == "heavy-hex"
+             else builtin_topology(topo, n))
         c = qv_instance(width, [202, index], n, layers)[1]
         return g, c, FidelityModel.build(c, g), ("error", "depth"), None
     topo, n = GRAPHS[k % len(GRAPHS)]
