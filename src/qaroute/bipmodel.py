@@ -71,6 +71,17 @@ def _name(key: tuple) -> str:
     return _NAME_FORMATS[kind] % key[1:]
 
 
+def _row_name(k: int, family: str) -> str:
+    return f"{family}_{k}"
+
+
+def check_layer_width(c: LayeredCircuit, g: HardwareGraph) -> None:
+    """Refuse a layer wider than every matching of ``g``: no layout runs it."""
+    width = c.max_layer_width()
+    if width > matching_size(g)((1 << g.n) - 1):
+        raise ModelError(f"a layer holds {width} gates but the graph has no matching that large")
+
+
 class VariableSpace:
     """Dense index map for one circuit on one graph.
 
@@ -90,10 +101,7 @@ class VariableSpace:
             raise ModelError(
                 f"circuit has {c.n_qubits} qubits but the graph has {g.n} nodes; "
                 "pad the circuit first")
-        width = c.max_layer_width()
-        if width > matching_size(g)((1 << g.n) - 1):
-            raise ModelError(
-                f"a layer holds {width} gates but the graph has no matching that large")
+        check_layer_width(c, g)
         self.circuit = c
         self.graph = g
         self.crosstalk_mode = crosstalk_mode

@@ -32,9 +32,10 @@ from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
 from .lexopt import LIMIT, NO_ROUTE, pareto_sweep, sweep_table
+from .modelio import export_model, import_solution
 from .qvbench import BenchError, benchmark_batch, map_in_pool, qv_instance
 from .solver import (_OBJ_EPS, NoRouteError, SolutionInfeasibleError, SolveError,
-                     SolveLimits, _check_order, export_model, import_solution)
+                     SolveLimits, _check_order)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2

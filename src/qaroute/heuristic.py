@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bipmodel import check_layer_width
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, stats
 from .gatefid import FidelityModel
@@ -332,8 +333,10 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     refuses as too large, and ``bip_constrained``, are one lexicographic
     solve each, under ``lim``. Where ``lim`` leaves a free variant with
     no proof and no route, it returns the greedy route (from its pinned
-    layout, if any), unproven. Raises ``NoRouteError`` for no route.
+    layout, if any), unproven. Raises ``NoRouteError`` for no route, and
+    ``bipmodel.ModelError`` for a layer wider than any matching of ``g``.
     """
+    check_layer_width(c, g)
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, seed)
         rc = heuristic_route(c, g, layout, fid)

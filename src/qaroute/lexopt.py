@@ -113,9 +113,9 @@ def _solve_stages(stages: list[BipProblem], rows: list[Row], run_lim: _RunLimits
     for k in range(first, len(stages)):
         problem = stages[k].with_rows(rows)
         lim = run_lim.left()
-        if lim is None:
-            result = SolveResult(status=SolveStatus.FEASIBLE,
-                                 objective=problem.objective_value(incumbent),
+        if lim is None:  # spent: the incumbent, if any, stays unsearched
+            objective = None if incumbent is None else problem.objective_value(incumbent)
+            result = SolveResult(status=SolveStatus.FEASIBLE, objective=objective,
                                  assignment=incumbent, dual_bound=-math.inf, nodes=0)
         else:
             result = solve_branch_and_bound(problem, lim, incumbent=incumbent)

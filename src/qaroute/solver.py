@@ -1,4 +1,7 @@
-"""Exact solvers and model I/O for the routing program.
+"""The two exact engines of the routing program and the contract they
+share: ``SolveLimits``, the errors, the objective-order and
+``initial_map`` checks, and the tie slack ``_OBJ_EPS``. Reading and
+writing models and solutions is ``modelio``'s.
 
 ``solve_branch_and_bound`` is a deterministic depth-first search with
 best-bound pruning over the binary variables. Activity-based propagation
@@ -9,7 +12,7 @@ objective, the cheapest remaining placement of every unplaced gate. No
 LP relaxation is involved; at desk scale the combinatorial bound closes
 the tree quickly and keeps the solver dependency-free.
 
-``solve_exhaustive``, the layout DP (its docstring describes it), is
+``solve_exhaustive``, the layout DP (its parts' docstrings describe it), is
 the exact engine of ``bip``, ``bip_layout`` and ``bip_routing`` on every
 instance whose arrays fit ``DP_MEMORY``, until the run's time limit. It
 shares only the gate and swap prices with the branch and bound, which,
@@ -27,9 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bipmodel import FEAS_TOL, BipProblem, Row
+from .bipmodel import FEAS_TOL, BipProblem, Row, _row_name
 from .circuit import LayeredCircuit
-from .documents import reading
 from .extract import schedule
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, enumerate_matchings
@@ -100,6 +102,33 @@ class SolveResult:
         if self.objective is None:
             return None
         return self.objective - self.dual_bound
+
+
+# Slack within which two values of an objective count as tied when a
+# later objective breaks the tie (lexicographic stages and the DP alike).
+_OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
+
+
+def _check_order(order) -> tuple[str, ...]:
+    """``order`` as a tuple of distinct known objectives, at least one."""
+    if isinstance(order, str):
+        raise SolveError(f"objective order must be a sequence of names, not the string {order!r}")
+    order = tuple(order)
+    if not order:
+        raise SolveError("objective order is empty")
+    for o in order:
+        if o not in _OBJ_EPS:
+            raise SolveError(f"unknown objective {o!r}")
+    if len(set(order)) != len(order):
+        raise SolveError("objective order repeats an objective")
+    return order
+
+
+def _check_initial_map(initial_map, n: int) -> None:
+    """Both exact engines' rule: ``initial_map``, when given, sends the n
+    qubits to the n nodes one to one."""
+    if initial_map is not None and sorted(initial_map) != list(range(n)):
+        raise SolveError("initial_map is not a qubit-to-node bijection")
 
 
 def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
@@ -420,33 +449,6 @@ def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
 # ---------------------------------------------------------------------------
 # The layout DP.
 
-# Slack within which two values of an objective count as tied when a
-# later objective breaks the tie (lexicographic stages and the DP alike).
-_OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
-
-
-def _check_order(order) -> tuple[str, ...]:
-    """``order`` as a tuple of distinct known objectives, at least one."""
-    if isinstance(order, str):
-        raise SolveError(f"objective order must be a sequence of names, not the string {order!r}")
-    order = tuple(order)
-    if not order:
-        raise SolveError("objective order is empty")
-    for o in order:
-        if o not in _OBJ_EPS:
-            raise SolveError(f"unknown objective {o!r}")
-    if len(set(order)) != len(order):
-        raise SolveError("objective order repeats an objective")
-    return order
-
-
-def _check_initial_map(initial_map, n: int) -> None:
-    """Both exact engines' rule: ``initial_map``, when given, sends the n
-    qubits to the n nodes one to one."""
-    if initial_map is not None and sorted(initial_map) != list(range(n)):
-        raise SolveError("initial_map is not a qubit-to-node bijection")
-
-
 # The layout DP holds all its arrays at once; it takes an instance only when
 # ``exhaustive_bytes`` fits DP_MEMORY, 1 GiB, which leaves a desk machine room
 # for a few ``bench`` workers running one each. The deadline bounds its time.
@@ -620,48 +622,265 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     return np.concatenate((win, pick[pick >= 0]))
 
 
+def _check_time(deadline: float) -> None:
+    if time.perf_counter() > deadline:
+        raise DPTimeLimit("the time limit passed before the layout DP finished")
+
+
+class _LayoutSpace:
+    """The layout DP's states and moves for ``a`` active qubits on ``g``.
+
+    A state is the node tuple of the active qubits (a column of
+    ``states``, one int16 array, placements in lexicographic order, built
+    from per-prefix free-node lists by ``_placements``), so there are
+    n!/(n-a)! states; idle qubits are interchangeable and ride along.
+    ``flat``, one int32 array, holds per hardware edge the placement with
+    its two nodes swapped; a matching's successor is its edges' rows
+    composed, and since a matching is its own inverse the same rows give
+    its predecessor. The ``matchings`` of at most ``a`` edges (a swapped
+    edge moves an active qubit) are listed by size, so in a run of them
+    those with a c-th edge come last, and a pass applies each edge column
+    of ``edge_ids`` to that tail only: matchings of different sizes share
+    it. ``swaps_err`` sums each one's swap errors column by column, in
+    the order the per-state sum adds them. ``eid`` is each node pair's
+    edge id, -1 off the graph. ``deadline`` is checked after the
+    matchings, after the placements and after each edge's table.
+    """
+
+    def __init__(self, g: HardwareGraph, fid: FidelityModel, a: int, deadline: float):
+        n = self.n = g.n
+        ne = len(g.edges)
+        self.matchings = enumerate_matchings(g, a)
+        _check_time(deadline)
+        self.states = _placements(n, a)
+        self.places = self.states.shape[1]
+        _check_time(deadline)
+        tables = np.empty((ne, self.places), dtype=np.int32)
+        for k, (i, j) in enumerate(g.edges):
+            tables[k] = _swap_table(self.states, n, i, j)
+            _check_time(deadline)
+        self.flat = tables.reshape(-1)
+        self.ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
+        self.eid = np.full((n, n), -1, dtype=np.int64)
+        self.eid[self.ends[0], self.ends[1]] = self.eid[self.ends[1], self.ends[0]] = range(ne)
+        self.swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
+        size = self.size = np.array([len(M) for M in self.matchings])  # ascending
+        self.edge_ids = np.array([[self.eid[e] for e in M] + [ne] * (size[-1] - len(M))
+                                  for M in self.matchings]).reshape(len(size), -1)  # ne: no edge
+        self.wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first of each size
+        self.swaps_err = np.zeros(len(self.matchings))
+        for e, p in zip(self.edge_ids.T, self.wider):
+            self.swaps_err[p:] += self.swap_err.take(e[p:])
+
+    def cuts(self, k: np.ndarray) -> np.ndarray:
+        """Where the matchings ``k`` (ascending, so by size) first have a
+        c-th edge, for c = 1, 2, ...: from there on every one has it,
+        and column c - 1 of ``edge_ids`` is read from there on only."""
+        return np.searchsorted(k, self.wider)
+
+    def valid(self, gates, at=slice(None)) -> np.ndarray:
+        """Whether each placement ``at`` runs ``gates``, a step's
+        ``(cp, cq, ...)`` per gate (its qubits' rows of ``states``), in place."""
+        nodes = self.states[:, at]
+        ok = np.ones(nodes.shape[1], dtype=bool)
+        for cp, cq, *_ in gates:
+            ok &= self.eid[nodes[cp], nodes[cq]] >= 0
+        return ok
+
+    def allowed(self, gates, at: np.ndarray) -> np.ndarray:
+        """Per edge, whether each placement ``at`` may swap there at a step
+        with ``gates``: where some active qubit moves and
+        no gate qubit does, or where the edge's nodes hold the two qubits
+        of one gate, which absorbs the swap. A swap set is allowed when
+        each of its edges is, so every gate runs in place or absorbs a
+        swap of its own operands, and no swap of two idle qubits (which
+        changes no state and only adds cost) is taken. A matching moves
+        no qubit onto or off its edges' nodes, so a placement and its
+        successor agree on each of its edges, and a pull asks its
+        targets."""
+        rows = self.states[:, at]
+        everyone = np.arange(len(at))
+        full = np.zeros((self.n, len(at)), dtype=bool)  # a node holds an active qubit
+        full[rows, everyone] = True
+        held = np.zeros_like(full)  # a node holds a gate qubit
+        for cp, cq, *_ in gates:
+            held[rows[cp], everyone] = held[rows[cq], everyone] = True
+        ok = (full[self.ends[0]] | full[self.ends[1]]) & ~(held[self.ends[0]] | held[self.ends[1]])
+        for cp, cq, *_ in gates:
+            e = self.eid[rows[cp], rows[cq]]
+            on = np.flatnonzero(e >= 0)  # every one, for a state valid at this step
+            ok[e.take(on), on] = True
+        return ok
+
+
+class _Prices:
+    """The layout DP's prices of circuit ``c`` under the order ``objs``,
+    crosstalk by one int64 mask bit per edge of ``xt``. ``gates_at`` holds
+    per step, per gate, ``(cp, cq, plain, merged)``: its qubits' rows of
+    ``space.states`` and its plain and merged error on each edge."""
+
+    def __init__(self, c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, objs, active,
+                 xt, space: _LayoutSpace):
+        self.objs = objs
+        self.slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
+        self.dummy = set(c.dummy_steps)
+        self.gates_at = [[(active.index(gt.p), active.index(gt.q),
+                           np.array([fid.gate_error(gt.gid, *e) for e in g.edges]),
+                           np.array([fid.gate_error(gt.gid, *e, merged=True) for e in g.edges]))
+                          for gt in grp] for grp in c.groups]
+        bit = {e: 1 << k for k, e in enumerate(xt)}
+        self.edge_bit = np.array([bit.get(e, 0) for e in g.edges] + [0], dtype=np.int64)
+        self.masks = np.bitwise_or.reduce(self.edge_bit[space.edge_ids], axis=1)  # disjoint edges
+        self.pairs = [(bit.get(e1, 0), bit.get(e2, 0)) for e1, e2 in g.crosstalk_pairs]
+
+    def priced(self, space: _LayoutSpace, t: int, alive: np.ndarray):
+        """The live states ``alive`` at step t: each one's plain gate error
+        and crosstalk mask of its gate edges, and per edge the error a
+        swap there adds: merged minus plain error on a gate's own edge,
+        the swap's error elsewhere. At a step with no gates (a dummy step)
+        that is the swap's error for every state, and ``add`` is None."""
+        err = np.zeros(len(alive))
+        used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
+        if not self.gates_at[t]:
+            return err, used, None
+        rows = space.states[:, alive]
+        everyone = np.arange(len(alive))
+        add = np.repeat(space.swap_err[:, None], len(alive), axis=1)
+        for cp, cq, plain, merged in self.gates_at[t]:
+            e = space.eid[rows[cp], rows[cq]]  # the gate's edge in each state
+            err += plain.take(e)
+            used |= self.edge_bit.take(e)
+            add[e, everyone] = merged.take(e) - plain.take(e)
+        return err, used, add
+
+    def costs(self, space: _LayoutSpace, t: int, k: np.ndarray, src: np.ndarray,
+              err, used, add) -> list:
+        """One cost row per objective for the live states ``src`` (rows of
+        ``priced``'s arrays) taking matchings ``k`` at step t; with no
+        gates, the error is one gather from each matching's swap error."""
+        out = []
+        for o in self.objs:
+            if o == "error" and add is None:  # no gates: err is 0.0
+                x = space.swaps_err.take(k)
+            elif o == "error":
+                x = err.take(src)
+                for e, p in zip(space.edge_ids.T, space.cuts(k)):
+                    x[p:] += add.take(e.take(k[p:]) * len(err) + src[p:])
+            elif o == "depth":
+                x = (space.size[k] > 0).astype(float) if t in self.dummy else np.zeros(len(src))
+            else:
+                both = used[src] | self.masks[k]
+                x = sum((((both & b1) != 0) & ((both & b2) != 0) for b1, b2 in self.pairs),
+                        np.zeros(len(src)))
+            out.append(x)
+        return out
+
+
+def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live: list,
+           scratch: np.ndarray, deadline: float):
+    """One step of the layout DP: from the live states ``alive`` of step
+    t, with one row of values ``live`` per objective, to those of step
+    t + 1 and theirs, plus per placement of step t + 1 its parent state
+    (-1 for none) and the matching it took.
+
+    It relaxes the matchings from the smaller side, pushing from the
+    live states or pulling into the valid states of the next step when
+    those are fewer, and marks per edge the states of that side that
+    may swap there (``allowed``). It works once per pass, each pass a
+    run of consecutive matchings whose count times that side's states
+    stays within ``DP_PASS`` (so one pass unless the step is large, and
+    one matching per pass only when a single one exceeds it): the pass
+    gathers every (state, matching) candidate the marks allow, prices
+    them together and keeps per target the value the in-order fold
+    would keep (``_fold``, over ``scratch``). A candidate replaces the
+    target's value when it is lexicographically smaller, each component
+    but the last within its ``_OBJ_EPS`` slack, so float rounding in a
+    sum cannot decide a later component; the first matching wins a tie,
+    and an earlier pass's value comes before every matching of a later
+    one. Checks ``deadline`` once per pass.
+    """
+    places = space.places
+    ahead = space.valid(prices.gates_at[t + 1])
+    targets = np.flatnonzero(ahead)
+    pull = len(targets) < len(alive)
+    if pull:
+        row_of = np.full(places, -1, dtype=np.int32)  # placement -> live row
+        row_of[alive] = np.arange(len(alive))
+    value = [np.full(places, math.inf) for _ in live]
+    parent = np.full(places, -1, dtype=np.int32)
+    via = np.zeros(places, dtype=np.int32)
+    err, used, add = prices.priced(space, t, alive)
+    side = targets if pull else alive
+    ok = space.allowed(prices.gates_at[t], side)
+    run = max(1, DP_PASS // max(1, len(side)))  # matchings per pass
+    for k0 in range(0, len(space.matchings), run):
+        _check_time(deadline)
+        ids = space.edge_ids[k0:k0 + run]
+        keep = np.ones((len(ids), len(side)), dtype=bool)
+        for e, p in zip(ids.T, space.cuts(np.arange(k0, k0 + len(ids)))):
+            keep[p:] &= ok[e[p:]]
+        k, at = np.divmod(np.flatnonzero(keep), len(side))
+        if len(k) == 0:
+            continue
+        k += k0
+        end = side.take(at)  # each candidate's other end
+        for e, p in zip(space.edge_ids.T, space.cuts(k)):
+            end[p:] = space.flat.take(e.take(k[p:]) * places + end[p:])
+        if pull:
+            tgt, src = side.take(at), row_of.take(end)
+            at = np.flatnonzero(src >= 0)
+        else:
+            src, tgt = at, end
+            at = None if len(targets) == places else np.flatnonzero(ahead.take(tgt))
+        if at is not None:  # None: every placement is valid at t + 1
+            k, src, tgt = k.take(at), src.take(at), tgt.take(at)
+        cand = prices.costs(space, t, k, src, err, used, add)
+        for b, x in zip(live, cand):
+            x += b.take(src)
+        win = _fold(tgt, k, cand, prices.slack, value if k0 else None, scratch)
+        tgt = tgt.take(win)
+        for v, x in zip(value, cand):
+            v[tgt] = x.take(win)
+        parent[tgt] = alive.take(src.take(win))
+        via[tgt] = k.take(win)
+    alive = np.flatnonzero(np.isfinite(value[0]))
+    return alive, [v.take(alive) for v in value], parent, via
+
+
+def _walk(space: _LayoutSpace, c: LayeredCircuit, fid: FidelityModel, active, initial_map,
+          parents: list, state: int):
+    """The routed circuit that ends in placement ``state``: the parents
+    walked back to step 0, where the idle qubits go on the free nodes in
+    order (or on their pinned nodes), then carried through the recorded
+    matchings."""
+    taken = []
+    for parent, via in reversed(parents):
+        taken.append(int(via[state]))
+        state = int(parent[state])
+    n = space.n
+    pos = np.full(n, -1)
+    pos[active] = space.states[:, state]
+    idle = [q for q in range(n) if q not in active]
+    if initial_map is None:
+        pos[idle] = sorted(set(range(n)) - set(pos[active].tolist()))
+    else:
+        pos[idle] = [initial_map[q] for q in idle]
+    layouts = [tuple(pos.tolist())]
+    for k in reversed(taken):
+        move = np.arange(n)
+        for i, j in space.matchings[k]:
+            move[i], move[j] = j, i
+        pos = move[pos]
+        layouts.append(tuple(pos.tolist()))
+    return schedule(c, fid, layouts, "exhaustive")
+
+
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                      order, initial_map=None, lim: SolveLimits | None = None):
-    """Optimum by dynamic programming over the layouts of the active qubits.
-
-    A state is the node tuple of the qubits some gate touches (a column
-    of one int16 array, placements in lexicographic order, built from
-    per-prefix free-node lists by ``_placements``), so there are
-    n!/(n-a)! states; idle qubits are interchangeable and ride along.
-    One int32 array, built once, holds per hardware edge the placement
-    with its two nodes swapped; a matching's successor is its edges'
-    rows composed, and since a matching is its own inverse the same rows
-    give its predecessor. Matchings are listed by size, so in a run of
-    them those with a c-th edge come last, and a pass applies each edge
-    column to that tail only: matchings of different sizes share it.
-    Each step prices the live states once: their plain gate error, and
-    per edge the error a swap there adds (merged minus plain error on a
-    gate's own edge, the swap's error elsewhere), and crosstalk by one
-    int64 mask bit per crosstalk edge (so on at most 63 of them). A step
-    with no gates, such as a dummy step, costs every state the same swap
-    errors, so there a candidate's error is one gather from its
-    matching's summed swap error (summed once per solve, column by
-    column, in the order the per-state sum adds them) and no per-edge
-    rows are built. It then relaxes the matchings of at most ``a`` edges
-    (a swapped edge moves an active qubit) from the smaller side, pushing
-    from the live states or pulling into the valid states of the next
-    step when those are fewer. Per edge it marks the states of that side that may swap
-    there: on a gate's own edge, or where neither node holds a gate
-    qubit and one holds an active qubit; a matching moves no qubit onto
-    or off its edges' nodes, so a target answers as its source would.
-    It works once per pass, each pass a run of consecutive matchings
-    whose count times that side's states stays within ``DP_PASS`` (so
-    one pass unless the step is large, and one matching per pass only
-    when a single one exceeds it): the pass gathers every (state,
-    matching) candidate the marks allow, prices them together and keeps
-    per target the value the in-order fold would keep (``_fold``). A
-    candidate replaces the target's value when it is lexicographically
-    smaller, each component but the last within its ``_OBJ_EPS`` slack,
-    so float rounding in a sum cannot decide a later component; the
-    first matching wins a tie, and an earlier pass's value comes before
-    every matching of a later one. The walk back puts the idle qubits on
-    the free nodes at step 0, in order, and carries them through the
-    recorded matchings.
+    """Optimum by dynamic programming over the layouts of the qubits some
+    gate touches: ``_LayoutSpace`` holds the states and the swap sets
+    between them, ``_Prices`` prices a step, ``_relax`` carries each
+    step's values into the next, and ``_walk`` reads one route back.
 
     ``order``, ``initial_map`` and ``lim`` mean what they mean for
     ``lexopt.lexicographic_solve``: an objective order that
@@ -695,500 +914,35 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     if exhaustive_bytes(n, ne, a, m, len(objs), takeable) > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
     deadline = time.perf_counter() + ((lim and lim.time_limit) or math.inf)
+    space = _LayoutSpace(g, fid, a, deadline)
+    prices = _Prices(c, g, fid, objs, active, xt, space)
 
-    def check_time() -> None:
-        if time.perf_counter() > deadline:
-            raise DPTimeLimit("the time limit passed before the layout DP finished")
-
-    matchings = enumerate_matchings(g, a)  # each swapped edge moves an active qubit
-    check_time()
-    col = {q: k for k, q in enumerate(active)}
-    states = _placements(n, a)
-    places = states.shape[1]
-    check_time()
-    tables = np.empty((ne, places), dtype=np.int32)
-    for k, (i, j) in enumerate(g.edges):
-        tables[k] = _swap_table(states, n, i, j)
-        check_time()
-    flat = tables.reshape(-1)
-
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
-    adj = np.zeros((n, n), dtype=bool)
-    eid = np.zeros((n, n), dtype=np.int64)
-    for k, (i, j) in enumerate(g.edges):
-        adj[i, j] = adj[j, i] = True
-        eid[i, j] = eid[j, i] = k
-    bit = np.zeros((n, n), dtype=np.int64)
-    for k, (i, j) in enumerate(xt):
-        bit[i, j] = bit[j, i] = 1 << k
-    swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
-    plain, merged = {}, {}
-    for gate in c.gates():
-        plain[gate.gid] = np.full((n, n), math.inf)
-        merged[gate.gid] = np.full((n, n), math.inf)
-        for i, j in g.edges:
-            plain[gate.gid][i, j] = plain[gate.gid][j, i] = fid.gate_error(gate.gid, i, j)
-            merged[gate.gid][i, j] = merged[gate.gid][j, i] = fid.gate_error(
-                gate.gid, i, j, merged=True)
-    gates_at = [[(col[gt.p], col[gt.q], gt.gid) for gt in grp] for grp in c.groups]
-    size = np.array([len(M) for M in matchings])  # ascending
-    index = {e: k for k, e in enumerate(g.edges)}
-    edge_ids = np.array([[index[e] for e in M] + [ne] * (size[-1] - len(M))
-                         for M in matchings]).reshape(len(matchings), -1)  # ne: no edge
-    wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first matching of each size
-    edge_bit = np.array([bit[e] for e in g.edges] + [0], dtype=np.int64)
-    masks = np.bitwise_or.reduce(edge_bit[edge_ids], axis=1)  # disjoint edges
-    swaps_err = np.zeros(len(matchings))  # each swap set's error, summed as costs sums it
-    for e, p in zip(edge_ids.T, wider):
-        swaps_err[p:] += swap_err.take(e[p:])
-    dummy = set(c.dummy_steps)
-    pairs = [(bit[e1], bit[e2]) for e1, e2 in g.crosstalk_pairs]
-    slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
-
-    def cuts(k: np.ndarray) -> np.ndarray:
-        """Where the matchings ``k`` (ascending, so by size) first have a
-        c-th edge, for c = 1, 2, ...: from there on every one has it,
-        and column c - 1 of ``edge_ids`` is read from there on only."""
-        return np.searchsorted(k, wider)
-
-    def valid(t: int, at=slice(None)) -> np.ndarray:
-        nodes = states[:, at]
-        ok = np.ones(nodes.shape[1], dtype=bool)
-        for cp, cq, _ in gates_at[t]:
-            ok &= adj[nodes[cp], nodes[cq]]
-        return ok
-
-    def allowed(t: int, at: np.ndarray) -> np.ndarray:
-        """Per edge, whether each placement ``at`` may swap there at step t: where some active qubit moves and
-        no gate qubit does, or where the edge's nodes hold the two qubits
-        of one gate, which absorbs the swap. A swap set is allowed when
-        each of its edges is, so every gate runs in place or absorbs a
-        swap of its own operands, and no swap of two idle qubits (which
-        changes no state and only adds cost) is taken. A matching moves
-        no qubit onto or off its edges' nodes, so a placement and its
-        successor agree on each of its edges, and a pull asks its
-        targets."""
-        rows = states[:, at]
-        everyone = np.arange(len(at))
-        full = np.zeros((n, len(at)), dtype=bool)  # a node holds an active qubit
-        full[rows, everyone] = True
-        held = np.zeros((n, len(at)), dtype=bool)  # a node holds a gate qubit
-        for cp, cq, _ in gates_at[t]:
-            held[rows[cp], everyone] = held[rows[cq], everyone] = True
-        ok = (full[ends[0]] | full[ends[1]]) & ~(held[ends[0]] | held[ends[1]])
-        for cp, cq, _ in gates_at[t]:
-            i, j = rows[cp], rows[cq]
-            on = np.flatnonzero(adj[i, j])  # every one, for a state valid at t
-            ok[eid[i.take(on), j.take(on)], on] = True
-        return ok
-
-    def priced(t: int, alive: np.ndarray):
-        """The live states ``alive`` at step t: each one's plain gate error
-        and crosstalk mask of its gate edges, and per edge the error a
-        swap there adds: merged minus plain error on a gate's own edge,
-        the swap's error elsewhere. At a step with no gates that is the
-        swap's error for every state, and ``add`` is None instead."""
-        err = np.zeros(len(alive))
-        used = np.zeros(len(alive), dtype=np.int64)  # bit k: crosstalk edge k carries a gate
-        if not gates_at[t]:
-            return err, used, None
-        rows = states[:, alive]
-        everyone = np.arange(len(alive))
-        add = np.repeat(swap_err[:, None], len(alive), axis=1)
-        for cp, cq, gid in gates_at[t]:
-            i, j = rows[cp], rows[cq]
-            err += plain[gid][i, j]
-            used |= bit[i, j]
-            add[eid[i, j], everyone] = merged[gid][i, j] - plain[gid][i, j]
-        return err, used, add
-
-    def costs(t: int, k: np.ndarray, src: np.ndarray, err, used, add) -> list:
-        """One cost row per objective for the live states ``src`` taking
-        matchings ``k`` at step t."""
-        out = []
-        for o in objs:
-            if o == "error" and add is None:  # no gates: err is 0.0
-                x = swaps_err.take(k)
-            elif o == "error":
-                x = err.take(src)
-                for e, p in zip(edge_ids.T, cuts(k)):
-                    x[p:] += add.take(e.take(k[p:]) * len(err) + src[p:])
-            elif o == "depth":
-                x = (size[k] > 0).astype(float) if t in dummy else np.zeros(len(src))
-            else:
-                both = used[src] | masks[k]
-                x = sum((((both & b1) != 0) & ((both & b2) != 0) for b1, b2 in pairs),
-                        np.zeros(len(src)))
-            out.append(x)
-        return out
-
-    value = [np.full(places, math.inf) for _ in objs]
     if initial_map is None:
-        start = np.flatnonzero(valid(0))
+        alive = np.flatnonzero(space.valid(prices.gates_at[0]))
     else:
-        start = _rank(np.array([initial_map[q] for q in active], dtype=np.int16).reshape(a, 1), n)
-        start = start[valid(0, start)]
-    for v in value:
-        v[start] = 0.0
-    scratch = np.full(places, math.inf)  # _fold's, over the targets
+        alive = _rank(np.array([initial_map[q] for q in active], dtype=np.int16).reshape(a, 1), n)
+        alive = alive[space.valid(prices.gates_at[0], alive)]
+    live = [np.zeros(len(alive)) for _ in objs]
+    scratch = np.full(space.places, math.inf)  # _fold's, over the targets
     parents = []
     for t in range(m - 1):
-        alive = np.flatnonzero(np.isfinite(value[0]))
         if len(alive) == 0:
             break
-        base = [v[alive] for v in value]
-        ahead = valid(t + 1)
-        targets = np.flatnonzero(ahead)
-        pull = len(targets) < len(alive)
-        if pull:
-            row_of = np.full(places, -1, dtype=np.int32)  # placement -> live row
-            row_of[alive] = np.arange(len(alive))
-        value = [np.full(places, math.inf) for _ in objs]
-        parent = np.full(places, -1, dtype=np.int32)
-        via = np.zeros(places, dtype=np.int32)
-        err, used, add = priced(t, alive)
-        side = targets if pull else alive
-        ok = allowed(t, side)
-        run = max(1, DP_PASS // max(1, len(side)))  # matchings per pass
-        for k0 in range(0, len(matchings), run):
-            check_time()
-            ids = edge_ids[k0:k0 + run]
-            keep = np.ones((len(ids), len(side)), dtype=bool)
-            for e, p in zip(ids.T, cuts(np.arange(k0, k0 + len(ids)))):
-                keep[p:] &= ok[e[p:]]
-            k, at = np.divmod(np.flatnonzero(keep), len(side))
-            if len(k) == 0:
-                continue
-            k += k0
-            end = side.take(at)  # each candidate's other end
-            for e, p in zip(edge_ids.T, cuts(k)):
-                end[p:] = flat.take(e.take(k[p:]) * places + end[p:])
-            if pull:
-                tgt, src = side.take(at), row_of.take(end)
-                at = np.flatnonzero(src >= 0)
-            else:
-                src, tgt = at, end
-                at = None if len(targets) == places else np.flatnonzero(ahead.take(tgt))
-            if at is not None:  # None: every placement is valid at t + 1
-                k, src, tgt = k.take(at), src.take(at), tgt.take(at)
-            cand = costs(t, k, src, err, used, add)
-            for b, x in zip(base, cand):
-                x += b.take(src)
-            win = _fold(tgt, k, cand, slack, value if k0 else None, scratch)
-            tgt = tgt.take(win)
-            for v, x in zip(value, cand):
-                v[tgt] = x.take(win)
-            parent[tgt] = alive.take(src.take(win))
-            via[tgt] = k.take(win)
+        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline)
         parents.append((parent, via))
-    alive = np.flatnonzero(np.isfinite(value[0]))
     if len(alive) == 0:
         raise NoRouteError("instance is infeasible")
 
     # The last step runs its gates with no swap set (matching 0 is the
     # empty one); the best final state has the least error, then within
     # its slack the least depth, and so on.
-    err, used, add = priced(m - 1, alive)
-    last = costs(m - 1, np.zeros(len(alive), dtype=np.intp), np.arange(len(alive)),
-                 err, used, add)
-    total = [v[alive] + x for v, x in zip(value, last)]
+    err, used, add = prices.priced(space, m - 1, alive)
+    last = prices.costs(space, m - 1, np.zeros(len(alive), dtype=np.intp),
+                        np.arange(len(alive)), err, used, add)
+    total = [v + x for v, x in zip(live, last)]
     pick = np.arange(len(alive))
-    for row, s in zip(total, slack):
+    for row, s in zip(total, prices.slack):
         pick = pick[row[pick] <= row[pick].min() + s]
     best = int(pick[0])
-
-    # Walk the parents back, then lay the idle qubits on the free nodes
-    # of step 0 (or their pinned nodes) and carry them forward.
-    state, taken = int(alive[best]), []
-    for parent, via in reversed(parents):
-        taken.append(int(via[state]))
-        state = int(parent[state])
-    pos = np.full(n, -1)
-    pos[active] = states[:, state]
-    idle = [q for q in range(n) if q not in col]
-    if initial_map is None:
-        pos[idle] = sorted(set(range(n)) - set(pos[active].tolist()))
-    else:
-        pos[idle] = [initial_map[q] for q in idle]
-    layouts = [tuple(pos.tolist())]
-    for k in reversed(taken):
-        move = np.arange(n)
-        for i, j in matchings[k]:
-            move[i], move[j] = j, i
-        pos = move[pos]
-        layouts.append(tuple(pos.tolist()))
-    return tuple(float(row[best]) for row in total), schedule(c, fid, layouts, "exhaustive")
-
-
-# ---------------------------------------------------------------------------
-# Model export / import.
-
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _row_name(k: int, family: str) -> str:
-    return f"{family}_{k}"
-
-
-def export_model(p: BipProblem, fmt: str = "lp") -> str:
-    """Serialize the program; ``lp`` (CPLEX-style text) or ``mps`` (fixed).
-
-    Output is deterministic and round-trips through import_model: export,
-    import and export again yields the identical byte sequence.
-    """
-    if fmt == "lp":
-        return _export_lp(p)
-    if fmt == "mps":
-        return _export_mps(p)
-    raise SolveError(f"unknown model format {fmt!r}")
-
-
-def _export_lp(p: BipProblem) -> str:
-    lines = ["\\ routing model", "Minimize"]
-    terms = []
-    for v in range(p.num_vars):
-        c = float(p.objective[v])
-        if c != 0.0:
-            terms.append((v, c))
-    chunks = ["obj:"]
-    for v, c in terms:
-        sign = "+" if c >= 0 else "-"
-        chunks.append(f"{sign} {_fmt(abs(c))} {p.names[v]}")
-    lines.append(" " + " ".join(chunks))
-    lines.append("Subject To")
-    for k, row in enumerate(p.rows):
-        parts = [f"{_row_name(k, row.family)}:"]
-        for idx, (v, c) in enumerate(zip(row.vars, row.coefs)):
-            sign = "+" if c >= 0 else "-"
-            if idx == 0 and c >= 0:
-                parts.append(f"{_fmt(abs(c))} {p.names[v]}")
-            else:
-                parts.append(f"{sign} {_fmt(abs(c))} {p.names[v]}")
-        op = {"=": "=", "<=": "<=", ">=": ">="}[row.sense]
-        parts.append(f"{op} {_fmt(row.rhs)}")
-        lines.append(" " + " ".join(parts))
-    lines.append("Binary")
-    for name in p.names:
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _export_mps(p: BipProblem) -> str:
-    def pad(s: str, width: int) -> str:
-        return s + " " * max(1, width - len(s))
-
-    lines = ["NAME          ROUTING"]
-    lines.append("ROWS")
-    lines.append(" N  obj")
-    sense_code = {"=": "E", "<=": "L", ">=": "G"}
-    for k, row in enumerate(p.rows):
-        lines.append(f" {sense_code[row.sense]}  {_row_name(k, row.family)}")
-    lines.append("COLUMNS")
-    lines.append("    MARKER                 'MARKER'                 'INTORG'")
-    by_var: list[list[tuple[str, float]]] = [[] for _ in range(p.num_vars)]
-    for k, row in enumerate(p.rows):
-        rname = _row_name(k, row.family)
-        for v, c in zip(row.vars, row.coefs):
-            by_var[v].append((rname, c))
-    for v in range(p.num_vars):
-        c = float(p.objective[v])
-        if c != 0.0:
-            lines.append("    " + pad(p.names[v], 16) + pad("obj", 20) + _fmt(c))
-        for rname, coef in by_var[v]:
-            lines.append("    " + pad(p.names[v], 16) + pad(rname, 20) + _fmt(coef))
-    lines.append("    MARKER                 'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    for k, row in enumerate(p.rows):
-        if row.rhs != 0.0:
-            lines.append("    " + pad("RHS", 16) + pad(_row_name(k, row.family), 20)
-                         + _fmt(row.rhs))
-    lines.append("BOUNDS")
-    for name in p.names:
-        lines.append(" BV " + pad("BND", 13) + name)
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
-def import_model(text: str) -> BipProblem:
-    """Parse a model produced by export_model (format auto-detected)."""
-    with reading(SolveError, "model document"):
-        return _import_mps(text) if text.lstrip().startswith("NAME") else _import_lp(text)
-
-
-def _parse_terms(tokens: list[str]) -> list[tuple[str, float]]:
-    out = []
-    k = 0
-    sign = 1.0
-    while k < len(tokens):
-        tok = tokens[k]
-        if tok == "+":
-            sign = 1.0
-            k += 1
-        elif tok == "-":
-            sign = -1.0
-            k += 1
-        else:
-            coef = sign * float(tok)
-            name = tokens[k + 1]
-            out.append((name, coef))
-            sign = 1.0
-            k += 2
-    return out
-
-
-def _import_lp(text: str) -> BipProblem:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("\\")]
-    if "Minimize" not in lines or "Subject To" not in lines or "Binary" not in lines:
-        raise SolveError("LP document lacks required sections")
-    i_min = lines.index("Minimize")
-    i_st = lines.index("Subject To")
-    i_bin = lines.index("Binary")
-    i_end = lines.index("End") if "End" in lines else len(lines)
-
-    names = tuple(lines[i_bin + 1:i_end])
-    index = {nm: k for k, nm in enumerate(names)}
-    if len(index) != len(names):
-        raise SolveError("duplicate variable names in Binary section")
-
-    obj = np.zeros(len(names))
-    obj_tokens: list[str] = []
-    for ln in lines[i_min + 1:i_st]:
-        obj_tokens.extend(ln.split())
-    if obj_tokens and obj_tokens[0] == "obj:":
-        obj_tokens = obj_tokens[1:]
-    for name, coef in _parse_terms(obj_tokens):
-        if name not in index:
-            raise SolveError(f"objective references unknown variable {name!r}")
-        obj[index[name]] = coef
-
-    rows = []
-    for ln in lines[i_st + 1:i_bin]:
-        head, _, rest = ln.partition(":")
-        family = head.rsplit("_", 1)[0]
-        tokens = rest.split()
-        sense = None
-        for op in ("<=", ">=", "="):
-            if op in tokens:
-                sense = op
-                break
-        if sense is None:
-            raise SolveError(f"row {head!r} lacks a comparison operator")
-        cut = tokens.index(sense)
-        terms = _parse_terms(tokens[:cut])
-        rhs = float(tokens[cut + 1])
-        try:
-            vs = tuple(index[nm] for nm, _ in terms)
-        except KeyError as exc:
-            raise SolveError(f"row {head!r} references unknown variable {exc}") from exc
-        rows.append(Row(vars=vs, coefs=tuple(c for _, c in terms), sense=sense,
-                        rhs=rhs, family=family))
-    return BipProblem(names=names, rows=tuple(rows), objective=obj,
-                      objective_kind="imported")
-
-
-def _import_mps(text: str) -> BipProblem:
-    section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    col_entries: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    rhs: dict[str, float] = {}
-    bound_names: list[str] = []
-    code_sense = {"E": "=", "L": "<=", "G": ">="}
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        head = raw.strip()
-        if head in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "RANGES", "ENDATA") or head.startswith("NAME"):
-            section = head.split()[0]
-            continue
-        fields = raw.split()
-        if section == "ROWS":
-            code, name = fields
-            if code == "N":
-                continue
-            row_sense[name] = code_sense[code]
-            row_order.append(name)
-        elif section == "COLUMNS":
-            if "'MARKER'" in fields:
-                continue
-            var, rname, val = fields
-            if var not in col_entries:
-                col_entries[var] = []
-                col_order.append(var)
-            col_entries[var].append((rname, float(val)))
-        elif section == "RHS":
-            _, rname, val = fields
-            rhs[rname] = float(val)
-        elif section == "BOUNDS":
-            if fields[0] != "BV":
-                raise SolveError("only binary (BV) bounds are supported")
-            bound_names.append(fields[2])
-    names = tuple(bound_names if bound_names else col_order)
-    index = {nm: k for k, nm in enumerate(names)}
-    obj = np.zeros(len(names))
-    row_terms: dict[str, list[tuple[int, float]]] = {nm: [] for nm in row_order}
-    for var in col_order:
-        if var not in index:
-            raise SolveError(f"column {var!r} lacks a bound entry")
-        for rname, val in col_entries[var]:
-            if rname == "obj":
-                obj[index[var]] = val
-            else:
-                row_terms[rname].append((index[var], val))
-    rows = []
-    for rname in row_order:
-        family = rname.rsplit("_", 1)[0]
-        terms = row_terms[rname]
-        rows.append(Row(vars=tuple(v for v, _ in terms),
-                        coefs=tuple(c for _, c in terms),
-                        sense=row_sense[rname], rhs=rhs.get(rname, 0.0), family=family))
-    return BipProblem(names=names, rows=tuple(rows), objective=obj,
-                      objective_kind="imported")
-
-
-def import_solution(p: BipProblem, text: str) -> SolveResult:
-    """Read a ``name value`` listing, validate it, and price it.
-
-    Missing variables default to 0; unknown names and constraint
-    violations raise. The result reports status ``feasible``.
-    """
-    index = {nm: k for k, nm in enumerate(p.names)}
-    assignment = np.zeros(p.num_vars, dtype=np.int8)
-    with reading(SolveError, "solution document"):
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            ln = raw.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            fields = ln.split()
-            if len(fields) != 2:
-                raise SolveError(f"line {lineno}: expected 'name value'")
-            name, sval = fields
-            if name not in index:
-                raise SolveError(f"line {lineno}: unknown variable {name!r}")
-            try:
-                val = float(sval)
-            except ValueError as exc:
-                raise SolveError(f"line {lineno}: value {sval!r} is not a number") from exc
-            if abs(val - round(val)) > 1e-6 or round(val) not in (0, 1):
-                raise SolveError(f"line {lineno}: value {sval!r} is not binary")
-            assignment[index[name]] = int(round(val))
-    _require_feasible(p, assignment)
-    objective = p.objective_value(assignment)
-    return SolveResult(status=SolveStatus.FEASIBLE, objective=objective,
-                       assignment=assignment, dual_bound=-math.inf, nodes=0)
-
-
-def export_solution(p: BipProblem, assignment) -> str:
-    """Inverse of import_solution: one ``name value`` line per nonzero."""
-    lines = []
-    for v in range(p.num_vars):
-        val = int(round(float(assignment[v])))
-        if val:
-            lines.append(f"{p.names[v]} 1")
-    return "\n".join(lines) + "\n"
+    return (tuple(float(row[best]) for row in total),
+            _walk(space, c, fid, active, initial_map, parents, int(alive[best])))

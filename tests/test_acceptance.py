@@ -20,12 +20,12 @@ from qaroute.gatefid import (avg_gate_fidelity, cnot_budget_fidelities,
 from qaroute.heuristic import run_variant_full
 from qaroute.hwgraph import builtin_topology
 from qaroute.lexopt import lexicographic_solve
+from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import (benchmark_batch, gen_qv_circuit, haar_su4,
                              heavy_output_mass, hop_under_noise, lower_circuit)
 from qaroute.circuit import LayeredCircuit
-from qaroute.solver import (NoRouteError, SolveLimits, SolveStatus, export_model,
-                            export_solution, import_model, import_solution,
-                            solve_branch_and_bound, solve_exhaustive)
+from qaroute.solver import (NoRouteError, SolveLimits, SolveStatus, solve_branch_and_bound,
+                            solve_exhaustive)
 
 T0 = time.time()
 

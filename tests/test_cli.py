@@ -6,15 +6,15 @@ import time
 import pytest
 
 from helpers import RecordingPool
-from qaroute import cli, heuristic, qvbench
+from qaroute import cli, heuristic, qvbench, solver
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.cli import main
 from qaroute.extract import ExtractError, FreeSwap, GateOp, routed_from_json
 from qaroute.gatefid import FidelityModel
+from qaroute.modelio import export_solution
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import (SolveLimits, export_solution,
-                            solve_branch_and_bound)
+from qaroute.solver import SolveLimits, solve_branch_and_bound
 
 FAST = ["--qv", "4,1", "--qv-layers", "2", "--dummy-steps", "1"]
 
@@ -211,6 +211,44 @@ def test_limit_without_incumbent_exits_2(capsys):
                  "--variant", "bip_constrained", "--node-limit", "1"])
     assert code == 2
     assert "infeasible:" in capsys.readouterr().err
+
+
+def test_a_time_limit_spent_before_stage_1_exits_2(capsys):
+    # bip_constrained solves through the stage loop; the limit has passed
+    # before its first stage starts, with no incumbent to keep.
+    code = main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2",
+                 "--variant", "bip_constrained", "--time-limit", "1e-12"])
+    assert code == 2
+    assert "stage 1 hit its budget with no incumbent" in capsys.readouterr().err
+
+
+def test_a_free_variant_past_the_limit_before_stage_1_returns_the_greedy_route(monkeypatch,
+                                                                              capsys):
+    # With no memory to spare the DP refuses the instance, and the stage
+    # loop starts past the limit: bip returns the greedy route, unproven.
+    argv = ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2"]
+    assert main([*argv, "--variant", "sabre_like"]) == 0
+    greedy = capsys.readouterr().out.split("structural: ok")[0]
+    monkeypatch.setattr(solver, "DP_MEMORY", 0)
+    assert main([*argv, "--time-limit", "1e-12"]) == 3
+    assert capsys.readouterr().out.split("structural: ok")[0] == greedy.replace("sabre_like",
+                                                                                "bip")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["transpile", "--variant", v] for v in heuristic.VARIANTS), ["pareto"], ["export"]],
+    ids=[*heuristic.VARIANTS, "pareto", "export"])
+def test_a_layer_wider_than_any_matching_exits_4_in_every_command(argv, tmp_path, capsys):
+    # Every edge of a star meets its centre, so two gates never run at once.
+    topology, circuit = tmp_path / "star.json", tmp_path / "circuit.json"
+    topology.write_text(json.dumps({"nodes": [0, 1, 2, 3], "edges": [[0, 1], [0, 2], [0, 3]]}))
+    circuit.write_text(json.dumps({"qubits": [0, 1, 2, 3], "gates": [
+        {"p": 0, "q": 1, "kind": "cx"}, {"p": 2, "q": 3, "kind": "cx"}]}))
+    code = main([*argv, "--topology", str(topology), "--circuit", str(circuit),
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: a layer holds 2 gates but the graph has no matching that large\n"
 
 
 def test_sweep_with_a_zero_error_step_is_an_argument_error(tmp_path, capsys):

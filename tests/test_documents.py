@@ -22,9 +22,9 @@ from qaroute.extract import (ExtractError, FreeSwap, GateOp, RoutedCircuit, rout
                              routed_to_json)
 from qaroute.gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from qaroute.hwgraph import TopologyError, builtin_topology, load_topology
+from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.simulate import CX, SWAP
-from qaroute.solver import (SolveError, export_model, export_solution, import_model,
-                            import_solution, solve_branch_and_bound)
+from qaroute.solver import SolveError, solve_branch_and_bound
 
 REPLACEMENTS = ("{}", "[]", '"x"', "5", "null", "[[]]", "-1", "1e400", "NaN")
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -13,9 +13,9 @@ from qaroute.extract import (EQUIVALENCE_ATOL, ExtractError, FreeSwap, GateOp,
                              verify_unitary)
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import heuristic_route
+from qaroute.modelio import import_solution
 from qaroute.simulate import permutation_matrix
-from qaroute.solver import (SolveLimits, import_solution, solve_branch_and_bound,
-                            solve_exhaustive)
+from qaroute.solver import SolveLimits, solve_branch_and_bound, solve_exhaustive
 
 
 @pytest.fixture(scope="module")

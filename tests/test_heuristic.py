@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qaroute.heuristic import (TRIALS, VARIANTS, HeuristicError, _repair_first_l
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import SolveLimits
+from test_dp_golden import HEAVY_HEX_27
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,26 @@ def test_layout_is_permutation_and_deterministic(inst, line4):
 def test_layout_of_gate_free_circuit_is_identity(line4):
     c = LayeredCircuit(4, ((), ()))
     assert heuristic_layout(c, line4) == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("graph", [lambda: builtin_topology("line", 62),
+                                   lambda: HardwareGraph(27, HEAVY_HEX_27)],
+                         ids=["line-62", "heavy-hex-27"])
+def test_every_variant_sizes_a_maximum_matching_in_under_a_millisecond(graph):
+    # run_variant_full first holds the widest layer against a maximum
+    # matching of the whole graph. Three active qubits on line-62 route
+    # past it in test_parents_index_more_matchings_than_int16_holds.
+    g = graph()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        matching_size(g)((1 << g.n) - 1)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3
+    c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), g, 1)
+    run = run_variant_full("bip", c, g, fid)
+    assert run.closed
+    assert verify_structural(run.routed, c, g) is None
 
 
 def test_unknown_variant_rejected(inst, line4):

@@ -1,4 +1,5 @@
-"""No module in the package or the test suite imports a name it never uses.
+"""No module in the package or the test suite imports a name it never
+uses, and the package's modules import each other without a cycle.
 
 A standard-library stand-in for a linter's unused-import rule: every
 name bound by an import must be referenced somewhere in the same file.
@@ -42,3 +43,58 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in SOURCES for name, line in unused_imports(path.read_text())]
     assert not found, "\n".join(found)
+
+
+def relative_imports(source: str) -> set[str]:
+    """The sibling modules a package module's relative imports name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # ``from .x import y`` names x; ``from . import x, y`` names x and y.
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of ``graph`` (module -> the modules it imports), as the
+    modules along it with the first repeated at the end, or None."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(mod: str) -> list[str] | None:
+        if mod in path:
+            return path[path.index(mod):] + [mod]
+        if mod in done:
+            return None
+        path.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            found = visit(dep)
+            if found:
+                return found
+        path.pop()
+        done.add(mod)
+        return None
+
+    for mod in sorted(graph):
+        found = visit(mod)
+        if found:
+            return found
+    return None
+
+
+def test_scanner_finds_relative_imports_and_cycles():
+    src = ("import os\nfrom .a import x\nfrom . import b, c\nfrom qaroute.d import y\n"
+           "def f():\n    from .e import z\n")
+    assert relative_imports(src) == {"a", "b", "c", "e"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"a"}}) == ["a", "a"]
+
+
+def test_package_imports_form_no_cycle():
+    # modelio imports solver one way: a cycle would make the import order
+    # of the package decide which names exist.
+    package = {path.stem: relative_imports(path.read_text())
+               for path in sorted((ROOT / "src" / "qaroute").glob("*.py"))}
+    assert "solver" in package["modelio"]
+    assert import_cycle(package) is None

@@ -59,6 +59,16 @@ def test_a_stage_without_an_incumbent_raises_no_incumbent_error(inst, line4):
         lexicographic_solve(c, line4, fid, ("error", "depth"), SolveLimits(node_limit=1))
 
 
+def test_a_time_limit_spent_before_stage_1_raises_no_incumbent_error(line4):
+    # The limit has passed by the time the model is built, so stage 1
+    # starts with no budget and no incumbent: its route is unknown, and
+    # there is nothing to price.
+    c, fid = prepared(lower_circuit(gen_qv_circuit(4, [0, 0]), n_layers=2), line4, 2)
+    with pytest.raises(NoIncumbentError, match="stage 1 hit its budget with no incumbent"):
+        lexicographic_solve(c, line4, fid, ("error", "depth"), SolveLimits(time_limit=1e-12),
+                            same_endpoints=True)
+
+
 def test_three_stage_with_crosstalk(y6):
     c = random_layered_circuit(6, (2, 2), seed=32)
     c, fid = prepared(c, y6, 1)

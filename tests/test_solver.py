@@ -17,11 +17,11 @@ from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
 from qaroute.lexopt import NoIncumbentError, lexicographic_solve
+from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, NoRouteError, SolutionInfeasibleError,
                             SolveError, SolveLimits, SolveStatus, _placements, _swap_table,
-                            exhaustive_bytes, export_model, export_solution, import_model,
-                            import_solution, solve_branch_and_bound, solve_exhaustive)
+                            exhaustive_bytes, solve_branch_and_bound, solve_exhaustive)
 
 
 def small_instance(g, layer_sizes, seed, k=1, objective="error"):
