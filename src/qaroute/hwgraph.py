@@ -282,15 +282,32 @@ def matching_size(g: HardwareGraph):
     """A function giving the size of a maximum matching of the subgraph
     that a bit mask of nodes induces.
 
-    The lowest node is matched to each neighbour in the mask in turn,
-    and left unmatched only when it has none: beside a free neighbour,
-    a maximum matching can always trade an edge for one that matches
-    it. Sizes are remembered per node subset across calls; past
-    ``MATCHING_LIMIT`` subsets it raises ``TopologyError``.
+    The nodes are renumbered in breadth-first order from a lowest-degree
+    node (each mask translated into it), so the subsets met follow the
+    graph's shape, not its labels. The first node is matched to each
+    neighbour in the mask in turn, and left unmatched only when it has
+    none: beside a free neighbour, a maximum matching can always trade
+    an edge for one that matches it. Sizes are remembered per node
+    subset across calls; past ``MATCHING_LIMIT`` subsets it raises
+    ``TopologyError``.
     """
+    order = [min(range(g.n), key=lambda v: (len(g.neighbors(v)), v))]
+    rank = {order[0]: 0}
+    for v in order:  # the graph is connected: this reaches every node
+        for k in g.neighbors(v):
+            if k not in rank:
+                rank[k] = len(order)
+                order.append(k)
+    bit = [1 << rank[v] for v in range(g.n)]
+    nbrs = [[rank[k] for k in g.neighbors(v)] for v in order]
     memo = {0: 0}
 
     def size(mask: int) -> int:
+        left, mask = mask, 0
+        while left:  # the mask in breadth-first order
+            low = left & -left
+            mask |= bit[low.bit_length() - 1]
+            left ^= low
         stack = [mask]  # an explicit stack: no recursion limit on long graphs
         while stack:
             top = stack[-1]
@@ -299,7 +316,7 @@ def matching_size(g: HardwareGraph):
                 continue
             i = (top & -top).bit_length() - 1
             rest = top ^ 1 << i
-            kids = [rest ^ 1 << k for k in g.neighbors(i) if rest >> k & 1]
+            kids = [rest ^ 1 << k for k in nbrs[i] if rest >> k & 1]
             gain = 1 if kids else 0
             kids = kids or [rest]
             todo = [k for k in kids if k not in memo]

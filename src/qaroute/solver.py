@@ -628,7 +628,10 @@ def _check_time(deadline: float) -> None:
 
 
 class _LayoutSpace:
-    """The layout DP's states and moves for ``a`` active qubits on ``g``.
+    """The layout DP's states and moves for ``a`` active qubits on the
+    graph of ``n`` nodes and ``edges``: graph-only, so ``solve_exhaustive``
+    builds one per (n, edges, a) and keeps it, read-only, for every later
+    circuit and noise model on that graph.
 
     A state is the node tuple of the active qubits (a column of
     ``states``, one int16 array, placements in lexicographic order, built
@@ -641,36 +644,35 @@ class _LayoutSpace:
     edge moves an active qubit) are listed by size, so in a run of them
     those with a c-th edge come last, and a pass applies each edge column
     of ``edge_ids`` to that tail only: matchings of different sizes share
-    it. ``swaps_err`` sums each one's swap errors column by column, in
-    the order the per-state sum adds them. ``eid`` is each node pair's
-    edge id, -1 off the graph. ``deadline`` is checked after the
-    matchings, after the placements and after each edge's table.
+    it. ``eid`` is each node pair's edge id, -1 off the graph.
+    ``deadline`` is checked after the matchings, after the placements and
+    after each edge's table. ``nbytes`` counts what the space holds.
     """
 
-    def __init__(self, g: HardwareGraph, fid: FidelityModel, a: int, deadline: float):
-        n = self.n = g.n
-        ne = len(g.edges)
-        self.matchings = enumerate_matchings(g, a)
+    def __init__(self, n: int, edges: tuple, a: int, deadline: float):
+        self.n, ne = n, len(edges)
+        self.matchings = tuple(enumerate_matchings(HardwareGraph(n, edges), a))
         _check_time(deadline)
         self.states = _placements(n, a)
         self.places = self.states.shape[1]
         _check_time(deadline)
         tables = np.empty((ne, self.places), dtype=np.int32)
-        for k, (i, j) in enumerate(g.edges):
+        for k, (i, j) in enumerate(edges):
             tables[k] = _swap_table(self.states, n, i, j)
             _check_time(deadline)
         self.flat = tables.reshape(-1)
-        self.ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
+        self.ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T  # each edge's two nodes
         self.eid = np.full((n, n), -1, dtype=np.int64)
         self.eid[self.ends[0], self.ends[1]] = self.eid[self.ends[1], self.ends[0]] = range(ne)
-        self.swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
         size = self.size = np.array([len(M) for M in self.matchings])  # ascending
         self.edge_ids = np.array([[self.eid[e] for e in M] + [ne] * (size[-1] - len(M))
                                   for M in self.matchings]).reshape(len(size), -1)  # ne: no edge
         self.wider = np.searchsorted(size, np.arange(1, size[-1] + 1))  # first of each size
-        self.swaps_err = np.zeros(len(self.matchings))
-        for e, p in zip(self.edge_ids.T, self.wider):
-            self.swaps_err[p:] += self.swap_err.take(e[p:])
+        arrays = (self.states, self.flat, self.ends, self.eid, self.size, self.edge_ids,
+                  self.wider)
+        for x in arrays:
+            x.flags.writeable = False
+        self.nbytes = sum(x.nbytes for x in arrays) + len(self.matchings) * (8 * n + 128)
 
     def cuts(self, k: np.ndarray) -> np.ndarray:
         """Where the matchings ``k`` (ascending, so by size) first have a
@@ -717,7 +719,9 @@ class _Prices:
     """The layout DP's prices of circuit ``c`` under the order ``objs``,
     crosstalk by one int64 mask bit per edge of ``xt``. ``gates_at`` holds
     per step, per gate, ``(cp, cq, plain, merged)``: its qubits' rows of
-    ``space.states`` and its plain and merged error on each edge."""
+    ``space.states`` and its plain and merged error on each edge.
+    ``swap_err`` is each edge's swap error, and ``swaps_err`` sums each
+    matching's column by column, in the order the per-state sum adds them."""
 
     def __init__(self, c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, objs, active,
                  xt, space: _LayoutSpace):
@@ -732,6 +736,10 @@ class _Prices:
         self.edge_bit = np.array([bit.get(e, 0) for e in g.edges] + [0], dtype=np.int64)
         self.masks = np.bitwise_or.reduce(self.edge_bit[space.edge_ids], axis=1)  # disjoint edges
         self.pairs = [(bit.get(e1, 0), bit.get(e2, 0)) for e1, e2 in g.crosstalk_pairs]
+        self.swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
+        self.swaps_err = np.zeros(len(space.matchings))
+        for e, p in zip(space.edge_ids.T, space.wider):
+            self.swaps_err[p:] += self.swap_err.take(e[p:])
 
     def priced(self, space: _LayoutSpace, t: int, alive: np.ndarray):
         """The live states ``alive`` at step t: each one's plain gate error
@@ -745,7 +753,7 @@ class _Prices:
             return err, used, None
         rows = space.states[:, alive]
         everyone = np.arange(len(alive))
-        add = np.repeat(space.swap_err[:, None], len(alive), axis=1)
+        add = np.repeat(self.swap_err[:, None], len(alive), axis=1)
         for cp, cq, plain, merged in self.gates_at[t]:
             e = space.eid[rows[cp], rows[cq]]  # the gate's edge in each state
             err += plain.take(e)
@@ -761,7 +769,7 @@ class _Prices:
         out = []
         for o in self.objs:
             if o == "error" and add is None:  # no gates: err is 0.0
-                x = space.swaps_err.take(k)
+                x = self.swaps_err.take(k)
             elif o == "error":
                 x = err.take(src)
                 for e, p in zip(space.edge_ids.T, space.cuts(k)):
@@ -875,12 +883,24 @@ def _walk(space: _LayoutSpace, c: LayeredCircuit, fid: FidelityModel, active, in
     return schedule(c, fid, layouts, "exhaustive")
 
 
+# The finished layout spaces by (nodes, edges, active count), least
+# recently used first.
+_spaces: dict[tuple, _LayoutSpace] = {}
+
+
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
                      order, initial_map=None, lim: SolveLimits | None = None):
     """Optimum by dynamic programming over the layouts of the qubits some
     gate touches: ``_LayoutSpace`` holds the states and the swap sets
     between them, ``_Prices`` prices a step, ``_relax`` carries each
     step's values into the next, and ``_walk`` reads one route back.
+
+    The space depends only on the graph and the active count, so the
+    process keeps each one it finishes, least recently used first, and
+    later solves on that (graph, active count) reuse it; the build's
+    time checks run on a build only. Before a solve, spaces of other
+    keys go, least recently used first, until its ``exhaustive_bytes``
+    and every space still held fit ``DP_MEMORY`` together.
 
     ``order``, ``initial_map`` and ``lim`` mean what they mean for
     ``lexopt.lexicographic_solve``: an objective order that
@@ -890,9 +910,10 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     one optimal routed circuit (see extract.RoutedCircuit). Raises
     ``DPTooLarge`` at once when ``exhaustive_bytes`` of its arrays would
     not fit ``DP_MEMORY`` (its only refusal), ``DPTimeLimit`` once
-    ``lim.time_limit`` has passed (checked after the matchings, after the
-    placements, after each edge's table and once per pass; the DP counts
-    no nodes), and ``NoRouteError`` when no routing exists.
+    ``lim.time_limit`` has passed (checked once per pass, and while it
+    builds a space after the matchings, the placements and each edge's
+    table; the DP counts no nodes), and ``NoRouteError`` when no routing
+    exists.
     """
     objs = _check_order(order)
     if c.n_qubits != g.n:
@@ -911,10 +932,18 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise SolveError("the layout DP counts crosstalk on at most 63 edges")
     ne = len(g.edges)
     takeable = sum(math.comb(ne, k) for k in range(a + 1))  # bounds the matchings
-    if exhaustive_bytes(n, ne, a, m, len(objs), takeable) > DP_MEMORY:
+    need = exhaustive_bytes(n, ne, a, m, len(objs), takeable)
+    if need > DP_MEMORY:
         raise DPTooLarge(f"the layout DP would need more than {DP_MEMORY} bytes")
     deadline = time.perf_counter() + ((lim and lim.time_limit) or math.inf)
-    space = _LayoutSpace(g, fid, a, deadline)
+    key = (n, g.edges, a)
+    space = _spaces.pop(key, None)  # put back last: the most recently used
+    held = sum(s.nbytes for s in _spaces.values())
+    while need + held > DP_MEMORY:
+        held -= _spaces.pop(next(iter(_spaces))).nbytes
+    if space is None:
+        space = _LayoutSpace(n, g.edges, a, deadline)
+    _spaces[key] = space
     prices = _Prices(c, g, fid, objs, active, xt, space)
 
     if initial_map is None:

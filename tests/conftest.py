@@ -1,6 +1,14 @@
 import pytest
 
+import qaroute.solver
 from qaroute.hwgraph import builtin_topology
+
+
+@pytest.fixture(autouse=True)
+def cold_layout_spaces(monkeypatch):
+    """Every test starts with no layout space cached, so no result depends
+    on the tests run before it; a test may still reuse the spaces it builds."""
+    monkeypatch.setattr(qaroute.solver, "_spaces", {})
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ explicit k-CNOT ansatz by local optimization with random restarts.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 from scipy.optimize import minimize
@@ -145,6 +146,17 @@ def prepared(c: LayeredCircuit, g, k: int, overrides=None):
     """Pad to the hardware, insert k dummy steps, build the fidelity model."""
     c = insert_dummy_steps(pad_qubits(c, g.n), k)
     return c, FidelityModel.build(c, g, overrides=overrides)
+
+
+def shuffled_grid_document(side: int, seed: int) -> dict:
+    """A side-by-side grid's topology document whose node labels
+    0..side*side-1 are shuffled by ``random.Random(seed)``, so the
+    labels no longer follow the grid's rows."""
+    label = list(range(side * side))
+    random.Random(seed).shuffle(label)
+    edges = [[label[v], label[v + d]] for v in range(side * side)
+             for d in (1, side) if (d == side or (v + 1) % side) and v + d < side * side]
+    return {"nodes": list(range(side * side)), "edges": edges}
 
 
 def line4_five_gate_circuit(seed: int = 11) -> LayeredCircuit:

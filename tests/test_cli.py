@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from helpers import RecordingPool
+from helpers import RecordingPool, shuffled_grid_document
 from qaroute import cli, heuristic, qvbench, solver
 from qaroute.bipmodel import assemble_problem
 from qaroute.circuit import insert_dummy_steps, pad_qubits
@@ -473,6 +473,17 @@ def test_export_rejects_infeasible_solution(tmp_path, capsys):
                  "--solution", str(sol), "--out", str(tmp_path)])
     assert code == 2
     assert "infeasible solution" in capsys.readouterr().err
+
+
+def test_sabre_like_routes_a_grid_whose_labels_are_shuffled(tmp_path, capsys):
+    # Every variant first sizes a maximum matching of the whole graph;
+    # on this 6x6 grid that once gave up (exit 4).
+    topology = tmp_path / "grid36.json"
+    topology.write_text(json.dumps(shuffled_grid_document(6, 1)))
+    code = main(["transpile", "--topology", str(topology), "--qv", "4,1",
+                 "--variant", "sabre_like"])
+    assert code == 0
+    assert "structural: ok" in capsys.readouterr().out
 
 
 def test_custom_topology_and_circuit_files(tmp_path, capsys):

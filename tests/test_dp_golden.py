@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from helpers import prepared, random_layered_circuit
+from qaroute import solver
 from qaroute.extract import routed_to_json
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph, builtin_topology
@@ -96,7 +97,12 @@ def golden():
 
 @pytest.mark.parametrize("k", CASES)
 def test_dp_keeps_its_golden_route(k, golden):
+    # Solved on a cold cache, which builds the layout space, then again
+    # on that same space.
     assert run(k) == golden[k]
+    spaces = list(solver._spaces.items())
+    assert run(k) == golden[k]
+    assert list(solver._spaces.items()) == spaces
 
 
 def test_golden_cases_cover_routes_and_no_routes(golden):

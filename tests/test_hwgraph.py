@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qaroute.hwgraph
+from helpers import shuffled_grid_document
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
                              builtin_topology, enumerate_matchings,
                              load_topology, matching_size)
@@ -172,6 +173,15 @@ def test_matching_size_of_long_lines():
     # Too many matchings to list: line-25 has Fibonacci(26) of them.
     for n, want in ((25, 12), (60, 30)):
         assert matching_size(builtin_topology("line", n))((1 << n) - 1) == want
+
+
+@pytest.mark.parametrize("side", [6, 8, 10])
+def test_matching_size_of_grids_whose_labels_are_shuffled(side):
+    # Memoized in label order, these passed MATCHING_LIMIT: a 6x6 grid
+    # shuffled by seed 1 met too many node subsets after half a second.
+    for seed in (0, 1, 2):
+        g = load_topology(shuffled_grid_document(side, seed))
+        assert matching_size(g)((1 << g.n) - 1) == side * side // 2
 
 
 def test_matching_size_memo_is_capped(monkeypatch):

@@ -20,8 +20,9 @@ from qaroute.lexopt import NoIncumbentError, lexicographic_solve
 from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, NoRouteError, SolutionInfeasibleError,
-                            SolveError, SolveLimits, SolveStatus, _placements, _swap_table,
-                            exhaustive_bytes, solve_branch_and_bound, solve_exhaustive)
+                            SolveError, SolveLimits, SolveStatus, _LayoutSpace, _placements,
+                            _swap_table, exhaustive_bytes, solve_branch_and_bound,
+                            solve_exhaustive)
 
 
 def small_instance(g, layer_sizes, seed, k=1, objective="error"):
@@ -279,6 +280,13 @@ def qv_instance(g, width, layers, index=0, dummy_steps=2):
     return c, FidelityModel.build(c, g)
 
 
+def dp_need(c, g, objectives: int) -> int:
+    """``exhaustive_bytes`` of solving ``c`` on ``g``, as the DP counts it."""
+    active = len({q for gate in c.gates() for q in gate.operands})
+    takeable = sum(math.comb(len(g.edges), k) for k in range(active + 1))
+    return exhaustive_bytes(g.n, len(g.edges), active, c.num_steps, objectives, takeable)
+
+
 @pytest.mark.parametrize("topology, n, width, layers", [
     ("grid", 8, 6, 3), ("grid", 8, 8, None), ("y", 8, 6, 4), ("line", 10, 6, 3)],
     ids=["6-3", "8-None", "y-8/w6/4L", "line-10/w6/3L"])
@@ -289,9 +297,7 @@ def test_byte_estimate_bounds_the_dp_peak(topology, n, width, layers):
     # allocates, and not by much.
     g = builtin_topology(topology, n)
     c, fid = qv_instance(g, width, layers)
-    active = len({q for gate in c.gates() for q in gate.operands})
-    takeable = sum(math.comb(len(g.edges), k) for k in range(active + 1))
-    estimate = exhaustive_bytes(g.n, len(g.edges), active, c.num_steps, 2, takeable)
+    estimate = dp_need(c, g, 2)
     tracemalloc.start()
     try:
         solve_exhaustive(c, g, fid, ("error", "depth"))
@@ -346,6 +352,65 @@ def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
     with pytest.raises(DPTimeLimit):
         solve_exhaustive(c, line62, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
+
+
+def test_held_spaces_and_the_running_solve_fit_the_memory_bound(monkeypatch):
+    # Spaces of other keys go, least recently used first, until the
+    # solve's estimate and every space still held fit DP_MEMORY.
+    graph = {"A": builtin_topology("line", 6), "B": builtin_topology("y", 6),
+             "C": builtin_topology("grid", 8)}
+    width = {"A": 4, "B": 4, "C": 6}  # QV circuits: every qubit is active
+    inst = {k: qv_instance(graph[k], width[k], 3) for k in graph}
+    name = {(graph[k].n, graph[k].edges, width[k]): k for k in graph}
+    need = {k: dp_need(inst[k][0], graph[k], 2) for k in graph}
+    held = {k: _LayoutSpace(graph[k].n, graph[k].edges, width[k], math.inf).nbytes
+            for k in graph}
+    memory = need["C"] + held["A"] + held["B"] - 1
+    assert need["A"] + held["B"] <= memory and need["B"] + held["A"] <= memory
+    monkeypatch.setattr(qaroute.solver, "DP_MEMORY", memory)
+    seen = []
+    relax = qaroute.solver._relax
+
+    def spy(space, *args):
+        seen.append(sum(s.nbytes for s in qaroute.solver._spaces.values() if s is not space))
+        return relax(space, *args)
+
+    monkeypatch.setattr(qaroute.solver, "_relax", spy)
+    kept = []
+    for k in "ABAC":
+        seen.clear()
+        c, fid = inst[k]
+        solve_exhaustive(c, graph[k], fid, ("error", "depth"))
+        assert seen and max(seen) + need[k] <= memory
+        kept.append("".join(name[key] for key in qaroute.solver._spaces))
+    assert kept == ["A", "AB", "BA", "AC"]  # B, used least recently, went first
+    assert [s.nbytes for s in qaroute.solver._spaces.values()] == [held["A"], held["C"]]
+
+
+def test_a_build_the_time_limit_stops_caches_nothing(monkeypatch):
+    # The clock passes the limit at the third of grid-8's ten edge
+    # tables: the solve stops there and keeps no half-built space.
+    g = builtin_topology("grid", 8)
+    c, fid = qv_instance(g, 6, 3)
+    reads = itertools.count()
+    monkeypatch.setattr(qaroute.solver, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.0 if next(reads) < 5 else 86400.0))
+    with pytest.raises(DPTimeLimit):
+        solve_exhaustive(c, g, fid, ("error", "depth"), lim=SolveLimits(time_limit=60.0))
+    assert next(reads) == 6
+    assert qaroute.solver._spaces == {}
+
+
+def test_cached_spaces_reject_writes(grid8):
+    c, fid = qv_instance(grid8, 6, 3)
+    solve_exhaustive(c, grid8, fid, ("error", "depth"))
+    (space,) = qaroute.solver._spaces.values()
+    arrays = [x for x in vars(space).values() if isinstance(x, np.ndarray)]
+    assert len(arrays) == 7
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = 0
+    assert isinstance(space.matchings, tuple)
 
 
 @pytest.mark.parametrize("graph", ["line4", "y6", "grid6", "grid8", "y8"])
@@ -461,6 +526,35 @@ def test_dp_error_adds_up_in_its_documented_order(order):
         assert value[order.index("error")] == error_in_dp_order(rc, c, g, fid)
 
 
+def test_noise_models_on_one_graph_share_its_space_and_keep_their_own_errors():
+    # Uniform and drawn per-edge betas on grid-8, solved in turn on one
+    # cached space, each give what they give on a cold cache: the space
+    # holds no swap error.
+    base = builtin_topology("grid", 8)
+    rng = np.random.default_rng(43)
+    drawn = HardwareGraph(8, base.edges, beta={e: float(rng.uniform(0.95, 0.999))
+                                               for e in base.edges})
+    c = prepared(random_layered_circuit(8, (1, 4), [41, 17]), base, 1)[0]
+    rng = np.random.default_rng([42, 17])
+    layout = None
+    while layout is None:  # a random layout that runs the first gate
+        draw = tuple(int(v) for v in rng.permutation(8))
+        if base.has_edge(draw[c.groups[0][0].p], draw[c.groups[0][0].q]):
+            layout = draw
+    runs = []
+    for g in (base, drawn):
+        fid = FidelityModel.build(c, g)
+        qaroute.solver._spaces.clear()
+        value, rc = solve_exhaustive(c, g, fid, ("error",), initial_map=layout)
+        assert sum(isinstance(op, FreeSwap) for op in rc.steps[1]) >= 3
+        runs.append((g, fid, value, routed_to_json(rc)))
+    assert runs[0][2] != runs[1][2]
+    for g, fid, value, text in runs * 2:
+        again, rc = solve_exhaustive(c, g, fid, ("error",), initial_map=layout)
+        assert (again, routed_to_json(rc)) == (value, text)
+        assert len(qaroute.solver._spaces) == 1
+
+
 def line8_crosstalk():
     """line-8 whose couplers two apart interfere, like line-6's."""
     edges = tuple((i, i + 1) for i in range(7))
@@ -493,8 +587,12 @@ def test_matchings_the_dp_cannot_take_change_nothing(graph, width, layers, order
     assert len(enumerate_matchings(g, active)) < len(every)
     layout = heuristic_layout(c, g, seed=dummies) if pinned else None
     value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
-    monkeypatch.setattr(qaroute.solver, "enumerate_matchings", lambda _g, _most: every)
+    calls = []
+    monkeypatch.setattr(qaroute.solver, "enumerate_matchings",
+                        lambda _g, most: calls.append(most) or every)
+    monkeypatch.setattr(qaroute.solver, "_spaces", {})  # rebuild the space with them
     value_all, rc_all = solve_exhaustive(c, g, fid, order, initial_map=layout)
+    assert calls == [active]
     assert value_all == value
     assert routed_to_json(rc_all) == routed_to_json(rc)
 
