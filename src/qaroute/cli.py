@@ -289,6 +289,8 @@ def cmd_export(ns: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
+        if getattr(ns, "circuit", None) is not None and ns.qv_layers is not None:
+            raise _CliError("--qv-layers truncates --qv circuits; a --circuit is routed whole")
         return ns.handler(ns)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,12 @@ share: ``SolveLimits``, the errors, the objective-order and
 ``initial_map`` checks, and the tie slack ``_OBJ_EPS``. Reading and
 writing models and solutions is ``modelio``'s.
 
+Both engines break ties by one rule. Objective by objective, a value
+within that objective's ``_OBJ_EPS`` of the least counts as least, and
+the next objective decides among those: ``lexopt``'s budget rows for the
+branch and bound, ``_fold`` for the DP, which then takes the first
+matching (the first final state at the end).
+
 ``solve_branch_and_bound`` is a deterministic depth-first search with
 best-bound pruning over the binary variables. Activity-based propagation
 fixes everything a partial layout implies (placement, movement and gate
@@ -15,10 +21,11 @@ the tree quickly and keeps the solver dependency-free.
 ``solve_exhaustive``, the layout DP (its parts' docstrings describe it), is
 the exact engine of ``bip``, ``bip_layout`` and ``bip_routing`` on every
 instance whose arrays fit ``DP_MEMORY``, until the run's time limit. It
-shares only the gate and swap prices with the branch and bound, which,
-through ``lexopt``, routes ``bip_constrained``, ``pareto`` and the
-instances the DP refuses, and is the tests' independent MILP oracle for
-the DP: the DP is never checked against itself.
+shares only the gate and swap prices and the tie rule with the branch
+and bound, which, through ``lexopt``, routes ``bip_constrained``,
+``pareto`` and the instances the DP refuses, and is the tests'
+independent MILP oracle for the DP: the DP is never checked against
+itself.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bipmodel import FEAS_TOL, BipProblem, Row, _row_name
+from .bipmodel import FEAS_TOL, BipProblem, Row, _row_name, check_layer_width
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
@@ -104,8 +111,9 @@ class SolveResult:
         return self.objective - self.dual_bound
 
 
-# Slack within which two values of an objective count as tied when a
-# later objective breaks the tie (lexicographic stages and the DP alike).
+# Per objective, the slack above its least value within which a value
+# still counts as least, so a later objective decides: the lexicographic
+# stages' budget rows and every pick of the layout DP (``_fold``) alike.
 _OBJ_EPS = {"error": 1e-6, "depth": 0.0, "crosstalk": 0.0}
 
 
@@ -475,13 +483,13 @@ def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: in
     qubits: 2 B of nodes per qubit; per edge a 4 B swap table entry and
     9 B of swap rows (kept for the states on one side of a step only, at
     most every placement); 2 B of node masks per node; 32 B of values
-    per objective; 56 B of indices, the row map, the fold's scratch and
+    per objective; 40 B of indices, the row map, the fold's scratch and
     temporaries (enough for a pass over a single matching); and 8 B of
     parents per step. Per matching: its tuple of edges, their ids, mask
-    and summed swap error. And 64 B for each of the at most ``DP_PASS``
+    and summed swap error. And 48 B for each of the at most ``DP_PASS``
     candidates of a pass over several matchings."""
-    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 56 + 8 * steps
-    return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 64 * DP_PASS
+    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 40 + 8 * steps
+    return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 48 * DP_PASS
 
 
 def _placements(n: int, a: int) -> np.ndarray:
@@ -529,68 +537,34 @@ def _swap_table(states: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     return _rank(swapped, n)
 
 
-def _less(a, b, slack) -> np.ndarray:
-    """Element-wise lexicographic ``a < b`` over lists of objective rows,
-    each row but the last compared within its slack."""
-    out = np.zeros(len(a[0]), dtype=bool)
-    open_ = np.ones(len(a[0]), dtype=bool)
-    for x, y, s in zip(a, b, slack):
-        lt, gt = x < y - s, x > y + s
-        out |= open_ & lt
-        open_ &= ~(lt | gt)
-    return out
-
-
 def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
-    """The candidates that win their targets in the in-order fold: each
-    target starts from its incumbent and takes, by ascending ``key``,
-    every candidate that ``_less`` finds better than its current value.
+    """Per target, the candidate that wins it, by the one tie rule of the
+    program: objective by objective, keep what lies within that
+    objective's slack of the least value (equal to it where the slack is
+    0), then take the least key, the incumbent ahead of every key.
 
     Candidate i offers target ``tgt[i]`` the values ``rows[o][i]``;
     ``key`` is unique per target and below 2**53. ``held[o]`` holds
     each target's incumbent values (inf where it has none), or ``held``
-    is None when no target has one. ``scratch`` is a float array over the targets, all
-    inf, and is left so. Returns the indices of the winners, at most one
-    per target and none where the incumbent stays.
-
-    It takes a few passes over all candidates, not one per key. On an
-    objective compared exactly (slack 0) a target keeps only the values
-    equal to its least. On one with slack s it keeps those within s/2 of
-    the least: they are within s of each other, so the next objectives
-    decide among them, and each beats every value more than 2s above
-    the least, which can then never win. A target with a value between
-    s/2 and 2s above its least is folded key by key instead. The first
-    value left wins, the incumbent before every key.
+    is None when no target has one. ``scratch`` is a float array over
+    the targets, all inf, and is left so. Returns the indices of the
+    winners, at most one per target and none where the incumbent stays.
     """
     pos = np.arange(len(tgt))  # the candidates still in the running
     at = tgt  # their targets
     kept = None if held is None else np.isfinite(held[0].take(tgt))  # their incumbent is in
-    odd = []  # targets folded key by key
     for o, (x, s) in enumerate(zip(rows, slack)):
         x = x.take(pos)
         if kept is not None:
             h = held[o].take(at)
             scratch[at[kept]] = h[kept]
         np.minimum.at(scratch, at, x)
-        least = scratch.take(at)
+        cap = scratch.take(at) + s  # the least value plus the slack
         scratch[at] = math.inf
-        if s == 0:
-            stay = x == least
-            if kept is not None:
-                kept &= h == least
-        else:
-            near, far = least + s / 2, least + 2 * s
-            stay = x <= near
-            between = ~stay & (x <= far)
-            if kept is not None:
-                between |= kept & (h > near) & (h <= far)
-                kept &= h <= near
-            if between.any():
-                odd.append(at[between])
-        stay = np.flatnonzero(stay)
-        pos, at = pos.take(stay), at.take(stay)
+        stay = np.flatnonzero(x <= cap)
         if kept is not None:
-            kept = kept.take(stay)
+            kept = (kept & (h <= cap)).take(stay)
+        pos, at = pos.take(stay), at.take(stay)
     # Float keys (exact below 2**53) keep ufunc.at on its fast loop; int
     # keys into the float scratch take the generic one, 20x slower.
     key_left = key.take(pos).astype(np.float64)
@@ -599,27 +573,7 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
     scratch[at] = math.inf
     if kept is not None:
         first &= ~kept
-    win = pos[first]
-    if not odd:
-        return win
-    odd = np.concatenate(odd)
-    win = win[~np.isin(tgt.take(win), odd)]
-    idx = np.flatnonzero(np.isin(tgt, odd))
-    idx = idx[np.argsort(key.take(idx), kind="stable")]
-    where, slot = np.unique(tgt.take(idx), return_inverse=True)
-    if held is None:
-        cur = [np.full(len(where), math.inf) for _ in rows]
-    else:
-        cur = [h.take(where) for h in held]
-    pick = np.full(len(where), -1)
-    for run in np.split(np.arange(len(idx)), np.flatnonzero(np.diff(key.take(idx))) + 1):
-        i, j = idx[run], slot[run]  # one key: distinct targets
-        better = _less([r[i] for r in rows], [c[j] for c in cur], slack)
-        i, j = i[better], j[better]
-        for c, r in zip(cur, rows):
-            c[j] = r[i]
-        pick[j] = i
-    return np.concatenate((win, pick[pick >= 0]))
+    return pos[first]
 
 
 def _check_time(deadline: float) -> None:
@@ -799,13 +753,13 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
     stays within ``DP_PASS`` (so one pass unless the step is large, and
     one matching per pass only when a single one exceeds it): the pass
     gathers every (state, matching) candidate the marks allow, prices
-    them together and keeps per target the value the in-order fold
-    would keep (``_fold``, over ``scratch``). A candidate replaces the
-    target's value when it is lexicographically smaller, each component
-    but the last within its ``_OBJ_EPS`` slack, so float rounding in a
-    sum cannot decide a later component; the first matching wins a tie,
-    and an earlier pass's value comes before every matching of a later
-    one. Checks ``deadline`` once per pass.
+    them together and keeps per target the winner by ``_fold``'s rule
+    (over ``scratch``): objective by objective, the values within its
+    ``_OBJ_EPS`` slack of the least (the last objective exactly), so
+    float rounding in a sum cannot decide a later objective, then the
+    first matching. An earlier pass's winner is a later pass's
+    incumbent, ahead of every matching of it. Checks ``deadline`` once
+    per pass.
     """
     places = space.places
     ahead = space.valid(prices.gates_at[t + 1])
@@ -912,14 +866,16 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     not fit ``DP_MEMORY`` (its only refusal), ``DPTimeLimit`` once
     ``lim.time_limit`` has passed (checked once per pass, and while it
     builds a space after the matchings, the placements and each edge's
-    table; the DP counts no nodes), and ``NoRouteError`` when no routing
-    exists.
+    table; the DP counts no nodes), ``bipmodel.ModelError`` for a layer
+    wider than any matching of ``g``, as the branch and bound's model
+    does, and ``NoRouteError`` when no routing exists.
     """
     objs = _check_order(order)
     if c.n_qubits != g.n:
         raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
     _check_initial_map(initial_map, n)
+    check_layer_width(c, g)
     if not c.gates():  # no active qubit: nothing moves, and the pinned map is the route
         pin = tuple(range(n) if initial_map is None else initial_map)
         return (0.0,) * len(objs), replace(schedule(c, fid, [pin] * m, "exhaustive"),
@@ -963,15 +919,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         raise NoRouteError("instance is infeasible")
 
     # The last step runs its gates with no swap set (matching 0 is the
-    # empty one); the best final state has the least error, then within
-    # its slack the least depth, and so on.
+    # empty one); the best final state wins one target by ``_fold``'s rule.
     err, used, add = prices.priced(space, m - 1, alive)
-    last = prices.costs(space, m - 1, np.zeros(len(alive), dtype=np.intp),
-                        np.arange(len(alive)), err, used, add)
+    every, zero = np.arange(len(alive)), np.zeros(len(alive), dtype=np.intp)
+    last = prices.costs(space, m - 1, zero, every, err, used, add)
     total = [v + x for v, x in zip(live, last)]
-    pick = np.arange(len(alive))
-    for row, s in zip(total, prices.slack):
-        pick = pick[row[pick] <= row[pick].min() + s]
-    best = int(pick[0])
+    best = int(_fold(zero, every, total, prices.slack, None, scratch)[0])
     return (tuple(float(row[best]) for row in total),
             _walk(space, c, fid, active, initial_map, parents, int(alive[best])))

@@ -251,6 +251,21 @@ def test_a_layer_wider_than_any_matching_exits_4_in_every_command(argv, tmp_path
     assert err == "error: a layer holds 2 gates but the graph has no matching that large\n"
 
 
+@pytest.mark.parametrize("command", ["transpile", "pareto", "export"])
+def test_qv_layers_with_a_circuit_document_exits_4(command, tmp_path, capsys):
+    # --qv-layers truncates generated QV circuits; a circuit document
+    # would be routed whole, so the flag is refused rather than ignored.
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"qubits": [0, 1], "gates": [{"p": 0, "q": 1, "kind": "cx"}]}))
+    argv = [command, "--builtin", "line,4", "--circuit", str(circuit)]
+    assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--qv-layers", "1", "--out", str(tmp_path / "cut")]) == 4
+    assert capsys.readouterr().err == ("error: --qv-layers truncates --qv circuits; "
+                                       "a --circuit is routed whole\n")
+    assert not (tmp_path / "cut").exists()
+
+
 def test_sweep_with_a_zero_error_step_is_an_argument_error(tmp_path, capsys):
     # With every beta at 1 a swap costs nothing, so the sweep has no error
     # step to take: a bad input (exit 4), not a missing route (exit 2).

@@ -11,7 +11,7 @@ from qaroute.heuristic import heuristic_route
 from qaroute.hwgraph import builtin_topology, enumerate_matchings
 from qaroute.qvbench import haar_su4
 from qaroute.simulate import exchange_qubits, permutation_matrix
-from qaroute.solver import _OBJ_EPS, _fold, _less
+from qaroute.solver import _OBJ_EPS, _fold
 
 pairs = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda t: t[0] != t[1])
 
@@ -87,17 +87,28 @@ def test_line_matchings_count_is_fibonacci(n):
 
 
 def scalar_fold(tgt, key, rows, slack, held, targets):
-    """Each target's winner by the in-order ``_less`` fold, one candidate
-    at a time: the incumbent first, then the candidates by key."""
+    """Each target's winner by the within-slack rule, in plain Python over
+    lists: the target's incumbent (when it has one) and its candidates
+    form one field; objective by objective the field keeps what lies
+    within the slack of its least value; then the incumbent wins if it is
+    left, else the least key."""
+    tgt, key = tgt.tolist(), key.tolist()
+    rows = [r.tolist() for r in rows]
+    held = None if held is None else [h.tolist() for h in held]
     winners = set()
     for t in range(targets):
-        cur = [h[t] for h in held] if held is not None else [np.inf] * len(rows)
-        best = None
-        for i in sorted(np.flatnonzero(tgt == t), key=lambda i: key[i]):
-            if _less([np.array([r[i]]) for r in rows], [np.array([c]) for c in cur], slack)[0]:
-                cur, best = [r[i] for r in rows], int(i)
-        if best is not None:
-            winners.add(best)
+        # (rank, values, index): the incumbent ranks ahead of every key.
+        field = [(k, [r[i] for r in rows], i) for i, (u, k) in enumerate(zip(tgt, key)) if u == t]
+        if held is not None and held[0][t] != float("inf"):
+            field.append((float("-inf"), [h[t] for h in held], None))
+        for o, s in enumerate(slack):
+            if field:
+                least = min(values[o] for _, values, _ in field)
+                field = [f for f in field if f[1][o] <= least + s]
+        if field:
+            index = min(field, key=lambda f: f[0])[2]
+            if index is not None:
+                winners.add(index)
     return winners
 
 
@@ -147,7 +158,7 @@ def fold_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(fold_cases())
-def test_fold_picks_the_in_order_winner(case):
+def test_fold_picks_the_within_slack_winner(case):
     tgt, key, rows, slack, held, targets = case
     scratch = np.full(targets, np.inf)
     got = _fold(tgt, key, rows, slack, held, scratch)
@@ -188,16 +199,17 @@ def test_fold_picks_the_least_key_among_many_exact_ties():
         assert np.isinf(scratch).all()
 
 
-def test_fold_replays_a_chain_of_near_ties():
-    # Errors 0, 0.9s and 1.8s with depths 2, 1, 0: each beats the one
-    # before it within the slack on depth, so the in-order fold ends on
-    # the last, 1.8s above the least error. A per-target minimum would
-    # keep the first; the middle value is what sends the target to the
-    # key-by-key fold.
+def test_fold_stops_a_chain_of_near_ties_at_the_slack():
+    # Errors 0, 0.9s and 1.8s above 0.2 with depths 2, 1, 0: each is
+    # within the slack of the one before it, but only the first two lie
+    # within the slack of the least, so the middle one wins on depth. A
+    # fold that took each value better than the last within the slack
+    # would end on the third, 1.8s above the least.
     s = _OBJ_EPS["error"]
     tgt = np.array([0, 0, 0, 1])
     key = np.array([3, 5, 8, 0])
     rows = [np.array([0.2, 0.2 + 0.9 * s, 0.2 + 1.8 * s, 0.4]), np.array([2.0, 1.0, 0.0, 0.0])]
     for held in (None, [np.array([np.inf, 0.5]), np.array([np.inf, 0.0])]):
         got = _fold(tgt, key, rows, [s, 0.0], held, np.full(2, np.inf))
-        assert set(got.tolist()) == scalar_fold(tgt, key, rows, [s, 0.0], held, 2) == {2, 3}
+        assert set(got.tolist()) == scalar_fold(tgt, key, rows, [s, 0.0], held, 2) == {1, 3}
+        assert all(rows[0][i] <= rows[0][tgt == tgt[i]].min() + s for i in got)

@@ -10,7 +10,7 @@ import pytest
 import qaroute.solver
 from helpers import (CX, line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
-from qaroute.bipmodel import Row, assemble_problem
+from qaroute.bipmodel import ModelError, Row, assemble_problem
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
@@ -705,6 +705,18 @@ def test_a_pinned_map_that_parts_a_first_layer_gate_has_no_route(line4):
         with pytest.raises(NoRouteError) as err:
             engine(c, line4, fid, ("error", "depth"), initial_map=(0, 2, 1, 3))
         assert not isinstance(err.value, NoIncumbentError)
+
+
+def test_both_engines_refuse_a_layer_wider_than_any_matching():
+    # Every edge of a 5-node star meets its centre, so its two gates never
+    # run at once: a bad input to either engine, not an instance with no route.
+    g = HardwareGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
+    c = LayeredCircuit(5, ((Gate(1, 2, CX, gid=0), Gate(3, 4, CX, gid=1)),))
+    c = insert_dummy_steps(c, 1)
+    fid = FidelityModel.build(c, g)
+    for engine in (solve_exhaustive, lexicographic_solve):
+        with pytest.raises(ModelError, match="a layer holds 2 gates"):
+            engine(c, g, fid, ("error", "depth"))
 
 
 def _clock_past_the_limit_after_start(monkeypatch):
