@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import LayeredCircuit
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, matching_size, norm_edge
+from .hwgraph import HardwareGraph, norm_edge
 
 
 # Slack within which a row counts as satisfied, in every row test and in
@@ -78,7 +78,7 @@ def _row_name(k: int, family: str) -> str:
 def check_layer_width(c: LayeredCircuit, g: HardwareGraph) -> None:
     """Refuse a layer wider than every matching of ``g``: no layout runs it."""
     width = c.max_layer_width()
-    if width > matching_size(g)((1 << g.n) - 1):
+    if width > g.max_matching_size():
         raise ModelError(f"a layer holds {width} gates but the graph has no matching that large")
 
 

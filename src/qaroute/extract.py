@@ -105,10 +105,8 @@ def schedule(c: LayeredCircuit, fid: FidelityModel, layouts,
         for gate in c.groups[t]:
             i, j = pos[gate.p], pos[gate.q]
             merged = nxt[gate.p] == j and nxt[gate.q] == i
-            cost = fid.cost(gate.gid, i, j)
             ops.append(GateOp(gid=gate.gid, p=gate.p, q=gate.q, arc=(i, j),
-                              merged_swap=merged,
-                              cnots_used=cost.n_merged if merged else cost.n_plain))
+                              merged_swap=merged, cnots_used=fid.cnots(gate.gid, i, j, merged)))
             if merged:
                 trades.discard(norm_edge(i, j))
         ops.extend(FreeSwap(edge=e) for e in sorted(trades))
@@ -371,7 +369,7 @@ def routed_to_json(rc: RoutedCircuit) -> str:
     doc = {"n_nodes": rc.n_nodes, "initial_map": list(rc.initial_map),
            "final_map": list(rc.final_map), "steps": steps,
            "origin": rc.origin, "time_aligned": rc.time_aligned}
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def routed_from_json(source: str | dict) -> RoutedCircuit:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import LayeredCircuit
 from .documents import parsed, reading
-from .hwgraph import HardwareGraph, norm_edge
+from .hwgraph import HardwareGraph
 from .simulate import SWAP, UNITARY_ATOL, is_unitary, unitary_defect
 
 _B_MAGIC = np.array(
@@ -36,11 +35,6 @@ _PI4 = math.pi / 4
 
 class FidelityError(ValueError):
     """Raised when fidelity tables cannot be built or are out of range."""
-
-
-def closest_unitary_distance(u: np.ndarray) -> float:
-    s = np.linalg.svd(u, compute_uv=False)
-    return float(np.max(np.abs(s - 1.0)))
 
 
 def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
@@ -144,20 +138,6 @@ def _budget(coords: tuple[float, float, float]) -> tuple[float, float, float, fl
     return tuple(itertools.accumulate(_exact_fidelities(*coords), max))
 
 
-@dataclass(frozen=True)
-class GatePlacementCost:
-    """Optimal CNOT counts and success probabilities for one gate on one edge.
-
-    ``plain`` places the gate alone; ``merged`` realizes the gate followed
-    by a SWAP of its operands as a single compiled unit.
-    """
-
-    n_plain: int
-    p_plain: float
-    n_merged: int
-    p_merged: float
-
-
 def _best_budget(fids: tuple[float, ...], beta: float) -> tuple[int, float]:
     best_k = 0
     best_v = fids[0]
@@ -168,19 +148,18 @@ def _best_budget(fids: tuple[float, ...], beta: float) -> tuple[int, float]:
     return best_k, best_v
 
 
-def placement_cost(fids: tuple[float, ...], fids_swap: tuple[float, ...],
-                   beta: float) -> GatePlacementCost:
-    n_plain, p_plain = _best_budget(fids, beta)
-    n_merged, p_merged = _best_budget(fids_swap, beta)
-    return GatePlacementCost(n_plain=n_plain, p_plain=p_plain,
-                             n_merged=n_merged, p_merged=p_merged)
-
-
 class FidelityModel:
-    """Per-gate, per-edge placement costs for one circuit on one graph.
+    """The price table of one circuit on one graph.
 
-    Tables are filled once at construction and read-only afterwards, so
-    concurrent readers are safe.
+    Each gate is priced by its best CNOT budget (``_best_budget``) once
+    per distinct edge beta, alone (plain) and merged with a SWAP of its
+    operands. ``cnot_rows[gid]`` holds its (plain, merged) CNOT counts
+    and ``error_rows[gid]`` its (plain, merged) errors, -log of the
+    success probability, each a row over ``graph.edges``; ``swap_errors``
+    is the row of standalone-SWAP errors, -3 log beta. ``cnots``,
+    ``gate_error`` and ``swap_error`` read one entry, for either
+    orientation of an edge. The rows are filled once at construction
+    and read-only afterwards, so concurrent readers are safe.
     """
 
     def __init__(self, graph: HardwareGraph,
@@ -189,16 +168,17 @@ class FidelityModel:
         self.graph = graph
         self.f_table = dict(f_table)
         self.f_swap_table = dict(f_swap_table)
-        by_beta: dict[float, list[tuple[int, int]]] = {}
-        for edge in graph.edges:
-            by_beta.setdefault(graph.beta[edge], []).append(edge)
-        self._costs: dict[tuple[int, tuple[int, int]], GatePlacementCost] = {}
+        self._col = {arc: k for k, e in enumerate(graph.edges) for arc in (e, e[::-1])}
+        betas = list(dict.fromkeys(graph.beta.values()))
+        at = [betas.index(graph.beta[e]) for e in graph.edges]
+        self.cnot_rows, self.error_rows = {}, {}
         for gid, fids in self.f_table.items():
-            fids_swap = self.f_swap_table[gid]
-            for beta, edges in by_beta.items():
-                cost = placement_cost(fids, fids_swap, beta)
-                for edge in edges:
-                    self._costs[gid, edge] = cost
+            priced = [[_best_budget(f, beta) for beta in betas]
+                      for f in (fids, self.f_swap_table[gid])]  # plain, then merged
+            self.cnot_rows[gid] = tuple(np.array([by[b][0] for b in at]) for by in priced)
+            self.error_rows[gid] = tuple(np.array([-math.log(by[b][1]) for b in at])
+                                         for by in priced)
+        self.swap_errors = np.array([-3.0 * math.log(graph.beta[e]) for e in graph.edges])
 
     @classmethod
     def build(cls, c: LayeredCircuit, g: HardwareGraph,
@@ -239,18 +219,19 @@ class FidelityModel:
                 f_swap_table[gid] = fs
         return cls(g, f_table, f_swap_table)
 
-    def cost(self, gid: int, i: int, j: int) -> GatePlacementCost:
-        return self._costs[gid, norm_edge(i, j)]
+    def cnots(self, gid: int, i: int, j: int, merged: bool = False) -> int:
+        """CNOT count of gate ``gid`` on edge (i, j), merged with a swap of
+        its operands when ``merged``."""
+        return int(self.cnot_rows[gid][merged][self._col[i, j]])
 
     def gate_error(self, gid: int, i: int, j: int, merged: bool = False) -> float:
         """Negated log success probability of gate ``gid`` on edge (i, j),
         merged with a swap of its operands when ``merged``."""
-        cost = self._costs[gid, norm_edge(i, j)]
-        return -math.log(cost.p_merged if merged else cost.p_plain)
+        return float(self.error_rows[gid][merged][self._col[i, j]])
 
     def swap_error(self, i: int, j: int) -> float:
         """Negated log success probability of a standalone SWAP (three CNOTs)."""
-        return -3.0 * math.log(self.graph.beta_of(i, j))
+        return float(self.swap_errors[self._col[i, j]])
 
     def mean_swap_error(self) -> float:
         """``swap_error`` on an edge of mean CNOT success probability."""

@@ -187,7 +187,7 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
     steps = tuple(
         (FreeSwap(edge=edge),) if edge is not None else
         tuple(GateOp(gid=gid, p=p, q=q, arc=(i, j), merged_swap=False,
-                     cnots_used=fid.cost(gid, i, j).n_plain) for gid, p, q, i, j in ops)
+                     cnots_used=fid.cnots(gid, i, j)) for gid, p, q, i, j in ops)
         for edge, ops in plan)
     return RoutedCircuit(n_nodes=g.n, initial_map=initial_map, final_map=final_map,
                          steps=steps, origin="sabre_like", time_aligned=False)

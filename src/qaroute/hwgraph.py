@@ -5,8 +5,8 @@ qubit sites, edges are the pairs that support a native two-qubit gate.
 Each edge carries a CNOT success probability (``beta``) and the graph may
 list pairs of edges that interfere when driven simultaneously (crosstalk).
 
-Node ids are normalized to ``0..n-1`` internally; the original labels of
-a loaded or builtin topology are kept in ``labels`` for reporting.
+Node ids are normalized to ``0..n-1``; a loaded topology's node labels
+only name its nodes while it is read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class HardwareGraph:
     edges: tuple[Edge, ...]
     beta: dict[Edge, float] = field(default_factory=dict)
     crosstalk_pairs: tuple[tuple[Edge, Edge], ...] = ()
-    labels: tuple[object, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -79,10 +78,6 @@ class HardwareGraph:
         self.crosstalk_pairs = tuple(sorted(set(pairs)))
         # Every edge some crosstalk pair names, sorted.
         self.crosstalk_edges = tuple(sorted({e for pair in self.crosstalk_pairs for e in pair}))
-        if not self.labels:
-            self.labels = tuple(range(self.n))
-        elif len(self.labels) != self.n:
-            raise TopologyError("labels must cover every node")
         # Sorted adjacency, frozen once; routing and model builders index it heavily.
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
@@ -90,6 +85,7 @@ class HardwareGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._dist = None
+        self._matching = None
         if self.n > 1 and not self._connected():
             raise TopologyError("graph is not connected")
 
@@ -139,6 +135,13 @@ class HardwareGraph:
             self._dist = tuple(tuple(row) for row in dist)
         return self._dist
 
+    def max_matching_size(self) -> int:
+        """Size of a maximum matching of the whole graph, computed on the
+        first call (``matching_size``) and kept for every later one."""
+        if self._matching is None:
+            self._matching = matching_size(self)((1 << self.n) - 1)
+        return self._matching
+
 
 def load_topology(source: str | dict) -> HardwareGraph:
     """Build a graph from a JSON document (text or parsed dict).
@@ -174,7 +177,7 @@ def _graph_from_doc(doc) -> HardwareGraph:
     pairs = [(to_edge(p[0]), to_edge(p[1])) for p in doc.get("crosstalk_pairs", [])]
     return HardwareGraph(
         n=len(labels), edges=tuple(edges), beta=beta,
-        crosstalk_pairs=tuple(pairs), labels=tuple(labels))
+        crosstalk_pairs=tuple(pairs))
 
 
 def _line(n: int) -> tuple[list[Edge], list[tuple[Edge, Edge]]]:
@@ -242,9 +245,7 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
         edges, pairs = _grid(2, 4), []
     else:
         raise TopologyError(f"no builtin topology ({name!r}, {n})")
-    return HardwareGraph(
-        n=n, edges=tuple(edges), crosstalk_pairs=tuple(pairs),
-        labels=tuple(range(1, n + 1)))
+    return HardwareGraph(n=n, edges=tuple(edges), crosstalk_pairs=tuple(pairs))
 
 
 # Most node subsets ``matching_size`` remembers before it gives up.

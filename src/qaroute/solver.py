@@ -673,7 +673,7 @@ class _Prices:
     """The layout DP's prices of circuit ``c`` under the order ``objs``,
     crosstalk by one int64 mask bit per edge of ``xt``. ``gates_at`` holds
     per step, per gate, ``(cp, cq, plain, merged)``: its qubits' rows of
-    ``space.states`` and its plain and merged error on each edge.
+    ``space.states`` and its plain and merged error rows (``fid.error_rows``).
     ``swap_err`` is each edge's swap error, and ``swaps_err`` sums each
     matching's column by column, in the order the per-state sum adds them."""
 
@@ -682,15 +682,13 @@ class _Prices:
         self.objs = objs
         self.slack = [_OBJ_EPS[o] for o in objs[:-1]] + [0.0]
         self.dummy = set(c.dummy_steps)
-        self.gates_at = [[(active.index(gt.p), active.index(gt.q),
-                           np.array([fid.gate_error(gt.gid, *e) for e in g.edges]),
-                           np.array([fid.gate_error(gt.gid, *e, merged=True) for e in g.edges]))
+        self.gates_at = [[(active.index(gt.p), active.index(gt.q), *fid.error_rows[gt.gid])
                           for gt in grp] for grp in c.groups]
         bit = {e: 1 << k for k, e in enumerate(xt)}
         self.edge_bit = np.array([bit.get(e, 0) for e in g.edges] + [0], dtype=np.int64)
         self.masks = np.bitwise_or.reduce(self.edge_bit[space.edge_ids], axis=1)  # disjoint edges
         self.pairs = [(bit.get(e1, 0), bit.get(e2, 0)) for e1, e2 in g.crosstalk_pairs]
-        self.swap_err = np.array([fid.swap_error(i, j) for i, j in g.edges])
+        self.swap_err = fid.swap_errors
         self.swaps_err = np.zeros(len(space.matchings))
         for e, p in zip(space.edge_ids.T, space.wider):
             self.swaps_err[p:] += self.swap_err.take(e[p:])

@@ -218,7 +218,7 @@ def reference_route(c: LayeredCircuit, g, initial_map, fid: FidelityModel,
             for gt in ready:
                 i, j = pos[gt.p], pos[gt.q]
                 ops.append(GateOp(gid=gt.gid, p=gt.p, q=gt.q, arc=(i, j), merged_swap=False,
-                                  cnots_used=fid.cost(gt.gid, i, j).n_plain))
+                                  cnots_used=fid.cnots(gt.gid, i, j)))
             steps.append(tuple(ops))
             executed = {gt.gid for gt in ready}
             remaining = [gt for gt in remaining if gt.gid not in executed]

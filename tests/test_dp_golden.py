@@ -2,9 +2,10 @@
 
 ``dp_golden.json`` holds, for 106 seeded instances, the value tuple
 ``solve_exhaustive`` returns and the sha256 of its routed circuit's
-``routed_to_json`` text (or ``no_route``). A change to the DP's kernel
-that keeps its answers passes unchanged; one that picks another optimum
-among ties, or sums a value in another order, does not.
+``routed_to_json`` document written with ``indent=1`` (or ``no_route``).
+A change to the DP's kernel that keeps its answers passes unchanged; one
+that picks another optimum among ties, or sums a value in another order,
+does not.
 
 The instances cross the graphs line-4/5/6, y-6, grid-6, grid-8 and y-8
 with seven objective orders, each free and pinned to a random layout
@@ -87,7 +88,13 @@ def run(k: int) -> dict:
     except NoRouteError:
         return {"value": None, "route": "no_route"}
     return {"value": list(value),
-            "route": hashlib.sha256(routed_to_json(rc).encode()).hexdigest()}
+            "route": hashlib.sha256(route_text(rc).encode()).hexdigest()}
+
+
+def route_text(rc) -> str:
+    """The routed circuit as the golden file hashed it: its JSON document
+    laid out with ``indent=1``."""
+    return json.dumps(json.loads(routed_to_json(rc)), indent=1)
 
 
 @pytest.fixture(scope="module")

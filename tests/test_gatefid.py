@@ -11,11 +11,10 @@ from helpers import (CX, lattice_offsets, numeric_fidelity_budget, prepared,
                      random_layered_circuit, reference_fold_spectrum)
 from qaroute.circuit import Gate, LayeredCircuit, dump_circuit
 from qaroute.cli import main
-from qaroute.gatefid import (FidelityError, FidelityModel, _fold_spectra, _spectra,
-                             _weyl_batch, avg_gate_fidelity,
-                             closest_unitary_distance, cnot_budget_fidelities,
-                             exact_cnot_fidelities, load_fidelity_overrides,
-                             placement_cost, trace_to_fidelity,
+from qaroute.gatefid import (FidelityError, FidelityModel, _best_budget, _fold_spectra,
+                             _spectra, _weyl_batch, avg_gate_fidelity,
+                             cnot_budget_fidelities, exact_cnot_fidelities,
+                             load_fidelity_overrides, trace_to_fidelity,
                              weyl_coordinates)
 from qaroute.hwgraph import HardwareGraph, builtin_topology
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
@@ -97,25 +96,22 @@ def test_exact_table_consistency():
             assert budget[k] == pytest.approx(run, abs=1e-15)
 
 
-def test_closest_unitary_distance():
-    u = haar_su4(10)
-    assert closest_unitary_distance(u) <= 1e-12
-
-
 def test_placement_cost_tie_break():
-    # Equal products prefer fewer CNOTs.
-    beta = 1.0
-    pc = placement_cost((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5, 1.0), beta)
-    assert pc.n_plain == 0
-    assert pc.p_plain == pytest.approx(1.0)
-    assert pc.n_merged == 3
-    pc2 = placement_cost((0.5, 0.9, 0.95, 1.0), (0.4, 0.4, 0.6, 1.0), 0.9)
+    # Equal products prefer fewer CNOTs. Edge (0, 1) has beta 1, edge
+    # (1, 2) beta 0.9.
+    g = HardwareGraph(n=3, edges=((0, 1), (1, 2)), beta={(0, 1): 1.0, (1, 2): 0.9})
+    fid = FidelityModel(g, {0: (1.0, 1.0, 1.0, 1.0), 1: (0.5, 0.9, 0.95, 1.0)},
+                        {0: (0.5, 0.5, 0.5, 1.0), 1: (0.4, 0.4, 0.6, 1.0)})
+    assert fid.cnots(0, 0, 1) == 0
+    assert fid.gate_error(0, 0, 1) == 0.0
+    assert fid.cnots(0, 0, 1, merged=True) == 3
+    assert fid.gate_error(0, 0, 1, merged=True) == 0.0
     # 0.5, 0.81, 0.7695, 0.729 -> one CNOT wins.
-    assert pc2.n_plain == 1
-    assert pc2.p_plain == pytest.approx(0.81)
+    assert fid.cnots(1, 1, 2) == 1
+    assert fid.gate_error(1, 1, 2) == pytest.approx(-math.log(0.81))
     # 0.4, 0.36, 0.486, 0.729 -> merged prefers all three.
-    assert pc2.n_merged == 3
-    assert pc2.p_merged == pytest.approx(0.729)
+    assert fid.cnots(1, 1, 2, merged=True) == 3
+    assert fid.gate_error(1, 1, 2, merged=True) == pytest.approx(-math.log(0.729))
 
 
 def test_model_cost_orientation_free(line4):
@@ -123,9 +119,10 @@ def test_model_cost_orientation_free(line4):
     c, fid = prepared(c, line4, 1)
     for gate in (g for grp in c.groups for g in grp):
         for i, j in line4.arcs():
-            a = fid.cost(gate.gid, i, j)
-            b = fid.cost(gate.gid, j, i)
-            assert a == b
+            for merged in (False, True):
+                assert fid.cnots(gate.gid, i, j, merged) == fid.cnots(gate.gid, j, i, merged)
+                assert (fid.gate_error(gate.gid, i, j, merged)
+                        == fid.gate_error(gate.gid, j, i, merged))
 
 
 def test_model_overrides():
@@ -133,8 +130,8 @@ def test_model_overrides():
     c = random_layered_circuit(4, (1,), seed=13)
     table = {0: {"f": [1.0, 1.0, 1.0, 1.0], "f_swap": [0.1, 0.1, 0.1, 1.0]}}
     c2, fid = prepared(c, g, 0, overrides=table)
-    pc = fid.cost(0, 0, 1)
-    assert pc.n_plain == 0 and pc.p_plain == pytest.approx(1.0)
+    assert fid.cnots(0, 0, 1) == 0 and fid.gate_error(0, 0, 1) == 0.0
+    assert fid.cnots(0, 0, 1, merged=True) == 3
 
 
 def test_load_fidelity_overrides_errors():
@@ -161,24 +158,24 @@ def test_log_cost_accounting(line4):
     # than a perfect zero-CNOT one.
     c = random_layered_circuit(4, (1,), seed=14)
     c2, fid = prepared(c, line4, 0)
-    pc = fid.cost(0, 0, 1)
-    assert 0.0 < pc.p_plain <= 1.0 and 0.0 < pc.p_merged <= 1.0
+    assert fid.gate_error(0, 0, 1) >= 0.0 and fid.gate_error(0, 0, 1, merged=True) >= 0.0
     beta = line4.beta_of(0, 1)
     budget = cnot_budget_fidelities(c.groups[0][0].unitary)
     best = max(budget[k] * beta ** k for k in range(4))
-    assert pc.p_plain == pytest.approx(best, abs=1e-15)
-    assert -math.log(pc.p_plain) >= 0.0
+    assert math.exp(-fid.gate_error(0, 0, 1)) == pytest.approx(best, abs=1e-15)
 
 
 def test_gate_and_swap_prices(line4):
     c, fid = prepared(random_layered_circuit(4, (2, 1), seed=15), line4, 1)
     for gate in c.gates():
         for i, j in line4.arcs():
-            pc = fid.cost(gate.gid, i, j)
-            assert fid.gate_error(gate.gid, i, j) == -math.log(pc.p_plain)
-            assert fid.gate_error(gate.gid, i, j, merged=True) == -math.log(pc.p_merged)
-    for i, j in line4.edges:
-        assert fid.swap_error(i, j) == -3.0 * math.log(line4.beta_of(i, j))
+            k, p = _best_budget(fid.f_table[gate.gid], line4.beta_of(i, j))
+            assert fid.gate_error(gate.gid, i, j) == -math.log(p)
+            k, p = _best_budget(fid.f_swap_table[gate.gid], line4.beta_of(i, j))
+            assert fid.gate_error(gate.gid, i, j, merged=True) == -math.log(p)
+    for k, (i, j) in enumerate(line4.edges):
+        assert fid.swap_errors[k] == -3.0 * math.log(line4.beta_of(i, j))
+        assert fid.swap_error(i, j) == fid.swap_error(j, i) == fid.swap_errors[k]
     mean_beta = sum(line4.beta.values()) / len(line4.beta)
     assert fid.mean_swap_error() == -3.0 * math.log(mean_beta)
 
@@ -301,21 +298,50 @@ def test_stacked_fold_matches_the_one_spectrum_fold_bit_for_bit():
 
 def test_edge_costs_are_priced_once_per_gate_and_distinct_beta(monkeypatch):
     # Three of the five edges share the default beta: each gate is priced
-    # three times, and every edge gets what pricing it alone gives.
+    # three times plain and three times merged, and every edge gets what
+    # pricing it alone gives.
     g = HardwareGraph(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)),
                       beta={(1, 2): 0.97, (3, 4): 0.985})
     c, _ = prepared(random_layered_circuit(6, (3, 2), seed=17), g, 1)
     calls = []
-    price = qaroute.gatefid.placement_cost
 
-    def counting(fids, fids_swap, beta):
+    def counting(fids, beta):
         calls.append(beta)
-        return price(fids, fids_swap, beta)
+        return _best_budget(fids, beta)
 
-    monkeypatch.setattr(qaroute.gatefid, "placement_cost", counting)
+    monkeypatch.setattr(qaroute.gatefid, "_best_budget", counting)
     fid = FidelityModel.build(c, g)
-    assert len(calls) == 3 * len(c.gates())
+    assert len(calls) == 2 * 3 * len(c.gates())
     for gate in c.gates():
         for i, j in g.edges:
-            want = price(fid.f_table[gate.gid], fid.f_swap_table[gate.gid], g.beta_of(i, j))
-            assert fid.cost(gate.gid, j, i) == want
+            for merged, table in ((False, fid.f_table), (True, fid.f_swap_table)):
+                k, p = _best_budget(table[gate.gid], g.beta_of(i, j))
+                assert fid.cnots(gate.gid, j, i, merged) == k
+                assert fid.gate_error(gate.gid, j, i, merged) == -math.log(p)
+
+
+def test_every_row_entry_is_the_log_of_its_best_budget_bit_for_bit():
+    # Drawn betas, some shared, and a circuit whose first two gates take
+    # their tables from an override document.
+    rng = np.random.default_rng(23)
+    g = builtin_topology("grid", 8)
+    drawn = rng.uniform(0.9, 1.0, 3)
+    g = HardwareGraph(n=g.n, edges=g.edges,
+                      beta={e: float(drawn[rng.integers(3)]) for e in g.edges})
+    overrides = {gid: {"f": sorted(rng.uniform(0.2, 1.0, 3).tolist()) + [1.0],
+                       "f_swap": sorted(rng.uniform(0.2, 1.0, 3).tolist()) + [1.0]}
+                 for gid in (0, 1)}
+    c, fid = prepared(random_layered_circuit(8, (4, 3, 2), seed=24), g, 1,
+                      overrides=overrides)
+    for gate in c.gates():
+        for merged, table in ((False, fid.f_table), (True, fid.f_swap_table)):
+            cnot_row = fid.cnot_rows[gate.gid][merged]
+            error_row = fid.error_rows[gate.gid][merged]
+            assert len(cnot_row) == len(error_row) == len(g.edges)
+            for col, (i, j) in enumerate(g.edges):
+                k, p = _best_budget(table[gate.gid], g.beta_of(i, j))
+                assert cnot_row[col] == k and error_row[col].hex() == (-math.log(p)).hex()
+                for a, b in ((i, j), (j, i)):
+                    assert fid.cnots(gate.gid, a, b, merged) == k
+                    assert fid.gate_error(gate.gid, a, b, merged).hex() == (-math.log(p)).hex()
+    assert list(fid.f_table[0]) == overrides[0]["f"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qaroute.hwgraph
-from helpers import shuffled_grid_document
+from helpers import CX, shuffled_grid_document
+from qaroute.bipmodel import check_layer_width
+from qaroute.circuit import Gate, LayeredCircuit
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
                              builtin_topology, enumerate_matchings,
                              load_topology, matching_size)
@@ -17,7 +19,6 @@ def test_line4_shape(line4):
     assert line4.neighbors(1) == (0, 2)
     assert line4.has_edge(2, 3) and line4.has_edge(3, 2)
     assert not line4.has_edge(0, 2)
-    assert line4.labels == (1, 2, 3, 4)
 
 
 def test_default_beta_uniform(line4, grid6, y6):
@@ -49,7 +50,6 @@ def test_load_topology_round_trip():
     }
     g = load_topology(doc)
     assert g.n == 3
-    assert g.labels == ("a", "b", "c")
     assert g.beta_of(0, 1) == 0.99
     assert g.beta_of(1, 2) == 0.95
     assert g.crosstalk_pairs == (((0, 1), (1, 2)),)
@@ -182,6 +182,26 @@ def test_matching_size_of_grids_whose_labels_are_shuffled(side):
     for seed in (0, 1, 2):
         g = load_topology(shuffled_grid_document(side, seed))
         assert matching_size(g)((1 << g.n) - 1) == side * side // 2
+
+
+def test_max_matching_size_is_computed_once_per_graph(monkeypatch):
+    # One request checks its layer width in run_variant_full and again in
+    # the engine; every call after the first reads the size the graph
+    # kept, with no new memo.
+    memos = []
+    size = qaroute.hwgraph.matching_size
+
+    def counting(g):
+        memos.append(g)
+        return size(g)
+
+    monkeypatch.setattr(qaroute.hwgraph, "matching_size", counting)
+    g = builtin_topology("grid", 8)
+    c = LayeredCircuit(n_qubits=8, groups=((Gate(0, 1, CX, gid=0), Gate(2, 3, CX, gid=1)),))
+    check_layer_width(c, g)
+    check_layer_width(c, g)
+    assert memos == [g]
+    assert g.max_matching_size() == 4
 
 
 def test_matching_size_memo_is_capped(monkeypatch):
