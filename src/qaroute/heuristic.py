@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -333,8 +334,12 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     refuses as too large, and ``bip_constrained``, are one lexicographic
     solve each, under ``lim``. Where ``lim`` leaves a free variant with
     no proof and no route, it returns the greedy route (from its pinned
-    layout, if any), unproven. Raises ``NoRouteError`` for no route, and
-    ``bipmodel.ModelError`` for a layer wider than any matching of ``g``.
+    layout, if any), unproven. That same route's error is the layout
+    DP's ``incumbent``, so one call searches the greedy layout and
+    routes from it at most once, and only when the DP asks for the bound
+    or the fallback needs it. Raises
+    ``NoRouteError`` for no route, and ``bipmodel.ModelError`` for a
+    layer wider than any matching of ``g``.
     """
     check_layer_width(c, g)
     if variant == "sabre_like":
@@ -345,20 +350,31 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
         raise HeuristicError(f"unknown variant {variant!r}")
     order = ("error",) if variant == "bip_layout" else ("error", "depth")
     layout = heuristic_layout(c, g, seed) if variant == "bip_routing" else None
+
+    @cache
+    def greedy() -> RoutedCircuit:
+        return heuristic_route(c, g, layout or heuristic_layout(c, g, seed), fid)
+
+    def greedy_error() -> float:
+        try:
+            return stats(greedy(), fid, g).error_objective_value
+        except HeuristicError:
+            return math.inf  # no greedy route, so no bound
+
     if variant == "bip_constrained":
         lex = lexicographic_solve(c, g, fid, order, lim, same_endpoints=True)
         rc, closed = lex.routed, lex.closed
     else:
         try:
             try:
-                _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, lim=lim)
+                _, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, lim=lim,
+                                         incumbent=greedy_error)
                 closed = True
             except DPTooLarge:
                 lex = lexicographic_solve(c, g, fid, order, lim, initial_map=layout)
                 rc, closed = lex.routed, lex.closed
         except (DPTimeLimit, NoIncumbentError):
-            start = layout or heuristic_layout(c, g, seed)
-            rc, closed = heuristic_route(c, g, start, fid), False
+            rc, closed = greedy(), False
     if variant == "bip_layout" and rc.origin != "sabre_like":
         # The model's layout, routed greedily; a fallback route already is.
         rc = heuristic_route(c, g, rc.initial_map, fid)

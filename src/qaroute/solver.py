@@ -736,12 +736,69 @@ class _Prices:
         return out
 
 
+class _Floor:
+    """An admissible and consistent lower bound on the error a live state
+    of step t adds from there to the end, under ``prices`` on ``g``:
+    every gate at step t or later at its least plain or merged error on
+    any edge, plus the least swap error times half the excess, rounded
+    up. The excess sums, over the first step from t on that has gates,
+    each gate's operands' hops apart less one (0 when no path joins
+    them). A live state runs step t's gates in place, so the excess is 0
+    at a step with gates; the steps before the first such step are
+    gate-free, so no swap there merges into a gate, and one swap moves
+    two qubits one hop each, lowering the excess by at most 2."""
+
+    def __init__(self, prices: _Prices, g: HardwareGraph):
+        # Per step t: the least error of the gates at steps >= t, and the
+        # gates of the first step >= t that has any.
+        self.rest, self.ahead, total, nxt = [], [], 0.0, []
+        for grp in reversed(prices.gates_at):
+            total += sum(min(plain.min(), merged.min()) for _, _, plain, merged in grp)
+            nxt = grp or nxt
+            self.rest.append(total)
+            self.ahead.append(nxt)
+        self.rest.reverse()
+        self.ahead.reverse()
+        self.beyond = np.maximum(np.array(g.distances()) - 1, 0)  # hops past adjacent
+        self.least_swap = prices.swap_err.min()
+
+    def __call__(self, space: _LayoutSpace, t: int, alive: np.ndarray) -> np.ndarray:
+        """The bound for each live state ``alive`` of step t."""
+        rows = space.states[:, alive]
+        excess = np.zeros(len(alive), dtype=np.int64)
+        for cp, cq, *_ in self.ahead[t]:
+            excess += self.beyond[rows[cp], rows[cq]]
+        return self.rest[t] + self.least_swap * ((excess + 1) // 2)
+
+
+class _Cut:
+    """The layout DP's bound from a known route on ``g``. ``incumbent``
+    gives U, an error some route reaches; ``due`` asks for it at the
+    first step of more than ``DP_PASS`` candidates, and from then on
+    ``_relax`` drops every live state whose error plus ``floor`` exceeds
+    ``cap``, U plus ``margin``."""
+
+    def __init__(self, incumbent, margin: float, g: HardwareGraph):
+        self.incumbent, self.margin, self.g = incumbent, margin, g
+        self.bound = self.cap = self.floor = None  # set once asked for
+
+    def due(self, prices: _Prices, candidates: int) -> bool:
+        """Whether the bound prunes a step of ``candidates`` (matchings
+        times the states on its smaller side)."""
+        if self.bound is None and candidates > DP_PASS:
+            self.bound = float(self.incumbent())
+            self.cap = self.bound + self.margin
+            self.floor = _Floor(prices, self.g)
+        return self.bound is not None
+
+
 def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live: list,
-           scratch: np.ndarray, deadline: float):
+           scratch: np.ndarray, deadline: float, cut: _Cut | None):
     """One step of the layout DP: from the live states ``alive`` of step
     t, with one row of values ``live`` per objective, to those of step
     t + 1 and theirs, plus per placement of step t + 1 its parent state
-    (-1 for none) and the matching it took.
+    (-1 for none) and the matching it took. With a ``cut`` that is due,
+    the live states it drops are not relaxed.
 
     It relaxes the matchings from the smaller side, pushing from the
     live states or pulling into the valid states of the next step when
@@ -762,6 +819,9 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
     places = space.places
     ahead = space.valid(prices.gates_at[t + 1])
     targets = np.flatnonzero(ahead)
+    if cut is not None and cut.due(prices, min(len(targets), len(alive)) * len(space.matchings)):
+        keep = np.flatnonzero(live[0] + cut.floor(space, t, alive) <= cut.cap)
+        alive, live = alive.take(keep), [v.take(keep) for v in live]
     pull = len(targets) < len(alive)
     if pull:
         row_of = np.full(places, -1, dtype=np.int32)  # placement -> live row
@@ -835,13 +895,38 @@ def _walk(space: _LayoutSpace, c: LayeredCircuit, fid: FidelityModel, active, in
     return schedule(c, fid, layouts, "exhaustive")
 
 
+def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratch: np.ndarray,
+         deadline: float, cut: _Cut | None):
+    """The layout DP from the live states ``alive`` of step 0: the winning
+    final state's values, one per objective, the state, and each step's
+    parents for ``_walk``; None when no state reaches the last step. The
+    last step runs its gates with no swap set (matching 0 is the empty
+    one), and the best final state wins one target by ``_fold``'s rule."""
+    live = [np.zeros(len(alive)) for _ in prices.objs]
+    parents = []
+    for t in range(m - 1):
+        if len(alive) == 0:
+            return None
+        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline, cut)
+        parents.append((parent, via))
+    if len(alive) == 0:
+        return None
+    err, used, add = prices.priced(space, m - 1, alive)
+    every, zero = np.arange(len(alive)), np.zeros(len(alive), dtype=np.intp)
+    last = prices.costs(space, m - 1, zero, every, err, used, add)
+    total = [v + x for v, x in zip(live, last)]
+    best = int(_fold(zero, every, total, prices.slack, None, scratch)[0])
+    return tuple(float(row[best]) for row in total), int(alive[best]), parents
+
+
 # The finished layout spaces by (nodes, edges, active count), least
 # recently used first.
 _spaces: dict[tuple, _LayoutSpace] = {}
 
 
 def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
-                     order, initial_map=None, lim: SolveLimits | None = None):
+                     order, initial_map=None, lim: SolveLimits | None = None,
+                     incumbent=None):
     """Optimum by dynamic programming over the layouts of the qubits some
     gate touches: ``_LayoutSpace`` holds the states and the swap sets
     between them, ``_Prices`` prices a step, ``_relax`` carries each
@@ -867,6 +952,26 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     table; the DP counts no nodes), ``bipmodel.ModelError`` for a layer
     wider than any matching of ``g``, as the branch and bound's model
     does, and ``NoRouteError`` when no routing exists.
+
+    ``incumbent``, when given, is a zero-argument callable that returns
+    U, an error some route of the circuit reaches, as
+    ``solve_branch_and_bound`` takes a known assignment. Only an order
+    that starts with ``"error"`` uses it, and the DP calls it at most
+    once: at the first step whose matchings times the states on its
+    smaller side exceed ``DP_PASS`` (the first step relaxed in more than
+    one pass), so a solve with no such step never pays for it. Its time
+    counts against ``lim.time_limit``. From that step on, a live state
+    whose error plus ``_Floor``'s lower bound on the error still to come
+    exceeds U + (m + 2) * ``_OBJ_EPS["error"]`` is dropped
+    before its step is relaxed; the margin covers the slack ``_fold``
+    may keep at each of the m steps, so every candidate that decides a
+    fold on the returned route survives, and the values and route are
+    those of the solve without it. The result stands when its error is
+    at most U, give or take the error's slack: a caller that prices the
+    DP's own optimal route sums its errors in another order, a few ulps
+    apart. Otherwise, or when no state survives, the DP runs again
+    without the bound under the same deadline: U may come from a route
+    the model's steps cannot hold, below the DP's optimum.
     """
     objs = _check_order(order)
     if c.n_qubits != g.n:
@@ -905,23 +1010,14 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     else:
         alive = _rank(np.array([initial_map[q] for q in active], dtype=np.int16).reshape(a, 1), n)
         alive = alive[space.valid(prices.gates_at[0], alive)]
-    live = [np.zeros(len(alive)) for _ in objs]
     scratch = np.full(space.places, math.inf)  # _fold's, over the targets
-    parents = []
-    for t in range(m - 1):
-        if len(alive) == 0:
-            break
-        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline)
-        parents.append((parent, via))
-    if len(alive) == 0:
+    cut = (_Cut(incumbent, (m + 2) * _OBJ_EPS["error"], g)
+           if incumbent is not None and objs[0] == "error" else None)
+    found = _run(space, prices, m, alive, scratch, deadline, cut)
+    if cut is not None and cut.bound is not None and (
+            found is None or found[0][0] > cut.bound + _OBJ_EPS["error"]):
+        found = _run(space, prices, m, alive, scratch, deadline, None)
+    if found is None:
         raise NoRouteError("instance is infeasible")
-
-    # The last step runs its gates with no swap set (matching 0 is the
-    # empty one); the best final state wins one target by ``_fold``'s rule.
-    err, used, add = prices.priced(space, m - 1, alive)
-    every, zero = np.arange(len(alive)), np.zeros(len(alive), dtype=np.intp)
-    last = prices.costs(space, m - 1, zero, every, err, used, add)
-    total = [v + x for v, x in zip(live, last)]
-    best = int(_fold(zero, every, total, prices.slack, None, scratch)[0])
-    return (tuple(float(row[best]) for row in total),
-            _walk(space, c, fid, active, initial_map, parents, int(alive[best])))
+    values, state, parents = found
+    return values, _walk(space, c, fid, active, initial_map, parents, state)

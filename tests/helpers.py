@@ -61,6 +61,40 @@ def cnot_ansatz(theta: np.ndarray, k: int) -> np.ndarray:
     return v
 
 
+# su2(a, b, c) times these, entry by entry, is its derivative by a, or
+# by c; by b it is su2(a, b + pi, c) / 2.
+D_A = np.array([[-0.5j, -0.5j], [0.5j, 0.5j]])
+D_C = np.array([[-0.5j, 0.5j], [-0.5j, 0.5j]])
+
+
+def su2_and_derivatives(a: float, b: float, c: float) -> tuple:
+    x = su2(a, b, c)
+    return x, (x * D_A, su2(a, b + math.pi, c) / 2, x * D_C)
+
+
+def ansatz_overlap(theta: np.ndarray, k: int, udag: np.ndarray) -> tuple[float, np.ndarray]:
+    """|tr(u^dag V)|^2 for V = cnot_ansatz(theta, k), and its exact
+    gradient in theta. V is L_k CX ... CX L_0 with L_j = A_j (x) B_j, so
+    the derivative of tr(u^dag V) by a parameter of L_j is tr(M_j dL_j),
+    M_j being the circuit before L_j, then u^dag, then the circuit after."""
+    parts = [(su2_and_derivatives(*theta[6 * j:6 * j + 3]),
+              su2_and_derivatives(*theta[6 * j + 3:6 * j + 6])) for j in range(k + 1)]
+    layer = [np.kron(a, b) for (a, _), (b, _) in parts]
+    before = [np.eye(4)]
+    for j in range(k):
+        before.append(CX @ layer[j] @ before[-1])
+    after = [np.eye(4)] * (k + 1)
+    for j in range(k, 0, -1):
+        after[j - 1] = after[j] @ layer[j] @ CX
+    z = np.trace(udag @ after[0] @ layer[0])
+    grad = np.empty(6 * (k + 1))
+    for j, ((a, da), (b, db)) in enumerate(parts):
+        m = (before[j] @ udag @ after[j]).T  # tr(M X) = sum(M.T * X)
+        dz = [np.sum(m * np.kron(d, b)) for d in da] + [np.sum(m * np.kron(a, d)) for d in db]
+        grad[6 * j:6 * j + 6] = 2.0 * (z.conjugate() * np.array(dz)).real
+    return abs(z) ** 2, grad
+
+
 def numeric_fidelity_exact_k(u: np.ndarray, k: int, restarts: int = 12,
                              seed: int = 0) -> float:
     """Best average fidelity of a k-CNOT circuit against u, by optimization."""
@@ -68,12 +102,13 @@ def numeric_fidelity_exact_k(u: np.ndarray, k: int, restarts: int = 12,
     udag = u.conj().T
 
     def neg(theta):
-        return -abs(np.trace(udag @ cnot_ansatz(theta, k))) ** 2
+        value, grad = ansatz_overlap(theta, k, udag)
+        return -value, -grad
 
     best = 0.0
     for _ in range(restarts):
         x0 = rng.uniform(-np.pi, np.pi, size=6 * (k + 1))
-        res = minimize(neg, x0, method="L-BFGS-B")
+        res = minimize(neg, x0, method="L-BFGS-B", jac=True)
         best = max(best, -res.fun)
     return (4.0 + best) / 20.0
 

@@ -30,8 +30,9 @@ import pytest
 
 from helpers import prepared, random_layered_circuit
 from qaroute import solver
-from qaroute.extract import routed_to_json
+from qaroute.extract import routed_to_json, stats
 from qaroute.gatefid import FidelityModel
+from qaroute.heuristic import heuristic_layout, heuristic_route
 from qaroute.hwgraph import HardwareGraph, builtin_topology
 from qaroute.qvbench import qv_instance
 from qaroute.solver import NoRouteError, solve_exhaustive
@@ -54,6 +55,11 @@ HEAVY_HEX_27 = ((0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7), 
 CASES = range(DRAWN + len(RUNGS))
 
 
+def order_of(k: int) -> tuple[str, ...]:
+    """Instance k's objective order."""
+    return ("error", "depth") if k >= DRAWN else ORDERS[(k // len(GRAPHS)) % len(ORDERS)]
+
+
 def case(k: int):
     """Instance k: graph, order and pinning from k, the rest drawn; past
     the drawn ones, a benchmark rung (topology, nodes, width, layers,
@@ -63,9 +69,9 @@ def case(k: int):
         g = (HardwareGraph(n, HEAVY_HEX_27) if topo == "heavy-hex"
              else builtin_topology(topo, n))
         c = qv_instance(width, [202, index], n, layers)[1]
-        return g, c, FidelityModel.build(c, g), ("error", "depth"), None
+        return g, c, FidelityModel.build(c, g), order_of(k), None
     topo, n = GRAPHS[k % len(GRAPHS)]
-    order = ORDERS[(k // len(GRAPHS)) % len(ORDERS)]
+    order = order_of(k)
     pinned = k >= len(GRAPHS) * len(ORDERS)
     rng = np.random.default_rng([29, k])
     width = int(rng.integers(3, min(6, n) + 1))
@@ -81,10 +87,13 @@ def case(k: int):
     return g, c, fid, order, layout
 
 
-def run(k: int) -> dict:
+def run(k: int, incumbent=None) -> dict:
+    """Instance k's golden entry; ``incumbent(c, g, fid, layout)``, when
+    given, makes the DP's incumbent for the instance."""
     g, c, fid, order, layout = case(k)
+    bound = None if incumbent is None else lambda: incumbent(c, g, fid, layout)
     try:
-        value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout)
+        value, rc = solve_exhaustive(c, g, fid, order, initial_map=layout, incumbent=bound)
     except NoRouteError:
         return {"value": None, "route": "no_route"}
     return {"value": list(value),
@@ -110,6 +119,27 @@ def test_dp_keeps_its_golden_route(k, golden):
     spaces = list(solver._spaces.items())
     assert run(k) == golden[k]
     assert list(solver._spaces.items()) == spaces
+
+
+@pytest.mark.parametrize("k", [k for k in CASES if order_of(k)[0] == "error"])
+@pytest.mark.parametrize("bound", ["greedy", "optimum"])
+def test_dp_bounded_by_a_known_error_keeps_its_golden_route(k, bound, golden, monkeypatch):
+    # A pass budget of 0 makes every step due, so the bound prunes from
+    # step 0 on, asked for once: the greedy route's error, or the golden
+    # optimum itself, the tightest bound there is (the greedy one where
+    # there is no route). The result is still the golden one.
+    calls = []
+
+    def known(c, g, fid, layout):
+        calls.append(k)
+        if bound == "optimum" and golden[k]["value"] is not None:
+            return golden[k]["value"][0]
+        rc = heuristic_route(c, g, layout or heuristic_layout(c, g), fid)
+        return stats(rc, fid, g).error_objective_value
+
+    monkeypatch.setattr(solver, "DP_PASS", 0)
+    assert run(k, known) == golden[k]
+    assert len(calls) <= 1
 
 
 def test_golden_cases_cover_routes_and_no_routes(golden):

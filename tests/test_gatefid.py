@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import qaroute.gatefid
-from helpers import (CX, lattice_offsets, numeric_fidelity_budget, prepared,
-                     random_layered_circuit, reference_fold_spectrum)
+from helpers import (CX, ansatz_overlap, cnot_ansatz, lattice_offsets,
+                     numeric_fidelity_budget, prepared, random_layered_circuit,
+                     reference_fold_spectrum)
 from qaroute.circuit import Gate, LayeredCircuit, dump_circuit
 from qaroute.cli import main
 from qaroute.gatefid import (FidelityError, FidelityModel, _best_budget, _fold_spectra,
@@ -35,6 +36,25 @@ def test_budget_table_matches_numeric_oracle():
         numeric = numeric_fidelity_budget(u, k_max=2, restarts=10, seed=trial)
         for k in range(3):
             assert abs(closed[k] - numeric[k]) <= 1e-4, (trial, k)
+
+
+def test_numeric_oracle_gradient_matches_its_ansatz():
+    # The oracle's overlap is that of cnot_ansatz, and its exact gradient
+    # agrees with central differences of that overlap.
+    udag = haar_su4([94, 0]).conj().T
+    rng = np.random.default_rng(94)
+    for k in range(3):
+        theta = rng.uniform(-np.pi, np.pi, 6 * (k + 1))
+
+        def overlap(t):
+            return abs(np.trace(udag @ cnot_ansatz(t, k))) ** 2
+
+        value, grad = ansatz_overlap(theta, k, udag)
+        assert value == pytest.approx(overlap(theta), abs=1e-12)
+        h = 1e-6
+        central = [(overlap(theta + h * e) - overlap(theta - h * e)) / (2 * h)
+                   for e in np.eye(len(theta))]
+        assert np.allclose(grad, central, rtol=0, atol=1e-7)
 
 
 def test_three_cnots_always_suffice():

@@ -241,9 +241,9 @@ def record_solves(monkeypatch):
     dp = qaroute.heuristic.solve_exhaustive
     solve = qaroute.lexopt.solve_branch_and_bound
 
-    def recording_dp(c, g, fid, order, initial_map=None, lim=None):
+    def recording_dp(c, g, fid, order, initial_map=None, lim=None, incumbent=None):
         dp_calls.append((order, initial_map))
-        return dp(c, g, fid, order, initial_map=initial_map, lim=lim)
+        return dp(c, g, fid, order, initial_map=initial_map, lim=lim, incumbent=incumbent)
 
     def recording_bb(p, lim, incumbent=None):
         bb_calls.append((p.objective_kind, incumbent, solve(p, lim, incumbent=incumbent)))
@@ -321,6 +321,57 @@ def test_dp_past_the_time_limit_returns_the_greedy_route_unproven(inst, line4, v
     greedy = heuristic_route(c, line4, heuristic_layout(c, line4), fid)
     assert run.routed.steps == greedy.steps
     assert run.routed.origin == variant
+
+
+@pytest.mark.parametrize("variant", ["bip", "bip_layout", "bip_routing"])
+@pytest.mark.parametrize("mode", ["small", "due", "stop"])
+def test_one_run_searches_the_greedy_layout_at_most_once(inst, line4, variant, mode,
+                                                         monkeypatch):
+    # small: no DP step takes more than one pass, so the DP never asks
+    # for the greedy route and only bip_routing searches, for its pin.
+    # due: a pass budget of 0 makes step 0 due, and the DP asks for the
+    # greedy route's error there. stop: that greedy route outlasts the
+    # run's time limit, so the DP stops at its next pass and the run
+    # returns the same greedy route, not searched again.
+    c, fid = inst
+    search, route = qaroute.heuristic.heuristic_layout, qaroute.heuristic.heuristic_route
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    def slow(*args):
+        time.sleep(0.3)
+        return route(*args)
+
+    monkeypatch.setattr(qaroute.heuristic, "heuristic_layout", counted)
+    if mode != "small":
+        monkeypatch.setattr(qaroute.solver, "DP_PASS", 0)
+    if mode == "stop":
+        monkeypatch.setattr(qaroute.heuristic, "heuristic_route", slow)
+    run = run_variant_full(variant, c, line4, fid,
+                           SolveLimits(time_limit=0.2) if mode == "stop" else None)
+    assert len(searches) == (0 if mode == "small" and variant != "bip_routing" else 1)
+    assert run.closed is (mode != "stop")
+    if mode == "stop":
+        assert run.routed.steps == route(c, line4, search(c, line4), fid).steps
+
+
+def test_a_failed_greedy_search_leaves_the_dp_unbounded(inst, line4, monkeypatch):
+    # The incumbent's HeuristicError means no bound: the DP still proves
+    # the route it proves without one.
+    c, fid = inst
+    want = run_variant_full("bip", c, line4, fid)
+
+    def fail(*args):
+        raise HeuristicError("no layout")
+
+    monkeypatch.setattr(qaroute.heuristic, "heuristic_layout", fail)
+    monkeypatch.setattr(qaroute.solver, "DP_PASS", 0)
+    run = run_variant_full("bip", c, line4, fid)
+    assert run.closed
+    assert run.routed == want.routed
 
 
 def test_bip_dominates_heuristic(inst, line4):

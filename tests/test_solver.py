@@ -14,15 +14,15 @@ from qaroute.bipmodel import ModelError, Row, assemble_problem
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
-from qaroute.heuristic import heuristic_layout, run_variant_full
+from qaroute.heuristic import heuristic_layout, heuristic_route, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
 from qaroute.lexopt import NoIncumbentError, lexicographic_solve
 from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import (DPTimeLimit, DPTooLarge, NoRouteError, SolutionInfeasibleError,
                             SolveError, SolveLimits, SolveStatus, _LayoutSpace, _placements,
-                            _swap_table, exhaustive_bytes, solve_branch_and_bound,
-                            solve_exhaustive)
+                            _Floor, _Prices, _swap_table, exhaustive_bytes,
+                            solve_branch_and_bound, solve_exhaustive)
 
 
 def small_instance(g, layer_sizes, seed, k=1, objective="error"):
@@ -477,6 +477,123 @@ def test_steps_split_into_passes_change_nothing(graph, width, layers, budget, pi
     split, rc_split = solve_exhaustive(c, g, fid, order, initial_map=layout)
     assert split == value
     assert routed_to_json(rc_split) == routed_to_json(rc)
+
+
+@pytest.mark.parametrize("topo, n, width, layers", [("line", 5, 3, (1, 1, 1)),
+                                                    ("y", 6, 4, (2, 1, 2)),
+                                                    ("grid", 6, 4, (2, 2, 1))],
+                         ids=["line-5", "y-6", "grid-6"])
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("drawn", [False, True])
+def test_dp_floor_is_consistent_on_every_transition(topo, n, width, layers, pinned, drawn):
+    # On every transition the DP may take from a state reachable from
+    # step 0, the floor (its lower bound on the error still to come)
+    # never exceeds the transition's cost plus the floor where it lands,
+    # and at the last step never exceeds the gates' cost. At a gate-free
+    # step it charges a state that cannot run the next gate layer in place
+    # at least the least swap error above the gates' least errors.
+    base = builtin_topology(topo, n)
+    rng = np.random.default_rng([47, n, pinned, drawn])
+    g = HardwareGraph(n, base.edges, beta={e: float(rng.uniform(0.95, 0.999))
+                                           for e in base.edges} if drawn else {})
+    c, fid = prepared(random_layered_circuit(width, layers, [47, n]), g, 2)
+    m = c.num_steps
+    active = sorted({q for gate in c.gates() for q in gate.operands})
+    space = _LayoutSpace(n, g.edges, len(active), math.inf)
+    prices = _Prices(c, g, fid, ("error",), active, (), space)
+    floor_at = _Floor(prices, g)
+    least_swap = min(fid.swap_error(*e) for e in g.edges)
+    least_gates = [sum(min(fid.gate_error(gt.gid, i, j, merged=merged)
+                           for i, j in g.edges for merged in (False, True)) for gt in grp)
+                   for grp in c.groups]
+    everywhere = np.arange(space.places)
+    if pinned:
+        layout = heuristic_layout(c, g, seed=1)
+        at = np.array([layout[q] for q in active])[:, None]
+        alive = np.flatnonzero((space.states == at).all(axis=0))
+    else:
+        alive = np.flatnonzero(space.valid(prices.gates_at[0]))
+    checked = 0
+    for t in range(m):
+        floor = floor_at(space, t, alive)
+        pos = {s: dict(zip(active, space.states[:, s].tolist())) for s in alive.tolist()}
+        if not c.groups[t] and any(c.groups[t:]):
+            ahead = next(grp for grp in c.groups[t:] if grp)
+            stuck = [k for k, s in enumerate(alive.tolist())
+                     if not all(g.has_edge(pos[s][gt.p], pos[s][gt.q]) for gt in ahead)]
+            assert all(floor[k] >= sum(least_gates[t:]) + least_swap - 1e-12 for k in stuck)
+        if t == m - 1:
+            for k, s in enumerate(alive.tolist()):
+                cost = sum(fid.gate_error(gt.gid, pos[s][gt.p], pos[s][gt.q])
+                           for gt in c.groups[t])
+                assert floor[k] <= cost + 1e-12
+            break
+        floor_next = floor_at(space, t + 1, everywhere)
+        valid_next = space.valid(prices.gates_at[t + 1])
+        ok = space.allowed(prices.gates_at[t], alive)
+        reached = set()
+        for M in space.matchings:
+            edges = [space.eid[e] for e in M]
+            for k in np.flatnonzero(ok[edges].all(axis=0)).tolist():
+                s = x = int(alive[k])
+                for e in edges:
+                    x = int(space.flat[e * space.places + x])
+                if not valid_next[x]:
+                    continue
+                swapped, cost = set(M), 0.0
+                for gt in c.groups[t]:
+                    i, j = pos[s][gt.p], pos[s][gt.q]
+                    cost += fid.gate_error(gt.gid, i, j, merged=norm_edge(i, j) in swapped)
+                    swapped.discard(norm_edge(i, j))
+                cost += sum(fid.swap_error(*e) for e in swapped)
+                assert floor[k] <= cost + floor_next[x] + 1e-12, (t, s, M)
+                reached.add(x)
+                checked += 1
+        alive = np.array(sorted(reached), dtype=np.int64)
+    assert checked > 0
+
+
+# Every gate runs at no error plain but at fidelity 0.5 with a swap of
+# its operands merged in.
+MERGE_DEAR = {"f": [1.0, 1.0, 1.0, 1.0], "f_swap": [0.5, 0.5, 0.5, 0.5]}
+
+
+@pytest.mark.parametrize("seed, routable", [(5, True), (0, False)])
+def test_a_bound_below_the_dp_optimum_solves_again_without_it(line4, seed, routable,
+                                                              monkeypatch):
+    # With no dummy step the DP moves qubits only by merging swaps into
+    # gates, which MERGE_DEAR prices far above the greedy route's free
+    # swaps: the greedy error lies below the DP's optimum. The bounded
+    # solve (due from step 0) keeps nothing within its bound and runs
+    # again without it, to the unbounded result, or to NoRouteError where
+    # the model has no route.
+    c = random_layered_circuit(4, (2, 1, 2), [59, seed])
+    overrides = load_fidelity_overrides({str(gt.gid): MERGE_DEAR for gt in c.gates()})
+    c, fid = prepared(c, line4, 0, overrides=overrides)
+    greedy = stats(heuristic_route(c, line4, heuristic_layout(c, line4), fid), fid,
+                   line4).error_objective_value
+    runs, run = [], qaroute.solver._run
+
+    def recorded(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(qaroute.solver, "_run", recorded)
+    monkeypatch.setattr(qaroute.solver, "DP_PASS", 0)
+    if not routable:
+        with pytest.raises(NoRouteError):
+            solve_exhaustive(c, line4, fid, ("error", "depth"), incumbent=lambda: greedy)
+        assert runs == [None, None]
+        return
+    bounded = solve_exhaustive(c, line4, fid, ("error", "depth"), incumbent=lambda: greedy)
+    assert len(runs) == 2 and runs[1] is not None
+    assert runs[0] is None or runs[0][0][0] > greedy
+    runs.clear()
+    value, rc = solve_exhaustive(c, line4, fid, ("error", "depth"))
+    assert len(runs) == 1
+    assert greedy < value[0]
+    assert bounded[0] == value
+    assert routed_to_json(bounded[1]) == routed_to_json(rc)
 
 
 def error_in_dp_order(rc, c, g, fid) -> float:
