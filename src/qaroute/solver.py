@@ -906,7 +906,7 @@ def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratc
     parents = []
     for t in range(m - 1):
         if len(alive) == 0:
-            return None
+            break
         alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline, cut)
         parents.append((parent, via))
     if len(alive) == 0:
