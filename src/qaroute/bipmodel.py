@@ -78,7 +78,7 @@ def _row_name(k: int, family: str) -> str:
 def check_layer_width(c: LayeredCircuit, g: HardwareGraph) -> None:
     """Refuse a layer wider than every matching of ``g``: no layout runs it."""
     width = c.max_layer_width()
-    if width > g.max_matching_size():
+    if width > g.matching_size((1 << g.n) - 1):
         raise ModelError(f"a layer holds {width} gates but the graph has no matching that large")
 
 

@@ -27,9 +27,9 @@ from .bipmodel import check_layer_width
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, stats
 from .gatefid import FidelityModel
-from .hwgraph import HardwareGraph, matching_size, norm_edge
-from .lexopt import NoIncumbentError, lexicographic_solve
-from .solver import DPTimeLimit, DPTooLarge, SolveLimits, solve_exhaustive
+from .hwgraph import HardwareGraph, norm_edge
+from .lexopt import lexicographic_solve
+from .solver import DPTooLarge, NoIncumbentError, SolveLimits, solve_exhaustive
 
 VARIANTS = ("bip", "sabre_like", "bip_layout", "bip_routing", "bip_constrained")
 
@@ -194,8 +194,7 @@ def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
                          steps=steps, origin="sabre_like", time_aligned=False)
 
 
-def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
-                        fits) -> tuple[int, ...]:
+def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[int, ...]:
     """Reshape a layout so the first gate layer sits on disjoint edges.
 
     Needed when the layout seeds a model whose first step is fixed: the
@@ -205,9 +204,9 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
     keeps the placement that displaces qubits the least (ties go to the
     smallest ``(gid, i, j)`` sequence) and prunes a prefix that cannot
     beat it even if every later gate got its cheapest arc, or whose free
-    nodes hold no matching as large as the gates still to place (``fits``
-    is ``matching_size(g)``, shared by the calls on one graph). After
-    ``REPAIR_NODES`` placed arcs it keeps the best placement so far.
+    nodes hold no matching as large as the gates still to place (the
+    graph's ``matching_size``). After ``REPAIR_NODES`` placed arcs it
+    keeps the best placement so far.
     The remaining qubits are then refilled near their old nodes.
     """
     first = c.groups[0] if c.groups else ()
@@ -215,7 +214,7 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
     if all(g.has_edge(pos[gt.p], pos[gt.q]) for gt in first):
         return tuple(pos)
     dist = g.distances()
-    arcs = [*g.edges, *((j, i) for i, j in g.edges)]
+    arcs = g.arcs()
     options = [sorted((dist[pos[gt.p]][i] + dist[pos[gt.q]][j], i, j) for i, j in arcs)
                for gt in first]
     floor = [0] * (len(first) + 1)
@@ -236,7 +235,7 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout,
             if best is not None and key > best:
                 break  # keys rise along the sorted arcs
             taken = used | 1 << i | 1 << j
-            if fits(every ^ taken) < len(first) - k - 1:
+            if g.matching_size(every ^ taken) < len(first) - k - 1:
                 continue
             visits += 1
             if visits > REPAIR_NODES:
@@ -285,7 +284,6 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
     if not any(c.groups):
         return tuple(range(g.n))
     rng = np.random.default_rng(seed)
-    fits = matching_size(g)
     gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
     tables = _graph_tables(g)
     routed: dict[tuple, tuple[int, tuple[int, ...]]] = {}  # layout -> (swaps, final map)
@@ -302,7 +300,7 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
         start = tuple(int(v) for v in rng.permutation(g.n))
         final_map = route(start)[1]
         if final_map not in repaired:
-            repaired[final_map] = _repair_first_layer(c, g, final_map, fits)
+            repaired[final_map] = _repair_first_layer(c, g, final_map)
         refined = repaired[final_map]
         key = (route(refined)[0], trial)
         if best_key is None or key < best_key:
@@ -333,11 +331,13 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     ``initial_map``. The layout DP proves the others; the instances it
     refuses as too large, and ``bip_constrained``, are one lexicographic
     solve each, under ``lim``. Where ``lim`` leaves a free variant with
-    no proof and no route, it returns the greedy route (from its pinned
-    layout, if any), unproven. That same route's error is the layout
-    DP's ``incumbent``, so one call searches the greedy layout and
-    routes from it at most once, and only when the DP asks for the bound
-    or the fallback needs it. Raises
+    no proof, it returns the greedy route (from its pinned layout, if
+    any), unproven, in place of no route (``NoIncumbentError``, from
+    either engine) or of a route with more error (``bip_layout``'s after
+    its reroute); a greedy search that fails keeps the engine's route.
+    That same route's error is the layout DP's ``incumbent``, so one
+    call searches the greedy layout and routes from it at most once, and
+    only when the DP asks for the bound or the fallback needs it. Raises
     ``NoRouteError`` for no route, and ``bipmodel.ModelError`` for a
     layer wider than any matching of ``g``.
     """
@@ -373,10 +373,11 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
             except DPTooLarge:
                 lex = lexicographic_solve(c, g, fid, order, lim, initial_map=layout)
                 rc, closed = lex.routed, lex.closed
-        except (DPTimeLimit, NoIncumbentError):
-            rc, closed = greedy(), False
-    if variant == "bip_layout" and rc.origin != "sabre_like":
-        # The model's layout, routed greedily; a fallback route already is.
-        rc = heuristic_route(c, g, rc.initial_map, fid)
+            if variant == "bip_layout":  # the model's layout, routed greedily
+                rc = heuristic_route(c, g, rc.initial_map, fid)
+        except NoIncumbentError:
+            rc, closed = None, False
+        if not closed and (rc is None or greedy_error() < stats(rc, fid, g).error_objective_value):
+            rc = greedy()
     rc = replace(rc, origin=variant)
     return VariantRun(routed=rc, stats=stats(rc, fid, g), closed=closed)

@@ -85,7 +85,7 @@ class HardwareGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._dist = None
-        self._matching = None
+        self._sizes = None  # matching_size's renumbering and memo
         if self.n > 1 and not self._connected():
             raise TopologyError("graph is not connected")
 
@@ -135,12 +135,63 @@ class HardwareGraph:
             self._dist = tuple(tuple(row) for row in dist)
         return self._dist
 
-    def max_matching_size(self) -> int:
-        """Size of a maximum matching of the whole graph, computed on the
-        first call (``matching_size``) and kept for every later one."""
-        if self._matching is None:
-            self._matching = matching_size(self)((1 << self.n) - 1)
-        return self._matching
+    def matching_size(self, mask: int) -> int:
+        """The size of a maximum matching of the subgraph that a bit mask
+        of nodes induces.
+
+        The nodes are renumbered in breadth-first order from a
+        lowest-degree node (each mask translated into it), so the subsets
+        met follow the graph's shape, not its labels. The first node is
+        matched to each neighbour in the mask in turn, and left unmatched
+        only when it has none: beside a free neighbour, a maximum matching
+        can always trade an edge for one that matches it. Sizes are
+        remembered per node subset in one memo the graph keeps, as it
+        keeps ``distances()``, for every later call. A call that fills it
+        to ``MATCHING_LIMIT`` subsets while it holds those of earlier calls
+        empties it and goes on; one that fills it alone raises
+        ``TopologyError``.
+        """
+        if self._sizes is None:
+            order = [min(range(self.n), key=lambda v: (len(self._adj[v]), v))]
+            rank = {order[0]: 0}
+            for v in order:  # the graph is connected: this reaches every node
+                for k in self._adj[v]:
+                    if k not in rank:
+                        rank[k] = len(order)
+                        order.append(k)
+            self._sizes = ([1 << rank[v] for v in range(self.n)],
+                           [[rank[k] for k in self._adj[v]] for v in order], {0: 0})
+        bit, nbrs, memo = self._sizes
+        fresh = len(memo) == 1  # no subset of an earlier call is held
+        left, mask = mask, 0
+        while left:  # the mask in breadth-first order
+            low = left & -left
+            mask |= bit[low.bit_length() - 1]
+            left ^= low
+        stack = [mask]  # an explicit stack: no recursion limit on long graphs
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            i = (top & -top).bit_length() - 1
+            rest = top ^ 1 << i
+            kids = [rest ^ 1 << k for k in nbrs[i] if rest >> k & 1]
+            gain = 1 if kids else 0
+            kids = kids or [rest]
+            todo = [k for k in kids if k not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            if len(memo) >= MATCHING_LIMIT:
+                if fresh:
+                    raise TopologyError("too many node subsets to size their matchings")
+                memo.clear()  # the stack sizes again what it still needs
+                memo[0], fresh = 0, True
+                continue
+            memo[top] = max(memo[k] for k in kids) + gain
+            stack.pop()
+        return memo[mask]
 
 
 def load_topology(source: str | dict) -> HardwareGraph:
@@ -248,7 +299,7 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
     return HardwareGraph(n=n, edges=tuple(edges), crosstalk_pairs=tuple(pairs))
 
 
-# Most node subsets ``matching_size`` remembers before it gives up.
+# Most node subsets ``HardwareGraph.matching_size`` remembers before it gives up.
 MATCHING_LIMIT = 100000
 
 
@@ -259,7 +310,7 @@ def enumerate_matchings(g: HardwareGraph, most: int) -> list[tuple[Edge, ...]]:
 
     Used by the layout DP, whose swap layers have at most one edge per
     active qubit. Where only the size of a maximum matching is needed,
-    ``matching_size`` finds it without listing them.
+    ``HardwareGraph.matching_size`` finds it without listing them.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges
@@ -277,57 +328,3 @@ def enumerate_matchings(g: HardwareGraph, most: int) -> list[tuple[Edge, ...]]:
 
     rec(0, 0, [])
     return sorted(out, key=lambda m: (len(m), m))
-
-
-def matching_size(g: HardwareGraph):
-    """A function giving the size of a maximum matching of the subgraph
-    that a bit mask of nodes induces.
-
-    The nodes are renumbered in breadth-first order from a lowest-degree
-    node (each mask translated into it), so the subsets met follow the
-    graph's shape, not its labels. The first node is matched to each
-    neighbour in the mask in turn, and left unmatched only when it has
-    none: beside a free neighbour, a maximum matching can always trade
-    an edge for one that matches it. Sizes are remembered per node
-    subset across calls; past ``MATCHING_LIMIT`` subsets it raises
-    ``TopologyError``.
-    """
-    order = [min(range(g.n), key=lambda v: (len(g.neighbors(v)), v))]
-    rank = {order[0]: 0}
-    for v in order:  # the graph is connected: this reaches every node
-        for k in g.neighbors(v):
-            if k not in rank:
-                rank[k] = len(order)
-                order.append(k)
-    bit = [1 << rank[v] for v in range(g.n)]
-    nbrs = [[rank[k] for k in g.neighbors(v)] for v in order]
-    memo = {0: 0}
-
-    def size(mask: int) -> int:
-        left, mask = mask, 0
-        while left:  # the mask in breadth-first order
-            low = left & -left
-            mask |= bit[low.bit_length() - 1]
-            left ^= low
-        stack = [mask]  # an explicit stack: no recursion limit on long graphs
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            i = (top & -top).bit_length() - 1
-            rest = top ^ 1 << i
-            kids = [rest ^ 1 << k for k in nbrs[i] if rest >> k & 1]
-            gain = 1 if kids else 0
-            kids = kids or [rest]
-            todo = [k for k in kids if k not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            if len(memo) >= MATCHING_LIMIT:
-                raise TopologyError("too many node subsets to size their matchings")
-            memo[top] = max(memo[k] for k in kids) + gain
-            stack.pop()
-        return memo[mask]
-
-    return size

@@ -20,12 +20,9 @@ from .circuit import LayeredCircuit
 from .extract import RoutedCircuit, decode
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
-from .solver import (_OBJ_EPS, NoRouteError, SolveError, SolveLimits, SolveResult, SolveStatus,
-                     _check_initial_map, _check_order, solve_branch_and_bound)
-
-
-class NoIncumbentError(NoRouteError):
-    """A limit ran out before a stage found any route; one may exist."""
+from .solver import (_OBJ_EPS, NoIncumbentError, NoRouteError, SolveError, SolveLimits,
+                     SolveResult, SolveStatus, _check_initial_map, _check_order,
+                     solve_branch_and_bound)
 
 
 @dataclass(frozen=True)

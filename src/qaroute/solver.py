@@ -49,9 +49,14 @@ class SolveError(ValueError):
 
 
 class NoRouteError(SolveError):
-    """No routed circuit to return: the instance has none, or a
-    branch-and-bound stage spent its budget before finding one
-    (``lexopt.NoIncumbentError``)."""
+    """No routed circuit to return: the instance has none, or a limit ran
+    out before either engine found one (``NoIncumbentError``)."""
+
+
+class NoIncumbentError(NoRouteError):
+    """A limit ran out before any route was found; one may exist. The
+    layout DP raises it when the run's time limit passes, and the stage
+    loop when a stage spends its budget with no incumbent."""
 
 
 class SolutionInfeasibleError(SolveError):
@@ -473,10 +478,6 @@ class DPTooLarge(SolveError):
     """The layout DP's arrays would not fit ``DP_MEMORY``."""
 
 
-class DPTimeLimit(SolveError):
-    """The run's time limit passed before the layout DP finished."""
-
-
 def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: int,
                      matchings: int) -> int:
     """Bytes of the layout DP's arrays. Per placement of the ``active``
@@ -578,7 +579,7 @@ def _fold(tgt, key, rows, slack, held, scratch) -> np.ndarray:
 
 def _check_time(deadline: float) -> None:
     if time.perf_counter() > deadline:
-        raise DPTimeLimit("the time limit passed before the layout DP finished")
+        raise NoIncumbentError("the time limit passed before the layout DP finished")
 
 
 class _LayoutSpace:
@@ -736,9 +737,15 @@ class _Prices:
         return out
 
 
-class _Floor:
-    """An admissible and consistent lower bound on the error a live state
-    of step t adds from there to the end, under ``prices`` on ``g``:
+class _Bound:
+    """The layout DP's bound from a known route on ``g``. ``incumbent``
+    gives U, an error some route reaches; ``due`` asks for it at the first
+    step of more than ``DP_PASS`` candidates, and from then on ``_relax``
+    drops every live state whose error plus ``floor`` exceeds U plus
+    ``margin``.
+
+    ``floor`` is an admissible and consistent lower bound on the error a
+    live state of step t adds from there to the end, under ``prices``:
     every gate at step t or later at its least plain or merged error on
     any edge, plus the least swap error times half the excess, rounded
     up. The excess sums, over the first step from t on that has gates,
@@ -746,58 +753,53 @@ class _Floor:
     them). A live state runs step t's gates in place, so the excess is 0
     at a step with gates; the steps before the first such step are
     gate-free, so no swap there merges into a gate, and one swap moves
-    two qubits one hop each, lowering the excess by at most 2."""
+    two qubits one hop each, lowering the excess by at most 2. Its
+    tables are built at its first call, so a solve that never asks for U
+    builds none."""
 
-    def __init__(self, prices: _Prices, g: HardwareGraph):
-        # Per step t: the least error of the gates at steps >= t, and the
-        # gates of the first step >= t that has any.
-        self.rest, self.ahead, total, nxt = [], [], 0.0, []
-        for grp in reversed(prices.gates_at):
-            total += sum(min(plain.min(), merged.min()) for _, _, plain, merged in grp)
-            nxt = grp or nxt
-            self.rest.append(total)
-            self.ahead.append(nxt)
-        self.rest.reverse()
-        self.ahead.reverse()
-        self.beyond = np.maximum(np.array(g.distances()) - 1, 0)  # hops past adjacent
-        self.least_swap = prices.swap_err.min()
+    def __init__(self, incumbent, margin: float, prices: _Prices, g: HardwareGraph):
+        self.incumbent, self.margin, self.prices, self.g = incumbent, margin, prices, g
+        self.upper = None  # U, once asked for
+        self.tables = None  # the floor's, once built
 
-    def __call__(self, space: _LayoutSpace, t: int, alive: np.ndarray) -> np.ndarray:
-        """The bound for each live state ``alive`` of step t."""
-        rows = space.states[:, alive]
-        excess = np.zeros(len(alive), dtype=np.int64)
-        for cp, cq, *_ in self.ahead[t]:
-            excess += self.beyond[rows[cp], rows[cq]]
-        return self.rest[t] + self.least_swap * ((excess + 1) // 2)
-
-
-class _Cut:
-    """The layout DP's bound from a known route on ``g``. ``incumbent``
-    gives U, an error some route reaches; ``due`` asks for it at the
-    first step of more than ``DP_PASS`` candidates, and from then on
-    ``_relax`` drops every live state whose error plus ``floor`` exceeds
-    ``cap``, U plus ``margin``."""
-
-    def __init__(self, incumbent, margin: float, g: HardwareGraph):
-        self.incumbent, self.margin, self.g = incumbent, margin, g
-        self.bound = self.cap = self.floor = None  # set once asked for
-
-    def due(self, prices: _Prices, candidates: int) -> bool:
+    def due(self, candidates: int) -> bool:
         """Whether the bound prunes a step of ``candidates`` (matchings
         times the states on its smaller side)."""
-        if self.bound is None and candidates > DP_PASS:
-            self.bound = float(self.incumbent())
-            self.cap = self.bound + self.margin
-            self.floor = _Floor(prices, self.g)
-        return self.bound is not None
+        if self.upper is None and candidates > DP_PASS:
+            self.upper = float(self.incumbent())
+        return self.upper is not None
+
+    def _tables(self) -> tuple:
+        """Per step t, the least error of the gates at steps >= t and the
+        gates of the first step >= t that has any; the hops past adjacent
+        between each pair of nodes; and the least swap error."""
+        rest, ahead, total, nxt = [], [], 0.0, []
+        for grp in reversed(self.prices.gates_at):
+            total += sum(min(plain.min(), merged.min()) for _, _, plain, merged in grp)
+            nxt = grp or nxt
+            rest.append(total)
+            ahead.append(nxt)
+        beyond = np.maximum(np.array(self.g.distances()) - 1, 0)
+        return rest[::-1], ahead[::-1], beyond, self.prices.swap_err.min()
+
+    def floor(self, space: _LayoutSpace, t: int, alive: np.ndarray) -> np.ndarray:
+        """The lower bound for each live state ``alive`` of step t."""
+        if self.tables is None:
+            self.tables = self._tables()
+        rest, ahead, beyond, least_swap = self.tables
+        rows = space.states[:, alive]
+        excess = np.zeros(len(alive), dtype=np.int64)
+        for cp, cq, *_ in ahead[t]:
+            excess += beyond[rows[cp], rows[cq]]
+        return rest[t] + least_swap * ((excess + 1) // 2)
 
 
 def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live: list,
-           scratch: np.ndarray, deadline: float, cut: _Cut | None):
+           scratch: np.ndarray, deadline: float, bound: _Bound | None):
     """One step of the layout DP: from the live states ``alive`` of step
     t, with one row of values ``live`` per objective, to those of step
     t + 1 and theirs, plus per placement of step t + 1 its parent state
-    (-1 for none) and the matching it took. With a ``cut`` that is due,
+    (-1 for none) and the matching it took. With a ``bound`` that is due,
     the live states it drops are not relaxed.
 
     It relaxes the matchings from the smaller side, pushing from the
@@ -819,8 +821,8 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
     places = space.places
     ahead = space.valid(prices.gates_at[t + 1])
     targets = np.flatnonzero(ahead)
-    if cut is not None and cut.due(prices, min(len(targets), len(alive)) * len(space.matchings)):
-        keep = np.flatnonzero(live[0] + cut.floor(space, t, alive) <= cut.cap)
+    if bound is not None and bound.due(min(len(targets), len(alive)) * len(space.matchings)):
+        keep = np.flatnonzero(live[0] + bound.floor(space, t, alive) <= bound.upper + bound.margin)
         alive, live = alive.take(keep), [v.take(keep) for v in live]
     pull = len(targets) < len(alive)
     if pull:
@@ -896,7 +898,7 @@ def _walk(space: _LayoutSpace, c: LayeredCircuit, fid: FidelityModel, active, in
 
 
 def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratch: np.ndarray,
-         deadline: float, cut: _Cut | None):
+         deadline: float, bound: _Bound | None):
     """The layout DP from the live states ``alive`` of step 0: the winning
     final state's values, one per objective, the state, and each step's
     parents for ``_walk``; None when no state reaches the last step. The
@@ -907,7 +909,7 @@ def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratc
     for t in range(m - 1):
         if len(alive) == 0:
             break
-        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline, cut)
+        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline, bound)
         parents.append((parent, via))
     if len(alive) == 0:
         return None
@@ -946,7 +948,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     routed)``: the value of each objective of ``order``, as a tuple, and
     one optimal routed circuit (see extract.RoutedCircuit). Raises
     ``DPTooLarge`` at once when ``exhaustive_bytes`` of its arrays would
-    not fit ``DP_MEMORY`` (its only refusal), ``DPTimeLimit`` once
+    not fit ``DP_MEMORY`` (its only refusal), ``NoIncumbentError`` once
     ``lim.time_limit`` has passed (checked once per pass, and while it
     builds a space after the matchings, the placements and each edge's
     table; the DP counts no nodes), ``bipmodel.ModelError`` for a layer
@@ -961,8 +963,8 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     smaller side exceed ``DP_PASS`` (the first step relaxed in more than
     one pass), so a solve with no such step never pays for it. Its time
     counts against ``lim.time_limit``. From that step on, a live state
-    whose error plus ``_Floor``'s lower bound on the error still to come
-    exceeds U + (m + 2) * ``_OBJ_EPS["error"]`` is dropped
+    whose error plus ``_Bound.floor`` (a lower bound on the error still
+    to come) exceeds U + (m + 2) * ``_OBJ_EPS["error"]`` is dropped
     before its step is relaxed; the margin covers the slack ``_fold``
     may keep at each of the m steps, so every candidate that decides a
     fold on the returned route survives, and the values and route are
@@ -1011,11 +1013,11 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         alive = _rank(np.array([initial_map[q] for q in active], dtype=np.int16).reshape(a, 1), n)
         alive = alive[space.valid(prices.gates_at[0], alive)]
     scratch = np.full(space.places, math.inf)  # _fold's, over the targets
-    cut = (_Cut(incumbent, (m + 2) * _OBJ_EPS["error"], g)
-           if incumbent is not None and objs[0] == "error" else None)
-    found = _run(space, prices, m, alive, scratch, deadline, cut)
-    if cut is not None and cut.bound is not None and (
-            found is None or found[0][0] > cut.bound + _OBJ_EPS["error"]):
+    bound = (_Bound(incumbent, (m + 2) * _OBJ_EPS["error"], prices, g)
+             if incumbent is not None and objs[0] == "error" else None)
+    found = _run(space, prices, m, alive, scratch, deadline, bound)
+    if bound is not None and bound.upper is not None and (
+            found is None or found[0][0] > bound.upper + _OBJ_EPS["error"]):
         found = _run(space, prices, m, alive, scratch, deadline, None)
     if found is None:
         raise NoRouteError("instance is infeasible")

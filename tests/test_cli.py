@@ -8,13 +8,15 @@ import pytest
 from helpers import RecordingPool, shuffled_grid_document
 from qaroute import cli, heuristic, qvbench, solver
 from qaroute.bipmodel import assemble_problem
-from qaroute.circuit import insert_dummy_steps, pad_qubits
+from qaroute.circuit import dump_circuit, insert_dummy_steps, pad_qubits
 from qaroute.cli import main
-from qaroute.extract import ExtractError, FreeSwap, GateOp, routed_from_json
+from qaroute.extract import ExtractError, FreeSwap, GateOp, routed_from_json, stats
 from qaroute.gatefid import FidelityModel
+from qaroute.hwgraph import builtin_topology
+from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_solution
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import SolveLimits, solve_branch_and_bound
+from qaroute.solver import NoIncumbentError, NoRouteError, SolveLimits, solve_branch_and_bound
 
 FAST = ["--qv", "4,1", "--qv-layers", "2", "--dummy-steps", "1"]
 
@@ -181,6 +183,87 @@ def test_free_variants_return_the_greedy_route_when_a_limit_leaves_no_incumbent(
     out = capsys.readouterr().out
     assert "structural: ok" in out
     assert out.split("structural: ok")[0] == greedy.replace("sabre_like", variant)
+
+
+@pytest.mark.parametrize("variant", ["bip", "bip_routing"])
+@pytest.mark.parametrize("limit", ["dp_deadline", "stage_budget"])
+def test_either_engine_out_of_budget_raises_one_error_and_returns_the_greedy_route(
+        variant, limit, monkeypatch, capsys):
+    # The layout DP past its deadline and a stage of the branch and bound
+    # (the DP refusing the instance) that spends its one node both raise
+    # NoIncumbentError, a NoRouteError; either way the free variants
+    # return the greedy route, unproven.
+    argv = ["transpile", "--builtin", "line,4", "--qv", "4,1", "--qv-layers", "2"]
+    assert main([*argv, "--variant", "sabre_like"]) == 0
+    greedy = capsys.readouterr().out.split("structural: ok")[0]
+    raised = []
+
+    def spying(engine):
+        def run(*args, **kwargs):
+            try:
+                return engine(*args, **kwargs)
+            except NoRouteError as err:
+                raised.append(err)
+                raise
+        return run
+
+    for name in ("solve_exhaustive", "lexicographic_solve"):
+        monkeypatch.setattr(heuristic, name, spying(getattr(heuristic, name)))
+    if limit == "stage_budget":
+        monkeypatch.setattr(solver, "DP_MEMORY", 0)
+    more = ["--time-limit", "1e-9"] if limit == "dp_deadline" else ["--node-limit", "1"]
+    assert main([*argv, "--variant", variant, *more]) == 3
+    assert capsys.readouterr().out.split("structural: ok")[0] == greedy.replace("sabre_like",
+                                                                                variant)
+    assert [type(err) for err in raised] == [NoIncumbentError]
+
+
+@pytest.mark.parametrize("variant, topology, index, layers",
+                         [("bip", ("grid", 6), 0, 2), ("bip_layout", ("line", 4), 2, 3)],
+                         ids=["bip-grid-6/w4/2L/s0", "bip_layout-line-4/w4/3L/s2"])
+def test_an_unproven_route_with_more_error_than_the_greedy_route_gives_way_to_it(
+        variant, topology, index, layers, tmp_path, monkeypatch):
+    # Past the DP's memory (patched to 0), the branch and bound stopped at
+    # 20 nodes holds a route with more error than the greedy one: bip
+    # 0.10919 against 0.07067 on grid-6/w4/2L/s0, and bip_layout, rerouted
+    # greedily from the model's layout, 0.14140 against 0.12214 on
+    # line-4/w4/3L/s2. The run returns the greedy route, still unproven. A
+    # proven route comes back as the engine found it.
+    monkeypatch.setattr(solver, "DP_MEMORY", 0)
+    raw = lower_circuit(gen_qv_circuit(4, [202, index]), n_layers=layers)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(dump_circuit(raw)))
+    g = builtin_topology(*topology)
+    c = insert_dummy_steps(pad_qubits(raw, g.n), 1)  # as transpile prepares it
+    fid = FidelityModel.build(c, g)
+    argv = ["transpile", "--builtin", "{},{}".format(*topology), "--circuit", str(path),
+            "--dummy-steps", "1"]
+
+    def transpiled(name, *more):
+        out = tmp_path / name
+        code = main([*argv, *more, "--out", str(out)])
+        return code, routed_from_json((out / "routed.json").read_text())
+
+    def engine(lim=None):
+        order = ("error",) if variant == "bip_layout" else ("error", "depth")
+        rc = lexicographic_solve(c, g, fid, order, lim).routed
+        if variant == "bip_layout":
+            rc = heuristic.heuristic_route(c, g, rc.initial_map, fid)
+        return dataclasses.replace(rc, origin=variant)
+
+    def error(rc):
+        return stats(rc, fid, g).error_objective_value
+
+    code, greedy = transpiled("greedy", "--variant", "sabre_like")
+    assert code == 0
+    assert error(engine(SolveLimits(node_limit=20))) > error(greedy) + 0.01
+    code, limited = transpiled("limited", "--variant", variant, "--node-limit", "20")
+    assert code == 3
+    assert error(limited) <= error(greedy)
+    assert limited == dataclasses.replace(greedy, origin=variant)
+    code, proven = transpiled("proven", "--variant", variant)
+    assert code == 0
+    assert proven == engine()
 
 
 def test_a_fallback_route_of_bip_layout_is_routed_once(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import (TRIALS, VARIANTS, HeuristicError, _repair_first_layer, _route,
                                heuristic_layout, heuristic_route, run_variant_full)
-from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, matching_size
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import SolveLimits
 from test_dp_golden import HEAVY_HEX_27
@@ -130,8 +130,7 @@ def reference_trials(c, g, seed=0):
     trials = []
     for _ in range(TRIALS):
         start = tuple(int(v) for v in rng.permutation(g.n))
-        refined = _repair_first_layer(c, g, reference_route(c, g, start, fid).final_map,
-                                      matching_size(g))
+        refined = _repair_first_layer(c, g, reference_route(c, g, start, fid).final_map)
         rc = reference_route(c, g, refined, fid)
         trials.append((start, refined,
                        sum(isinstance(op, FreeSwap) for ops in rc.steps for op in ops)))
@@ -201,12 +200,13 @@ def test_layout_of_gate_free_circuit_is_identity(line4):
 def test_every_variant_sizes_a_maximum_matching_in_under_a_millisecond(graph):
     # run_variant_full first holds the widest layer against a maximum
     # matching of the whole graph. Three active qubits on line-62 route
-    # past it in test_parents_index_more_matchings_than_int16_holds.
-    g = graph()
+    # past it in test_parents_index_more_matchings_than_int16_holds. Each
+    # graph is new, so each size starts from an empty memo.
     times = []
     for _ in range(3):
+        g = graph()
         start = time.perf_counter()
-        matching_size(g)((1 << g.n) - 1)
+        g.matching_size((1 << g.n) - 1)
         times.append(time.perf_counter() - start)
     assert min(times) < 1e-3
     c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), g, 1)
@@ -454,10 +454,6 @@ def random_first_layer(n: int, rng) -> tuple[LayeredCircuit, tuple[int, ...]]:
     return LayeredCircuit(n, (layer,)), tuple(int(v) for v in rng.permutation(n))
 
 
-def repair(c, g, layout):
-    return _repair_first_layer(c, g, layout, matching_size(g))
-
-
 def repair_outcome(repair, c, g, layout):
     try:
         return repair(c, g, layout)
@@ -474,7 +470,7 @@ def test_repair_matches_brute_force_on_random_layers():
         for _ in range(50):
             c, layout = random_first_layer(n, rng)
             want = repair_oracle(c, g, layout)
-            assert repair(c, g, layout) == want
+            assert _repair_first_layer(c, g, layout) == want
             searched += want != layout
     assert searched > 200  # most layers do not fit their random layout
 
@@ -486,10 +482,10 @@ def test_repair_of_a_layer_wider_than_any_matching():
     for _ in range(20):
         c, layout = random_first_layer(5, rng)
         want = repair_outcome(repair_oracle, c, star, layout)
-        assert repair_outcome(repair, c, star, layout) == want
+        assert repair_outcome(_repair_first_layer, c, star, layout) == want
     c = LayeredCircuit(5, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
     with pytest.raises(HeuristicError, match="does not fit"):
-        repair(c, star, (0, 1, 2, 3, 4))
+        _repair_first_layer(c, star, (0, 1, 2, 3, 4))
 
 
 def test_repair_cap_keeps_the_best_placement_found(monkeypatch):
@@ -499,15 +495,15 @@ def test_repair_cap_keeps_the_best_placement_found(monkeypatch):
     line8 = builtin_topology("line", 8)
     c = LayeredCircuit(8, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
     layout = (2, 4, 3, 1, 0, 5, 6, 7)
-    full = repair(c, line8, layout)
+    full = _repair_first_layer(c, line8, layout)
     assert full == repair_oracle(c, line8, layout)
     assert full[:4] == (3, 4, 2, 1)
     # Two placed arcs: only the first, cheapest-arc dive completes.
     monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 2)
-    capped = repair(c, line8, layout)
+    capped = _repair_first_layer(c, line8, layout)
     assert capped[:2] == (2, 3)
     assert sorted(capped) == list(range(8))
     assert all(line8.has_edge(capped[gt.p], capped[gt.q]) for gt in c.groups[0])
     monkeypatch.setattr(qaroute.heuristic, "REPAIR_NODES", 1)
     with pytest.raises(HeuristicError, match="gave up"):
-        repair(c, line8, layout)
+        _repair_first_layer(c, line8, layout)

@@ -7,9 +7,9 @@ import qaroute.hwgraph
 from helpers import CX, shuffled_grid_document
 from qaroute.bipmodel import check_layer_width
 from qaroute.circuit import Gate, LayeredCircuit
+from qaroute.heuristic import heuristic_layout
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
-                             builtin_topology, enumerate_matchings,
-                             load_topology, matching_size)
+                             builtin_topology, enumerate_matchings, load_topology)
 
 
 def test_line4_shape(line4):
@@ -139,7 +139,7 @@ def test_matching_size_agrees_with_enumeration():
     for _ in range(150):
         g = random_connected_graph(int(rng.integers(2, 12)), rng)
         matchings = enumerate_matchings(g, g.n // 2)
-        size = matching_size(g)
+        size = g.matching_size
         assert size((1 << g.n) - 1) == len(matchings[-1])
         # Any node subset: the largest matching inside it.
         for mask in rng.integers(1 << g.n, size=4):
@@ -172,7 +172,7 @@ def test_matchings_of_long_graphs_are_listed_without_deep_recursion():
 def test_matching_size_of_long_lines():
     # Too many matchings to list: line-25 has Fibonacci(26) of them.
     for n, want in ((25, 12), (60, 30)):
-        assert matching_size(builtin_topology("line", n))((1 << n) - 1) == want
+        assert builtin_topology("line", n).matching_size((1 << n) - 1) == want
 
 
 @pytest.mark.parametrize("side", [6, 8, 10])
@@ -181,31 +181,49 @@ def test_matching_size_of_grids_whose_labels_are_shuffled(side):
     # shuffled by seed 1 met too many node subsets after half a second.
     for seed in (0, 1, 2):
         g = load_topology(shuffled_grid_document(side, seed))
-        assert matching_size(g)((1 << g.n) - 1) == side * side // 2
+        assert g.matching_size((1 << g.n) - 1) == side * side // 2
 
 
-def test_max_matching_size_is_computed_once_per_graph(monkeypatch):
+def test_width_checks_and_the_layout_search_share_one_matching_memo():
     # One request checks its layer width in run_variant_full and again in
-    # the engine; every call after the first reads the size the graph
-    # kept, with no new memo.
-    memos = []
-    size = qaroute.hwgraph.matching_size
-
-    def counting(g):
-        memos.append(g)
-        return size(g)
-
-    monkeypatch.setattr(qaroute.hwgraph, "matching_size", counting)
+    # the engine, and sabre_like's layout search prunes its first-layer
+    # repair by the matching sizes of free node sets: all of them read
+    # the one memo the graph keeps, and the whole graph is sized once.
     g = builtin_topology("grid", 8)
     c = LayeredCircuit(n_qubits=8, groups=((Gate(0, 1, CX, gid=0), Gate(2, 3, CX, gid=1)),))
     check_layer_width(c, g)
+    memo = g._sizes[-1]
+    whole = dict(memo)
     check_layer_width(c, g)
-    assert memos == [g]
-    assert g.max_matching_size() == 4
+    assert g._sizes[-1] is memo and memo == whole
+    wide = LayeredCircuit(n_qubits=8, groups=(
+        tuple(Gate(2 * k, 2 * k + 1, CX, gid=k) for k in range(4)), (Gate(0, 3, CX, gid=4),)))
+    heuristic_layout(wide, g)
+    assert g._sizes[-1] is memo and len(memo) > len(whole)
+    assert memo.items() >= whole.items()
+    assert g.matching_size((1 << g.n) - 1) == 4
+
+
+def test_a_memo_full_of_earlier_calls_starts_afresh(monkeypatch):
+    # Each mask alone fits the cap, and all of them together pass it: the
+    # graph then drops the subsets of earlier calls rather than refuse.
+    masks = [int(x) for x in np.random.default_rng(79).integers(1 << 12, size=30)]
+    want, alone = [], []
+    for mask in masks:
+        g = builtin_topology("line", 12)
+        want.append(g.matching_size(mask))
+        alone.append(len(g._sizes[-1]))
+    monkeypatch.setattr(qaroute.hwgraph, "MATCHING_LIMIT", max(alone) + 1)
+    g = builtin_topology("line", 12)
+    got, held = [], []
+    for mask in masks:
+        got.append(g.matching_size(mask))
+        held.append(len(g._sizes[-1]))
+    assert got == want
+    assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
 
 def test_matching_size_memo_is_capped(monkeypatch):
     monkeypatch.setattr(qaroute.hwgraph, "MATCHING_LIMIT", 5)
-    size = matching_size(builtin_topology("line", 25))
     with pytest.raises(TopologyError, match="too many"):
-        size((1 << 25) - 1)
+        builtin_topology("line", 25).matching_size((1 << 25) - 1)

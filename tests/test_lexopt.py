@@ -9,10 +9,10 @@ from qaroute.bipmodel import assemble_problem, set_objective
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
-from qaroute.lexopt import (NoIncumbentError, ParetoPoint, _budget_row, default_step_size,
-                            lexicographic_solve, pareto_sweep, sweep_table)
+from qaroute.lexopt import (ParetoPoint, _budget_row, default_step_size, lexicographic_solve,
+                            pareto_sweep, sweep_table)
 from qaroute.qvbench import gen_qv_circuit, lower_circuit
-from qaroute.solver import (_OBJ_EPS, SolveError, SolveLimits, SolveStatus,
+from qaroute.solver import (_OBJ_EPS, NoIncumbentError, SolveError, SolveLimits, SolveStatus,
                             solve_branch_and_bound, solve_exhaustive)
 
 

@@ -16,12 +16,12 @@ from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_stru
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, heuristic_route, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
-from qaroute.lexopt import NoIncumbentError, lexicographic_solve
+from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
-from qaroute.solver import (DPTimeLimit, DPTooLarge, NoRouteError, SolutionInfeasibleError,
-                            SolveError, SolveLimits, SolveStatus, _LayoutSpace, _placements,
-                            _Floor, _Prices, _swap_table, exhaustive_bytes,
+from qaroute.solver import (DPTooLarge, NoIncumbentError, NoRouteError, SolutionInfeasibleError,
+                            SolveError, SolveLimits, SolveStatus, _Bound, _LayoutSpace,
+                            _placements, _Prices, _swap_table, exhaustive_bytes,
                             solve_branch_and_bound, solve_exhaustive)
 
 
@@ -324,7 +324,7 @@ def test_instance_past_the_memory_bound_is_refused_at_once():
 
 def test_time_limit_stops_the_dp(line4):
     c, fid, _, _ = small_instance(line4, (2, 2), 0)
-    with pytest.raises(DPTimeLimit):
+    with pytest.raises(NoIncumbentError):
         solve_exhaustive(c, line4, fid, ("error", "depth"), lim=SolveLimits(time_limit=1e-9))
 
 
@@ -335,7 +335,7 @@ def test_time_limit_stops_the_dp_while_it_builds_its_tables():
     line14 = builtin_topology("line", 14)
     c, fid = qv_instance(line14, 6, 3)
     start = time.perf_counter()
-    with pytest.raises(DPTimeLimit):
+    with pytest.raises(NoIncumbentError):
         solve_exhaustive(c, line14, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
 
@@ -349,7 +349,7 @@ def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
     line62 = builtin_topology("line", 62)
     c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), line62, 1)
     start = time.perf_counter()
-    with pytest.raises(DPTimeLimit):
+    with pytest.raises(NoIncumbentError):
         solve_exhaustive(c, line62, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
     assert time.perf_counter() - start < 2.0
 
@@ -395,7 +395,7 @@ def test_a_build_the_time_limit_stops_caches_nothing(monkeypatch):
     reads = itertools.count()
     monkeypatch.setattr(qaroute.solver, "time",
                         SimpleNamespace(perf_counter=lambda: 0.0 if next(reads) < 5 else 86400.0))
-    with pytest.raises(DPTimeLimit):
+    with pytest.raises(NoIncumbentError):
         solve_exhaustive(c, g, fid, ("error", "depth"), lim=SolveLimits(time_limit=60.0))
     assert next(reads) == 6
     assert qaroute.solver._spaces == {}
@@ -501,7 +501,7 @@ def test_dp_floor_is_consistent_on_every_transition(topo, n, width, layers, pinn
     active = sorted({q for gate in c.gates() for q in gate.operands})
     space = _LayoutSpace(n, g.edges, len(active), math.inf)
     prices = _Prices(c, g, fid, ("error",), active, (), space)
-    floor_at = _Floor(prices, g)
+    floor_at = _Bound(lambda: math.inf, 0.0, prices, g).floor
     least_swap = min(fid.swap_error(*e) for e in g.edges)
     least_gates = [sum(min(fid.gate_error(gt.gid, i, j, merged=merged)
                            for i, j in g.edges for merged in (False, True)) for gt in grp)
@@ -551,6 +551,27 @@ def test_dp_floor_is_consistent_on_every_transition(topo, n, width, layers, pinn
                 checked += 1
         alive = np.array(sorted(reached), dtype=np.int64)
     assert checked > 0
+
+
+def test_a_solve_that_never_asks_for_the_bound_builds_no_bound_tables(line4, monkeypatch):
+    # No step of this instance takes more than one pass, so the DP never
+    # calls the incumbent and builds none of the floor's tables; with a
+    # pass budget of 0 it does each once, from step 0.
+    built, asked = [], []
+    tables = _Bound._tables
+    monkeypatch.setattr(_Bound, "_tables", lambda self: built.append(self) or tables(self))
+
+    def incumbent():
+        asked.append(True)
+        return math.inf
+
+    c, fid, _, _ = small_instance(line4, (2, 2), 0)
+    want = solve_exhaustive(c, line4, fid, ("error", "depth"))
+    assert solve_exhaustive(c, line4, fid, ("error", "depth"), incumbent=incumbent) == want
+    assert asked == [] and built == []
+    monkeypatch.setattr(qaroute.solver, "DP_PASS", 0)
+    assert solve_exhaustive(c, line4, fid, ("error", "depth"), incumbent=incumbent) == want
+    assert len(asked) == 1 and len(built) == 1
 
 
 # Every gate runs at no error plain but at fidelity 0.5 with a swap of
