@@ -202,11 +202,11 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     with no room to move beforehand. A depth-first search gives the
     gates, in layer order, node-disjoint arcs, cheapest arc first. It
     keeps the placement that displaces qubits the least (ties go to the
-    smallest ``(gid, i, j)`` sequence) and prunes a prefix that cannot
-    beat it even if every later gate got its cheapest arc, or whose free
-    nodes hold no matching as large as the gates still to place (the
-    graph's ``matching_size``). After ``REPAIR_NODES`` placed arcs it
-    keeps the best placement so far.
+    smallest ``(gid, i, j)`` sequence) and prunes, exactly, a prefix that
+    cannot beat it even if every later gate got its cheapest arc, or whose
+    free nodes hold no maximum matching (the graph's ``matching_size``) as
+    large as the gates still to place. After ``REPAIR_NODES`` placed arcs
+    it keeps the best placement so far.
     The remaining qubits are then refilled near their old nodes.
     """
     first = c.groups[0] if c.groups else ()

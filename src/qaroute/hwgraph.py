@@ -31,10 +31,8 @@ def norm_edge(i: int, j: int) -> Edge:
 
 @dataclass
 class HardwareGraph:
-    """Undirected coupling graph with per-edge CNOT fidelities.
-
-    Treated as immutable after construction.
-    """
+    """Undirected coupling graph with per-edge CNOT fidelities, immutable
+    after construction apart from the table ``distances()`` fills once."""
 
     n: int
     edges: tuple[Edge, ...]
@@ -85,7 +83,6 @@ class HardwareGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._dist = None
-        self._sizes = None  # matching_size's renumbering and memo
         if self.n > 1 and not self._connected():
             raise TopologyError("graph is not connected")
 
@@ -137,61 +134,67 @@ class HardwareGraph:
 
     def matching_size(self, mask: int) -> int:
         """The size of a maximum matching of the subgraph that a bit mask
-        of nodes induces.
-
-        The nodes are renumbered in breadth-first order from a
-        lowest-degree node (each mask translated into it), so the subsets
-        met follow the graph's shape, not its labels. The first node is
-        matched to each neighbour in the mask in turn, and left unmatched
-        only when it has none: beside a free neighbour, a maximum matching
-        can always trade an edge for one that matches it. Sizes are
-        remembered per node subset in one memo the graph keeps, as it
-        keeps ``distances()``, for every later call. A call that fills it
-        to ``MATCHING_LIMIT`` subsets while it holds those of earlier calls
-        empties it and goes on; one that fills it alone raises
-        ``TopologyError``.
+        of nodes induces, by Edmonds' blossom algorithm (J. Edmonds, "Paths,
+        trees, and flowers", Canad. J. Math. 17, 1965): a greedy start, then
+        a breadth-first search for an augmenting path from each node left
+        unmatched, each odd cycle (blossom) met contracted to its base. A
+        node with no such path gains none later, so one search each
+        suffices: O(n^3) time on the n nodes of the mask, and no state kept.
         """
-        if self._sizes is None:
-            order = [min(range(self.n), key=lambda v: (len(self._adj[v]), v))]
-            rank = {order[0]: 0}
-            for v in order:  # the graph is connected: this reaches every node
-                for k in self._adj[v]:
-                    if k not in rank:
-                        rank[k] = len(order)
-                        order.append(k)
-            self._sizes = ([1 << rank[v] for v in range(self.n)],
-                           [[rank[k] for k in self._adj[v]] for v in order], {0: 0})
-        bit, nbrs, memo = self._sizes
-        fresh = len(memo) == 1  # no subset of an earlier call is held
-        left, mask = mask, 0
-        while left:  # the mask in breadth-first order
-            low = left & -left
-            mask |= bit[low.bit_length() - 1]
-            left ^= low
-        stack = [mask]  # an explicit stack: no recursion limit on long graphs
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
+        nodes = [v for v in range(self.n) if mask >> v & 1]
+        mate = [-1] * self.n
+        for v in nodes:
+            for k in self._adj[v]:
+                if mate[v] < 0 and mate[k] < 0 and mask >> k & 1:
+                    mate[v], mate[k] = k, v
+        free = [v for v in nodes if mate[v] < 0]
+        for root in free[:-1]:  # a path from the last would end at a node searched before
+            if mate[root] < 0:
+                _augment(root, self._adj, mask, nodes, mate)
+        return (self.n - mate.count(-1)) // 2
+
+
+def _augment(root: int, adj: tuple, mask: int, nodes: list[int], mate: list[int]) -> None:
+    """Flip the first augmenting path from the unmatched node ``root`` that
+    a breadth-first search in the nodes of ``mask`` finds, if any. Outer
+    nodes enter the queue, ``parent`` links each inner node to the outer
+    node that reached it, and ``base`` maps a node to its blossom's base."""
+    base, parent, outer, queue = list(range(len(mate))), [-1] * len(mate), {root}, [root]
+
+    def bases_up(v: int) -> list[int]:  # the bases on the tree path to the root
+        up = [base[v]]
+        while mate[up[-1]] >= 0:
+            up.append(base[parent[mate[up[-1]]]])
+        return up
+
+    for v in queue:  # the queue grows while it is read
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w or not mask >> w & 1:
                 continue
-            i = (top & -top).bit_length() - 1
-            rest = top ^ 1 << i
-            kids = [rest ^ 1 << k for k in nbrs[i] if rest >> k & 1]
-            gain = 1 if kids else 0
-            kids = kids or [rest]
-            todo = [k for k in kids if k not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
-            if len(memo) >= MATCHING_LIMIT:
-                if fresh:
-                    raise TopologyError("too many node subsets to size their matchings")
-                memo.clear()  # the stack sizes again what it still needs
-                memo[0], fresh = 0, True
-                continue
-            memo[top] = max(memo[k] for k in kids) + gain
-            stack.pop()
-        return memo[mask]
+            if w == root or mate[w] >= 0 and parent[mate[w]] >= 0:  # w is outer
+                up = set(bases_up(v))
+                top = next(b for b in bases_up(w) if b in up)
+                blossom = set()
+                for a, child in ((v, w), (w, v)):  # link each half back across v-w
+                    while base[a] != top:
+                        blossom.update((base[a], base[mate[a]]))
+                        parent[a], child = child, mate[a]
+                        a = parent[child]
+                for k in nodes:  # contract the cycle to its base
+                    if base[k] in blossom:
+                        base[k] = top
+                        if k not in outer:
+                            outer.add(k)
+                            queue.append(k)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:  # an augmenting path: flip it back to the root
+                    while w >= 0:
+                        v = parent[w]
+                        mate[v], mate[w], w = w, v, mate[v]
+                    return
+                outer.add(mate[w])
+                queue.append(mate[w])
 
 
 def load_topology(source: str | dict) -> HardwareGraph:
@@ -299,18 +302,15 @@ def builtin_topology(name: str, n: int) -> HardwareGraph:
     return HardwareGraph(n=n, edges=tuple(edges), crosstalk_pairs=tuple(pairs))
 
 
-# Most node subsets ``HardwareGraph.matching_size`` remembers before it gives up.
-MATCHING_LIMIT = 100000
-
-
 def enumerate_matchings(g: HardwareGraph, most: int) -> list[tuple[Edge, ...]]:
     """The matchings (sets of pairwise disjoint edges) with at most
     ``most`` edges, including the empty one, sorted by size and then
     lexicographically, so each list is a prefix of a longer one's.
 
     Used by the layout DP, whose swap layers have at most one edge per
-    active qubit. Where only the size of a maximum matching is needed,
-    ``HardwareGraph.matching_size`` finds it without listing them.
+    active qubit. The list grows exponentially (line-n has Fibonacci(n+1)
+    matchings); ``HardwareGraph.matching_size`` sizes a maximum matching
+    in polynomial time without listing any.
     """
     out: list[tuple[Edge, ...]] = []
     edges = g.edges

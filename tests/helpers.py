@@ -183,12 +183,13 @@ def prepared(c: LayeredCircuit, g, k: int, overrides=None):
     return c, FidelityModel.build(c, g, overrides=overrides)
 
 
-def shuffled_grid_document(side: int, seed: int) -> dict:
+def shuffled_grid_document(side: int, seed: int | None) -> dict:
     """A side-by-side grid's topology document whose node labels
     0..side*side-1 are shuffled by ``random.Random(seed)``, so the
-    labels no longer follow the grid's rows."""
+    labels no longer follow the grid's rows; row by row if seed is None."""
     label = list(range(side * side))
-    random.Random(seed).shuffle(label)
+    if seed is not None:
+        random.Random(seed).shuffle(label)
     edges = [[label[v], label[v + d]] for v in range(side * side)
              for d in (1, side) if (d == side or (v + 1) % side) and v + d < side * side]
     return {"nodes": list(range(side * side)), "edges": edges}

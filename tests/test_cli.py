@@ -584,6 +584,17 @@ def test_sabre_like_routes_a_grid_whose_labels_are_shuffled(tmp_path, capsys):
     assert "structural: ok" in capsys.readouterr().out
 
 
+def test_sabre_like_routes_a_14_by_14_grid(tmp_path, capsys):
+    # Every variant first sizes a maximum matching of the whole graph,
+    # which on this grid must not give up (exit 4).
+    topology = tmp_path / "grid196.json"
+    topology.write_text(json.dumps(shuffled_grid_document(14, None)))
+    code = main(["transpile", "--topology", str(topology), "--qv", "4,1",
+                 "--variant", "sabre_like"])
+    assert code == 0
+    assert "structural: ok" in capsys.readouterr().out
+
+
 def test_custom_topology_and_circuit_files(tmp_path, capsys):
     topo = {"nodes": [1, 2, 3, 4],
             "edges": [[1, 2], [2, 3], [3, 4]],

@@ -7,13 +7,14 @@ import pytest
 import qaroute.heuristic
 import qaroute.lexopt
 import qaroute.solver
-from helpers import CX, prepared, random_layered_circuit, reference_route
+from helpers import (CX, prepared, random_layered_circuit, reference_route,
+                     shuffled_grid_document)
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, layerize, pad_qubits
 from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import (TRIALS, VARIANTS, HeuristicError, _repair_first_layer, _route,
                                heuristic_layout, heuristic_route, run_variant_full)
-from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings
+from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, load_topology
 from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
 from qaroute.solver import SolveLimits
 from test_dp_golden import HEAVY_HEX_27
@@ -200,8 +201,7 @@ def test_layout_of_gate_free_circuit_is_identity(line4):
 def test_every_variant_sizes_a_maximum_matching_in_under_a_millisecond(graph):
     # run_variant_full first holds the widest layer against a maximum
     # matching of the whole graph. Three active qubits on line-62 route
-    # past it in test_parents_index_more_matchings_than_int16_holds. Each
-    # graph is new, so each size starts from an empty memo.
+    # past it in test_parents_index_more_matchings_than_int16_holds.
     times = []
     for _ in range(3):
         g = graph()
@@ -486,6 +486,19 @@ def test_repair_of_a_layer_wider_than_any_matching():
     c = LayeredCircuit(5, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
     with pytest.raises(HeuristicError, match="does not fit"):
         _repair_first_layer(c, star, (0, 1, 2, 3, 4))
+
+
+def test_repair_on_a_grid_whose_labels_are_shuffled_is_quick():
+    # The repair prunes by the matching sizes of free node sets with
+    # scattered holes, which a search over node subsets sized in over
+    # 10 s for these seven layouts.
+    g = load_topology(shuffled_grid_document(10, 1))
+    start = time.perf_counter()
+    for width in range(4, 11):
+        c = pad_qubits(lower_circuit(gen_qv_circuit(width, [7, 0])), g.n)
+        layout = heuristic_layout(c, g)
+        assert all(g.has_edge(layout[gt.p], layout[gt.q]) for gt in c.groups[0])
+    assert time.perf_counter() - start < 5
 
 
 def test_repair_cap_keeps_the_best_placement_found(monkeypatch):

@@ -3,11 +3,7 @@ import json
 import numpy as np
 import pytest
 
-import qaroute.hwgraph
-from helpers import CX, shuffled_grid_document
-from qaroute.bipmodel import check_layer_width
-from qaroute.circuit import Gate, LayeredCircuit
-from qaroute.heuristic import heuristic_layout
+from helpers import shuffled_grid_document
 from qaroute.hwgraph import (DEFAULT_BETA, HardwareGraph, TopologyError,
                              builtin_topology, enumerate_matchings, load_topology)
 
@@ -112,9 +108,10 @@ def test_enumerate_matchings_line4(line4):
 
 def test_largest_matching_size(line4, y6, grid6):
     # Matchings come sorted by size, so the last one is a maximum matching.
-    assert len(enumerate_matchings(line4, 2)[-1]) == 2
-    assert len(enumerate_matchings(y6, 3)[-1]) == 3
-    assert len(enumerate_matchings(grid6, 3)[-1]) == 3
+    grid8 = builtin_topology("grid", 8)
+    for g, want in ((line4, 2), (y6, 3), (grid6, 3), (grid8, 4)):
+        assert len(enumerate_matchings(g, want)[-1]) == want
+        assert g.matching_size((1 << g.n) - 1) == want
 
 
 def test_matchings_consistent_with_max(y6):
@@ -175,55 +172,24 @@ def test_matching_size_of_long_lines():
         assert builtin_topology("line", n).matching_size((1 << n) - 1) == want
 
 
-@pytest.mark.parametrize("side", [6, 8, 10])
+@pytest.mark.parametrize("side", [6, 8, 10, 14, 30])
 def test_matching_size_of_grids_whose_labels_are_shuffled(side):
-    # Memoized in label order, these passed MATCHING_LIMIT: a 6x6 grid
-    # shuffled by seed 1 met too many node subsets after half a second.
-    for seed in (0, 1, 2):
+    # The size follows the grid's shape, not its labels, and a 900-node
+    # grid is sized in polynomial time; a search over node subsets gave
+    # up on the 14x14 grid, plain or shuffled.
+    for seed in (None, 0, 1, 2):
         g = load_topology(shuffled_grid_document(side, seed))
         assert g.matching_size((1 << g.n) - 1) == side * side // 2
 
 
-def test_width_checks_and_the_layout_search_share_one_matching_memo():
-    # One request checks its layer width in run_variant_full and again in
-    # the engine, and sabre_like's layout search prunes its first-layer
-    # repair by the matching sizes of free node sets: all of them read
-    # the one memo the graph keeps, and the whole graph is sized once.
-    g = builtin_topology("grid", 8)
-    c = LayeredCircuit(n_qubits=8, groups=((Gate(0, 1, CX, gid=0), Gate(2, 3, CX, gid=1)),))
-    check_layer_width(c, g)
-    memo = g._sizes[-1]
-    whole = dict(memo)
-    check_layer_width(c, g)
-    assert g._sizes[-1] is memo and memo == whole
-    wide = LayeredCircuit(n_qubits=8, groups=(
-        tuple(Gate(2 * k, 2 * k + 1, CX, gid=k) for k in range(4)), (Gate(0, 3, CX, gid=4),)))
-    heuristic_layout(wide, g)
-    assert g._sizes[-1] is memo and len(memo) > len(whole)
-    assert memo.items() >= whole.items()
-    assert g.matching_size((1 << g.n) - 1) == 4
-
-
-def test_a_memo_full_of_earlier_calls_starts_afresh(monkeypatch):
-    # Each mask alone fits the cap, and all of them together pass it: the
-    # graph then drops the subsets of earlier calls rather than refuse.
-    masks = [int(x) for x in np.random.default_rng(79).integers(1 << 12, size=30)]
-    want, alone = [], []
-    for mask in masks:
-        g = builtin_topology("line", 12)
-        want.append(g.matching_size(mask))
-        alone.append(len(g._sizes[-1]))
-    monkeypatch.setattr(qaroute.hwgraph, "MATCHING_LIMIT", max(alone) + 1)
-    g = builtin_topology("line", 12)
-    got, held = [], []
-    for mask in masks:
-        got.append(g.matching_size(mask))
-        held.append(len(g._sizes[-1]))
-    assert got == want
-    assert any(later < earlier for earlier, later in zip(held, held[1:]))
-
-
-def test_matching_size_memo_is_capped(monkeypatch):
-    monkeypatch.setattr(qaroute.hwgraph, "MATCHING_LIMIT", 5)
-    with pytest.raises(TopologyError, match="too many"):
-        builtin_topology("line", 25).matching_size((1 << 25) - 1)
+def test_matching_size_contracts_odd_cycles():
+    # Triangles {2, 3, 4} and {5, 6, 7} joined by edge 2-5, with tails
+    # 0-1-3 and 7-8-9. The greedy start takes 0-1, 2-3, 5-6 and 7-8 and
+    # leaves 4 and 9 unmatched. The one augmenting path, 4-3-2-5-6-7-8-9,
+    # goes the long way round both triangles, so a search from either end
+    # finds it only by contracting the triangle it starts beside.
+    g = HardwareGraph(10, ((0, 1), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4),
+                           (5, 6), (5, 7), (6, 7), (7, 8), (8, 9)))
+    assert len(enumerate_matchings(g, 5)[-1]) == 5
+    assert g.matching_size((1 << g.n) - 1) == 5
+    assert g.matching_size((1 << g.n) - 1 - (1 << 9)) == 4
