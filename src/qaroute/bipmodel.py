@@ -75,9 +75,24 @@ def _row_name(k: int, family: str) -> str:
     return f"{family}_{k}"
 
 
+# The admission rules of every router, one ModelError message each. An
+# entry that takes an initial map checks it first, then the pad, then the width.
+
+def check_padded(c: LayeredCircuit, g: HardwareGraph) -> None:
+    if c.n_qubits != g.n:
+        raise ModelError(f"circuit has {c.n_qubits} qubits but the graph has {g.n} nodes; "
+                         "pad the circuit first")
+
+
+def check_initial_map(initial_map, n: int) -> None:
+    """Refuse a given map that is no bijection of the n qubits to the n nodes."""
+    if initial_map is not None and sorted(initial_map) != list(range(n)):
+        raise ModelError("initial_map is not a qubit-to-node bijection")
+
+
 def check_layer_width(c: LayeredCircuit, g: HardwareGraph) -> None:
     """Refuse a layer wider than every matching of ``g``: no layout runs it."""
-    width = c.max_layer_width()
+    width = max(map(len, c.groups), default=0)
     if width > g.matching_size((1 << g.n) - 1):
         raise ModelError(f"a layer holds {width} gates but the graph has no matching that large")
 
@@ -97,10 +112,7 @@ class VariableSpace:
     """
 
     def __init__(self, c: LayeredCircuit, g: HardwareGraph, crosstalk_mode: bool = False):
-        if c.n_qubits != g.n:
-            raise ModelError(
-                f"circuit has {c.n_qubits} qubits but the graph has {g.n} nodes; "
-                "pad the circuit first")
+        check_padded(c, g)
         check_layer_width(c, g)
         self.circuit = c
         self.graph = g

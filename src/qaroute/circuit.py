@@ -88,9 +88,6 @@ class LayeredCircuit:
     def busy_qubits(self, t: int) -> set[int]:
         return {op for gate in self.groups[t] for op in gate.operands}
 
-    def max_layer_width(self) -> int:
-        return max((len(grp) for grp in self.groups), default=0)
-
 
 def layerize(gates: list[Gate] | list[tuple], n_qubits: int | None = None) -> LayeredCircuit:
     """Greedy ASAP layering: each gate lands in the earliest layer after

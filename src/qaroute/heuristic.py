@@ -5,13 +5,7 @@ family: execute whatever is adjacent, otherwise take the swap that most
 reduces a decay-weighted distance score over the front and a lookahead
 window. It exists as a baseline and as the layout/routing half of the
 hybrid variants, not as a faithful reimplementation of any production
-transpiler.
-
-Scores are exact integers (the decay weights scaled to whole numbers),
-and a candidate swap is scored by the change it makes to the terms of
-the gates on its two qubits. The layout search routes from random
-restarts; within one call it routes each distinct layout once and
-repairs each distinct final map once, and it keeps nothing between calls.
+transpiler. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .bipmodel import check_layer_width
+from .bipmodel import check_initial_map, check_layer_width, check_padded
 from .circuit import LayeredCircuit
 from .extract import CircuitStats, FreeSwap, GateOp, RoutedCircuit, stats
 from .gatefid import FidelityModel
@@ -178,12 +172,12 @@ def _route(gates, g: HardwareGraph, initial_map,
 def heuristic_route(c: LayeredCircuit, g: HardwareGraph, initial_map,
                     fid: FidelityModel) -> RoutedCircuit:
     """Route ``c`` from a fixed layout by greedy swap insertion (see
-    ``_route``), each gate compiled with its cheapest plain CNOT count."""
-    if c.n_qubits != g.n:
-        raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
+    ``_route``), each gate compiled with its cheapest plain CNOT count.
+    It spreads a layer over steps, so it admits by the pad and map rules
+    only (``bipmodel.ModelError``) and sizes no matching."""
     initial_map = tuple(initial_map)
-    if sorted(initial_map) != list(range(g.n)):
-        raise HeuristicError("initial_map is not a qubit-to-node bijection")
+    check_initial_map(initial_map, g.n)
+    check_padded(c, g)
     plan, final_map = _route([(gt.gid, gt.p, gt.q) for gt in c.gates()], g, initial_map)
     steps = tuple(
         (FreeSwap(edge=edge),) if edge is not None else
@@ -205,9 +199,11 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
     smallest ``(gid, i, j)`` sequence) and prunes, exactly, a prefix that
     cannot beat it even if every later gate got its cheapest arc, or whose
     free nodes hold no maximum matching (the graph's ``matching_size``) as
-    large as the gates still to place. After ``REPAIR_NODES`` placed arcs
-    it keeps the best placement so far.
-    The remaining qubits are then refilled near their old nodes.
+    large as the gates still to place (none after the last). After
+    ``REPAIR_NODES`` placed arcs it keeps the best placement so far, or
+    raises ``HeuristicError``: ``heuristic_layout`` admitted the layer's
+    width, so the exact prune alone never leaves it without one. The
+    remaining qubits are then refilled near their old nodes.
     """
     first = c.groups[0] if c.groups else ()
     pos = list(layout)
@@ -235,7 +231,8 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
             if best is not None and key > best:
                 break  # keys rise along the sorted arcs
             taken = used | 1 << i | 1 << j
-            if g.matching_size(every ^ taken) < len(first) - k - 1:
+            left = len(first) - k - 1  # gates still to place
+            if left and g.matching_size(every ^ taken) < left:
                 continue
             visits += 1
             if visits > REPAIR_NODES:
@@ -244,10 +241,8 @@ def _repair_first_layer(c: LayeredCircuit, g: HardwareGraph, layout) -> tuple[in
 
     search(0, 0, (), 0)
     if best is None:
-        if visits > REPAIR_NODES:
-            raise HeuristicError(f"first-layer repair gave up after {REPAIR_NODES} "
-                                 "search nodes without a placement")
-        raise HeuristicError("first layer does not fit on the hardware")
+        raise HeuristicError(f"first-layer repair gave up after {REPAIR_NODES} "
+                             "search nodes without a placement")
     newpos = [-1] * g.n
     taken = set()
     for gt, (_, i, j) in zip(first, best[1]):
@@ -277,12 +272,13 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
     reshaped so the first gate layer is simultaneously executable.
     Trials often meet a layout or a final map again; within one call
     each distinct layout is routed once and each distinct final map
-    repaired once.
+    repaired once. It admits by the pad and, given a gate, the
+    layer-width rules (``bipmodel.ModelError``).
     """
-    if c.n_qubits != g.n:
-        raise HeuristicError("circuit and hardware sizes differ; pad the circuit first")
+    check_padded(c, g)
     if not any(c.groups):
         return tuple(range(g.n))
+    check_layer_width(c, g)
     rng = np.random.default_rng(seed)
     gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
     tables = _graph_tables(g)
@@ -338,10 +334,10 @@ def run_variant_full(variant: str, c: LayeredCircuit, g: HardwareGraph,
     That same route's error is the layout DP's ``incumbent``, so one
     call searches the greedy layout and routes from it at most once, and
     only when the DP asks for the bound or the fallback needs it. Raises
-    ``NoRouteError`` for no route, and ``bipmodel.ModelError`` for a
-    layer wider than any matching of ``g``.
+    ``NoRouteError`` for no route, and ``bipmodel.ModelError`` from the
+    first entry the variant runs: ``heuristic_layout`` for
+    ``sabre_like`` and ``bip_routing``, the engine for the others.
     """
-    check_layer_width(c, g)
     if variant == "sabre_like":
         layout = heuristic_layout(c, g, seed)
         rc = heuristic_route(c, g, layout, fid)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bipmodel import BipProblem, Row, VariableSpace, assemble_problem, set_objective
+from .bipmodel import (BipProblem, Row, VariableSpace, assemble_problem, check_initial_map,
+                       set_objective)
 from .circuit import LayeredCircuit
 from .extract import RoutedCircuit, decode
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph
 from .solver import (_OBJ_EPS, NoIncumbentError, NoRouteError, SolveError, SolveLimits,
-                     SolveResult, SolveStatus, _check_initial_map, _check_order,
-                     solve_branch_and_bound)
+                     SolveResult, SolveStatus, _check_order, solve_branch_and_bound)
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def _stages(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel, order,
     ``initial_map`` pins every qubit's step-0 node (``PIN_INIT`` rows);
     ``same_endpoints`` makes the last step's layout equal the first's
     (``SAME_ENDPOINTS`` rows). A model with no steps has no placement to
-    pin and takes neither."""
-    _check_initial_map(initial_map, g.n)
+    pin and takes neither. ``VariableSpace`` checks the other rules."""
+    check_initial_map(initial_map, g.n)
     vs, p = assemble_problem(c, g, fid, objective=order[0],
                              crosstalk_mode="crosstalk" in order)
     pins = [] if initial_map is None or vs.m == 0 else [
@@ -146,10 +146,10 @@ def lexicographic_solve(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     step-0 node of every qubit, idle ones included, as in
     ``solver.solve_exhaustive`` (``bip_routing``); ``same_endpoints``
     makes the final layout equal the initial one (``bip_constrained``).
-    Raises ``SolveError`` for a bad order or a non-bijective
-    ``initial_map``, ``NoRouteError`` when a stage is infeasible, and its
-    subclass ``NoIncumbentError`` when a stage spends the budget with no
-    incumbent.
+    Raises ``SolveError`` for a bad order, ``bipmodel.ModelError`` for an
+    input its rules refuse, ``NoRouteError`` when a stage is infeasible,
+    and its subclass ``NoIncumbentError`` when a stage spends the budget
+    with no incumbent.
     """
     order = _check_order(order)
     vs, stages = _stages(c, g, fid, order, initial_map, same_endpoints)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,14 +90,15 @@ def lower_circuit(qv: QvCircuit, n_layers: int | None = None) -> LayeredCircuit:
 
 def qv_instance(w: int, seed, n_nodes: int, n_layers: int | None = None,
                 dummy_steps: int = 2) -> tuple[QvCircuit, LayeredCircuit]:
-    """``gen_qv_circuit(w, seed)`` and the circuit a router takes: its
-    first ``n_layers`` layers, padded to ``n_nodes`` qubits, with
-    ``dummy_steps`` empty steps between layers. A width above ``n_nodes``
-    is refused before the draw, whose time is quadratic in the width."""
+    """``gen_qv_circuit(w, seed)`` cut to ``n_layers`` layers, and the
+    circuit a router takes: it lowered, padded to ``n_nodes`` qubits,
+    with ``dummy_steps`` empty steps between layers. A width above
+    ``n_nodes`` is refused before the draw, quadratic in the width."""
     if w > n_nodes:
         raise BenchError(f"width {w} exceeds the graph's {n_nodes} nodes")
     qv = gen_qv_circuit(w, seed)
-    c = pad_qubits(lower_circuit(qv, n_layers=n_layers), n_nodes)
+    qv = replace(qv, layers=qv.layers[:n_layers])
+    c = pad_qubits(lower_circuit(qv), n_nodes)
     return qv, insert_dummy_steps(c, dummy_steps)
 
 
@@ -252,8 +253,8 @@ def benchmark_batch(n_circuits: int, w: int, variants, g: HardwareGraph,
     order; with jobs > 1 circuits are routed through ``map_in_pool`` and
     reassembled in order.
     ``seed`` also seeds the greedy layout search of every variant that
-    uses one. Heavy sets are computed on the full-width ideal circuit
-    once per circuit. A run with no route is a ``NO_ROUTE`` row, left
+    uses one. Heavy sets are computed once per circuit, on the ideal
+    circuit that is routed (cut to ``n_layers``). A run with no route is a ``NO_ROUTE`` row, left
     out of the HOP estimates and the correlations.
     """
     if n_circuits < 1:

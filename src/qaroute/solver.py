@@ -1,7 +1,7 @@
 """The two exact engines of the routing program and the contract they
-share: ``SolveLimits``, the errors, the objective-order and
-``initial_map`` checks, and the tie slack ``_OBJ_EPS``. Reading and
-writing models and solutions is ``modelio``'s.
+share: ``SolveLimits``, the errors, the objective-order check, and the
+tie slack ``_OBJ_EPS``; both admit inputs by ``bipmodel``'s rules.
+Reading and writing models and solutions is ``modelio``'s.
 
 Both engines break ties by one rule. Objective by objective, a value
 within that objective's ``_OBJ_EPS`` of the least counts as least, and
@@ -37,7 +37,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bipmodel import FEAS_TOL, BipProblem, Row, _row_name, check_layer_width
+from .bipmodel import (FEAS_TOL, BipProblem, Row, _row_name, check_initial_map,
+                       check_layer_width, check_padded)
 from .circuit import LayeredCircuit
 from .extract import schedule
 from .gatefid import FidelityModel
@@ -135,13 +136,6 @@ def _check_order(order) -> tuple[str, ...]:
     if len(set(order)) != len(order):
         raise SolveError("objective order repeats an objective")
     return order
-
-
-def _check_initial_map(initial_map, n: int) -> None:
-    """Both exact engines' rule: ``initial_map``, when given, sends the n
-    qubits to the n nodes one to one."""
-    if initial_map is not None and sorted(initial_map) != list(range(n)):
-        raise SolveError("initial_map is not a qubit-to-node bijection")
 
 
 def solve_branch_and_bound(p: BipProblem, limits: SolveLimits | None = None,
@@ -951,9 +945,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     not fit ``DP_MEMORY`` (its only refusal), ``NoIncumbentError`` once
     ``lim.time_limit`` has passed (checked once per pass, and while it
     builds a space after the matchings, the placements and each edge's
-    table; the DP counts no nodes), ``bipmodel.ModelError`` for a layer
-    wider than any matching of ``g``, as the branch and bound's model
-    does, and ``NoRouteError`` when no routing exists.
+    table; the DP counts no nodes), ``bipmodel.ModelError`` for an input
+    the pad, map or layer-width rule refuses, and ``NoRouteError`` when
+    no routing exists.
 
     ``incumbent``, when given, is a zero-argument callable that returns
     U, an error some route of the circuit reaches, as
@@ -976,10 +970,9 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
     the model's steps cannot hold, below the DP's optimum.
     """
     objs = _check_order(order)
-    if c.n_qubits != g.n:
-        raise SolveError("circuit and graph sizes differ; pad the circuit first")
     n, m = g.n, c.num_steps
-    _check_initial_map(initial_map, n)
+    check_initial_map(initial_map, n)
+    check_padded(c, g)
     check_layer_width(c, g)
     if not c.gates():  # no active qubit: nothing moves, and the pinned map is the route
         pin = tuple(range(n) if initial_map is None else initial_map)

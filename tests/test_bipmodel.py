@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import (REFERENCE_ASSIGNMENT_NAMES, line4_five_gate_circuit,
+from helpers import (CX, REFERENCE_ASSIGNMENT_NAMES, line4_five_gate_circuit,
                      prepared, random_layered_circuit)
 from qaroute.bipmodel import (ModelError, Row, VariableSpace, assemble_problem,
                               build_constraints)
-from qaroute.circuit import insert_dummy_steps
+from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps
 from qaroute.gatefid import FidelityModel
+from qaroute.heuristic import VARIANTS, heuristic_layout, heuristic_route, run_variant_full
+from qaroute.hwgraph import HardwareGraph
+from qaroute.lexopt import lexicographic_solve
+from qaroute.solver import solve_exhaustive
 
 
 def dense_assignment(p, names_at_one):
@@ -47,6 +51,50 @@ def test_space_rejects_unroutable_layer(line4):
     c = random_layered_circuit(6, (3,), seed=1)
     with pytest.raises(ModelError):
         VariableSpace(c, line4)
+
+
+# The admission contract of every router. Each entry is called as
+# entry(c, g, fid, initial_map); None for a map means the entry's default.
+_ORDER = ("error", "depth")
+ADMITTING = {
+    "solve_exhaustive": lambda c, g, fid, m: solve_exhaustive(c, g, fid, _ORDER, initial_map=m),
+    "lexicographic_solve": lambda c, g, fid, m: lexicographic_solve(c, g, fid, _ORDER,
+                                                                    initial_map=m),
+    "assemble_problem": lambda c, g, fid, m: assemble_problem(c, g, fid),
+    "heuristic_layout": lambda c, g, fid, m: heuristic_layout(c, g),
+    "heuristic_route": lambda c, g, fid, m: heuristic_route(c, g, m or tuple(range(g.n)), fid),
+    **{f"run_variant_full[{v}]": (lambda c, g, fid, m, v=v: run_variant_full(v, c, g, fid))
+       for v in VARIANTS},
+}
+TAKES_A_MAP = ("solve_exhaustive", "lexicographic_solve", "heuristic_route")
+# The greedy router runs a wide layer over several steps: no width rule.
+SIZES_A_MATCHING = tuple(name for name in ADMITTING if name != "heuristic_route")
+# Every edge of a 5-node star meets its centre, so two gates never run at once.
+STAR = HardwareGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
+ONE_GATE = LayeredCircuit(5, ((Gate(1, 2, CX, gid=0),),))
+UNPADDED = LayeredCircuit(4, ((Gate(1, 2, CX, gid=0),),))
+NOT_A_BIJECTION = "initial_map is not a qubit-to-node bijection"
+RULES = {
+    "pad": (UNPADDED, None,
+            "circuit has 4 qubits but the graph has 5 nodes; pad the circuit first",
+            tuple(ADMITTING)),
+    "map": (ONE_GATE, (0, 0, 1, 2, 3), NOT_A_BIJECTION, TAKES_A_MAP),
+    # The map rule comes first: a map of the unpadded circuit's size.
+    "map-then-pad": (UNPADDED, (0, 1, 2, 3), NOT_A_BIJECTION, TAKES_A_MAP),
+    "width": (LayeredCircuit(5, ((Gate(1, 2, CX, gid=0), Gate(3, 4, CX, gid=1)),)), None,
+              "a layer holds 2 gates but the graph has no matching that large",
+              SIZES_A_MATCHING),
+}
+
+
+@pytest.mark.parametrize("rule, entry", [(rule, name) for rule, (*_, entries) in RULES.items()
+                                         for name in entries])
+def test_every_router_admits_by_the_one_rule_and_error(rule, entry):
+    c, initial_map, message, _ = RULES[rule]
+    fid = FidelityModel.build(c, STAR)
+    with pytest.raises(ModelError) as err:
+        ADMITTING[entry](c, STAR, fid, initial_map)
+    assert str(err.value) == message
 
 
 def test_row_activity_and_satisfaction():

@@ -9,6 +9,7 @@ import qaroute.lexopt
 import qaroute.solver
 from helpers import (CX, prepared, random_layered_circuit, reference_route,
                      shuffled_grid_document)
+from qaroute.bipmodel import ModelError
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, layerize, pad_qubits
 from qaroute.extract import FreeSwap, GateOp, verify_structural, verify_unitary
 from qaroute.gatefid import FidelityModel
@@ -55,11 +56,11 @@ def test_route_executes_adjacent_gates_without_swaps(line4):
 
 def test_route_input_validation(inst, line4, grid6):
     c, fid = inst
-    with pytest.raises(HeuristicError):
+    with pytest.raises(ModelError, match="bijection"):
         heuristic_route(c, line4, (0, 1, 2, 2), fid)
-    with pytest.raises(HeuristicError):
+    with pytest.raises(ModelError, match="pad the circuit"):
         heuristic_route(c, grid6, (0, 1, 2, 3, 4, 5), fid)
-    with pytest.raises(HeuristicError, match="pad the circuit"):
+    with pytest.raises(ModelError, match="pad the circuit"):
         heuristic_layout(c, grid6)
 
 
@@ -454,13 +455,6 @@ def random_first_layer(n: int, rng) -> tuple[LayeredCircuit, tuple[int, ...]]:
     return LayeredCircuit(n, (layer,)), tuple(int(v) for v in rng.permutation(n))
 
 
-def repair_outcome(repair, c, g, layout):
-    try:
-        return repair(c, g, layout)
-    except HeuristicError as err:
-        return str(err)
-
-
 def test_repair_matches_brute_force_on_random_layers():
     rng = np.random.default_rng(2024)
     searched = 0
@@ -475,17 +469,44 @@ def test_repair_matches_brute_force_on_random_layers():
     assert searched > 200  # most layers do not fit their random layout
 
 
+def test_repair_sizes_no_matching_after_the_last_gate(monkeypatch):
+    # Past the last gate no gate is left to place, so a matching size
+    # cannot prune: every mask the repair sizes must leave free the nodes
+    # of at least one more gate.
+    real, seen = HardwareGraph.matching_size, []
+
+    def spy(self, mask):
+        seen.append((self.n, bin(mask).count("1"), n_gates))
+        return real(self, mask)
+
+    monkeypatch.setattr(HardwareGraph, "matching_size", spy)
+    rng = np.random.default_rng(7)
+    for name, n in (("line", 6), ("y", 6), ("grid", 8)):
+        g = builtin_topology(name, n)
+        for _ in range(30):
+            c, layout = random_first_layer(n, rng)
+            n_gates = len(c.groups[0])
+            _repair_first_layer(c, g, layout)
+    assert seen
+    assert all(free > n - 2 * k for n, free, k in seen)
+
+
 def test_repair_of_a_layer_wider_than_any_matching():
-    # Every edge of a star meets the centre, so two gates never fit.
+    # Every edge of a star meets the centre, so two gates never fit: the
+    # layout search refuses such a layer before any repair, and the
+    # repair agrees with the oracle on the one-gate layers that fit.
     star = HardwareGraph(n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)))
     rng = np.random.default_rng(5)
+    fitting = 0
     for _ in range(20):
         c, layout = random_first_layer(5, rng)
-        want = repair_outcome(repair_oracle, c, star, layout)
-        assert repair_outcome(_repair_first_layer, c, star, layout) == want
+        if len(c.groups[0]) == 1:
+            assert _repair_first_layer(c, star, layout) == repair_oracle(c, star, layout)
+            fitting += 1
+    assert fitting > 5
     c = LayeredCircuit(5, ((Gate(0, 1, np.eye(4), 0), Gate(2, 3, np.eye(4), 1)),))
-    with pytest.raises(HeuristicError, match="does not fit"):
-        _repair_first_layer(c, star, (0, 1, 2, 3, 4))
+    with pytest.raises(ModelError, match="no matching that large"):
+        heuristic_layout(c, star)
 
 
 def test_repair_on_a_grid_whose_labels_are_shuffled_is_quick():

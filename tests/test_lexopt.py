@@ -5,7 +5,7 @@ import pytest
 
 from helpers import prepared, random_layered_circuit
 import qaroute.lexopt
-from qaroute.bipmodel import assemble_problem, set_objective
+from qaroute.bipmodel import ModelError, assemble_problem, set_objective
 from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
@@ -259,7 +259,7 @@ def test_initial_map_pins_initial_layout(inst, line4):
 def test_initial_map_must_be_a_bijection(inst, line4):
     c, fid = inst
     for bad in ((0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4)):
-        with pytest.raises(SolveError, match="bijection"):
+        with pytest.raises(ModelError, match="bijection"):
             lexicographic_solve(c, line4, fid, ("error", "depth"), initial_map=bad)
-        with pytest.raises(SolveError, match="bijection"):
+        with pytest.raises(ModelError, match="bijection"):
             solve_exhaustive(c, line4, fid, ("error", "depth"), initial_map=bad)

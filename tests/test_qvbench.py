@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,8 +86,10 @@ def test_heavy_set_is_strict_upper_median():
 
 
 def test_hop_mixture_formula(line4):
-    qv = gen_qv_circuit(4, 15)
-    c, fid = prepared(lower_circuit(qv, n_layers=2), line4, 1)
+    # The heavy set is the routed circuit's: the draw cut to two layers.
+    qv = qv_instance(4, 15, 4, n_layers=2)[0]
+    assert qv.depth == 2
+    c, fid = prepared(lower_circuit(qv), line4, 1)
     run = run_variant_full("sabre_like", c, line4, fid)
     rc, st = run.routed, run.stats
     heavy, h_ideal = heavy_output_mass(qv)
@@ -137,11 +140,28 @@ def test_qv_instance_draws_lowers_pads_and_spaces(monkeypatch):
     qv, c = qv_instance(4, [3, 1], 6, n_layers=2, dummy_steps=1)
     want = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [3, 1]), 2), 6), 1)
     assert dump_circuit(c) == dump_circuit(want)
-    assert dump_circuit(lower_circuit(qv)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1])))
+    # The QV circuit is the draw cut to the layers that are routed.
+    assert dump_circuit(lower_circuit(qv)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1]), 2))
+    assert qv.depth == 2
+    full = qv_instance(4, [3, 1], 6, dummy_steps=1)[0]
+    assert dump_circuit(lower_circuit(full)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1])))
     # A width above the node count is refused before the draw.
     monkeypatch.setattr(qvbench, "gen_qv_circuit", lambda *args: pytest.fail("drawn"))
     with pytest.raises(BenchError, match="width 7 exceeds the graph's 6 nodes"):
         qv_instance(7, 0, 6)
+
+
+def test_benchmark_batch_scores_the_truncated_circuit(line4):
+    # One layer of a 4-layer draw is routed, so its HOP is the mixture
+    # with the heavy set of that one layer, not of the whole draw.
+    res = benchmark_batch(1, 4, ("sabre_like",), line4, seed=1, dummy_steps=2, n_layers=1)
+    qv = gen_qv_circuit(4, [1, 0])
+    cut = replace(qv, layers=qv.layers[:1])
+    heavy, h_ideal = heavy_output_mass(cut)
+    assert h_ideal != pytest.approx(heavy_output_mass(qv)[1], abs=1e-3)
+    row = res.rows[0]
+    s = math.exp(-row.error_objective)
+    assert row.hop == pytest.approx(s * h_ideal + (1.0 - s) * len(heavy) / 16.0, abs=1e-12)
 
 
 def test_benchmark_batch_invalid():
