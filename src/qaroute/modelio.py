@@ -175,6 +175,8 @@ def _import_mps(text: str) -> BipProblem:
             if fields[0] != "BV":
                 raise SolveError("only binary (BV) bounds are supported")
             bound_names.append(fields[2])
+        elif section == "RANGES":  # export_model writes none; a range bounds a row on both sides
+            raise SolveError("RANGES are not supported")
     names = tuple(bound_names if bound_names else col_entries)
     index = {nm: k for k, nm in enumerate(names)}
     obj = np.zeros(len(names))

@@ -72,14 +72,12 @@ def gen_qv_circuit(w: int, seed) -> QvCircuit:
     return QvCircuit(width=w, seed=seed, layers=tuple(layers))
 
 
-def lower_circuit(qv: QvCircuit, n_layers: int | None = None) -> LayeredCircuit:
+def lower_circuit(qv: QvCircuit) -> LayeredCircuit:
     """QvCircuit as a LayeredCircuit; permutations fold into which
-    logical pairs receive the gates, no explicit permutation ops.
-    Optionally truncate to the first ``n_layers`` layers."""
-    layers = qv.layers if n_layers is None else qv.layers[:n_layers]
+    logical pairs receive the gates, no explicit permutation ops."""
     groups = []
     gid = 0
-    for perm, sus in layers:
+    for perm, sus in qv.layers:
         grp = []
         for k, u in enumerate(sus):
             grp.append(Gate(p=perm[2 * k], q=perm[2 * k + 1], unitary=u, gid=gid))

@@ -474,16 +474,20 @@ class DPTooLarge(SolveError):
 
 def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: int,
                      matchings: int) -> int:
-    """Bytes of the layout DP's arrays. Per placement of the ``active``
-    qubits: 2 B of nodes per qubit; per edge a 4 B swap table entry and
-    9 B of swap rows (kept for the states on one side of a step only, at
-    most every placement); 2 B of node masks per node; 32 B of values
-    per objective; 40 B of indices, the row map, the fold's scratch and
-    temporaries (enough for a pass over a single matching); and 8 B of
-    parents per step. Per matching: its tuple of edges, their ids, mask
-    and summed swap error. And 48 B for each of the at most ``DP_PASS``
-    candidates of a pass over several matchings."""
-    per_place = 2 * active + 13 * edges + 2 * n + 32 * objectives + 40 + 8 * steps
+    """Bytes of the arrays a pass of ``_relax`` holds, each as if every
+    placement of the ``active`` qubits were live and valid. Per placement:
+    2 B per qubit of ``states``; per edge, 4 B of ``flat``, 8 B of the
+    live states' swap rows ``add`` and 1 B of ``allowed`` marks; per
+    objective, 8 B each of the step's ``live`` rows, of ``value`` and of
+    the rows carried out; 4 B of ``via`` per step but the last; and 61 B:
+    8 B each of ``scratch``, ``err``, ``used``, ``targets`` and the live
+    states of step 0 (kept for a rerun), of the step and carried out, 1 B
+    of ``ahead`` and 4 B of a pull's ``row_of``. Per matching: its edges,
+    their ids, mask and swap error. And 48 B for each of the at most
+    ``DP_PASS`` candidates of a pass. Left out, as no measured step has
+    half its placements live: what ``allowed`` and ``priced`` free before
+    a pass, the fold's working rows and the rows a due bound keeps."""
+    per_place = 2 * active + 13 * edges + 24 * objectives + 4 * (steps - 1) + 61
     return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 48 * DP_PASS
 
 
@@ -792,9 +796,9 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
            scratch: np.ndarray, deadline: float, bound: _Bound | None):
     """One step of the layout DP: from the live states ``alive`` of step
     t, with one row of values ``live`` per objective, to those of step
-    t + 1 and theirs, plus per placement of step t + 1 its parent state
-    (-1 for none) and the matching it took. With a ``bound`` that is due,
-    the live states it drops are not relaxed.
+    t + 1 and theirs, plus ``via``: per placement of step t + 1 the
+    matching it took (0 for none). With a ``bound`` that is due, the
+    live states it drops are not relaxed.
 
     It relaxes the matchings from the smaller side, pushing from the
     live states or pulling into the valid states of the next step when
@@ -805,12 +809,8 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
     one matching per pass only when a single one exceeds it): the pass
     gathers every (state, matching) candidate the marks allow, prices
     them together and keeps per target the winner by ``_fold``'s rule
-    (over ``scratch``): objective by objective, the values within its
-    ``_OBJ_EPS`` slack of the least (the last objective exactly), so
-    float rounding in a sum cannot decide a later objective, then the
-    first matching. An earlier pass's winner is a later pass's
-    incumbent, ahead of every matching of it. Checks ``deadline`` once
-    per pass.
+    (over ``scratch``), an earlier pass's winner ahead of every matching
+    of a later one. Checks ``deadline`` once per pass.
     """
     places = space.places
     ahead = space.valid(prices.gates_at[t + 1])
@@ -823,7 +823,6 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
         row_of = np.full(places, -1, dtype=np.int32)  # placement -> live row
         row_of[alive] = np.arange(len(alive))
     value = [np.full(places, math.inf) for _ in live]
-    parent = np.full(places, -1, dtype=np.int32)
     via = np.zeros(places, dtype=np.int32)
     err, used, add = prices.priced(space, t, alive)
     side = targets if pull else alive
@@ -857,22 +856,23 @@ def _relax(space: _LayoutSpace, prices: _Prices, t: int, alive: np.ndarray, live
         tgt = tgt.take(win)
         for v, x in zip(value, cand):
             v[tgt] = x.take(win)
-        parent[tgt] = alive.take(src.take(win))
         via[tgt] = k.take(win)
     alive = np.flatnonzero(np.isfinite(value[0]))
-    return alive, [v.take(alive) for v in value], parent, via
+    return alive, [v.take(alive) for v in value], via
 
 
 def _walk(space: _LayoutSpace, c: LayeredCircuit, fid: FidelityModel, active, initial_map,
-          parents: list, state: int):
-    """The routed circuit that ends in placement ``state``: the parents
-    walked back to step 0, where the idle qubits go on the free nodes in
-    order (or on their pinned nodes), then carried through the recorded
-    matchings."""
+          vias: list, state: int):
+    """The routed circuit that ends in placement ``state``: walked back
+    to step 0 through the matchings each step's ``via`` names, where the
+    idle qubits go on the free nodes in order (or on their pinned nodes),
+    then carried forward through those matchings."""
     taken = []
-    for parent, via in reversed(parents):
-        taken.append(int(via[state]))
-        state = int(parent[state])
+    for via in reversed(vias):
+        k = int(via[state])
+        taken.append(k)
+        for e in space.edge_ids[k, :space.size[k]].tolist():
+            state = int(space.flat[e * space.places + state])
     n = space.n
     pos = np.full(n, -1)
     pos[active] = space.states[:, state]
@@ -895,16 +895,16 @@ def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratc
          deadline: float, bound: _Bound | None):
     """The layout DP from the live states ``alive`` of step 0: the winning
     final state's values, one per objective, the state, and each step's
-    parents for ``_walk``; None when no state reaches the last step. The
+    ``via`` for ``_walk``; None when no state reaches the last step. The
     last step runs its gates with no swap set (matching 0 is the empty
     one), and the best final state wins one target by ``_fold``'s rule."""
     live = [np.zeros(len(alive)) for _ in prices.objs]
-    parents = []
+    vias = []
     for t in range(m - 1):
         if len(alive) == 0:
             break
-        alive, live, parent, via = _relax(space, prices, t, alive, live, scratch, deadline, bound)
-        parents.append((parent, via))
+        alive, live, via = _relax(space, prices, t, alive, live, scratch, deadline, bound)
+        vias.append(via)
     if len(alive) == 0:
         return None
     err, used, add = prices.priced(space, m - 1, alive)
@@ -912,7 +912,7 @@ def _run(space: _LayoutSpace, prices: _Prices, m: int, alive: np.ndarray, scratc
     last = prices.costs(space, m - 1, zero, every, err, used, add)
     total = [v + x for v, x in zip(live, last)]
     best = int(_fold(zero, every, total, prices.slack, None, scratch)[0])
-    return tuple(float(row[best]) for row in total), int(alive[best]), parents
+    return tuple(float(row[best]) for row in total), int(alive[best]), vias
 
 
 # The finished layout spaces by (nodes, edges, active count), least
@@ -1014,5 +1014,5 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         found = _run(space, prices, m, alive, scratch, deadline, None)
     if found is None:
         raise NoRouteError("instance is infeasible")
-    values, state, parents = found
-    return values, _walk(space, c, fid, active, initial_map, parents, state)
+    values, state, vias = found
+    return values, _walk(space, c, fid, active, initial_map, vias, state)

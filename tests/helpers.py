@@ -18,7 +18,7 @@ from qaroute.extract import FreeSwap, GateOp, RoutedCircuit
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import DECAY, WINDOW
 from qaroute.hwgraph import norm_edge
-from qaroute.qvbench import haar_su4
+from qaroute.qvbench import haar_su4, lower_circuit, qv_instance
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records the pool
@@ -175,6 +175,12 @@ def random_layered_circuit(n_qubits: int, layer_sizes, seed) -> LayeredCircuit:
             gid += 1
         layers.append(tuple(grp))
     return LayeredCircuit(n_qubits, tuple(layers))
+
+
+def qv_prefix(w: int, seed, layers: int) -> LayeredCircuit:
+    """``gen_qv_circuit(w, seed)`` cut to its first ``layers`` layers, as
+    ``qv_instance`` cuts it, then lowered: not padded, no dummy steps."""
+    return lower_circuit(qv_instance(w, seed, w, layers)[0])
 
 
 def prepared(c: LayeredCircuit, g, k: int, overrides=None):

@@ -75,7 +75,7 @@ def desk_batch(line4):
         else:
             g, layers = grid6, 2 + (i % 2)
         qv = gen_qv_circuit(4, [202, i])
-        c, fid = prepared(lower_circuit(qv, n_layers=layers), g, 2)
+        c, fid = prepared(lower_circuit(dataclasses.replace(qv, layers=qv.layers[:layers])), g, 2)
         lex = lexicographic_solve(c, g, fid, ("error", "depth"))
         _, p_err = assemble_problem(c, g, fid, objective="error")
         err_vec = p_err.objective

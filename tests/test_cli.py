@@ -5,17 +5,17 @@ import time
 
 import pytest
 
-from helpers import RecordingPool, shuffled_grid_document
+from helpers import RecordingPool, qv_prefix, shuffled_grid_document
 from qaroute import cli, heuristic, qvbench, solver
 from qaroute.bipmodel import assemble_problem
-from qaroute.circuit import dump_circuit, insert_dummy_steps, pad_qubits
+from qaroute.circuit import dump_circuit
 from qaroute.cli import main
 from qaroute.extract import ExtractError, FreeSwap, GateOp, routed_from_json, stats
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import builtin_topology
 from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_solution
-from qaroute.qvbench import gen_qv_circuit, lower_circuit
+from qaroute.qvbench import lower_circuit, qv_instance
 from qaroute.solver import NoIncumbentError, NoRouteError, SolveLimits, solve_branch_and_bound
 
 FAST = ["--qv", "4,1", "--qv-layers", "2", "--dummy-steps", "1"]
@@ -230,11 +230,10 @@ def test_an_unproven_route_with_more_error_than_the_greedy_route_gives_way_to_it
     # line-4/w4/3L/s2. The run returns the greedy route, still unproven. A
     # proven route comes back as the engine found it.
     monkeypatch.setattr(solver, "DP_MEMORY", 0)
-    raw = lower_circuit(gen_qv_circuit(4, [202, index]), n_layers=layers)
-    path = tmp_path / "circuit.json"
-    path.write_text(json.dumps(dump_circuit(raw)))
     g = builtin_topology(*topology)
-    c = insert_dummy_steps(pad_qubits(raw, g.n), 1)  # as transpile prepares it
+    qv, c = qv_instance(4, [202, index], g.n, layers, dummy_steps=1)  # as transpile prepares it
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(dump_circuit(lower_circuit(qv))))
     fid = FidelityModel.build(c, g)
     argv = ["transpile", "--builtin", "{},{}".format(*topology), "--circuit", str(path),
             "--dummy-steps", "1"]
@@ -525,8 +524,7 @@ def test_bench_jobs_deterministic(tmp_path):
 
 
 def _export_problem():
-    c = lower_circuit(gen_qv_circuit(4, [0, 0]), n_layers=2)
-    c = insert_dummy_steps(pad_qubits(c, 4), 1)
+    _, c = qv_instance(4, [0, 0], 4, 2, dummy_steps=1)
     from qaroute.hwgraph import builtin_topology
     g = builtin_topology("line", 4)
     fid = FidelityModel.build(c, g)
@@ -601,7 +599,7 @@ def test_custom_topology_and_circuit_files(tmp_path, capsys):
             "default_beta": 0.9936}
     tf = tmp_path / "topo.json"
     tf.write_text(json.dumps(topo))
-    qv = lower_circuit(gen_qv_circuit(4, 5), n_layers=2)
+    qv = qv_prefix(4, 5, 2)
     from qaroute.circuit import dump_circuit
     cf = tmp_path / "circ.json"
     cf.write_text(json.dumps(dump_circuit(qv)))

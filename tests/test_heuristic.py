@@ -7,7 +7,7 @@ import pytest
 import qaroute.heuristic
 import qaroute.lexopt
 import qaroute.solver
-from helpers import (CX, prepared, random_layered_circuit, reference_route,
+from helpers import (CX, prepared, qv_prefix, random_layered_circuit, reference_route,
                      shuffled_grid_document)
 from qaroute.bipmodel import ModelError
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, layerize, pad_qubits
@@ -202,7 +202,7 @@ def test_layout_of_gate_free_circuit_is_identity(line4):
 def test_every_variant_sizes_a_maximum_matching_in_under_a_millisecond(graph):
     # run_variant_full first holds the widest layer against a maximum
     # matching of the whole graph. Three active qubits on line-62 route
-    # past it in test_parents_index_more_matchings_than_int16_holds.
+    # past it in test_via_indexes_more_matchings_than_int16_holds.
     times = []
     for _ in range(3):
         g = graph()
@@ -210,7 +210,7 @@ def test_every_variant_sizes_a_maximum_matching_in_under_a_millisecond(graph):
         g.matching_size((1 << g.n) - 1)
         times.append(time.perf_counter() - start)
     assert min(times) < 1e-3
-    c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), g, 1)
+    c, fid = prepared(qv_prefix(3, [202, 1], 2), g, 1)
     run = run_variant_full("bip", c, g, fid)
     assert run.closed
     assert verify_structural(run.routed, c, g) is None

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import prepared, random_layered_circuit
+from helpers import prepared, qv_prefix, random_layered_circuit
 import qaroute.lexopt
 from qaroute.bipmodel import ModelError, assemble_problem, set_objective
-from qaroute.circuit import insert_dummy_steps, pad_qubits
 from qaroute.gatefid import FidelityModel
 from qaroute.hwgraph import HardwareGraph
 from qaroute.lexopt import (ParetoPoint, _budget_row, default_step_size, lexicographic_solve,
                             pareto_sweep, sweep_table)
-from qaroute.qvbench import gen_qv_circuit, lower_circuit
+from qaroute.qvbench import qv_instance
 from qaroute.solver import (_OBJ_EPS, NoIncumbentError, SolveError, SolveLimits, SolveStatus,
                             solve_branch_and_bound, solve_exhaustive)
 
@@ -63,7 +62,7 @@ def test_a_time_limit_spent_before_stage_1_raises_no_incumbent_error(line4):
     # The limit has passed by the time the model is built, so stage 1
     # starts with no budget and no incumbent: its route is unknown, and
     # there is nothing to price.
-    c, fid = prepared(lower_circuit(gen_qv_circuit(4, [0, 0]), n_layers=2), line4, 2)
+    c, fid = prepared(qv_prefix(4, [0, 0], 2), line4, 2)
     with pytest.raises(NoIncumbentError, match="stage 1 hit its budget with no incumbent"):
         lexicographic_solve(c, line4, fid, ("error", "depth"), SolveLimits(time_limit=1e-12),
                             same_endpoints=True)
@@ -105,8 +104,7 @@ def test_sweep_point_never_dominated_by_the_previous(grid6):
     # A cold start could settle on a point with the same depth and more
     # error than the point before it; from the previous point's
     # assignment it keeps that point unless the depth strictly improves.
-    raw = lower_circuit(gen_qv_circuit(4, [202, 0]), n_layers=3)
-    c = insert_dummy_steps(pad_qubits(raw, grid6.n), 2)
+    _, c = qv_instance(4, [202, 0], grid6.n, 3)
     fid = FidelityModel.build(c, grid6)
     points = pareto_sweep(c, grid6, fid, ("error", "depth"), steps=3)
     for a, b in zip(points, points[1:]):
@@ -121,8 +119,7 @@ def test_closed_needs_every_stage_proved(grid6):
     # Stage 1 stops at the node limit with an incumbent. The limit covers
     # the whole run, so stage 2 keeps that incumbent without a search: its
     # value is the incumbent's depth, unproven, and the run is not closed.
-    c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [6, 0]), n_layers=2),
-                                      grid6.n), 2)
+    _, c = qv_instance(4, [6, 0], grid6.n, 2)
     fid = FidelityModel.build(c, grid6)
     lim = SolveLimits(node_limit=50)
     vs, p_err = assemble_problem(c, grid6, fid, objective="error")
@@ -197,8 +194,7 @@ def test_depth_stage_tries_no_swap_layer_first(grid6):
     # on its swap-layer indicators first, each at 0, so it finds a depth-0
     # routing within a few dozen nodes; placing qubits first took over
     # 12,000.
-    c = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [202, 0]), n_layers=4),
-                                      grid6.n), 2)
+    _, c = qv_instance(4, [202, 0], grid6.n, 4)
     fid = FidelityModel.build(c, grid6)
     vs, p_err = assemble_problem(c, grid6, fid, objective="error")
     first = solve_branch_and_bound(p_err, SolveLimits(node_limit=2000))

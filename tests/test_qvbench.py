@@ -54,7 +54,7 @@ def test_lower_circuit_layers_and_truncation():
     assert gids == list(range(8))
     pairs = [(gt.p, gt.q) for grp in c.groups for gt in grp]
     assert pairs == qv.gate_pairs()
-    short = lower_circuit(qv, n_layers=2)
+    short = lower_circuit(replace(qv, layers=qv.layers[:2]))
     assert len(short.groups) == 2
     assert short.groups == c.groups[:2]
 
@@ -138,10 +138,11 @@ def test_benchmark_batch_rows_and_table(line4):
 
 def test_qv_instance_draws_lowers_pads_and_spaces(monkeypatch):
     qv, c = qv_instance(4, [3, 1], 6, n_layers=2, dummy_steps=1)
-    want = insert_dummy_steps(pad_qubits(lower_circuit(gen_qv_circuit(4, [3, 1]), 2), 6), 1)
-    assert dump_circuit(c) == dump_circuit(want)
+    draw = gen_qv_circuit(4, [3, 1])
+    cut = lower_circuit(replace(draw, layers=draw.layers[:2]))
+    assert dump_circuit(c) == dump_circuit(insert_dummy_steps(pad_qubits(cut, 6), 1))
     # The QV circuit is the draw cut to the layers that are routed.
-    assert dump_circuit(lower_circuit(qv)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1]), 2))
+    assert dump_circuit(lower_circuit(qv)) == dump_circuit(cut)
     assert qv.depth == 2
     full = qv_instance(4, [3, 1], 6, dummy_steps=1)[0]
     assert dump_circuit(lower_circuit(full)) == dump_circuit(lower_circuit(gen_qv_circuit(4, [3, 1])))

@@ -7,18 +7,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qaroute.qvbench
 import qaroute.solver
-from helpers import (CX, line4_five_gate_circuit, prepared,
+from helpers import (CX, line4_five_gate_circuit, prepared, qv_prefix,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import ModelError, Row, assemble_problem
-from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
+from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps
 from qaroute.extract import FreeSwap, GateOp, routed_to_json, stats, verify_structural
 from qaroute.gatefid import FidelityModel, load_fidelity_overrides
 from qaroute.heuristic import heuristic_layout, heuristic_route, run_variant_full
 from qaroute.hwgraph import HardwareGraph, builtin_topology, enumerate_matchings, norm_edge
 from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_model, export_solution, import_model, import_solution
-from qaroute.qvbench import gen_qv_circuit, haar_su4, lower_circuit
+from qaroute.qvbench import haar_su4
 from qaroute.solver import (DPTooLarge, NoIncumbentError, NoRouteError, SolutionInfeasibleError,
                             SolveError, SolveLimits, SolveStatus, _Bound, _LayoutSpace,
                             _placements, _Prices, _swap_table, exhaustive_bytes,
@@ -252,6 +253,23 @@ def test_import_model_rejects_malformed_documents():
         import_model("NAME          ROUTING\nROWS\n Q  r0\nENDATA\n")
 
 
+def test_import_model_refuses_mps_ranges():
+    # Row c_0 with RHS 2 and range 1 reads 1 <= x + y <= 2. The model
+    # has no two-sided row, so the section is refused, not dropped.
+    text = ("NAME          ROUTING\nROWS\n N  obj\n L  c_0\nCOLUMNS\n"
+            "    x               c_0                 1\n"
+            "    y               c_0                 1\n"
+            "RHS\n    RHS             c_0                 2\n"
+            "RANGES\n    RNG             c_0                 1\n"
+            "BOUNDS\n BV BND          x\n BV BND          y\nENDATA\n")
+    with pytest.raises(SolveError, match="RANGES"):
+        import_model(text)
+    # Without the section, the same document reads x + y <= 2.
+    (row,) = import_model(text.replace("RANGES\n    RNG             c_0                 1\n",
+                                       "")).rows
+    assert (row.vars, row.coefs, row.sense, row.rhs) == ((0, 1), (1.0, 1.0), "<=", 2.0)
+
+
 def test_import_solution_flags_violated_family(line4):
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
@@ -275,8 +293,7 @@ def test_import_solution_accepts_reference(line4):
 
 
 def qv_instance(g, width, layers, index=0, dummy_steps=2):
-    qv = gen_qv_circuit(width, [202, index])
-    c = insert_dummy_steps(pad_qubits(lower_circuit(qv, n_layers=layers), g.n), dummy_steps)
+    _, c = qaroute.qvbench.qv_instance(width, [202, index], g.n, layers, dummy_steps)
     return c, FidelityModel.build(c, g)
 
 
@@ -288,13 +305,14 @@ def dp_need(c, g, objectives: int) -> int:
 
 
 @pytest.mark.parametrize("topology, n, width, layers", [
-    ("grid", 8, 6, 3), ("grid", 8, 8, None), ("y", 8, 6, 4), ("line", 10, 6, 3)],
-    ids=["6-3", "8-None", "y-8/w6/4L", "line-10/w6/3L"])
+    ("grid", 8, 6, 3), ("grid", 8, 8, None), ("y", 8, 6, 4), ("line", 10, 6, 3),
+    ("line", 12, 6, 3)],
+    ids=["6-3", "8-None", "y-8/w6/4L", "line-10/w6/3L", "line-12/w6/3L"])
 def test_byte_estimate_bounds_the_dp_peak(topology, n, width, layers):
     # grid-8/w6/3L/s0, grid-8/w8 at full depth (22 steps), y-8/w6/4L/s0
-    # (most of its steps pull into the next step's states) and
-    # line-10/w6/3L: the count the DP is admitted by covers what it
-    # allocates, and not by much.
+    # (most of its steps pull into the next step's states), line-10/w6/3L
+    # and line-12/w6/3L (665,280 placements): the count the DP is
+    # admitted by covers what it allocates, and not by much.
     g = builtin_topology(topology, n)
     c, fid = qv_instance(g, width, layers)
     estimate = dp_need(c, g, 2)
@@ -347,7 +365,7 @@ def test_time_limit_stops_the_dp_after_it_lists_its_matchings(monkeypatch):
     monkeypatch.setattr(qaroute.solver, "_placements",
                         lambda n, a: pytest.fail("placements built past the limit"))
     line62 = builtin_topology("line", 62)
-    c, fid = prepared(lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2), line62, 1)
+    c, fid = prepared(qv_prefix(3, [202, 1], 2), line62, 1)
     start = time.perf_counter()
     with pytest.raises(NoIncumbentError):
         solve_exhaustive(c, line62, fid, ("error", "depth"), lim=SolveLimits(time_limit=0.01))
@@ -746,12 +764,12 @@ def test_a_swap_layer_may_move_every_active_qubit(line4):
     assert verify_structural(rc, c, line4) is None
 
 
-def test_parents_index_more_matchings_than_int16_holds():
+def test_via_indexes_more_matchings_than_int16_holds():
     # line-62 has 34,341 matchings that three active qubits can take,
-    # past int16. Three qubits on a line with equal betas need no more
+    # past int16, and each step's via names the one its states took. Three qubits on a line with equal betas need no more
     # room than line-4 gives them, so the optimum equals line-4's, which
     # the branch and bound proves.
-    qv = lower_circuit(gen_qv_circuit(3, [202, 1]), n_layers=2)
+    qv = qv_prefix(3, [202, 1], 2)
     line62 = builtin_topology("line", 62)
     c, fid = prepared(qv, line62, 1)
     assert len({q for gate in c.gates() for q in gate.operands}) == 3
@@ -918,9 +936,7 @@ def test_exhaustive_lexicographic_ties_within_slack(line6):
     # Two routes reach the same error up to float rounding (...645 vs
     # ...622); the depth component must decide between them, not the
     # rounding. Branch and bound and HiGHS both prove depth 2 here.
-    qv = gen_qv_circuit(6, [202, 1])
-    c = insert_dummy_steps(pad_qubits(lower_circuit(qv, n_layers=3), 6), 2)
-    fid = FidelityModel.build(c, line6)
+    c, fid = qv_instance(line6, 6, 3, index=1)
     (err, depth), rc = solve_exhaustive(c, line6, fid, ("error", "depth"))
     assert depth == 2.0
     assert err == pytest.approx(0.22806097054182645, abs=1e-9)
