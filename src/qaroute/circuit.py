@@ -88,6 +88,9 @@ class LayeredCircuit:
     def busy_qubits(self, t: int) -> set[int]:
         return {op for gate in self.groups[t] for op in gate.operands}
 
+    def active_qubits(self) -> list[int]:  # the qubits some gate acts on
+        return sorted({op for gate in self.gates() for op in gate.operands})
+
 
 def layerize(gates: list[Gate] | list[tuple], n_qubits: int | None = None) -> LayeredCircuit:
     """Greedy ASAP layering: each gate lands in the earliest layer after

@@ -26,12 +26,12 @@ from pathlib import Path
 
 from .bipmodel import ModelError, assemble_problem
 from .circuit import CircuitError, LayeredCircuit, insert_dummy_steps, load_circuit, pad_qubits
-from .extract import (EQUIVALENCE_ATOL, decode, routed_to_json, stats, verify_structural,
-                      verify_unitary)
+from .extract import (EQUIVALENCE_ATOL, UNITARY_MAX_WIDTH, decode, routed_to_json, stats,
+                      verify_structural, verify_unitary)
 from .gatefid import FidelityError, FidelityModel, load_fidelity_overrides
 from .heuristic import VARIANTS, HeuristicError, run_variant_full
 from .hwgraph import HardwareGraph, TopologyError, builtin_topology, load_topology
-from .lexopt import LIMIT, NO_ROUTE, pareto_sweep, sweep_table
+from .lexopt import LIMIT, NO_ROUTE, OK, pareto_sweep, sweep_table
 from .modelio import export_model, import_solution
 from .qvbench import BenchError, benchmark_batch, map_in_pool, qv_instance
 from .solver import (_OBJ_EPS, NoRouteError, SolutionInfeasibleError, SolveError,
@@ -210,7 +210,7 @@ def cmd_transpile(ns: argparse.Namespace) -> int:
     for key, val in run.stats.as_dict().items():
         lines.append(f"{key}: {val}")
     lines.append(f"structural: {'ok' if report is None else report}")
-    if g.n <= 6 and report is None:
+    if report is None and len(c.active_qubits()) <= UNITARY_MAX_WIDTH:
         dev = verify_unitary(run.routed, c)
         if not dev <= EQUIVALENCE_ATOL:
             report = f"unitary deviation {dev:.3e}"
@@ -234,19 +234,24 @@ def _sweep_one(task) -> list | None:  # None: the circuit has no route
         return None
 
 
+def _batch_exit(statuses: list[str], items: str) -> int:
+    """A batch's exit code: its worst lexopt status, NO_ROUTE then LIMIT, decides."""
+    if NO_ROUTE in statuses:
+        print(f"infeasible: {statuses.count(NO_ROUTE)} of {len(statuses)} {items} found "
+              "no route", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    return EXIT_LIMIT if LIMIT in statuses else EXIT_OK
+
+
 def cmd_pareto(ns: argparse.Namespace) -> int:
     g, overrides, lim = _graph(ns), _overrides(ns), _limits(ns)
     count = ns.qv[1] if ns.qv else 1
     sweeps = map_in_pool(_sweep_one, [(ns, g, overrides, lim, idx) for idx in range(count)],
                          ns.jobs)
-    table = sweep_table({f"circuit{idx}": pts for idx, pts in enumerate(sweeps)},
-                        ns.objectives)
-    _emit(ns, "pareto.tsv", table)
-    if None in sweeps:
-        print(f"infeasible: {sweeps.count(None)} of {count} circuits found no route",
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK if all(pt.closed for pts in sweeps for pt in pts) else EXIT_LIMIT
+    _emit(ns, "pareto.tsv", sweep_table({f"circuit{idx}": pts for idx, pts in enumerate(sweeps)},
+                                        ns.objectives))
+    return _batch_exit([NO_ROUTE if pts is None else OK if all(pt.closed for pt in pts)
+                        else LIMIT for pts in sweeps], "circuits")
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
@@ -257,12 +262,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                           dummy_steps=ns.dummy_steps, n_layers=ns.qv_layers,
                           jobs=ns.jobs)
     _emit(ns, "bench.tsv", res.to_table())
-    statuses = [r.status for r in res.rows]
-    if NO_ROUTE in statuses:
-        print(f"infeasible: {statuses.count(NO_ROUTE)} of {len(statuses)} runs found "
-              "no route", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_LIMIT if LIMIT in statuses else EXIT_OK
+    return _batch_exit([r.status for r in res.rows], "runs")
 
 
 def cmd_export(ns: argparse.Namespace) -> int:

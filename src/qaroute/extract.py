@@ -10,7 +10,7 @@ all the solver shares with ``decode``; its values are still priced by
 its own step costs, and it shares nothing with the branch and bound.
 ``encode`` reproduces the assignment from a schedule, and the two
 verifiers check structure (token tracking, arc existence, gate
-coverage) and full unitary equivalence by simulation.
+coverage) and unitary equivalence on the active qubits by simulation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .circuit import LayeredCircuit
 from .documents import parsed, reading
 from .gatefid import FidelityModel
 from .hwgraph import HardwareGraph, norm_edge
-from .simulate import SWAP, apply_two_qubit, phase_distance
+from .simulate import apply_two_qubit, phase_distance
 
 
 class ExtractError(ValueError):
@@ -34,6 +34,9 @@ class ExtractError(ValueError):
 
 # The largest ``verify_unitary`` deviation of a route that counts as correct.
 EQUIVALENCE_ATOL = 1e-8
+# The most active qubits ``verify_unitary`` takes: its 2^w x 2^w products
+# cost 4^w (README: 60 ms at w = 8, 1.7 s at w = 10).
+UNITARY_MAX_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -317,38 +320,31 @@ def verify_structural(rc: RoutedCircuit, c: LayeredCircuit,
 
 
 def verify_unitary(rc: RoutedCircuit, c: LayeredCircuit) -> float:
-    """Max deviation between the routed circuit and the permuted logical
-    unitary, after global-phase alignment. Passing means at most
-    ``EQUIVALENCE_ATOL``."""
-    n = rc.n_nodes
-    if n > 6:
-        raise ExtractError("instance too large for dense unitary verification")
+    """Max deviation, after global-phase alignment, between the route and
+    the logical circuit on its w active qubits (passing: at most
+    ``EQUIVALENCE_ATOL``). Swaps only relabel which qubit a node holds, so
+    a gate acts on its arc's qubits' wires, 2^w x 2^w. A gate on an idle
+    qubit, or a replay not ending at ``final_map``, deviates by inf."""
+    wire = {q: k for k, q in enumerate(c.active_qubits())}
+    w = len(wire)
+    if w > UNITARY_MAX_WIDTH:
+        raise ExtractError(f"{w} active qubits; the unitary check takes {UNITARY_MAX_WIDTH}")
     unis = {gt.gid: gt.unitary for gt in c.gates()}
-    dim = 2 ** n
-    phys = np.eye(dim, dtype=complex)
-    for ops in rc.steps:
-        for op in ops:
-            if isinstance(op, GateOp):
-                i, j = op.arc
-                phys = apply_two_qubit(phys, unis[op.gid], i, j, n)
-                if op.merged_swap:
-                    phys = apply_two_qubit(phys, SWAP, i, j, n)
-            else:
-                phys = apply_two_qubit(phys, SWAP, *op.edge, n)
-    logical = np.eye(dim, dtype=complex)
+    held = np.argsort(rc.initial_map).tolist()  # the qubit on each node
+    phys = logical = np.eye(2 ** w, dtype=complex)
+    for op in (op for ops in rc.steps for op in ops):
+        i, j = op.arc if isinstance(op, GateOp) else op.edge
+        if isinstance(op, GateOp):
+            if held[i] not in wire or held[j] not in wire:
+                return np.inf
+            phys = apply_two_qubit(phys, unis[op.gid], wire[held[i]], wire[held[j]], w)
+        if isinstance(op, FreeSwap) or op.merged_swap:
+            held[i], held[j] = held[j], held[i]
+    if [held[node] for node in rc.final_map] != list(range(len(held))):
+        return np.inf
     for gt in c.gates():
-        logical = apply_two_qubit(logical, gt.unitary, gt.p, gt.q, n)
-    return phase_distance(phys, _permuted_target(logical, rc.initial_map, rc.final_map))
-
-
-def _permuted_target(logical: np.ndarray, initial_map, final_map) -> np.ndarray:
-    """``permutation_matrix(final_map) @ logical @
-    permutation_matrix(initial_map)^dagger``, by transposing the 2n wire
-    axes of ``logical``: row wire final_map[q] takes row wire q, column
-    wire initial_map[q] takes column wire q."""
-    n = len(initial_map)
-    axes = [*np.argsort(final_map), *(n + np.argsort(initial_map))]
-    return logical.reshape((2,) * (2 * n)).transpose(axes).reshape(logical.shape)
+        logical = apply_two_qubit(logical, gt.unitary, wire[gt.p], wire[gt.q], w)
+    return phase_distance(phys, logical)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense statevector and unitary helpers for small registers.
 
 Everything here works on explicit numpy arrays; registers stay small
-(at most a dozen qubits for statevectors, six for full unitaries), so
-no sparsity or tensor-network tricks are needed.
+(at most a dozen qubits for statevectors, eight for unitaries), so no
+sparsity or tensor-network tricks are needed.
 
 Conventions: qubit 0 is the first (most significant) tensor factor, and
 a two-qubit matrix acting on the ordered pair (a, b) treats a as its

@@ -979,7 +979,7 @@ def solve_exhaustive(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel,
         return (0.0,) * len(objs), replace(schedule(c, fid, [pin] * m, "exhaustive"),
                                            initial_map=pin, final_map=pin)
 
-    active = sorted({q for gate in c.gates() for q in gate.operands})
+    active = c.active_qubits()
     a = len(active)
     xt = g.crosstalk_edges if "crosstalk" in objs else ()  # one int64 mask bit each
     if len(xt) > 63:

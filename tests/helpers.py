@@ -19,6 +19,7 @@ from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import DECAY, WINDOW
 from qaroute.hwgraph import norm_edge
 from qaroute.qvbench import haar_su4, lower_circuit, qv_instance
+from qaroute.simulate import SWAP, apply_two_qubit, permutation_matrix, phase_distance
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records the pool
@@ -232,6 +233,30 @@ REFERENCE_ASSIGNMENT_NAMES = (
 
 def reference_solution_text() -> str:
     return "".join(f"{name} 1\n" for name in REFERENCE_ASSIGNMENT_NAMES)
+
+
+def dense_unitary_deviation(rc: RoutedCircuit, c: LayeredCircuit) -> float:
+    """``verify_unitary`` written densely, as its oracle: the route's
+    product over all n node wires, its swaps applied as matrices, against
+    ``permutation_matrix(final_map) @ logical @
+    permutation_matrix(initial_map)^dagger``, all 2^n x 2^n."""
+    n = rc.n_nodes
+    unis = {gt.gid: gt.unitary for gt in c.gates()}
+    phys = np.eye(2 ** n, dtype=complex)
+    for ops in rc.steps:
+        for op in ops:
+            if isinstance(op, GateOp):
+                phys = apply_two_qubit(phys, unis[op.gid], *op.arc, n)
+                if op.merged_swap:
+                    phys = apply_two_qubit(phys, SWAP, *op.arc, n)
+            else:
+                phys = apply_two_qubit(phys, SWAP, *op.edge, n)
+    logical = np.eye(2 ** n, dtype=complex)
+    for gt in c.gates():
+        logical = apply_two_qubit(logical, gt.unitary, gt.p, gt.q, n)
+    target = (permutation_matrix(rc.final_map) @ logical
+              @ permutation_matrix(rc.initial_map).conj().T)
+    return phase_distance(phys, target)
 
 
 def reference_route(c: LayeredCircuit, g, initial_map, fid: FidelityModel,

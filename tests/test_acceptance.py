@@ -22,7 +22,7 @@ from qaroute.hwgraph import builtin_topology
 from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_model, export_solution, import_model, import_solution
 from qaroute.qvbench import (benchmark_batch, gen_qv_circuit, haar_su4,
-                             heavy_output_mass, hop_under_noise, lower_circuit)
+                             heavy_output_mass, hop_under_noise, qv_instance)
 from qaroute.circuit import LayeredCircuit
 from qaroute.solver import (NoRouteError, SolveLimits, SolveStatus, solve_branch_and_bound,
                             solve_exhaustive)
@@ -74,8 +74,8 @@ def desk_batch(line4):
             g, layers = line4, 2 + (i % 3)
         else:
             g, layers = grid6, 2 + (i % 2)
-        qv = gen_qv_circuit(4, [202, i])
-        c, fid = prepared(lower_circuit(dataclasses.replace(qv, layers=qv.layers[:layers])), g, 2)
+        qv, c = qv_instance(4, [202, i], g.n, layers)  # the cut draw and its circuit
+        fid = FidelityModel.build(c, g)
         lex = lexicographic_solve(c, g, fid, ("error", "depth"))
         _, p_err = assemble_problem(c, g, fid, objective="error")
         err_vec = p_err.objective

@@ -17,6 +17,7 @@ from qaroute.lexopt import lexicographic_solve
 from qaroute.modelio import export_solution
 from qaroute.qvbench import lower_circuit, qv_instance
 from qaroute.solver import NoIncumbentError, NoRouteError, SolveLimits, solve_branch_and_bound
+from test_dp_golden import HEAVY_HEX_27
 
 FAST = ["--qv", "4,1", "--qv-layers", "2", "--dummy-steps", "1"]
 
@@ -117,6 +118,43 @@ def test_layout_dp_proves_instances_past_eight_nodes(graph, width, layers, error
     assert float(report["error_objective_value"]) == pytest.approx(error, abs=1e-6)
     if depth is not None:
         assert swap_layers(tmp_path) == depth
+
+
+@pytest.mark.parametrize("graph, width, layers, variant", [
+    ("grid,8", 6, 3, "bip"),
+    ("y,8", 6, 4, "bip"),
+    ("line,25", 4, 2, "bip"),
+    ("heavy-hex", 4, 3, "bip"),
+    ("heavy-hex", 5, 3, "sabre_like"),
+], ids=["grid-8/w6", "y-8/w6", "line-25/w4", "hh-27/w4", "hh-27/w5"])
+def test_transpile_checks_the_unitary_of_a_route_on_any_graph(graph, width, layers, variant,
+                                                              tmp_path, capsys):
+    # The unitary check replays the route on the active qubits' wires, so
+    # the graph's size does not limit it.
+    if graph == "heavy-hex":
+        topology = tmp_path / "heavy_hex_27.json"
+        topology.write_text(json.dumps({"nodes": list(range(27)),
+                                        "edges": [list(e) for e in HEAVY_HEX_27]}))
+        source = ["--topology", str(topology)]
+    else:
+        source = ["--builtin", graph]
+    code = main(["transpile", *source, "--qv", f"{width},1", "--qv-layers", str(layers),
+                 "--seed", "202", "--variant", variant])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "structural: ok" in out
+    assert "unitary: ok" in out
+
+
+def test_transpile_checks_no_unitary_past_the_width_limit(capsys):
+    # Nine active qubits: a 2^9 x 2^9 product is past the check's limit,
+    # so the report has no unitary lines.
+    code = main(["transpile", "--builtin", "line,10", "--qv", "9,1", "--qv-layers", "2",
+                 "--variant", "sabre_like"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "structural: ok" in out
+    assert "unitary" not in out
 
 
 def test_layout_dp_past_the_time_limit_exits_3_with_the_greedy_route(capsys):

@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (line4_five_gate_circuit, prepared,
+from helpers import (dense_unitary_deviation, line4_five_gate_circuit, prepared,
                      random_layered_circuit, reference_solution_text)
 from qaroute.bipmodel import assemble_problem, set_objective
-from qaroute.extract import (EQUIVALENCE_ATOL, ExtractError, FreeSwap, GateOp,
-                             RoutedCircuit, _permuted_target, decode, encode,
-                             routed_from_json, routed_to_json, stats, verify_structural,
-                             verify_unitary)
+from qaroute.extract import (EQUIVALENCE_ATOL, UNITARY_MAX_WIDTH, ExtractError, FreeSwap,
+                             GateOp, RoutedCircuit, decode, encode, routed_from_json,
+                             routed_to_json, stats, verify_structural, verify_unitary)
 from qaroute.gatefid import FidelityModel
-from qaroute.heuristic import heuristic_route
+from qaroute.heuristic import heuristic_route, run_variant_full
+from qaroute.hwgraph import builtin_topology
 from qaroute.modelio import import_solution
-from qaroute.simulate import permutation_matrix
-from qaroute.solver import SolveLimits, solve_branch_and_bound, solve_exhaustive
+from qaroute.qvbench import qv_instance
+from qaroute.solver import NoRouteError, SolveLimits, solve_branch_and_bound, solve_exhaustive
+from test_dp_golden import CASES, case
 
 
 @pytest.fixture(scope="module")
@@ -132,27 +133,6 @@ def greedy_routes(y6):
     return c, routes
 
 
-def test_permuted_target_equals_the_permutation_matrix_product(greedy_routes):
-    # Moving entries computes nothing, so the target is bit for bit the
-    # product of the two permutation matrices with any matrix.
-    c, routes = greedy_routes
-    rng = np.random.default_rng(25)
-    logical = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    moved = 0
-    for rc in routes:
-        want = (permutation_matrix(rc.final_map) @ logical
-                @ permutation_matrix(rc.initial_map).conj().T)
-        assert np.array_equal(_permuted_target(logical, rc.initial_map, rc.final_map), want)
-        moved += rc.initial_map != tuple(range(6)) and rc.final_map != rc.initial_map
-    assert moved == len(routes)
-    for n in range(2, 7):
-        logical = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        for _ in range(8):
-            first, last = (tuple(int(v) for v in rng.permutation(n)) for _ in range(2))
-            want = permutation_matrix(last) @ logical @ permutation_matrix(first).conj().T
-            assert np.array_equal(_permuted_target(logical, first, last), want)
-
-
 def test_verify_unitary_fails_a_wrong_final_map_or_a_dropped_swap(greedy_routes):
     c, routes = greedy_routes
     for rc in routes:
@@ -164,6 +144,88 @@ def test_verify_unitary_fails_a_wrong_final_map_or_a_dropped_swap(greedy_routes)
         t = next(t for t, ops in enumerate(rc.steps) if isinstance(ops[0], FreeSwap))
         dropped = dataclasses.replace(rc, steps=rc.steps[:t] + rc.steps[t + 1:])
         assert verify_unitary(dropped, c) > EQUIVALENCE_ATOL
+
+
+def agreement_routes():
+    """Every route of a golden DP instance on at most six nodes, and
+    seeded greedy routes of QV circuits on y-6 and grid-6."""
+    for k in CASES:
+        g, c, fid, order, layout = case(k)
+        if g.n <= 6:
+            try:
+                yield c, solve_exhaustive(c, g, fid, order, initial_map=layout)[1]
+            except NoRouteError:
+                pass
+    for topo in ("y", "grid"):
+        g = builtin_topology(topo, 6)
+        for w in (3, 4, 6):
+            for s in range(3):
+                c = qv_instance(w, [7, s], 6, 3)[1]
+                yield c, run_variant_full("sabre_like", c, g, FidelityModel.build(c, g),
+                                          seed=s).routed
+
+
+def test_logical_replay_agrees_with_the_dense_node_wire_product():
+    # The logical check relabels where the dense oracle multiplies by
+    # swap matrices; the two deviations are one number up to rounding.
+    routes = merged = free = 0
+    for c, rc in agreement_routes():
+        ops = [op for ops in rc.steps for op in ops]
+        merged += any(isinstance(op, GateOp) and op.merged_swap for op in ops)
+        free += any(isinstance(op, FreeSwap) for op in ops)
+        dev = verify_unitary(rc, c)
+        assert dev <= EQUIVALENCE_ATOL
+        assert abs(dev - dense_unitary_deviation(rc, c)) <= 1e-12
+        routes += 1
+    assert routes > 80 and merged > 20 and free > 20
+
+
+def test_verify_unitary_fails_a_gate_on_an_idle_qubit_a_dropped_swap_or_a_wrong_final_map(y6):
+    # Four active qubits on y-6, from random layouts that run the first
+    # layer in place: the nodes holding the idle qubits 4 and 5 have no
+    # logical wire.
+    c, fid = prepared(random_layered_circuit(4, (2, 2, 2), seed=26), y6, 1)
+    rng = np.random.default_rng(27)
+    dropped = 0
+    for _ in range(6):
+        layout = None
+        while layout is None or not all(y6.has_edge(layout[gt.p], layout[gt.q])
+                                        for gt in c.groups[0]):
+            layout = tuple(int(v) for v in rng.permutation(6))
+        rc = heuristic_route(c, y6, layout, fid)
+        assert verify_unitary(rc, c) <= EQUIVALENCE_ATOL
+
+        def damaged(t, k, *ops, **fields):
+            steps = list(rc.steps)
+            steps[t] = steps[t][:k] + ops + steps[t][k + 1:]
+            return verify_unitary(dataclasses.replace(rc, steps=tuple(steps), **fields), c)
+
+        idle = rc.initial_map[4]
+        t, k, op = next((t, k, op) for t, ops in enumerate(rc.steps)
+                        for k, op in enumerate(ops) if isinstance(op, GateOp))
+        assert t == 0
+        assert damaged(t, k, dataclasses.replace(op, arc=(idle, y6.neighbors(idle)[0]))) \
+            > EQUIVALENCE_ATOL
+        for a, b in ((0, 4), (4, 5)):  # an active and an idle qubit, two idle ones
+            final = list(rc.final_map)
+            final[a], final[b] = final[b], final[a]
+            assert damaged(t, k, op, final_map=tuple(final)) > EQUIVALENCE_ATOL
+        for t, ops in enumerate(rc.steps):
+            for k, op in enumerate(ops):
+                if isinstance(op, FreeSwap):
+                    assert damaged(t, k) > EQUIVALENCE_ATOL
+                    dropped += 1
+    assert dropped > 6
+
+
+def test_verify_unitary_refuses_more_active_qubits_than_its_limit():
+    g = builtin_topology("line", 10)
+    w = UNITARY_MAX_WIDTH + 1
+    c = qv_instance(w, [7, 0], g.n, 2)[1]
+    assert len(c.active_qubits()) == w
+    rc = run_variant_full("sabre_like", c, g, FidelityModel.build(c, g)).routed
+    with pytest.raises(ExtractError, match=f"{w} active qubits"):
+        verify_unitary(rc, c)
 
 
 def test_structural_violations_reported(solved, line4):
