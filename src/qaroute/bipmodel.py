@@ -183,17 +183,17 @@ def dummy_runs(c: LayeredCircuit) -> list[list[int]]:
     return runs
 
 
-def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
-                      sym_chain: bool = True) -> list[Row]:
-    """Emit all routing constraints for the given linking mode.
+def build_constraints(vs: VariableSpace) -> list[Row]:
+    """Emit all routing constraints.
 
-    ``mccormick`` links each gate variable to the step's placement
-    variables; ``mccormick_str`` tightens the upper envelope through the
-    outgoing movement variables wherever those exist (every step but the
-    last, which falls back to the plain form).
+    The upper ``LINK`` rows tie each gate variable to the outgoing
+    movement variables of its operands, ``y <= x[p,i,i] + x[p,i,j]``,
+    which is tighter than ``y <= w[p,i]`` since the flow row sums every
+    move out of i into ``w[p,i]``; at the last step, where nothing
+    moves, they are the plain ``y <= w`` rows. ``SYM_CHAIN`` orders the
+    indicators of each run of dummy steps, so the swap layers used come
+    first.
     """
-    if mode not in ("mccormick", "mccormick_str"):
-        raise ModelError(f"unknown linking mode {mode!r}")
     c = vs.circuit
     n, m = vs.n, vs.m
     rows: list[Row] = []
@@ -212,7 +212,7 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
         p, q = gate.operands
         t = vs.step_of[gate.gid]
         for (i, j), (y, xp, xq) in zip(vs.arcs, arcs):
-            if mode == "mccormick_str" and xp >= 0:
+            if xp >= 0:
                 rows.append(Row((y, vs.x(p, i, i, t), xp), (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
                 rows.append(Row((y, vs.x(q, j, j, t), xq), (1.0, -1.0, -1.0), "<=", 0.0, "LINK"))
             else:
@@ -252,11 +252,9 @@ def build_constraints(vs: VariableSpace, mode: str = "mccormick_str",
             xs = tuple(vs.x(q, i, j, t) for (i, j) in vs.arcs)
             rows.append(Row(xs + (vs.z(t),), (1.0,) * len(xs) + (-1.0,),
                             "<=", 0.0, "DUMMY_IND"))
-    if sym_chain:
-        for run in dummy_runs(c):
-            for t in run[:-1]:
-                rows.append(Row((vs.z(t), vs.z(t + 1)), (1.0, -1.0), ">=", 0.0,
-                                "SYM_CHAIN"))
+    for run in dummy_runs(c):
+        for t in run[:-1]:
+            rows.append(Row((vs.z(t), vs.z(t + 1)), (1.0, -1.0), ">=", 0.0, "SYM_CHAIN"))
     return rows
 
 
@@ -381,14 +379,13 @@ class BipProblem:
 
 
 def assemble_problem(c: LayeredCircuit, g: HardwareGraph, fid: FidelityModel | None,
-                     objective: str = "error", mode: str = "mccormick_str",
-                     crosstalk_mode: bool | None = None,
-                     sym_chain: bool = True) -> tuple[VariableSpace, BipProblem]:
+                     objective: str = "error",
+                     crosstalk_mode: bool | None = None) -> tuple[VariableSpace, BipProblem]:
     """Build the full program for one objective; see module docstring."""
     if crosstalk_mode is None:
         crosstalk_mode = objective == "crosstalk"
     vs = VariableSpace(c, g, crosstalk_mode=crosstalk_mode)
-    rows = build_constraints(vs, mode=mode, sym_chain=sym_chain)
+    rows = build_constraints(vs)
     if crosstalk_mode:
         rows.extend(build_crosstalk_rows(vs))
     p = BipProblem(names=vs.names, rows=tuple(rows),

@@ -186,10 +186,14 @@ class FidelityModel:
         """Price every gate of ``c`` on ``g``: a gate listed in
         ``overrides`` takes its tables from there, and all others are
         priced together, their unitaries and their swap-merged forms in
-        one stack (``_weyl_batch``)."""
+        one stack (``_weyl_batch``). An override of a gate ``c`` lacks is
+        refused."""
         f_table = {}
         f_swap_table = {}
         overrides = overrides or {}
+        missing = sorted(set(overrides) - {gate.gid for gate in c.gates()})
+        if missing:
+            raise FidelityError(f"override {missing[0]} names no gate of the circuit")
         priced = []
         for gate in c.gates():
             if gate.gid in overrides:
@@ -212,11 +216,8 @@ class FidelityModel:
                 raise FidelityError(f"gate {gids[bad[0]]} is not unitary")
             coords = _weyl_batch(np.concatenate((us, SWAP @ us)))
             for k, gid in enumerate(gids):
-                f, fs = _budget(coords[k]), _budget(coords[len(gids) + k])
-                if abs(f[3] - 1.0) > 1e-9 or abs(fs[3] - 1.0) > 1e-9:
-                    raise FidelityError(f"three-CNOT fidelity of gate {gid} is not 1")
-                f_table[gid] = f
-                f_swap_table[gid] = fs
+                f_table[gid] = _budget(coords[k])
+                f_swap_table[gid] = _budget(coords[len(gids) + k])
         return cls(g, f_table, f_swap_table)
 
     def cnots(self, gid: int, i: int, j: int, merged: bool = False) -> int:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
 
+from qaroute.bipmodel import BipProblem, Row, VariableSpace
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps, pad_qubits
 from qaroute.extract import FreeSwap, GateOp, RoutedCircuit
 from qaroute.gatefid import FidelityModel
@@ -214,6 +216,23 @@ def line4_five_gate_circuit(seed: int = 11) -> LayeredCircuit:
         (Gate(0, 3, us[2], gid=2),),
         (Gate(0, 2, us[3], gid=3), Gate(1, 3, us[4], gid=4)),
     ))
+
+
+def plain_links(vs: VariableSpace, p: BipProblem) -> BipProblem:
+    """``p`` with each strengthened upper ``LINK`` row, ``y <= x[q,i,i] +
+    x[q,i,j]``, replaced in place by the plain ``y <= w[q,i]`` at its step:
+    the textbook McCormick envelope, a reference form of the model."""
+    def plain(row: Row) -> Row:
+        if row.family != "LINK" or row.sense != "<=" or vs.var_meta[row.vars[1]][0] != "x":
+            return row
+        _, q, i, _, t = vs.var_meta[row.vars[1]]
+        return Row((row.vars[0], vs.w(q, i, t)), (1.0, -1.0), "<=", 0.0, "LINK")
+    return replace(p, rows=tuple(map(plain, p.rows)))
+
+
+def without_family(p: BipProblem, family: str) -> BipProblem:
+    """``p`` less every row of one family."""
+    return replace(p, rows=tuple(row for row in p.rows if row.family != family))
 
 
 # The reference assignment for the five-gate line-4 model: identity start,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (CX, REFERENCE_ASSIGNMENT_NAMES, line4_five_gate_circuit,
-                     prepared, random_layered_circuit)
+from helpers import (CX, REFERENCE_ASSIGNMENT_NAMES, line4_five_gate_circuit, plain_links,
+                     prepared, random_layered_circuit, without_family)
 from qaroute.bipmodel import (ModelError, Row, VariableSpace, assemble_problem,
-                              build_constraints)
+                              build_constraints, dummy_runs)
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import VARIANTS, heuristic_layout, heuristic_route, run_variant_full
@@ -109,40 +109,46 @@ def test_row_activity_and_satisfaction():
 
 
 def test_reference_assignment_feasible_both_modes(line4):
+    # The model, and its reference form with plain McCormick links.
     c = line4_five_gate_circuit()
     fid = FidelityModel.build(c, line4)
-    for mode in ("mccormick", "mccormick_str"):
-        vs, p = assemble_problem(c, line4, fid, objective="error", mode=mode)
-        vec = dense_assignment(p, REFERENCE_ASSIGNMENT_NAMES)
-        assert p.check_assignment(vec) is None, mode
+    vs, p = assemble_problem(c, line4, fid, objective="error")
+    vec = dense_assignment(p, REFERENCE_ASSIGNMENT_NAMES)
+    for form in (p, plain_links(vs, p)):
+        assert form.check_assignment(vec) is None
 
 
 def test_mccormick_str_is_tighter(line4):
+    # Each strengthened upper LINK row sums a subset of the movement
+    # variables that its operand's FLOW_OUT row sums into w, so it
+    # implies the plain row it stands for. It does so at every step but
+    # the last, where nothing moves and the rows are the plain ones.
     c = line4_five_gate_circuit()
-    vs = VariableSpace(c, line4)
-    plain = build_constraints(vs, mode="mccormick")
-    tight = build_constraints(vs, mode="mccormick_str")
-    fam_plain = {r.family for r in plain}
-    fam_tight = {r.family for r in tight}
-    assert "LINK" in fam_plain and "LINK" in fam_tight
-    # Strengthening replaces upper-envelope rows at every step but the
-    # last; the two models keep the same row count here.
-    def upper_rows(rows):
-        return [r for r in rows if r.family == "LINK" and r.sense == "<="]
-    assert len(upper_rows(plain)) == len(upper_rows(tight))
-    assert {tuple(r.vars) for r in upper_rows(plain)} != {tuple(r.vars) for r in upper_rows(tight)}
+    vs, p = assemble_problem(c, line4, None, objective="depth")
+    plain = plain_links(vs, p)
+    assert len(plain.rows) == len(p.rows)
+    out_of = {row.vars[0]: set(row.vars[1:]) for row in p.rows if row.family == "FLOW_OUT"}
+    tightened = [(tight, loose) for tight, loose in zip(p.rows, plain.rows) if tight != loose]
+    for tight, loose in tightened:
+        y, w = loose.vars
+        assert (tight.family, tight.sense, tight.rhs, tight.coefs) == ("LINK", "<=", 0.0,
+                                                                       (1.0, -1.0, -1.0))
+        assert tight.vars[0] == y and set(tight.vars[1:]) <= out_of[w]
+    # Two rows per arc for each gate of the first two layers.
+    assert len(tightened) == 2 * len(vs.arcs) * 3
 
 
 def test_sym_chain_rows(line4):
     c = insert_dummy_steps(line4_five_gate_circuit(), 2)
-    vs = VariableSpace(c, line4)
-    rows = build_constraints(vs, sym_chain=True)
-    chain = [r for r in rows if r.family == "SYM_CHAIN"]
-    # Two dummy runs of length 2, one ordering row per adjacent pair.
-    assert len(chain) == 2
-    rows_off = build_constraints(vs, sym_chain=False)
-    assert [r for r in rows_off if r.family == "SYM_CHAIN"] == []
-    assert len(rows) == len(rows_off) + 2
+    vs, p = assemble_problem(c, line4, None, objective="depth")
+    chain = [r for r in build_constraints(vs) if r.family == "SYM_CHAIN"]
+    # Two dummy runs of length 2, one ordering row z[t] >= z[t + 1] per
+    # adjacent pair.
+    assert [tuple(vs.var_meta[v] for v in r.vars) for r in chain] == [
+        (("z", t), ("z", t + 1)) for run in dummy_runs(c) for t in run[:-1]]
+    assert len(dummy_runs(c)) == 2 and len(chain) == 2
+    assert all((r.sense, r.coefs, r.rhs) == (">=", (1.0, -1.0), 0.0) for r in chain)
+    assert len(without_family(p, "SYM_CHAIN").rows) == len(p.rows) - 2
 
 
 def test_objective_kinds(line4, y6):

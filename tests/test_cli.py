@@ -655,6 +655,16 @@ def test_malformed_fidelity_document_exits_4(tmp_path, capsys):
     assert "override 0" in capsys.readouterr().err
 
 
+def test_fidelity_override_of_a_cut_gate_exits_4(tmp_path, capsys):
+    # Written for the uncut circuit: FAST cuts it to two layers, gates 0-3.
+    doc = tmp_path / "fid.json"
+    doc.write_text('{"1": {"f": [1, 1, 1, 1], "f_swap": [1, 1, 1, 1]},'
+                   ' "6": {"f": [1, 1, 1, 1], "f_swap": [1, 1, 1, 1]}}')
+    code = main(["transpile", "--builtin", "line,4", *FAST, "--fidelity", str(doc)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: override 6 names no gate of the circuit\n"
+
+
 def test_internal_value_error_is_not_exit_4(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")

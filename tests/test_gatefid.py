@@ -12,8 +12,8 @@ from helpers import (CX, ansatz_overlap, cnot_ansatz, lattice_offsets,
                      reference_fold_spectrum)
 from qaroute.circuit import Gate, LayeredCircuit, dump_circuit
 from qaroute.cli import main
-from qaroute.gatefid import (FidelityError, FidelityModel, _best_budget, _fold_spectra,
-                             _spectra, _weyl_batch, avg_gate_fidelity,
+from qaroute.gatefid import (FidelityError, FidelityModel, _best_budget, _budget,
+                             _fold_spectra, _spectra, _weyl_batch, avg_gate_fidelity,
                              cnot_budget_fidelities, exact_cnot_fidelities,
                              load_fidelity_overrides, trace_to_fidelity,
                              weyl_coordinates)
@@ -58,9 +58,21 @@ def test_numeric_oracle_gradient_matches_its_ansatz():
 
 
 def test_three_cnots_always_suffice():
+    # The three-CNOT trace is the constant 4, so that entry of the budget
+    # is exactly 1.0 for any gate and any coordinates: at the chamber's
+    # corners, inside it, and at triples outside it.
     for trial in range(25):
         u = haar_su4([92, trial])
-        assert abs(cnot_budget_fidelities(u)[3] - 1.0) <= 1e-9
+        assert cnot_budget_fidelities(u)[3] == 1.0
+    pi4 = math.pi / 4
+    corners = [(0.0, 0.0, 0.0), (pi4, 0.0, 0.0), (pi4, pi4, 0.0), (pi4, pi4, pi4),
+               (pi4, pi4, -pi4)]
+    rng = np.random.default_rng(94)
+    a = rng.uniform(0.0, pi4, 2000)
+    b = a * rng.uniform(0.0, 1.0, 2000)
+    inside = zip(a, b, b * rng.uniform(-1.0, 1.0, 2000))
+    wide = map(tuple, rng.uniform(-math.pi, math.pi, (2000, 3)))
+    assert all(_budget(t)[3] == 1.0 for t in [*corners, *inside, *wide])
 
 
 def test_budget_table_monotone():
@@ -152,6 +164,10 @@ def test_model_overrides():
     c2, fid = prepared(c, g, 0, overrides=table)
     assert fid.cnots(0, 0, 1) == 0 and fid.gate_error(0, 0, 1) == 0.0
     assert fid.cnots(0, 0, 1, merged=True) == 3
+    # A table for a gate the circuit lacks is a typo, or was written for
+    # another circuit: refused, not ignored.
+    with pytest.raises(FidelityError, match="^override 99 names no gate of the circuit$"):
+        FidelityModel.build(c2, g, overrides={**table, 99: table[0]})
 
 
 def test_load_fidelity_overrides_errors():
@@ -223,7 +239,7 @@ def test_batched_pricing_equals_per_gate_pricing_bit_for_bit():
                                 Gate(4, 5, np.eye(4), 2)),
                                (Gate(1, 2, SWAP @ CX, 3), Gate(3, 4, CX, 4))))
     some = {0: {"f": [0.5, 0.9, 1.0, 1.0], "f_swap": [0.4, 0.4, 0.6, 1.0]},
-            5: {"f": [0.3, 0.7, 0.9, 1.0], "f_swap": [0.2, 0.5, 0.8, 1.0]}}
+            4: {"f": [0.3, 0.7, 0.9, 1.0], "f_swap": [0.2, 0.5, 0.8, 1.0]}}
     every = {gate.gid: some[0] for gate in qv[0].gates()}
     empty = LayeredCircuit(6, ((), ()))
     cases = [(c, None) for c in qv] + [(named, None), (qv[0], some), (named, some),

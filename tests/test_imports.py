@@ -1,11 +1,15 @@
 """No module in the package or the test suite imports a name it never
-uses, and the package's modules import each other without a cycle.
+uses, the package's modules import each other without a cycle, and the
+package runs with numpy as its only dependency.
 
 A standard-library stand-in for a linter's unused-import rule: every
 name bound by an import must be referenced somewhere in the same file.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +102,27 @@ def test_package_imports_form_no_cycle():
                for path in sorted((ROOT / "src" / "qaroute").glob("*.py"))}
     assert "solver" in package["modelio"]
     assert import_cycle(package) is None
+
+
+# Imports every package module and runs two commands in a process where
+# scipy and hypothesis, the test extra's packages, cannot be imported.
+NUMPY_ONLY = """
+import importlib, sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None
+for name in sys.argv[1:]:
+    importlib.import_module("qaroute." + name)
+from qaroute import cli
+assert cli.main(["transpile", "--builtin", "line,4", "--qv", "4,1", "--variant", "bip"]) == 0
+assert cli.main(["export", "--builtin", "line,4", "--qv", "4,1", "--format", "mps"]) == 0
+"""
+
+
+def test_package_runs_on_numpy_alone():
+    modules = [path.stem for path in sorted((ROOT / "src" / "qaroute").glob("*.py"))
+               if path.stem != "__init__"]
+    assert "cli" in modules and "solver" in modules
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *modules], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "unitary: ok" in proc.stdout and "ENDATA" in proc.stdout
