@@ -190,9 +190,10 @@ def build_constraints(vs: VariableSpace) -> list[Row]:
     movement variables of its operands, ``y <= x[p,i,i] + x[p,i,j]``,
     which is tighter than ``y <= w[p,i]`` since the flow row sums every
     move out of i into ``w[p,i]``; at the last step, where nothing
-    moves, they are the plain ``y <= w`` rows. ``SYM_CHAIN`` orders the
-    indicators of each run of dummy steps, so the swap layers used come
-    first.
+    moves, they are the plain ``y <= w`` rows. ``FREE_SWAP_BAL`` is an
+    edge rule, one row per edge (the reverse arc's row is its negation).
+    ``SYM_CHAIN`` orders the indicators of each run of dummy steps, so
+    the swap layers used come first. No row restates another.
     """
     c = vs.circuit
     n, m = vs.n, vs.m
@@ -240,7 +241,7 @@ def build_constraints(vs: VariableSpace) -> list[Row]:
         free = vs.free[t]
         if not free:
             continue
-        for (i, j) in vs.arcs:
+        for (i, j) in vs.graph.edges:
             fwd = tuple(vs.x(q, i, j, t) for q in free)
             back = tuple(vs.x(q, j, i, t) for q in free)
             rows.append(Row(fwd + back, (1.0,) * len(fwd) + (-1.0,) * len(back),

@@ -152,29 +152,28 @@ class FidelityModel:
     """The price table of one circuit on one graph.
 
     Each gate is priced by its best CNOT budget (``_best_budget``) once
-    per distinct edge beta, alone (plain) and merged with a SWAP of its
-    operands. ``cnot_rows[gid]`` holds its (plain, merged) CNOT counts
-    and ``error_rows[gid]`` its (plain, merged) errors, -log of the
-    success probability, each a row over ``graph.edges``; ``swap_errors``
-    is the row of standalone-SWAP errors, -3 log beta. ``cnots``,
-    ``gate_error`` and ``swap_error`` read one entry, for either
-    orientation of an edge. The rows are filled once at construction
-    and read-only afterwards, so concurrent readers are safe.
+    per distinct edge beta, alone (``f_table``) and merged with a SWAP of
+    its operands (``f_swap_table``); only the prices are kept.
+    ``cnot_rows[gid]`` holds its (plain, merged) CNOT counts and
+    ``error_rows[gid]`` its (plain, merged) errors, -log of the success
+    probability, each a row over ``graph.edges``; ``swap_errors`` is the
+    row of standalone-SWAP errors, -3 log beta. ``cnots``, ``gate_error``
+    and ``swap_error`` read one entry, for either orientation of an edge.
+    The rows are filled once at construction and read-only afterwards,
+    so concurrent readers are safe.
     """
 
     def __init__(self, graph: HardwareGraph,
                  f_table: dict[int, tuple[float, float, float, float]],
                  f_swap_table: dict[int, tuple[float, float, float, float]]):
         self.graph = graph
-        self.f_table = dict(f_table)
-        self.f_swap_table = dict(f_swap_table)
         self._col = {arc: k for k, e in enumerate(graph.edges) for arc in (e, e[::-1])}
         betas = list(dict.fromkeys(graph.beta.values()))
         at = [betas.index(graph.beta[e]) for e in graph.edges]
         self.cnot_rows, self.error_rows = {}, {}
-        for gid, fids in self.f_table.items():
+        for gid, fids in f_table.items():
             priced = [[_best_budget(f, beta) for beta in betas]
-                      for f in (fids, self.f_swap_table[gid])]  # plain, then merged
+                      for f in (fids, f_swap_table[gid])]  # plain, then merged
             self.cnot_rows[gid] = tuple(np.array([by[b][0] for b in at]) for by in priced)
             self.error_rows[gid] = tuple(np.array([-math.log(by[b][1]) for b in at])
                                          for by in priced)
@@ -249,7 +248,7 @@ def load_fidelity_overrides(source: str | dict) -> dict:
 def _overrides_from_doc(doc) -> dict:
     if not isinstance(doc, dict):
         raise FidelityError("fidelity document must map gate indices to tables")
-    out = {}
+    out, key_of = {}, {}
     for key, entry in doc.items():
         with reading(FidelityError, f"override {key}"):
             gid = int(key)
@@ -257,5 +256,7 @@ def _overrides_from_doc(doc) -> dict:
             fs = [float(v) for v in entry["f_swap"]]
         if len(f) != 4 or len(fs) != 4:
             raise FidelityError(f"override {key} needs four values per table")
-        out[gid] = {"f": f, "f_swap": fs}
+        if gid in out:
+            raise FidelityError(f"overrides {key_of[gid]!r} and {key!r} both name gate {gid}")
+        out[gid], key_of[gid] = {"f": f, "f_swap": fs}, key
     return out

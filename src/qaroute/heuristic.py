@@ -58,16 +58,7 @@ def _score_weights() -> tuple[int, tuple[int, ...]]:
 FRONT_WEIGHT, LOOK_WEIGHTS = _score_weights()
 
 
-def _graph_tables(g: HardwareGraph) -> tuple:
-    """What ``_route`` reads of ``g``: hop distances, and per node its
-    neighbours, their bit mask and the edges that meet it."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    return (g.distances(), nbrs, [sum(1 << k for k in nb) for nb in nbrs],
-            [tuple(norm_edge(v, k) for k in nb) for v, nb in enumerate(nbrs)])
-
-
-def _route(gates, g: HardwareGraph, initial_map,
-           tables=None) -> tuple[list, tuple[int, ...]]:
+def _route(gates, g: HardwareGraph, initial_map) -> tuple[list, tuple[int, ...]]:
     """Route ``(gid, p, q)`` gates, in program order, from a fixed layout
     by greedy swap insertion.
 
@@ -81,11 +72,11 @@ def _route(gates, g: HardwareGraph, initial_map,
     walked home along a shortest path, which bounds the schedule length.
     Returns the plan, one ``(edge, ())`` entry per swap and one ``(None,
     ((gid, p, q, i, j), ...))`` entry per step of gates on arcs ``(i,
-    j)``, and the final map. ``tables`` is ``_graph_tables(g)``, for
-    callers that route many times on one graph.
+    j)``, and the final map. It reads of ``g`` its hop distances and,
+    per node, the neighbours' bit mask and the edges that meet it.
     """
     n = g.n
-    dist, nbrs, adj, incident = tables or _graph_tables(g)
+    dist, adj, incident = g.distances(), g.nbr_mask, g.incident
     every = (1 << n) - 1
     remaining = [(gid, p, q, 1 << p | 1 << q) for gid, p, q in gates]
     pos = list(initial_map)
@@ -132,7 +123,7 @@ def _route(gates, g: HardwareGraph, initial_map,
             # Forced progress: walk the oldest front gate together.
             _, p, q, _ = min(fr, key=lambda gt: gt[0])
             i, j = pos[p], pos[q]
-            nxt = min(k for k in nbrs[i] if dist[k][j] < dist[i][j])
+            nxt = min(k for k in g.neighbors(i) if dist[k][j] < dist[i][j])
             i, j = norm_edge(i, nxt)
         else:
             cand = set()
@@ -281,13 +272,12 @@ def heuristic_layout(c: LayeredCircuit, g: HardwareGraph, seed: int = 0) -> tupl
     check_layer_width(c, g)
     rng = np.random.default_rng(seed)
     gates = [(gt.gid, gt.p, gt.q) for gt in c.gates()]
-    tables = _graph_tables(g)
     routed: dict[tuple, tuple[int, tuple[int, ...]]] = {}  # layout -> (swaps, final map)
     repaired: dict[tuple, tuple[int, ...]] = {}  # final map -> refined layout
 
     def route(layout):
         if layout not in routed:
-            plan, final_map = _route(gates, g, layout, tables)
+            plan, final_map = _route(gates, g, layout)
             routed[layout] = (sum(1 for edge, _ in plan if edge is not None), final_map)
         return routed[layout]
 

@@ -82,6 +82,9 @@ class HardwareGraph:
             adj[i].append(j)
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        # Per node, its neighbours as a bit mask and the edges that meet it.
+        self.nbr_mask = tuple(sum(1 << k for k in a) for a in self._adj)
+        self.incident = tuple(tuple(norm_edge(i, k) for k in a) for i, a in enumerate(self._adj))
         self._dist = None
         if self.n > 1 and not self._connected():
             raise TopologyError("graph is not connected")

@@ -9,6 +9,7 @@ bitstring, so its heavy probability is the heavy-set size over 2^w.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -52,12 +53,13 @@ class QvCircuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def gate_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for perm, sus in self.layers:
-            for k in range(len(sus)):
-                out.append((perm[2 * k], perm[2 * k + 1]))
-        return out
+
+def _gates(qv: QvCircuit):
+    """``(p, q, unitary)`` of each gate in program order: the k-th SU(4)
+    of a layer acts on entries 2k and 2k + 1 of its permutation."""
+    for perm, sus in qv.layers:
+        for k, u in enumerate(sus):
+            yield perm[2 * k], perm[2 * k + 1], u
 
 
 def gen_qv_circuit(w: int, seed) -> QvCircuit:
@@ -75,15 +77,11 @@ def gen_qv_circuit(w: int, seed) -> QvCircuit:
 def lower_circuit(qv: QvCircuit) -> LayeredCircuit:
     """QvCircuit as a LayeredCircuit; permutations fold into which
     logical pairs receive the gates, no explicit permutation ops."""
-    groups = []
-    gid = 0
-    for perm, sus in qv.layers:
-        grp = []
-        for k, u in enumerate(sus):
-            grp.append(Gate(p=perm[2 * k], q=perm[2 * k + 1], unitary=u, gid=gid))
-            gid += 1
-        groups.append(tuple(grp))
-    return LayeredCircuit(n_qubits=qv.width, groups=tuple(groups))
+    gates, gids = _gates(qv), itertools.count()
+    groups = tuple(tuple(Gate(p=p, q=q, unitary=u, gid=next(gids))
+                         for p, q, u in itertools.islice(gates, len(sus)))
+                   for _, sus in qv.layers)
+    return LayeredCircuit(n_qubits=qv.width, groups=groups)
 
 
 def qv_instance(w: int, seed, n_nodes: int, n_layers: int | None = None,
@@ -106,9 +104,8 @@ def ideal_probs(qv: QvCircuit) -> np.ndarray:
     if w > 12:
         raise BenchError("width too large for statevector simulation")
     state = zero_state(w)
-    for perm, sus in qv.layers:
-        for k, u in enumerate(sus):
-            state = apply_two_qubit(state, u, perm[2 * k], perm[2 * k + 1], w)
+    for p, q, u in _gates(qv):
+        state = apply_two_qubit(state, u, p, q, w)
     return np.abs(state) ** 2
 
 

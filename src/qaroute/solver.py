@@ -483,10 +483,13 @@ def exhaustive_bytes(n: int, edges: int, active: int, steps: int, objectives: in
     8 B each of ``scratch``, ``err``, ``used``, ``targets`` and the live
     states of step 0 (kept for a rerun), of the step and carried out, 1 B
     of ``ahead`` and 4 B of a pull's ``row_of``. Per matching: its edges,
-    their ids, mask and swap error. And 48 B for each of the at most
-    ``DP_PASS`` candidates of a pass. Left out, as no measured step has
-    half its placements live: what ``allowed`` and ``priced`` free before
-    a pass, the fold's working rows and the rows a due bound keeps."""
+    their ids, mask and swap error. And 48 B for each of ``DP_PASS``
+    candidates, though passes were measured holding 70-92 B each and a
+    step whose smaller side exceeds ``DP_PASS`` relaxes all of it per
+    matching. The terms above count every placement live, and no
+    measured step has half its placements live: that slack covers these
+    excesses, what ``allowed`` and ``priced`` free before a pass and the
+    rows a due bound keeps, none of which is counted."""
     per_place = 2 * active + 13 * edges + 24 * objectives + 4 * (steps - 1) + 61
     return math.perm(n, active) * per_place + matchings * (8 * n + 128) + 48 * DP_PASS
 

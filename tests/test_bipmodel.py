@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from qaroute.bipmodel import (ModelError, Row, VariableSpace, assemble_problem,
 from qaroute.circuit import Gate, LayeredCircuit, insert_dummy_steps
 from qaroute.gatefid import FidelityModel
 from qaroute.heuristic import VARIANTS, heuristic_layout, heuristic_route, run_variant_full
-from qaroute.hwgraph import HardwareGraph
-from qaroute.lexopt import lexicographic_solve
+from qaroute.hwgraph import HardwareGraph, builtin_topology
+from qaroute.lexopt import _stages, lexicographic_solve
+from qaroute.qvbench import qv_instance
 from qaroute.solver import solve_exhaustive
 
 
@@ -237,3 +240,61 @@ def test_every_variable_kind_keys_its_index_and_name(y6):
     for t in range(m):
         assert vs.names[vs.v((0, 1), (2, 3), t)] == f"v_0_1_2_3_{t}"
     assert len(set(vs.names)) == vs.num_vars
+
+
+def formulation_counts(c, g, crosstalk: bool, pinned: bool, same_endpoints: bool) -> Counter:
+    """Rows per family, from the formulation's index sets: n nodes, m
+    steps, G gates, A arcs, E edges, X crosstalk edges, P crosstalk
+    pairs; G_t gates and F_t free qubits at step t."""
+    n, m, G = g.n, c.num_steps, len(c.gates())
+    A, E = 2 * len(g.edges), len(g.edges)
+    gates_at = [len(layer) for layer in c.groups]
+    free_at = [n - 2 * k for k in gates_at]
+    dummies = set(c.dummy_steps)
+    counts = Counter({
+        "QUBIT": n * m, "NODE": n * m, "GATE": G, "LINK": 3 * G * A,
+        "FLOW_OUT": n * n * (m - 1), "FLOW_IN": n * n * (m - 1),
+        "GATE_SWAP_PAIR": A * sum(gates_at[:m - 1]),
+        "FREE_SWAP_BAL": E * sum(1 for f in free_at[:m - 1] if f),
+        "DUMMY_IND": n * len(dummies & set(range(m - 1))),
+        "SYM_CHAIN": len(dummies & {t + 1 for t in dummies}),
+        "PIN_INIT": n * pinned, "SAME_ENDPOINTS": n * n * same_endpoints})
+    if crosstalk:
+        X, P = len(g.crosstalk_edges), len(g.crosstalk_pairs)
+        counts.update({"XTALK_U_UB": X * m, "XTALK_V": 3 * P * m,
+                       "XTALK_U_LB": sum(X * (2 * gates_at[t] + 2 * free_at[t] * (t < m - 1))
+                                         for t in range(m))})
+    return +counts  # the families with rows
+
+
+def sign_free_key(row: Row) -> tuple:
+    """One key for a row, its negation and its ``>=`` or ``<=`` mirror."""
+    terms = tuple(sorted(zip(row.vars, row.coefs)))
+    flipped = tuple((v, -a) for v, a in terms)
+    if row.sense == "<=":
+        return ">=", flipped, -row.rhs
+    if row.sense == ">=":
+        return ">=", terms, row.rhs
+    return "=", *min((terms, row.rhs), (flipped, -row.rhs))
+
+
+@pytest.mark.parametrize("graph, order, pinned, same_endpoints", [
+    (("line", 4), ("error", "depth"), False, False),
+    (("y", 6), ("crosstalk", "error"), False, False),
+    (("grid", 6), ("error",), True, True)])
+def test_each_constraint_is_written_once(graph, order, pinned, same_endpoints):
+    # Every row family has the count its index sets give, and no row
+    # restates another up to sign: the free-swap balance is one row per
+    # edge, not one per arc.
+    g = builtin_topology(*graph)
+    _, c = qv_instance(4, [202, 0], g.n, 3)
+    fid = FidelityModel.build(c, g)
+    initial_map = tuple(reversed(range(g.n))) if pinned else None
+    _, stages = _stages(c, g, fid, order, initial_map=initial_map,
+                        same_endpoints=same_endpoints)
+    _, alone = assemble_problem(c, g, fid, objective=order[0])
+    crosstalk = "crosstalk" in order
+    for problem, full in [(p, True) for p in stages] + [(alone, False)]:
+        assert Counter(row.family for row in problem.rows) == formulation_counts(
+            c, g, crosstalk, pinned and full, same_endpoints and full)
+        assert len({sign_free_key(row) for row in problem.rows}) == len(problem.rows)

@@ -665,6 +665,15 @@ def test_fidelity_override_of_a_cut_gate_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == "error: override 6 names no gate of the circuit\n"
 
 
+def test_fidelity_keys_that_name_one_gate_exit_4(tmp_path, capsys):
+    doc = tmp_path / "fid.json"
+    doc.write_text('{"1": {"f": [0.5, 1, 1, 1], "f_swap": [0.5, 1, 1, 1]},'
+                   ' "01": {"f": [0.9, 1, 1, 1], "f_swap": [0.9, 1, 1, 1]}}')
+    code = main(["transpile", "--builtin", "line,4", *FAST, "--fidelity", str(doc)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: overrides '1' and '01' both name gate 1\n"
+
+
 def test_internal_value_error_is_not_exit_4(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")

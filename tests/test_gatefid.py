@@ -184,6 +184,14 @@ def test_load_fidelity_overrides_errors():
         load_fidelity_overrides({"first": {"f": [1, 1, 1, 1], "f_swap": [1, 1, 1, 1]}})
     with pytest.raises(FidelityError):
         load_fidelity_overrides("[1,\n 2]")
+    # int() reads "1", "01" and " 1" as gate 1: the second key would
+    # silently replace the first one's tables.
+    table = {"f": [0.5, 1, 1, 1], "f_swap": [0.5, 1, 1, 1]}
+    for first, second in (("1", "01"), ("1", " 1"), ("+1", "1")):
+        with pytest.raises(FidelityError) as err:
+            load_fidelity_overrides({first: table, second: {**table, "f": [0.9, 1, 1, 1]}})
+        assert str(err.value) == f"overrides {first!r} and {second!r} both name gate 1"
+    assert list(load_fidelity_overrides({"01": table, "2": table})) == [1, 2]
     good = load_fidelity_overrides('{"2": {"f": [0.5, 0.9, 1, 1], "f_swap": [0.4, 0.4, 0.6, 1]}}')
     assert good[2]["f"][1] == 0.9
 
@@ -203,11 +211,12 @@ def test_log_cost_accounting(line4):
 
 def test_gate_and_swap_prices(line4):
     c, fid = prepared(random_layered_circuit(4, (2, 1), seed=15), line4, 1)
+    f_table, f_swap_table = per_gate_tables(c)
     for gate in c.gates():
         for i, j in line4.arcs():
-            k, p = _best_budget(fid.f_table[gate.gid], line4.beta_of(i, j))
+            k, p = _best_budget(f_table[gate.gid], line4.beta_of(i, j))
             assert fid.gate_error(gate.gid, i, j) == -math.log(p)
-            k, p = _best_budget(fid.f_swap_table[gate.gid], line4.beta_of(i, j))
+            k, p = _best_budget(f_swap_table[gate.gid], line4.beta_of(i, j))
             assert fid.gate_error(gate.gid, i, j, merged=True) == -math.log(p)
     for k, (i, j) in enumerate(line4.edges):
         assert fid.swap_errors[k] == -3.0 * math.log(line4.beta_of(i, j))
@@ -230,6 +239,20 @@ def per_gate_tables(c, overrides=None):
     return f, fs
 
 
+def tables_built(c, g, overrides=None):
+    """The ``(f_table, f_swap_table)`` that ``FidelityModel.build`` prices
+    ``c`` from, as its constructor receives them."""
+    seen = []
+
+    class Recording(FidelityModel):
+        def __init__(self, graph, f_table, f_swap_table):
+            seen.append((f_table, f_swap_table))
+            super().__init__(graph, f_table, f_swap_table)
+
+    Recording.build(c, g, overrides=overrides)
+    return seen[0]
+
+
 def test_batched_pricing_equals_per_gate_pricing_bit_for_bit():
     # FidelityModel.build prices every gate without an override in one
     # stack; each table must equal the per-gate call exactly.
@@ -245,10 +268,9 @@ def test_batched_pricing_equals_per_gate_pricing_bit_for_bit():
     cases = [(c, None) for c in qv] + [(named, None), (qv[0], some), (named, some),
                                        (qv[0], every), (empty, None)]
     for c, overrides in cases:
-        fid = FidelityModel.build(c, y6, overrides=overrides)
         # Float equality, no tolerance.
-        assert (fid.f_table, fid.f_swap_table) == per_gate_tables(c, overrides)
-    assert FidelityModel.build(empty, y6).f_table == {}
+        assert tables_built(c, y6, overrides) == per_gate_tables(c, overrides)
+    assert tables_built(empty, y6) == ({}, {})
 
 
 def test_a_gate_whose_determinant_is_off_loads_prices_and_transpiles(tmp_path, capsys):
@@ -258,8 +280,7 @@ def test_a_gate_whose_determinant_is_off_loads_prices_and_transpiles(tmp_path, c
     off = np.diag([1 + 4e-9] * 4).astype(complex)
     assert abs(abs(np.linalg.det(off)) - 1) > 1e-8
     c = LayeredCircuit(4, ((Gate(0, 1, CX, 0), Gate(2, 3, off, 1)),))
-    fid = FidelityModel.build(c, builtin_topology("line", 4))
-    assert fid.f_table[1] == cnot_budget_fidelities(off)
+    assert tables_built(c, builtin_topology("line", 4))[0][1] == cnot_budget_fidelities(off)
     doc = tmp_path / "off.json"
     doc.write_text(json.dumps(dump_circuit(c)))
     code = main(["transpile", "--builtin", "line,4", "--circuit", str(doc)])
@@ -350,7 +371,7 @@ def test_edge_costs_are_priced_once_per_gate_and_distinct_beta(monkeypatch):
     assert len(calls) == 2 * 3 * len(c.gates())
     for gate in c.gates():
         for i, j in g.edges:
-            for merged, table in ((False, fid.f_table), (True, fid.f_swap_table)):
+            for merged, table in enumerate(per_gate_tables(c)):
                 k, p = _best_budget(table[gate.gid], g.beta_of(i, j))
                 assert fid.cnots(gate.gid, j, i, merged) == k
                 assert fid.gate_error(gate.gid, j, i, merged) == -math.log(p)
@@ -370,7 +391,7 @@ def test_every_row_entry_is_the_log_of_its_best_budget_bit_for_bit():
     c, fid = prepared(random_layered_circuit(8, (4, 3, 2), seed=24), g, 1,
                       overrides=overrides)
     for gate in c.gates():
-        for merged, table in ((False, fid.f_table), (True, fid.f_swap_table)):
+        for merged, table in enumerate(per_gate_tables(c, overrides)):
             cnot_row = fid.cnot_rows[gate.gid][merged]
             error_row = fid.error_rows[gate.gid][merged]
             assert len(cnot_row) == len(error_row) == len(g.edges)
@@ -380,4 +401,4 @@ def test_every_row_entry_is_the_log_of_its_best_budget_bit_for_bit():
                 for a, b in ((i, j), (j, i)):
                     assert fid.cnots(gate.gid, a, b, merged) == k
                     assert fid.gate_error(gate.gid, a, b, merged).hex() == (-math.log(p)).hex()
-    assert list(fid.f_table[0]) == overrides[0]["f"]
+    assert list(tables_built(c, g, overrides)[0][0]) == overrides[0]["f"]

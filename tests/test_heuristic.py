@@ -161,9 +161,9 @@ def test_layout_search_routes_each_distinct_layout_once(monkeypatch):
     routed = []
     kernel = qaroute.heuristic._route
 
-    def recording(gates, g, layout, tables=None):
+    def recording(gates, g, layout):
         routed.append(layout)
-        return kernel(gates, g, layout, tables)
+        return kernel(gates, g, layout)
 
     monkeypatch.setattr(qaroute.heuristic, "_route", recording)
     repeats = 0

@@ -36,11 +36,11 @@ def test_gen_qv_circuit_shape():
         assert len(sus) == 2
         assert all(is_unitary(u) for u in sus)
     again = gen_qv_circuit(4, 11)
-    assert again.gate_pairs() == qv.gate_pairs()
+    assert [perm for perm, _ in again.layers] == [perm for perm, _ in qv.layers]
     assert all(np.array_equal(u1, u2)
                for (_, s1), (_, s2) in zip(again.layers, qv.layers)
                for u1, u2 in zip(s1, s2))
-    assert len(qv.gate_pairs()) == 8
+    assert sum(len(sus) for _, sus in qv.layers) == 8
     with pytest.raises(BenchError):
         gen_qv_circuit(1, 0)
 
@@ -52,8 +52,12 @@ def test_lower_circuit_layers_and_truncation():
     assert len(c.groups) == 4
     gids = [gt.gid for grp in c.groups for gt in grp]
     assert gids == list(range(8))
-    pairs = [(gt.p, gt.q) for grp in c.groups for gt in grp]
-    assert pairs == qv.gate_pairs()
+    # The k-th SU(4) of a layer acts on entries 2k and 2k + 1 of its
+    # permutation.
+    for grp, (perm, sus) in zip(c.groups, qv.layers):
+        assert [(gt.p, gt.q) for gt in grp] == [(perm[2 * k], perm[2 * k + 1])
+                                                for k in range(len(sus))]
+        assert all(gt.unitary is u for gt, u in zip(grp, sus))
     short = lower_circuit(replace(qv, layers=qv.layers[:2]))
     assert len(short.groups) == 2
     assert short.groups == c.groups[:2]
